@@ -22,7 +22,7 @@ from .scaling import (DefiningFunctionPoly, ScaledFunction, ScalingFrame,
 from .sequences import (ApproachSequence, ClassificationRecord, classify,
                         custom_sequence, generate, tangency_ratio)
 from .squeeze import (BallAutomorphism, EmbeddingChain, FloorReport, Rescale,
-                      SqueezeEstimate, ball_automorphism, chain_family,
+                      SqueezeEstimate, chain_family,
                       gamma_floor, inscribed_radius, squeeze_lower_bound,
                       squeeze_profile)
-from .wpoly import (MultiWeight, PositivityReport, WeightedPolynomial, weight)
+from .wpoly import MultiWeight, PositivityReport, WeightedPolynomial

@@ -5,10 +5,12 @@ zero on the boundary.  Subdomains D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2
 sit inside the domain and osculate it at (0', 1); they drive both the
 tangential-convergence classifier and the squeezing floor estimates.
 
-Boundary points are produced by radial first-crossing root finding:
-rho(0) = -1 and the domain is bounded, so every ray from the origin
-crosses the zero level.  The scan-then-bisection search tolerates
-non-monotone profiles by bracketing the first sign change.
+Boundary points are radial first crossings: rho(0) = -1 and the domain
+is bounded, so every ray t u from the origin reaches the zero level.
+Along the ray the gauge is a real polynomial in t, and
+:func:`~ellsqueeze.hermpoly.first_crossing` returns its smallest positive
+root from the companion eigenvalues of the radial coefficients, so
+non-monotone profiles still give the first sign change.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import BoundedSearchError, PositivityError
+from .hermpoly import HermitianPolynomial, first_crossing
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
 
 # reference cloud used for radii that must not depend on a caller's sample count
 REFERENCE_COUNT = 1 << 14
 REFERENCE_SEED = 20210
+# rays with no boundary crossing up to this radius are skipped
+RAY_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,12 @@ class GeneralEllipsoid:
                 f"at z'={report.argmin}")
         self.P = P
         self.n = P.weights.n
+        # the full gauge |z_n|^2 - 1 + P(z') as one table, for the ray solves
+        e_n = (0,) * (self.n - 1) + (1,)
+        terms = {((0,) * self.n, (0,) * self.n): -1.0, (e_n, e_n): 1.0}
+        for (K, L), c in P.table.canonical.items():
+            terms[(K + (0,), L + (0,))] = c
+        self._gauge = HermitianPolynomial(self.n, terms)
         self._cloud_cache: dict = {}
         self._radius_cache: dict = {}
 
@@ -111,8 +122,8 @@ class GeneralEllipsoid:
         """Array of `count` boundary points (prefix-stable in count).
 
         Directions come from a scrambled Sobol sphere sequence; along each
-        ray the first zero of rho is bracketed by a geometric scan and
-        polished by bisection to 1e-12 in the radial parameter.
+        ray the boundary point is the smallest positive root of the radial
+        gauge polynomial (companion eigenvalues, one Newton polish).
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)
@@ -132,44 +143,15 @@ class GeneralEllipsoid:
         while sum(len(c) for c in collected) < count:
             rounds += 1
             if rounds > 8:
-                raise RuntimeError("boundary sampling failed: too many rays without crossings")
+                raise BoundedSearchError(
+                    "boundary sampling failed: too many rays without crossings", RAY_CAP)
             need = count - sum(len(c) for c in collected)
             u = complex_sphere(drawn + need, self.n, seed)[drawn:]
             drawn += need
-            pts, ok = self._cross_rays(u)
-            collected.append(pts[ok])
+            t = first_crossing(self._gauge, u, 0.0, RAY_CAP)
+            ok = np.isfinite(t)
+            collected.append(t[ok, None] * u[ok])
         return np.concatenate(collected, axis=0)[:count]
-
-    def _cross_rays(self, u: np.ndarray):
-        count = len(u)
-
-        def radial(t):
-            return self.rho(t[:, None] * u)
-
-        lo = np.zeros(count)
-        hi = np.full(count, np.nan)
-        t = np.full(count, 1e-2)
-        active = np.ones(count, dtype=bool)
-        for _ in range(600):
-            if not active.any():
-                break
-            vals = radial(t)
-            crossed = active & (vals >= 0.0)
-            hi[crossed] = t[crossed]
-            active &= ~crossed
-            lo[active] = t[active]
-            t = np.where(active, t * 1.05, t)
-            escaped = active & (t > 1e6)
-            active &= ~escaped
-        ok = ~np.isnan(hi)
-        hi[~ok] = 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = radial(mid) < 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t = 0.5 * (lo + hi)
-        return t[:, None] * u, ok
 
     def boundary_sample(self, count: int, seed: int = 0) -> List[BoundaryPoint]:
         pts = self.boundary_cloud(count, seed)

@@ -63,15 +63,6 @@ class DomainOracle:
             f"{factor:g} * {self.label}",
         )
 
-    def intersect_ball(self, center: np.ndarray, radius: float) -> "DomainOracle":
-        center = np.asarray(center, dtype=np.complex128)
-        return DomainOracle(
-            lambda z: self.contains(z)
-            & (np.linalg.norm(np.asarray(z, complex) - center, axis=-1) <= radius),
-            min(self.bounding_radius, float(np.linalg.norm(center)) + radius),
-            f"{self.label} cap ball(r={radius:g})",
-        )
-
 
 @dataclass
 class CompactCloud:

@@ -10,6 +10,9 @@ representative per unordered pair {A, B} is stored and the conjugate
 partner is materialized on demand, so Hermitian symmetry can never
 drift.  Differentiation and composition with affine maps are exact
 (coefficient arithmetic only), which the scaling machinery relies on.
+
+:func:`first_crossing` finds where a table first reaches a level along
+rays from the origin; it serves both boundary clouds and reach radii.
 """
 
 from __future__ import annotations
@@ -144,13 +147,15 @@ class HermitianPolynomial:
 
     # -- evaluation and calculus ----------------------------------------------
 
+    def _monomials(self, z: np.ndarray) -> np.ndarray:
+        """Monomials z^A conj(z)^B of the expanded table, shape (..., terms)."""
+        A, B, _ = self._expand()
+        zp = np.asarray(z, dtype=np.complex128)[..., None, :]
+        return np.prod(zp ** A, axis=-1) * np.prod(np.conj(zp) ** B, axis=-1)
+
     def raw_sum(self, z: np.ndarray) -> np.ndarray:
         """Full Hermitian sum as a complex number (imaginary part ~ rounding)."""
-        A, B, C = self._expand()
-        z = np.asarray(z, dtype=np.complex128)
-        zp = z[..., None, :]
-        mono = np.prod(zp ** A, axis=-1) * np.prod(np.conj(zp) ** B, axis=-1)
-        return mono @ C
+        return self._monomials(z) @ self._expand()[2]
 
     def value(self, z: np.ndarray) -> np.ndarray:
         """Real value of the table at points z of shape (..., d)."""
@@ -274,3 +279,82 @@ class HermitianPolynomial:
                 clean[(alpha, beta)] = 0.5 * (c + np.conj(out.get((beta, alpha), c)))
         drop = max((abs(c) for c in clean.values()), default=0.0) * 1e-300
         return HermitianPolynomial(e, {k: c for k, c in clean.items() if abs(c) > drop})
+
+
+# -- radial first crossings ----------------------------------------------------
+
+# Rays per block in `first_crossing`.  A block holds a (rays x terms) monomial
+# array and a (rays x K x K) companion stack, so the block size, not the
+# cloud size, bounds the memory a solve adds on large boundary clouds.
+CROSSING_BLOCK = 8192
+
+# Largest |Im s| / |s| of a companion eigenvalue taken as a real root.  A
+# touching (double) root splits into a conjugate pair whose imaginary part is
+# of the order sqrt(machine epsilon) relative to the root.
+NEAR_REAL = 1e-6
+
+
+def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: float,
+                   cap: float) -> np.ndarray:
+    """Smallest t in (0, cap] with table(t u) >= level, per direction u.
+
+    `directions` has shape (N, d); entries with no such t are +inf.  The
+    table must satisfy table(0) < level.  Along a ray the table is the real
+    polynomial sum_k c_k(u) t^k with radial coefficients
+    c_k(u) = sum_{|A|+|B|=k} c_AB u^A conj(u)^B, so the first crossing is the
+    smallest positive root of p(t) = table(t u) - level; a touching root
+    counts.  The roots are the eigenvalues of the companion matrix of the
+    reversed polynomial in s = 1/t, whose leading coefficient
+    c_0 - level is nonzero; the largest near-real s gives the first
+    crossing, and one Newton step polishes it where the step lowers |p|.
+    """
+    u = np.asarray(directions, dtype=np.complex128)
+    A, B, C = table._expand()
+    deg = A.sum(axis=1) + B.sum(axis=1)
+    K = int(deg.max())
+    out = np.full(len(u), np.inf)
+    if K == 0:
+        return out
+    radial = np.zeros((len(C), K + 1), dtype=np.complex128)
+    radial[np.arange(len(C)), deg] = C
+    for lo in range(0, len(u), CROSSING_BLOCK):
+        block = slice(lo, lo + CROSSING_BLOCK)
+        coeffs = (table._monomials(u[block]) @ radial).real
+        coeffs[:, 0] -= level
+        out[block] = _smallest_positive_root(coeffs, cap)
+    return out
+
+
+def _smallest_positive_root(a: np.ndarray, cap: float) -> np.ndarray:
+    """Smallest root in (0, cap] of each row's sum_k a_k t^k, else +inf."""
+    count, K = a.shape[0], a.shape[1] - 1
+    companion = np.zeros((count, K, K))
+    companion[:, 0, :] = -a[:, 1:] / a[:, :1]
+    companion[:, np.arange(1, K), np.arange(K - 1)] = 1.0
+    s = np.linalg.eigvals(companion)
+    real = (s.real > 0.0) & (np.abs(s.imag) <= NEAR_REAL * np.abs(s))
+    s_max = np.where(real, s.real, 0.0).max(axis=1)
+    found = s_max > 0.0
+    t = np.full(count, np.inf)
+    t[found] = _newton_polish(a[found], 1.0 / s_max[found])
+    t[t > cap] = np.inf
+    return t
+
+
+def _newton_polish(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One Newton step on sum_k a_k t^k per row, kept where it lowers |p|."""
+    p, dp = _horner(a, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stepped = t - p / dp
+        better = np.abs(_horner(a, stepped)[0]) < np.abs(p)
+    return np.where(better, stepped, t)
+
+
+def _horner(a: np.ndarray, t: np.ndarray):
+    """Values and derivatives of sum_k a_k t^k per row."""
+    p = a[:, -1].copy()
+    dp = np.zeros_like(p)
+    for k in range(a.shape[1] - 2, -1, -1):
+        dp = dp * t + p
+        p = p * t + a[:, k]
+    return p, dp

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundedSearchError
-from .hermpoly import HermitianPolynomial
+from .hermpoly import HermitianPolynomial, first_crossing
 from .util import philox, write_csv
 from .wpoly import WeightedPolynomial
 
@@ -59,16 +59,6 @@ class DefiningFunctionPoly(HermitianPolynomial):
             terms[(e, e)] = 1.0
         return cls(n, terms)
 
-    @classmethod
-    def from_ellipsoid(cls, D) -> "DefiningFunctionPoly":
-        """|z_n|^2 - 1 + P(z') for a generalized ellipsoid."""
-        n = D.n
-        e_n = tuple(1 if i == n - 1 else 0 for i in range(n))
-        terms = {((0,) * n, (0,) * n): -1.0, (e_n, e_n): 1.0}
-        for (K, L), c in D.P.table.canonical.items():
-            terms[(tuple(K) + (0,), tuple(L) + (0,))] = c
-        return cls(n, terms)
-
 
 # -- tau: reach along a complex line -------------------------------------------------
 
@@ -81,79 +71,15 @@ def _line_restriction(rho: HermitianPolynomial, eta: np.ndarray,
     return restricted + (-base)
 
 
-def _crossing_batch(q: HermitianPolynomial, eps: float, phases: np.ndarray,
-                    cap: float) -> np.ndarray:
-    """First radii t with q(t e^{i phase}) >= eps per phase; +inf below the cap."""
-    dirs = np.exp(1j * phases)
-
-    def val(t):
-        return q.value((t * dirs)[:, None])
-
-    m = len(phases)
-    lo = np.zeros(m)
-    hi = np.full(m, np.inf)
-    t = np.full(m, cap * 1e-12)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        vals = val(t)
-        crossed = active & (vals >= eps)
-        hi[crossed] = t[crossed]
-        active &= ~crossed
-        lo[active] = t[active]
-        t = np.where(active, t * 1.3, t)
-        escaped = active & (t > cap)
-        active &= ~escaped
-    finite = np.isfinite(hi)
-    flo, fhi = lo[finite], hi[finite]
-    fdirs = dirs[finite]
-    for _ in range(100):
-        mid = 0.5 * (flo + fhi)
-        below = q.value((mid * fdirs)[:, None]) < eps
-        flo = np.where(below, mid, flo)
-        fhi = np.where(below, fhi, mid)
-    root = 0.5 * (flo + fhi)
-    # vectorized Newton polish on each radial polynomial
-    for _ in range(6):
-        lam = (root * fdirs)[:, None]
-        f = q.value(lam) - eps
-        df = 2.0 * (q.gradient(lam)[:, 0] * fdirs).real
-        safe = df != 0.0
-        step = np.where(safe, f / np.where(safe, df, 1.0), 0.0)
-        new = root - step
-        ok = (new > 0.5 * flo) & (new < 2.0 * fhi)
-        root = np.where(ok, new, root)
-    out = np.full(m, np.inf)
-    out[finite] = root
-    return out
-
-
-def _first_crossing(q: HermitianPolynomial, eps: float, phase: float, cap: float,
-                    bracket: Optional[Tuple[float, float]] = None) -> float:
-    """Scalar convenience wrapper; a bracket hint skips the geometric scan."""
-    if bracket is None:
-        return float(_crossing_batch(q, eps, np.array([phase]), cap)[0])
-    direction = np.exp(1j * phase)
-
-    def val(t):
-        return float(q.value(np.array([[t * direction]]))[0])
-
-    lo, hi = bracket
-    if val(lo) >= eps or val(hi) < eps:
-        return float(_crossing_batch(q, eps, np.array([phase]), cap)[0])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if val(mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _tau_line(q: HermitianPolynomial, eps: float, cap: float,
               phase_grid: int = PHASE_GRID, refine: bool = True) -> Tuple[float, float]:
     """(tau, worst phase) for a one-variable restriction table."""
+
+    def reach(phases):
+        return first_crossing(q, np.exp(1j * np.asarray(phases))[:, None], eps, cap)
+
     phases = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
-    radii = _crossing_batch(q, eps, phases, cap)
+    radii = reach(phases)
     if not np.isfinite(radii).any():
         raise BoundedSearchError("gauge never rises by eps along this line", cap)
     k = int(np.argmin(radii))
@@ -165,21 +91,19 @@ def _tau_line(q: HermitianPolynomial, eps: float, cap: float,
     b = phases[(k + 1) % phase_grid]
     if b < a:
         b += 2.0 * np.pi
-    hint = (0.5 * best_r, min(2.0 * best_r, cap))
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = _first_crossing(q, eps, x1, cap, hint)
-    f2 = _first_crossing(q, eps, x2, cap, hint)
+    f1, f2 = reach([x1, x2])
     for _ in range(40):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = _first_crossing(q, eps, x1, cap, hint)
+            f1 = reach([x1])[0]
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = _first_crossing(q, eps, x2, cap, hint)
+            f2 = reach([x2])[0]
         if b - a < 1e-10 or abs(f1 - f2) <= 1e-14 * max(f1, f2):
             break
     for r, ph in ((f1, x1), (f2, x2)):
@@ -193,9 +117,12 @@ def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
     """Reach along the complex line through eta in direction v at level eps.
 
     Computed as the minimum over phases of the first radial crossing of
-    the level eps (phase grid of 256 rays plus local one-dimensional
-    refinement, bisection with Newton polish on each ray).  Raises
-    :class:`BoundedSearchError` when no crossing exists below the cap.
+    the level eps: a grid of 256 phases, then a golden-section refinement
+    around the worst one.  With q(lambda) = rho(eta + lambda v) - rho(eta),
+    each crossing is the smallest positive root of the radial polynomial
+    t -> q(t e^{i phase}) - eps, found by
+    :func:`~ellsqueeze.hermpoly.first_crossing`; a touching root counts.
+    Raises :class:`BoundedSearchError` when no crossing exists below the cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

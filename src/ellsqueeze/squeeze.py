@@ -19,9 +19,10 @@ The default strategy family contains two chains:
              (tight, exact up to boundary-sampling accuracy), then
              center the image.
 
-Estimates are labeled lower bounds throughout: the supremum over all
-embeddings is not computable, and reported values are exact only for
-the sampled clouds.
+Each chain's inscribed radius is a lower bound for the squeezing
+function, but the reported values are sampled estimates of those radii
+(upper estimates of them), exact only for the sampled clouds; the
+supremum over all embeddings is not computable.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
+from .errors import BoundedSearchError
 from .sequences import ApproachSequence
 from .util import philox, write_csv
 
 BASEPOINT_TOL = 1e-10
 TIGHT_MARGIN = 1e-9
+MAX_GRID_BLOCKS = 1000
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,6 @@ class BallAutomorphism:
 ChainStep = Union[EllipsoidAutomorphism, Rescale, BallAutomorphism]
 
 
-def ball_automorphism(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Functional form of the involution (convenience wrapper)."""
-    return BallAutomorphism(np.asarray(c, dtype=np.complex128)).apply(None, z)
-
-
 @dataclass(frozen=True)
 class EmbeddingChain:
     """Ordered injective holomorphic steps mapping the domain into the ball."""
@@ -120,7 +118,12 @@ class EmbeddingChain:
 
 @dataclass(frozen=True)
 class SqueezeEstimate:
-    """A certified-by-construction lower-bound estimate at one point."""
+    """A sampled squeezing estimate at one point.
+
+    `value` is the minimum image norm of `chain` over a boundary cloud: an
+    upper estimate of the chain's inscribed radius, which in turn is a lower
+    bound for the squeezing function.  It is not certified.
+    """
 
     point: np.ndarray
     value: float
@@ -131,12 +134,6 @@ class SqueezeEstimate:
     def describe(self) -> str:
         return (f"sigma_hat={self.value:.6f} (+-{self.band:.2g} sampling band, "
                 f"{self.samples} samples) via {self.chain.describe()}")
-
-
-def chain_image_norms(chain: EmbeddingChain, count: int, seed: int = 0) -> np.ndarray:
-    """Norms of the chain images of the seeded boundary cloud."""
-    cloud = chain.domain.boundary_cloud(count, seed)
-    return np.linalg.norm(chain.apply(cloud), axis=-1)
 
 
 def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
@@ -153,7 +150,7 @@ def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
 def inscribed_radius(chain: EmbeddingChain, count: int = 1 << 14, seed: int = 0) -> float:
     """Min image norm over boundary samples: the chain's inscribed-ball estimate."""
     chain.check_basepoint()
-    return float(chain_image_norms(chain, count, seed).min())
+    return float(chain_norms_at(chain, chain.domain.boundary_cloud(count, seed)).min())
 
 
 def _tight_radius(D: GeneralEllipsoid) -> float:
@@ -265,8 +262,9 @@ def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
     attempts = 0
     while len(out) < grid_count:
         attempts += 1
-        if attempts > 1000:
-            raise RuntimeError("rejection sampling failed to fill the subdomain grid")
+        if attempts > MAX_GRID_BLOCKS:
+            raise BoundedSearchError(
+                "rejection sampling failed to fill the subdomain grid", MAX_GRID_BLOCKS)
         block = rng.uniform(-R, R, size=(max(512, 4 * grid_count), 2 * D.n))
         z = block[:, : D.n] + 1j * block[:, D.n:]
         keep = contains_sub(D, sp, z)

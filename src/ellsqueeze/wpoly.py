@@ -66,11 +66,6 @@ class MultiWeight:
         return np.asarray(zp, dtype=np.complex128) * self.dilation_factors(t)
 
 
-def weight(K: Sequence[int], w: MultiWeight) -> Fraction:
-    """Module-level alias for :meth:`MultiWeight.weight`."""
-    return w.weight(K)
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     """Outcome of a sampled positivity scan (heuristic, seed-reproducible)."""

@@ -80,6 +80,13 @@ def random_admissible_polynomial(m: tuple, rng: np.random.Generator,
     return WeightedPolynomial(mw, terms)
 
 
+def mixed_weight_polynomial() -> WeightedPolynomial:
+    """m = (2, 3) table with a z1^2 conj(z2)^3 cross term, like the benchmark's."""
+    return WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.1, ((0, 3), (0, 3)): 0.9,
+        ((2, 0), (0, 3)): 0.08 * np.exp(0.7j)})
+
+
 def torus_grid_min(P: WeightedPolynomial, steps: int = 60) -> float:
     """Dense modulus/phase grid minimum of P over the unit sphere (n-1 = 2 only)."""
     assert len(P.weights.m) == 2
@@ -92,3 +99,29 @@ def torus_grid_min(P: WeightedPolynomial, steps: int = 60) -> float:
             z = np.array([r1, r2 * np.exp(1j * ph)])
             best = min(best, float(P.eval(z)))
     return best
+
+
+def bisect_first_crossing(f, directions: np.ndarray, level: float,
+                          cap: float) -> np.ndarray:
+    """First t in (0, cap] with f(t u) >= level per direction, from evaluations only.
+
+    A geometric scan of 2000 radii from cap * 1e-8 to cap brackets the
+    first grid radius at or above the level, and 200 bisections close the
+    bracket; +inf where the scan finds none.
+    """
+    radii = cap * np.geomspace(1e-8, 1.0, 2000)
+    out = np.full(len(directions), np.inf)
+    for i, u in enumerate(directions):
+        above = np.nonzero(f(radii[:, None] * u) >= level)[0]
+        if len(above) == 0:
+            continue
+        k = above[0]
+        lo, hi = (radii[k - 1] if k > 0 else 0.0), radii[k]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if f(mid * u) >= level:
+                hi = mid
+            else:
+                lo = mid
+        out[i] = hi
+    return out

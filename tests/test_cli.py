@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from ellsqueeze import domain
 from ellsqueeze.cli import main
 
 
@@ -107,6 +109,13 @@ def test_numerical_failure_exit_code(tmp_path):
     }))
     assert run_cli(["classify", "--out", str(tmp_path / "z"),
                     "--domain", str(poly), "--count", "5"]) == 3
+
+
+def test_rays_without_crossings_exit_code(tmp_path, monkeypatch):
+    # no ray reaches the boundary: the typed sampling failure maps to status 3
+    monkeypatch.setattr(domain, "first_crossing",
+                        lambda table, u, level, cap: np.full(len(u), np.inf))
+    assert run_cli(["wbscan", "--out", str(tmp_path / "w"), "--samples", "100"]) == 3
 
 
 def test_domain_file_round_trip(tmp_path):

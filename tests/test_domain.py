@@ -6,10 +6,10 @@ import pytest
 from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
 from ellsqueeze.errors import PositivityError
-from ellsqueeze.util import philox
+from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
-from helpers import fd_hessian, fd_gradient
+from helpers import bisect_first_crossing, fd_hessian, fd_gradient, mixed_weight_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,20 @@ def test_rho_sign_pattern(E):
 
 
 def test_ball_boundary_is_sphere(B):
-    pts = B.boundary_cloud(5000, seed=0)
-    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-10
+    for D in (B, GeneralEllipsoid.unit_ball(3)):
+        pts = D.boundary_cloud(5000, seed=0)
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-10
+
+
+def test_mixed_weight_boundary_matches_bisection():
+    # the cloud's rays are the Sobol directions, so each point must be the
+    # first zero of rho on its ray
+    D = GeneralEllipsoid(mixed_weight_polynomial())
+    pts = D.boundary_cloud(64, seed=5)
+    u = complex_sphere(64, 3, seed=5)
+    ref = bisect_first_crossing(D.rho, u, 0.0, 1e6)
+    assert np.abs(pts - ref[:, None] * u).max() <= 1e-12 * ref.max()
+    assert np.abs(D.rho(pts)).max() <= 1e-14
 
 
 def test_quartic_defining_equation(E):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from ellsqueeze import squeeze
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid
+from ellsqueeze.errors import BoundedSearchError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
-                                ball_automorphism, chain_family,
-                                chain_image_norms, gamma_floor, inscribed_radius,
+                                chain_family, gamma_floor, inscribed_radius,
                                 profile_to_csv, squeeze_lower_bound,
                                 squeeze_profile, subdomain_grid)
 from ellsqueeze.domain import SubdomainParams, contains_sub
@@ -30,7 +31,7 @@ def B():
 
 def test_phi_zero_is_minus_identity():
     z = np.array([[0.3 + 0.1j, -0.2j]])
-    assert np.array_equal(ball_automorphism(np.zeros(2), z), -z)
+    assert np.array_equal(BallAutomorphism(np.zeros(2)).apply(None, z), -z)
 
 
 def test_phi_c_centers_c():
@@ -38,7 +39,7 @@ def test_phi_c_centers_c():
     for _ in range(20):
         c = rng.standard_normal(4)
         c = (c[:2] + 1j * c[2:]) * rng.uniform(0, 0.9) / np.linalg.norm(c)
-        img = ball_automorphism(c, c[None, :])
+        img = BallAutomorphism(c).apply(None, c[None, :])
         assert np.linalg.norm(img) <= 1e-14
 
 
@@ -47,7 +48,7 @@ def test_phi_c_of_origin_has_norm_c():
     for _ in range(20):
         c = rng.standard_normal(4)
         c = (c[:2] + 1j * c[2:]) * rng.uniform(0, 0.95) / np.linalg.norm(c)
-        img = ball_automorphism(c, np.zeros((1, 2), dtype=complex))
+        img = BallAutomorphism(c).apply(None, np.zeros((1, 2), dtype=complex))
         assert np.linalg.norm(img) == pytest.approx(np.linalg.norm(c), abs=1e-14)
 
 
@@ -59,7 +60,8 @@ def test_phi_c_involution():
     for _ in range(10):
         c = rng.standard_normal(4)
         c = (c[:2] + 1j * c[2:]) * rng.uniform(0, 0.9) / np.linalg.norm(c)
-        again = ball_automorphism(c, ball_automorphism(c, z))
+        phi = BallAutomorphism(c)
+        again = phi.apply(None, phi.apply(None, z))
         assert np.abs(again - z).max() <= 1e-12
 
 
@@ -212,6 +214,14 @@ def test_subdomain_grid_members(E):
     grid = subdomain_grid(E, sp, 100, seed=0)
     assert len(grid) == 100
     assert np.all(contains_sub(E, sp, grid))
+
+
+def test_subdomain_grid_failure_is_typed(E, monkeypatch):
+    # a membership test that rejects everything exhausts the block cap
+    monkeypatch.setattr(squeeze, "contains_sub", lambda D, sp, z: np.zeros(len(z), bool))
+    with pytest.raises(BoundedSearchError) as info:
+        subdomain_grid(E, SubdomainParams(0.5, 0.5), 10, seed=0)
+    assert info.value.cap == squeeze.MAX_GRID_BLOCKS
 
 
 def test_gamma_floor_positive(E):

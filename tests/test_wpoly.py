@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ellsqueeze.errors import AdmissibilityError
-from ellsqueeze.wpoly import (MultiWeight, WeightedPolynomial, weight,
+from ellsqueeze.wpoly import (MultiWeight, WeightedPolynomial,
                               quartic_disc_polynomial, unit_ball_polynomial)
 
 from helpers import fd_gradient, fd_hessian, random_admissible_polynomial, torus_grid_min
@@ -17,12 +17,12 @@ from helpers import fd_gradient, fd_hessian, random_admissible_polynomial, torus
 
 
 def test_weight_zero_index():
-    assert weight((0, 0, 0), MultiWeight((1, 2, 5))) == 0
+    assert MultiWeight((1, 2, 5)).weight((0, 0, 0)) == 0
 
 
 def test_weight_quartic_term():
     # the |z_1|^4 table lives at K = (2) with m = (2): 2/(2*2) = 1/2
-    assert weight((2,), MultiWeight((2,))) == Fraction(1, 2)
+    assert MultiWeight((2,)).weight((2,)) == Fraction(1, 2)
 
 
 def test_weight_mixed_exponents():
@@ -34,7 +34,7 @@ def test_weight_mixed_exponents():
 
 def test_weight_dimension_mismatch():
     with pytest.raises(AdmissibilityError):
-        weight((1, 0), MultiWeight((2,)))
+        MultiWeight((2,)).weight((1, 0))
 
 
 def test_weight_is_exact_rational():
