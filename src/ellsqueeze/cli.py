@@ -34,7 +34,7 @@ from .domain import GeneralEllipsoid, samples_to_csv
 from .errors import ConfigError, EllsqueezeError
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
-from .sequences import classify, generate, record_to_csv
+from .sequences import classify, generate, record_to_csv, tangency_ratio
 from .squeeze import gamma_floor, squeeze_lower_bound
 from .domconv import exhaustion_check, exhaustion_report_to_csv
 from .util import fmt, write_csv
@@ -118,6 +118,20 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("levels must be positive")
     if cfg["kind"] not in ("tangential", "normal", "cone"):
         raise ConfigError("kind must be tangential, normal, or cone")
+    if int(cfg["grid"]) < 1:
+        raise ConfigError("grid must be >= 1")
+    if int(cfg["count"]) < 1:
+        raise ConfigError("count must be >= 1")
+    if not cfg["indices"] or any(int(j) < 1 for j in cfg["indices"]):
+        raise ConfigError("indices must be a non-empty list of integers >= 1")
+    if not (0.0 <= float(cfg["b"]) < 1.0):
+        raise ConfigError("b must lie in [0, 1)")
+    if not (0.0 < float(cfg["eps"]) < 0.5):
+        raise ConfigError("eps must lie in (0, 1/2)")
+    if float(cfg["uradius"]) <= 0.0:
+        raise ConfigError("uradius must be positive")
+    if float(cfg["exclusion"]) < 0.0:
+        raise ConfigError("exclusion must be >= 0")
 
 
 def _write_manifest(outdir: Path, experiment: str, cfg: dict) -> None:
@@ -149,7 +163,8 @@ def run(experiment: str, cfg: dict) -> int:
             norm = normalize_point(D, term.z)
             rows.append([term.index,
                          float(term.rho_exact()),
-                         1.0 if term.p_exact is None else _ratio(D, cfg, term),
+                         1.0 if term.p_exact is None
+                         else tangency_ratio(D, float(cfg["s"]), term),
                          float(D.P.eval(norm.b[:-1])),
                          est.value])
         write_csv(outdir / "profile.csv",
@@ -230,12 +245,6 @@ def run(experiment: str, cfg: dict) -> int:
 
     _write_manifest(outdir, experiment, cfg)
     return 0
-
-
-def _ratio(D, cfg, term) -> float:
-    from .sequences import tangency_ratio
-
-    return tangency_ratio(D, float(cfg["s"]), term)
 
 
 def _build_parser() -> argparse.ArgumentParser:

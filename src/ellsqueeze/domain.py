@@ -1,7 +1,10 @@
 """Generalized ellipsoids {|z_n|^2 + P(z') < 1} and their internal subdomains.
 
 The defining gauge is rho(z) = |z_n|^2 - 1 + P(z'), negative inside,
-zero on the boundary.  Subdomains D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2}
+zero on the boundary.  It is held as one Hermitian table in all n
+variables (`GeneralEllipsoid.gauge`); rho, its gradient, the complex
+Hessian behind the batched Levi form and the boundary ray solves all
+evaluate that table.  Subdomains D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2}
 sit inside the domain and osculate it at (0', 1); they drive both the
 tangential-convergence classifier and the squeezing floor estimates.
 
@@ -70,12 +73,12 @@ class GeneralEllipsoid:
                 f"at z'={report.argmin}")
         self.P = P
         self.n = P.weights.n
-        # the full gauge |z_n|^2 - 1 + P(z') as one table, for the ray solves
+        # the full gauge |z_n|^2 - 1 + P(z') as one table in all n variables
         e_n = (0,) * (self.n - 1) + (1,)
         terms = {((0,) * self.n, (0,) * self.n): -1.0, (e_n, e_n): 1.0}
         for (K, L), c in P.table.canonical.items():
             terms[(K + (0,), L + (0,))] = c
-        self._gauge = HermitianPolynomial(self.n, terms)
+        self.gauge = HermitianPolynomial(self.n, terms)
         self._cloud_cache: dict = {}
         self._radius_cache: dict = {}
 
@@ -96,24 +99,14 @@ class GeneralEllipsoid:
 
     def rho(self, z: np.ndarray) -> np.ndarray:
         """|z_n|^2 - 1 + P(z') at points of shape (..., n)."""
-        z = np.asarray(z, dtype=np.complex128)
-        zn = z[..., -1]
-        return (zn * np.conj(zn)).real - 1.0 + self.P.eval(z[..., :-1])
+        return self.gauge.value(z)
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> np.ndarray:
         return self.rho(z) < tol
 
-    def rho_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Holomorphic gradient (dP/dz_1, ..., dP/dz_{n-1}, conj(z_n))."""
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.empty(z.shape, dtype=np.complex128)
-        out[..., :-1] = self.P.gradient(z[..., :-1])
-        out[..., -1] = np.conj(z[..., -1])
-        return out
-
     def dist_to_boundary(self, z: np.ndarray) -> np.ndarray:
         """First-order estimate |rho| / |grad_R rho| (real gradient norm)."""
-        g = 2.0 * np.linalg.norm(self.rho_gradient(z), axis=-1)
+        g = 2.0 * np.linalg.norm(self.gauge.gradient(z), axis=-1)
         return np.abs(self.rho(z)) / g
 
     # -- boundary sampling --------------------------------------------------------
@@ -148,7 +141,7 @@ class GeneralEllipsoid:
             need = count - sum(len(c) for c in collected)
             u = complex_sphere(drawn + need, self.n, seed)[drawn:]
             drawn += need
-            t = first_crossing(self._gauge, u, 0.0, RAY_CAP)
+            t = first_crossing(self.gauge, u, 0.0, RAY_CAP)
             ok = np.isfinite(t)
             collected.append(t[ok, None] * u[ok])
         return np.concatenate(collected, axis=0)[:count]
@@ -181,28 +174,27 @@ class GeneralEllipsoid:
 
     # -- Levi geometry ----------------------------------------------------------------
 
-    def levi_min_eig(self, z: np.ndarray) -> float:
-        """Smallest restricted Levi eigenvalue of rho at a boundary point.
+    def levi_min_eig(self, z: np.ndarray) -> np.ndarray:
+        """Smallest restricted Levi eigenvalue of rho at boundary points.
 
-        The complex Hessian of rho is block diagonal (Hessian of P and 1);
-        it is restricted to the complex tangent space {v : sum v_j d rho/dz_j = 0}
-        via an orthonormal basis from an SVD null space.  Positive value
-        means strong pseudoconvexity at the point.
+        `z` has shape (..., n) and the result shape (...).  The complex
+        Hessian of the gauge is restricted to the complex tangent space
+        {v : sum v_j d rho/dz_j = 0} through an orthonormal basis from one
+        batched SVD null space.  A positive value means strong
+        pseudoconvexity at the point.  Raises ValueError if the gradient
+        vanishes at any point.
         """
-        z = np.asarray(z, dtype=np.complex128).reshape(self.n)
-        g = self.rho_gradient(z)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
+        z = np.asarray(z, dtype=np.complex128)
+        g = self.gauge.gradient(z)
+        if np.any(np.linalg.norm(g, axis=-1) < 1e-12):
             raise ValueError("vanishing gradient: complex tangent space is undefined here")
-        H = np.zeros((self.n, self.n), dtype=np.complex128)
-        H[:-1, :-1] = self.P.complex_hessian(z[:-1])
-        H[-1, -1] = 1.0
-        # null space of the row vector g: v with g . v = 0
-        _, _, vh = np.linalg.svd(g.reshape(1, self.n))
-        basis = vh[1:].conj().T
-        L = basis.conj().T @ H @ basis
-        L = 0.5 * (L + L.conj().T)
-        return float(np.linalg.eigvalsh(L)[0])
+        # conjugated rows 1.. of vh span the null space of the row vector g
+        # (v with g . v = 0); basis_h is that basis, conjugate-transposed
+        _, _, vh = np.linalg.svd(g[..., None, :])
+        basis_h = vh[..., 1:, :]
+        L = basis_h @ self.gauge.hessian(z) @ np.conj(np.swapaxes(basis_h, -1, -2))
+        L = 0.5 * (L + np.conj(np.swapaxes(L, -1, -2)))
+        return np.linalg.eigvalsh(L)[..., 0]
 
     def wb_scan(self, count: int = 400, seed: int = 0,
                 exclusion: float = 1e-2) -> "WBScanReport":
@@ -218,7 +210,7 @@ class GeneralEllipsoid:
         kept = pts[keep]
         if len(kept) == 0:
             raise ValueError("exclusion tube swallowed every sample; lower `exclusion`")
-        eigs = np.array([self.levi_min_eig(p) for p in kept])
+        eigs = self.levi_min_eig(kept)
         k = int(np.argmin(eigs))
         return WBScanReport(
             min_levi=float(eigs[k]),

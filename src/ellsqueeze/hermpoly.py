@@ -36,6 +36,27 @@ def _as_index(raw, d: int) -> MultiIndex:
     return idx
 
 
+def _powers(z: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Products prod_j z_j^E_j for every exponent row of E, shape (..., rows).
+
+    The one monomial kernel: values, derivatives and radial coefficients
+    all evaluate through it.
+    """
+    return np.prod(z[..., None, :] ** E, axis=-1)
+
+
+def _lowered(E: np.ndarray):
+    """Per variable j, the exponent rows of E with E_j lowered by one.
+
+    Rows with E_j = 0 stay unchanged; their derivative coefficient
+    E_j c is zero, so the monomial they produce never contributes.
+    """
+    for j in range(E.shape[1]):
+        Ej = E.copy()
+        Ej[:, j] = np.maximum(Ej[:, j] - 1, 0)
+        yield Ej
+
+
 class HermitianPolynomial:
     """Immutable Hermitian coefficient table in d complex variables."""
 
@@ -112,7 +133,7 @@ class HermitianPolynomial:
     def coefficient(self, a: Iterable[int], b: Iterable[int]) -> complex:
         ka = _as_index(a, self.d)
         kb = _as_index(b, self.d)
-        if ka == kb or ka <= kb:
+        if ka <= kb:
             return self._table.get((ka, kb), 0.0 + 0.0j)
         return np.conj(self._table.get((kb, ka), 0.0 + 0.0j))
 
@@ -150,8 +171,8 @@ class HermitianPolynomial:
     def _monomials(self, z: np.ndarray) -> np.ndarray:
         """Monomials z^A conj(z)^B of the expanded table, shape (..., terms)."""
         A, B, _ = self._expand()
-        zp = np.asarray(z, dtype=np.complex128)[..., None, :]
-        return np.prod(zp ** A, axis=-1) * np.prod(np.conj(zp) ** B, axis=-1)
+        z = np.asarray(z, dtype=np.complex128)
+        return _powers(z, A) * _powers(np.conj(z), B)
 
     def raw_sum(self, z: np.ndarray) -> np.ndarray:
         """Full Hermitian sum as a complex number (imaginary part ~ rounding)."""
@@ -165,31 +186,19 @@ class HermitianPolynomial:
         """Holomorphic derivatives (df/dz_1, ..., df/dz_d), shape (..., d)."""
         A, B, C = self._expand()
         z = np.asarray(z, dtype=np.complex128)
-        zp = z[..., None, :]
-        anti = np.prod(np.conj(zp) ** B, axis=-1)
+        anti = _powers(np.conj(z), B)
         out = np.empty(z.shape, dtype=np.complex128)
-        for j in range(self.d):
-            Aj = A.copy()
-            Aj[:, j] = np.maximum(Aj[:, j] - 1, 0)
-            holo = np.prod(zp ** Aj, axis=-1)
-            out[..., j] = (holo * anti) @ (C * A[:, j])
+        for j, Aj in enumerate(_lowered(A)):
+            out[..., j] = (_powers(z, Aj) * anti) @ (C * A[:, j])
         return out
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
         """Complex Hessian d^2 f / dz_j dconj(z)_k; exactly Hermitian."""
         A, B, C = self._expand()
         z = np.asarray(z, dtype=np.complex128)
-        zp = z[..., None, :]
         H = np.empty(z.shape[:-1] + (self.d, self.d), dtype=np.complex128)
-        holos = []
-        antis = []
-        for j in range(self.d):
-            Aj = A.copy()
-            Aj[:, j] = np.maximum(Aj[:, j] - 1, 0)
-            holos.append(np.prod(zp ** Aj, axis=-1))
-            Bj = B.copy()
-            Bj[:, j] = np.maximum(Bj[:, j] - 1, 0)
-            antis.append(np.prod(np.conj(zp) ** Bj, axis=-1))
+        holos = [_powers(z, Aj) for Aj in _lowered(A)]
+        antis = [_powers(np.conj(z), Bk) for Bk in _lowered(B)]
         for j in range(self.d):
             for k in range(self.d):
                 H[..., j, k] = (holos[j] * antis[k]) @ (C * A[:, j] * B[:, k])

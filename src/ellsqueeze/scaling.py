@@ -50,15 +50,6 @@ class DefiningFunctionPoly(HermitianPolynomial):
             terms[(tuple(K) + (0,), tuple(L) + (0,))] = c
         return cls(n, terms)
 
-    @classmethod
-    def ball_gauge(cls, n: int) -> "DefiningFunctionPoly":
-        """|z|^2 - 1 on C^n."""
-        terms = {((0,) * n, (0,) * n): -1.0}
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            terms[(e, e)] = 1.0
-        return cls(n, terms)
-
 
 # -- tau: reach along a complex line -------------------------------------------------
 

@@ -36,7 +36,7 @@ from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from .errors import BoundedSearchError
 from .sequences import ApproachSequence
-from .util import philox, write_csv
+from .util import complex_sphere, philox, write_csv
 
 BASEPOINT_TOL = 1e-10
 TIGHT_MARGIN = 1e-9
@@ -303,8 +303,6 @@ def analytic_floor(D: GeneralEllipsoid, r: float, samples: int = 2048,
     "interpretation" reporting next to the empirical grid floor); the level
     sets are sampled by anisotropic dilation of sphere directions.
     """
-    from .util import complex_sphere
-
     d = D.n - 1
     u = complex_sphere(samples, d, seed)
     pu = D.P.eval(u)

@@ -136,7 +136,7 @@ class WeightedPolynomial:
         ]
         return {"n": self.weights.n, "m": list(self.weights.m), "terms": terms}
 
-    # -- calculus ---------------------------------------------------------------
+    # -- evaluation -------------------------------------------------------------
 
     def eval(self, zp: np.ndarray) -> np.ndarray:
         """Real value P(z') at points of shape (..., n-1).
@@ -145,10 +145,6 @@ class WeightedPolynomial:
         rounding because conjugate partners are materialized pairwise.
         """
         return self.table.value(zp)
-
-    def hermitian_sum(self, zp: np.ndarray) -> np.ndarray:
-        """Raw complex Hermitian sum (for realness diagnostics)."""
-        return self.table.raw_sum(zp)
 
     def coefficient_scale(self, zp: np.ndarray) -> np.ndarray:
         """1 + sum |a_KL| |z'|^{|K|+|L|}, the natural error scale of eval."""
@@ -159,16 +155,6 @@ class WeightedPolynomial:
             mult = 1.0 if a == b else 2.0
             scale = scale + mult * abs(c) * r ** (sum(a) + sum(b))
         return scale.reshape(np.shape(zp)[:-1])
-
-    def weighted_dilate(self, t: float, zp: np.ndarray) -> np.ndarray:
-        """P(delta_t z'); equals t * P(z') up to rounding by homogeneity."""
-        return self.eval(self.weights.dilate(t, zp))
-
-    def gradient(self, zp: np.ndarray) -> np.ndarray:
-        return self.table.gradient(zp)
-
-    def complex_hessian(self, zp: np.ndarray) -> np.ndarray:
-        return self.table.hessian(zp)
 
     def positivity_scan(self, count: int = 512, seed: int = 0) -> PositivityReport:
         """Minimum of P over unit-sphere samples plus the coordinate axes.

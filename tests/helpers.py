@@ -125,3 +125,24 @@ def bisect_first_crossing(f, directions: np.ndarray, level: float,
                 lo = mid
         out[i] = hi
     return out
+
+
+def levi_min_eig_pointwise(P: WeightedPolynomial, z: np.ndarray) -> float:
+    """Restricted Levi eigenvalue of |z_n|^2 - 1 + P(z') at one point.
+
+    Block Hessian diag(Hess P, 1) and gradient (grad P, conj z_n) are
+    assembled by hand from the slice table, and the complex tangent space
+    comes from one SVD null space per point.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    n = len(z)
+    g = np.empty(n, dtype=np.complex128)
+    g[:-1] = P.table.gradient(z[:-1])
+    g[-1] = np.conj(z[-1])
+    H = np.zeros((n, n), dtype=np.complex128)
+    H[:-1, :-1] = P.table.hessian(z[:-1])
+    H[-1, -1] = 1.0
+    _, _, vh = np.linalg.svd(g.reshape(1, n))
+    basis = vh[1:].conj().T
+    L = basis.conj().T @ H @ basis
+    return float(np.linalg.eigvalsh(0.5 * (L + L.conj().T))[0])

@@ -158,7 +158,7 @@ def test_07_subdomain_floor(E):
 
 def test_08_tau_oracles():
     """Ball and graph-model reach radii against closed forms; stable band."""
-    ball = DefiningFunctionPoly.ball_gauge(2)
+    ball = GeneralEllipsoid.unit_ball(2).gauge
     eta = np.array([0.0, 0.9], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
     for eps in (1e-2, 1e-4, 1e-6):
@@ -208,12 +208,12 @@ def test_10_property_suites(E, B):
     for P in polys:
         d = len(P.weights.m)
         zs = rng.standard_normal((10, d)) + 1j * rng.standard_normal((10, d))
-        raw = P.hermitian_sum(zs)
+        raw = P.table.raw_sum(zs)
         scale = P.coefficient_scale(zs)
         assert np.all(np.abs(raw.imag) <= 1e-12 * scale)
         base = P.eval(zs)
         for t in (1e-3, 1e-1, 1e1, 1e3):
-            scaled = P.weighted_dilate(t, zs)
+            scaled = P.eval(P.weights.dilate(t, zs))
             assert np.all(np.abs(scaled - t * base) <= 1e-10 * t * np.abs(base) + 1e-13)
 
     # automorphism boundary preservation: 1e3 samples x 20 parameter draws
@@ -245,8 +245,8 @@ def test_10_property_suites(E, B):
         f = lambda z: complex(P.eval(z))
         for _ in range(3):
             z = 0.6 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-            assert np.abs(P.gradient(z) - fd_gradient(f, z)).max() <= 1e-6
-            assert np.abs(P.complex_hessian(z) - fd_hessian(f, z)).max() <= 1e-6
+            assert np.abs(P.table.gradient(z) - fd_gradient(f, z)).max() <= 1e-6
+            assert np.abs(P.table.hessian(z) - fd_hessian(f, z)).max() <= 1e-6
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ellsqueeze import domain
-from ellsqueeze.cli import main
+from ellsqueeze.cli import EXPERIMENTS, main
 
 
 def run_cli(args):
@@ -23,12 +23,29 @@ def test_limits_artifacts(tmp_path):
     assert "tolerances" in manifest and "config" in manifest
 
 
-def test_byte_identical_reruns(tmp_path):
+# small sizes that still exercise every code path of each experiment
+RERUN_ARGS = {
+    "profile": ["--samples", "2048"],
+    "classify": ["--count", "10", "--seed", "3"],
+    "floor": ["--grid", "10", "--samples", "2048"],
+    "scale": [],
+    "limits": [],
+    "wbscan": ["--samples", "200"],
+    "convergence": ["--samples", "300"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_byte_identical_reruns(tmp_path, experiment):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["classify", "--count", "10", "--seed", "3"]
+    args = [experiment] + RERUN_ARGS[experiment]
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
-    assert (out1 / "classify.csv").read_bytes() == (out2 / "classify.csv").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     m1["config"].pop("out"), m2["config"].pop("out")
@@ -97,6 +114,28 @@ def test_invalid_config_rejected(tmp_path):
 
 def test_invalid_parameter_rejected(tmp_path):
     assert run_cli(["floor", "--out", str(tmp_path / "y"), "--r", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["floor", "--grid", "0"],
+    ["classify", "--count", "0"],
+    ["profile", "--indices", "0"],
+    ["profile", "--indices", "10,-1"],
+    ["limits", "--b", "1.5"],
+    ["limits", "--b", "-0.1"],
+    ["convergence", "--eps", "0.7"],
+    ["convergence", "--eps", "0"],
+    ["convergence", "--uradius", "-1"],
+    ["wbscan", "--exclusion", "-1"],
+])
+def test_out_of_range_parameter_rejected(tmp_path, args):
+    assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2
+
+
+def test_empty_indices_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"indices": []}))
+    assert run_cli(["profile", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -9,7 +9,8 @@ from ellsqueeze.errors import PositivityError
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
-from helpers import bisect_first_crossing, fd_hessian, fd_gradient, mixed_weight_polynomial
+from helpers import (bisect_first_crossing, fd_hessian, fd_gradient, levi_min_eig_pointwise,
+                     mixed_weight_polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,13 @@ def E():
 @pytest.fixture(scope="module")
 def B():
     return GeneralEllipsoid.unit_ball(2)
+
+
+DOMAINS = {
+    "quartic": GeneralEllipsoid.quartic_disc,
+    "ball3": lambda: GeneralEllipsoid.unit_ball(3),
+    "mixed": lambda: GeneralEllipsoid(mixed_weight_polynomial()),
+}
 
 
 # -- gauge -----------------------------------------------------------------------
@@ -38,6 +46,18 @@ def test_rho_showcase_point(E):
 def test_rho_on_boundary_samples(E):
     pts = E.boundary_cloud(2000, seed=0)
     assert np.abs(E.rho(pts)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_rho_matches_hand_gauge(domain):
+    D = DOMAINS[domain]()
+    rng = philox(31)
+    z = rng.standard_normal((500, D.n)) + 1j * rng.standard_normal((500, D.n))
+    z = np.concatenate([z, D.boundary_cloud(500, seed=2)])
+    hand = np.abs(z[:, -1]) ** 2 - 1.0 + D.P.eval(z[:, :-1])
+    scale = np.abs(z[:, -1]) ** 2 + 1.0 + D.P.coefficient_scale(z[:, :-1])
+    # 1e-15 relative to the sum of the absolute terms, since rho ~ 0 on the boundary
+    assert np.all(np.abs(D.rho(z) - hand) <= 1e-15 * scale)
 
 
 def test_rho_sign_pattern(E):
@@ -207,6 +227,24 @@ def test_levi_positive_at_strong_point_matches_fd(E):
 def test_levi_rejects_vanishing_gradient(E):
     with pytest.raises(ValueError):
         E.levi_min_eig(np.zeros(2, dtype=complex))
+    # one vanishing gradient in a batch rejects the whole batch
+    batch = np.array([[0.5, 0.5], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError):
+        E.levi_min_eig(batch)
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_batched_levi_matches_pointwise(domain):
+    D = DOMAINS[domain]()
+    pts = D.boundary_cloud(300, seed=5)
+    batched = D.levi_min_eig(pts)
+    assert batched.shape == (300,)
+    oracle = np.array([levi_min_eig_pointwise(D.P, p) for p in pts])
+    assert np.abs(batched - oracle).max() <= 1e-13
+    # leading batch axes are kept
+    stacked = D.levi_min_eig(pts.reshape(3, 100, D.n))
+    assert stacked.shape == (3, 100)
+    assert np.array_equal(stacked.ravel(), batched)
 
 
 # -- scans ------------------------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
 from ellsqueeze.scaling import (DefiningFunctionPoly, build_frame, check_tau_normal,
                                 frame_grid_check, limit_diagnostics,
@@ -13,7 +14,7 @@ from ellsqueeze.wpoly import quartic_disc_polynomial
 
 @pytest.fixture(scope="module")
 def BALL():
-    return DefiningFunctionPoly.ball_gauge(2)
+    return GeneralEllipsoid.unit_ball(2).gauge
 
 
 @pytest.fixture(scope="module")
