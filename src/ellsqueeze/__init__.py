@@ -14,7 +14,7 @@ from .automorphisms import (EllipsoidAutomorphism, NormalizationResult,
 from .domain import (BoundaryPoint, GeneralEllipsoid, SubdomainParams,
                      contains_sub)
 from .errors import (AdmissibilityError, BoundedSearchError, ConfigError,
-                     EllsqueezeError, PositivityError)
+                     EllsqueezeError, EmptySampleError, PositivityError)
 from .hermpoly import HermitianPolynomial
 from .scaling import (DefiningFunctionPoly, ScaledFunction, ScalingFrame,
                       build_frame, check_tau_normal, limit_diagnostics,

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .automorphisms import normalize_point, pullback_coeffs
 from .domain import GeneralEllipsoid, samples_to_csv
-from .errors import ConfigError, EllsqueezeError
+from .errors import ConfigError, EllsqueezeError, EmptySampleError
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
 from .sequences import classify, generate, record_to_csv, tangency_ratio
@@ -112,10 +112,10 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("r must lie in (0, 1]")
     if not (0.0 < float(cfg["ratio"]) < 1.0):
         raise ConfigError("ratio must lie in (0, 1)")
-    if any(a <= 0.0 or a >= 1.0 for a in cfg["agrid"]):
+    if not all(0.0 < float(a) < 1.0 for a in cfg["agrid"]):
         raise ConfigError("agrid values must lie in (0, 1)")
-    if any(lv <= 0.0 for lv in cfg["levels"]):
-        raise ConfigError("levels must be positive")
+    if len(cfg["levels"]) < 3 or not all(0.0 < float(lv) < np.inf for lv in cfg["levels"]):
+        raise ConfigError("levels must be at least three positive finite values")
     if cfg["kind"] not in ("tangential", "normal", "cone"):
         raise ConfigError("kind must be tangential, normal, or cone")
     if int(cfg["grid"]) < 1:
@@ -128,10 +128,10 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("b must lie in [0, 1)")
     if not (0.0 < float(cfg["eps"]) < 0.5):
         raise ConfigError("eps must lie in (0, 1/2)")
-    if float(cfg["uradius"]) <= 0.0:
-        raise ConfigError("uradius must be positive")
-    if float(cfg["exclusion"]) < 0.0:
-        raise ConfigError("exclusion must be >= 0")
+    if not (0.0 < float(cfg["uradius"]) < np.inf):
+        raise ConfigError("uradius must be positive and finite")
+    if not (0.0 <= float(cfg["exclusion"]) < np.inf):
+        raise ConfigError("exclusion must be finite and >= 0")
 
 
 def _write_manifest(outdir: Path, experiment: str, cfg: dict) -> None:
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return run(args.experiment, cfg)
-    except ConfigError as exc:
+    except (ConfigError, EmptySampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EllsqueezeError as exc:

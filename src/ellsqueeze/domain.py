@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BoundedSearchError, PositivityError
+from .errors import BoundedSearchError, EmptySampleError, PositivityError
 from .hermpoly import HermitianPolynomial, first_crossing
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
@@ -209,7 +209,7 @@ class GeneralEllipsoid:
         keep = np.linalg.norm(pts[:, :-1], axis=1) >= exclusion
         kept = pts[keep]
         if len(kept) == 0:
-            raise ValueError("exclusion tube swallowed every sample; lower `exclusion`")
+            raise EmptySampleError("exclusion tube swallowed every sample; lower `exclusion`")
         eigs = self.levi_min_eig(kept)
         k = int(np.argmin(eigs))
         return WBScanReport(

@@ -23,3 +23,7 @@ class BoundedSearchError(EllsqueezeError, RuntimeError):
 
 class ConfigError(EllsqueezeError, ValueError):
     """An experiment configuration failed schema validation."""
+
+
+class EmptySampleError(EllsqueezeError, ValueError):
+    """A parameter excluded every sample, so nothing is left to compute."""

@@ -7,10 +7,14 @@ a base point eta and a level eps > 0, the distance
                              for all |lambda| < r }
 
 is the reach along the complex line eta + C v before the gauge rises by
-eps.  A greedy orthonormal frame maximizes these distances: the last
-vector is the complex gradient direction, the earlier ones maximize tau
-inside successive orthogonal complements.  Dilating by the frame radii
-and dividing by eps turns rho into the scaled table
+eps.  All reaches at one base point read the same translated table
+q(w) = rho(eta + w) - rho(eta), built once by exact composition: along
+the ray t e^{i phi} v it is a real polynomial in t, and the reach is the
+smallest over phases of its first crossing of eps.  A greedy orthonormal
+frame maximizes these distances: the last vector is the complex gradient
+direction, the earlier ones maximize tau inside successive orthogonal
+complements.  Dilating by the frame radii and dividing by eps turns rho
+into the scaled table
 
     rho~(w) = (1/eps) rho(eta + U diag(tau) w),
 
@@ -23,7 +27,7 @@ behaviour and checks plurisubharmonicity of the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +36,16 @@ from .hermpoly import HermitianPolynomial, first_crossing
 from .util import philox, write_csv
 from .wpoly import WeightedPolynomial
 
-PHASE_GRID = 256
+PHASE_GRID = 256          # phases per frame reach, then golden-section refined
+COARSE_PHASE_GRID = 32    # phases per reach scored during the ascent, unrefined
+REACH_CAP = 1e6           # largest reach radius searched
+
+# Limit diagnostics: Levi-form sample points (count, ball radius, seed) and
+# the Cauchy step above which a still-growing coefficient counts as diverging.
+LIMIT_GRID_COUNT = 128
+LIMIT_GRID_RADIUS = 1.5
+LIMIT_GRID_SEED = 5
+CAUCHY_TOL = 1e-8
 
 
 class DefiningFunctionPoly(HermitianPolynomial):
@@ -54,20 +67,20 @@ class DefiningFunctionPoly(HermitianPolynomial):
 # -- tau: reach along a complex line -------------------------------------------------
 
 
-def _line_restriction(rho: HermitianPolynomial, eta: np.ndarray,
-                      v: np.ndarray) -> HermitianPolynomial:
-    """One-variable table of lambda -> rho(eta + lambda v) - rho(eta)."""
-    restricted = rho.compose_affine(eta, np.asarray(v, complex).reshape(-1, 1))
-    base = float(rho.value(np.asarray(eta, complex)))
-    return restricted + (-base)
+def _translated(rho: HermitianPolynomial, eta: np.ndarray) -> HermitianPolynomial:
+    """Table of w -> rho(eta + w) - rho(eta), with q(0) = 0 exactly."""
+    shifted = rho.compose_affine(eta, np.eye(len(eta)))
+    zero = (0,) * len(eta)
+    # the constant term of the shifted table is rho(eta); cancel it exactly
+    return shifted + (-shifted.coefficient(zero, zero).real)
 
 
-def _tau_line(q: HermitianPolynomial, eps: float, cap: float,
+def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float,
               phase_grid: int = PHASE_GRID, refine: bool = True) -> Tuple[float, float]:
-    """(tau, worst phase) for a one-variable restriction table."""
+    """(tau, worst phase) along direction v of a translated table q."""
 
     def reach(phases):
-        return first_crossing(q, np.exp(1j * np.asarray(phases))[:, None], eps, cap)
+        return first_crossing(q, np.exp(1j * np.asarray(phases))[:, None] * v, eps, cap)
 
     phases = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
     radii = reach(phases)
@@ -104,25 +117,23 @@ def _tau_line(q: HermitianPolynomial, eps: float, cap: float,
 
 
 def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
-        cap: float = 1e6) -> float:
+        cap: float = REACH_CAP) -> float:
     """Reach along the complex line through eta in direction v at level eps.
 
-    Computed as the minimum over phases of the first radial crossing of
-    the level eps: a grid of 256 phases, then a golden-section refinement
-    around the worst one.  With q(lambda) = rho(eta + lambda v) - rho(eta),
-    each crossing is the smallest positive root of the radial polynomial
-    t -> q(t e^{i phase}) - eps, found by
+    Computed on the translated table q(w) = rho(eta + w) - rho(eta) as the
+    minimum over phases of the first radial crossing of the level eps: a
+    grid of 256 phases, then a golden-section refinement around the worst
+    one.  Each crossing is the smallest positive root of the radial
+    polynomial t -> q(t e^{i phase} v) - eps, found by
     :func:`~ellsqueeze.hermpoly.first_crossing`; a touching root counts.
     Raises :class:`BoundedSearchError` when no crossing exists below the cap.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     v = np.asarray(v, dtype=np.complex128)
-    nv = np.linalg.norm(v)
-    if abs(nv - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
         raise ValueError("direction must be a unit vector")
-    q = _line_restriction(rho, eta, v)
-    return _tau_line(q, eps, cap)[0]
+    return _tau_line(_translated(rho, eta), v, eps, cap)[0]
 
 
 # -- scaling frames --------------------------------------------------------------------
@@ -147,81 +158,75 @@ class ScalingFrame:
 
 def _orthonormal_complement(vectors: List[np.ndarray], n: int) -> np.ndarray:
     """Columns spanning the Hermitian-orthogonal complement of `vectors`."""
-    if not vectors:
-        return np.eye(n, dtype=np.complex128)
     A = np.array(vectors)  # rows
     _, _, vh = np.linalg.svd(np.conj(A))
     return vh[len(vectors):].conj().T
 
 
+def _normal_direction(rho: HermitianPolynomial, eta: np.ndarray) -> np.ndarray:
+    """Normalized complex gradient conj(d rho/dz_k) at eta."""
+    g = np.conj(rho.gradient(eta))
+    gn = np.linalg.norm(g)
+    scale = max((abs(c) for c in rho.canonical.values()), default=1.0)
+    if not gn >= 1e-12 * max(scale, 1.0):
+        raise ValueError("gradient vanishes at the base point; no frame exists")
+    return g / gn
+
+
 def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float,
-                starts: int = 32, seed: int = 0, cap: float = 1e6) -> ScalingFrame:
+                starts: int = 32, seed: int = 0) -> ScalingFrame:
     """Greedy extremal frame at (eta, eps).
 
     The last frame vector is the normalized complex gradient
     (conj(d rho/dz_k)), the representative of the real gradient; the
     remaining vectors maximize tau over unit directions of successive
-    orthogonal complements (multi-start projected ascent).  Each vector
-    is re-phased so the touching point sits at positive real parameter.
+    orthogonal complements (multi-start projected ascent on the coarse
+    phase grid).  Every reach reads one translated table
+    q(w) = rho(eta + w) - rho(eta).  Each vector is re-phased so the
+    touching point sits at positive real parameter.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     eta = np.asarray(eta, dtype=np.complex128)
     n = len(eta)
-    grad = rho.gradient(eta)
-    g = np.conj(grad)
-    gn = np.linalg.norm(g)
-    scale = max((abs(c) for c in rho.canonical.values()), default=1.0)
-    if gn < 1e-12 * max(scale, 1.0):
-        raise ValueError("gradient vanishes at the base point; no frame exists")
-    e_n = g / gn
+    direction = _normal_direction(rho, eta)
+    q = _translated(rho, eta)
 
-    def line_tau(direction, coarse=False):
-        q = _line_restriction(rho, eta, direction)
-        if coarse:
-            return _tau_line(q, eps, cap, phase_grid=32, refine=False)
-        return _tau_line(q, eps, cap)
+    def coarse_tau(w):
+        return _tau_line(q, w, eps, REACH_CAP, COARSE_PHASE_GRID, refine=False)[0]
 
-    tau_n, phase_n = line_tau(e_n)
-    e_n = e_n * np.exp(1j * phase_n)
-
-    frame_rev = [(e_n, tau_n)]
-    fixed = [e_n]
+    rng = philox(seed)
+    vectors, taus = [], []
     converged = True
     spread = 0.0
-    rng = philox(seed)
-    while len(fixed) < n:
-        basis = _orthonormal_complement(fixed, n)
-        k = basis.shape[1]
-        if k == 1:
+    while len(vectors) < n:
+        if vectors:
+            basis = _orthonormal_complement(vectors, n)
+            k = basis.shape[1]
             direction = basis[:, 0]
-            t_best, ph = line_tau(direction)
-            e_best = direction * np.exp(1j * ph)
-        else:
-            t_best = -np.inf
-            e_best = None
-            results = []
-            for _ in range(starts):
-                x = rng.standard_normal(2 * k)
-                u = x[:k] + 1j * x[k:]
-                u /= np.linalg.norm(u)
-                u, t_u = _sphere_ascent(lambda w: line_tau(basis @ w, coarse=True)[0], u)
-                results.append(t_u)
-                if t_u > t_best:
-                    t_best = t_u
-                    e_best = basis @ u
-            spread = max(spread, float(np.max(results) - np.min(results)))
-            converged = converged and (np.max(results) - np.median(results)
-                                       <= 1e-6 * max(np.max(results), 1e-30))
-            t_best, ph = line_tau(e_best)
-            e_best = e_best * np.exp(1j * ph)
-        frame_rev.append((e_best, t_best))
-        fixed.append(e_best)
+            if k > 1:
+                t_best = -np.inf
+                results = []
+                for _ in range(starts):
+                    x = rng.standard_normal(2 * k)
+                    u = x[:k] + 1j * x[k:]
+                    u, t_u = _sphere_ascent(lambda w: coarse_tau(basis @ w),
+                                            u / np.linalg.norm(u))
+                    results.append(t_u)
+                    if t_u > t_best:
+                        t_best, direction = t_u, basis @ u
+                spread = max(spread, float(np.max(results) - np.min(results)))
+                converged = converged and (np.max(results) - np.median(results)
+                                           <= 1e-6 * max(np.max(results), 1e-30))
+        t, phase = _tau_line(q, direction, eps, REACH_CAP)
+        vectors.append(direction * np.exp(1j * phase))
+        taus.append(t)
 
-    # greedy construction already yields e_1 (largest tangential reach) first;
-    # the normal direction goes last
-    ordered = frame_rev[1:] + [frame_rev[0]]
-    unitary = np.stack([e for e, _ in ordered], axis=1)
-    taus = np.array([t for _, t in ordered])
-    points = np.stack([eta + taus[k] * unitary[:, k] for k in range(n)], axis=0)
+    # the greedy order puts the normal direction first and e_1 (largest
+    # tangential reach) second; the normal direction goes last
+    unitary = np.roll(np.stack(vectors, axis=1), -1, axis=1)
+    taus = np.roll(np.array(taus), -1)
+    points = eta + taus[:, None] * unitary.T
     return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus,
                         points=points, converged=converged, start_spread=spread)
 
@@ -273,14 +278,14 @@ def frame_grid_check(rho: HermitianPolynomial, frame: ScalingFrame,
     """
     n = frame.n
     basis = _orthonormal_complement([frame.unitary[:, -1]], n)
+    q = _translated(rho, frame.eta)
     rng = philox(seed)
     best = -np.inf
     for _ in range(grid):
         x = rng.standard_normal(2 * (n - 1))
         u = x[: n - 1] + 1j * x[n - 1:]
         u /= np.linalg.norm(u)
-        q = _line_restriction(rho, frame.eta, basis @ u)
-        t = _tau_line(q, frame.eps, 1e6, phase_grid=32)[0]
+        t = _tau_line(q, basis @ u, frame.eps, REACH_CAP, COARSE_PHASE_GRID)[0]
         best = max(best, t)
     return best
 
@@ -313,18 +318,15 @@ class ScaledFunction:
         return float(self.table.value(np.zeros(self.frame.n, dtype=np.complex128)))
 
 
-def scaled_function(rho: HermitianPolynomial, frame: ScalingFrame,
-                    eps: Optional[float] = None) -> ScaledFunction:
-    """Exact scaled table (1/eps) rho(eta + U diag(tau) w).
+def scaled_function(rho: HermitianPolynomial, frame: ScalingFrame) -> ScaledFunction:
+    """Exact scaled table (1/eps) rho(eta + U diag(tau) w) at the frame's level.
 
-    With eps = -rho(eta) (the default) the table satisfies
-    rho~(0) = -1 by construction.
+    With eps = -rho(eta), as `scale_along_normal` chooses it, the table
+    satisfies rho~(0) = -1 by construction.
     """
-    if eps is None:
-        eps = frame.eps
     M = frame.unitary * frame.taus[None, :]
     composed = rho.compose_affine(frame.eta, M)
-    return ScaledFunction(table=composed * (1.0 / eps), frame=frame, eps=float(eps))
+    return ScaledFunction(table=composed * (1.0 / frame.eps), frame=frame, eps=frame.eps)
 
 
 def scale_along_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],
@@ -334,7 +336,7 @@ def scale_along_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],
     for eta in etas:
         eta = np.asarray(eta, dtype=np.complex128)
         eps = -float(rho.value(eta))
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("base points must lie strictly inside {rho < 0}")
         frame = build_frame(rho, eta, eps, starts=starts, seed=seed)
         out.append(scaled_function(rho, frame))
@@ -358,14 +360,12 @@ class TauNormalReport:
 
 
 def check_tau_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],
-                     epss: Sequence[float], seed: int = 0) -> TauNormalReport:
+                     epss: Sequence[float]) -> TauNormalReport:
     """Ratios tau_n(eta_j, eps_j)/eps_j for the normal frame direction."""
     ratios = []
     for eta, eps in zip(etas, epss):
         eta = np.asarray(eta, dtype=np.complex128)
-        g = np.conj(rho.gradient(eta))
-        e_n = g / np.linalg.norm(g)
-        ratios.append(tau(rho, eta, e_n, eps) / eps)
+        ratios.append(tau(rho, eta, _normal_direction(rho, eta), eps) / eps)
     ratios = np.array(ratios)
     band = (float(ratios.min()), float(ratios.max()))
     return TauNormalReport(ratios=ratios, band=band,
@@ -386,10 +386,7 @@ class LimitReport:
     diverging_keys: List[tuple] = field(default_factory=list)
 
 
-def limit_diagnostics(scaled: Sequence[ScaledFunction], grid_count: int = 128,
-                      grid_radius: float = 1.5, seed: int = 5,
-                      psd_tol: float = -1e-8,
-                      cauchy_tol: float = 1e-8) -> LimitReport:
+def limit_diagnostics(scaled: Sequence[ScaledFunction]) -> LimitReport:
     """Track per-coefficient Cauchy differences and test the limit's Levi form.
 
     Needs at least three tables.  Divergence (a coefficient whose
@@ -400,20 +397,14 @@ def limit_diagnostics(scaled: Sequence[ScaledFunction], grid_count: int = 128,
     if len(scaled) < 3:
         raise ValueError("need at least three scaled tables along the sequence")
     n = scaled[0].frame.n
-    keys = sorted({k for sf in scaled for k in sf.table.canonical})
-    series = np.zeros((len(keys), len(scaled)), dtype=np.complex128)
-    for j, sf in enumerate(scaled):
-        tab = sf.table.canonical
-        for i, k in enumerate(keys):
-            series[i, j] = tab.get(k, 0.0)
+    tables = [sf.table.canonical for sf in scaled]
+    keys = sorted({k for tab in tables for k in tab})
+    series = np.array([[tab.get(k, 0.0) for tab in tables] for k in keys],
+                      dtype=np.complex128)
     diffs = np.abs(np.diff(series, axis=1))
     cauchy = diffs.max(axis=0)
-
-    diverging = []
-    for i, k in enumerate(keys):
-        d = diffs[i]
-        if len(d) >= 2 and d[-1] > cauchy_tol and d[-1] > d[-2] > cauchy_tol:
-            diverging.append(k)
+    diverging = [k for k, d in zip(keys, diffs)
+                 if d[-1] > CAUCHY_TOL and d[-1] > d[-2] > CAUCHY_TOL]
 
     limit_coeffs = {}
     for i, k in enumerate(keys):
@@ -428,11 +419,11 @@ def limit_diagnostics(scaled: Sequence[ScaledFunction], grid_count: int = 128,
             limit_coeffs[k] = c_last
     limit = HermitianPolynomial(n, limit_coeffs)
 
-    rng = philox(seed)
-    pts = rng.standard_normal((grid_count, 2 * n))
+    rng = philox(LIMIT_GRID_SEED)
+    pts = rng.standard_normal((LIMIT_GRID_COUNT, 2 * n))
     pts = (pts[:, :n] + 1j * pts[:, n:])
     norms = np.linalg.norm(pts, axis=1)[:, None]
-    radii = rng.uniform(0.0, grid_radius, size=(grid_count, 1))
+    radii = rng.uniform(0.0, LIMIT_GRID_RADIUS, size=(LIMIT_GRID_COUNT, 1))
     pts = pts / norms * radii
     min_eig = float(limit.min_levi_eigenvalue(pts).min())
 

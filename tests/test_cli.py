@@ -127,6 +127,22 @@ def test_invalid_parameter_rejected(tmp_path):
     ["convergence", "--eps", "0"],
     ["convergence", "--uradius", "-1"],
     ["wbscan", "--exclusion", "-1"],
+    ["convergence", "--agrid", "nan"],
+    ["convergence", "--uradius", "nan"],
+    ["convergence", "--uradius", "inf"],
+    ["convergence", "--eps", "nan"],
+    ["limits", "--agrid", "nan"],
+    ["limits", "--b", "nan"],
+    ["floor", "--s", "nan"],
+    ["floor", "--r", "nan"],
+    ["classify", "--ratio", "nan"],
+    ["wbscan", "--exclusion", "nan"],
+    ["wbscan", "--exclusion", "inf"],
+    ["scale", "--levels", "nan,0.001,0.0001"],
+    ["scale", "--levels", "inf,0.001,0.0001"],
+    ["scale", "--levels", "0.01,0.001"],
+    # the exclusion tube swallows every boundary sample of the quartic
+    ["wbscan", "--exclusion", "5", "--samples", "100"],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2

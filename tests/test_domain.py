@@ -5,7 +5,7 @@ import pytest
 
 from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
-from ellsqueeze.errors import PositivityError
+from ellsqueeze.errors import EllsqueezeError, EmptySampleError, PositivityError
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
@@ -262,6 +262,14 @@ def test_wb_scan_quartic_positive_and_tube_sensitive(E):
     assert wide.passed and narrow.passed
     # the Levi eigenvalue decays like |z_1|^2 toward the weak circle
     assert narrow.min_levi < wide.min_levi
+
+
+def test_wb_scan_empty_tube_is_typed(E):
+    # every boundary point has |z'| <= 1, so a tube of radius 5 keeps none
+    with pytest.raises(EmptySampleError) as info:
+        E.wb_scan(count=100, seed=0, exclusion=5.0)
+    assert isinstance(info.value, EllsqueezeError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_degenerate_polynomial_blocks_domain():

@@ -5,11 +5,14 @@ import pytest
 
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
-from ellsqueeze.scaling import (DefiningFunctionPoly, build_frame, check_tau_normal,
-                                frame_grid_check, limit_diagnostics,
+from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
+from ellsqueeze.scaling import (DefiningFunctionPoly, _translated, build_frame,
+                                check_tau_normal, frame_grid_check, limit_diagnostics,
                                 scale_along_normal, scaled_function, tau)
-from ellsqueeze.util import philox
+from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import quartic_disc_polynomial
+
+from helpers import bisect_first_crossing, mixed_weight_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,67 @@ def test_tau_requires_unit_direction(BALL):
         tau(BALL, ETA_BALL, 2.0 * E2, 1e-2)
 
 
+def test_tau_rejects_nan_direction(BALL):
+    with pytest.raises(ValueError, match="unit vector"):
+        tau(BALL, ETA_BALL, np.array([np.nan, 1.0], dtype=complex), 1e-2)
+
+
+def test_tau_rejects_nan_eps(BALL):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        tau(BALL, ETA_BALL, E2, np.nan)
+
+
+# -- the translated table -------------------------------------------------------------
+
+
+MIXED_GRAPH = DefiningFunctionPoly.graph_model(mixed_weight_polynomial())
+MIXED_GAUGE = GeneralEllipsoid(mixed_weight_polynomial()).gauge
+
+
+@pytest.mark.parametrize("rho, eta, eps", [
+    (MIXED_GRAPH, np.array([0.0, 0.0, -1e-3]), 1e-3),
+    (MIXED_GAUGE, np.array([0.3, 0.2 - 0.1j, 0.6j]), 1e-2),
+], ids=["graph", "ellipsoid_off_axis"])
+def test_translated_crossings_match_pointwise_bisection(rho, eta, eps):
+    # every phase crossing of q(w) = rho(eta + w) - rho(eta) along e^{i phi} v
+    # against bisection on pointwise evaluations of rho itself
+    eta = np.asarray(eta, dtype=complex)
+    base = float(rho.value(eta))
+    q = _translated(rho, eta)
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))
+    for v in complex_sphere(3, 3, 11):
+        rays = phases[:, None] * v
+        got = first_crossing(q, rays, eps, 10.0)
+        ref = bisect_first_crossing(lambda z: rho.value(eta + z) - base, rays, eps, 10.0)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def _count_compositions(monkeypatch):
+    calls = []
+    original = HermitianPolynomial.compose_affine
+
+    def counting(self, shift, matrix):
+        calls.append(np.shape(matrix))
+        return original(self, shift, matrix)
+
+    monkeypatch.setattr(HermitianPolynomial, "compose_affine", counting)
+    return calls
+
+
+def test_frame_composes_one_table(monkeypatch):
+    calls = _count_compositions(monkeypatch)
+    build_frame(MIXED_GRAPH, np.array([0.0, 0.0, -1e-3], dtype=complex), 1e-3, starts=2)
+    assert calls == [(3, 3)]
+
+
+def test_scaling_composes_two_tables_per_base_point(monkeypatch):
+    calls = _count_compositions(monkeypatch)
+    etas = [np.array([0.0, 0.0, -d], dtype=complex) for d in (1e-2, 1e-3)]
+    scale_along_normal(MIXED_GRAPH, etas, starts=2)
+    assert len(calls) == 4
+
+
 # -- frames ---------------------------------------------------------------------------------
 
 
@@ -135,6 +199,12 @@ def test_frame_rejects_vanishing_gradient(BALL):
         build_frame(BALL, np.zeros(2, dtype=complex), 1e-2)
 
 
+@pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-3])
+def test_frame_rejects_nonpositive_eps(BALL, eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        build_frame(BALL, ETA_BALL, eps)
+
+
 # -- tau_n / eps band ---------------------------------------------------------------------------
 
 
@@ -144,6 +214,11 @@ def test_tau_normal_band_graph(GRAPH):
     rep = check_tau_normal(GRAPH, etas, epss)
     assert np.allclose(rep.ratios, 1.0, rtol=1e-9)
     assert rep.passes()
+
+
+def test_tau_normal_rejects_vanishing_gradient(BALL):
+    with pytest.raises(ValueError, match="gradient vanishes"):
+        check_tau_normal(BALL, [np.zeros(2, dtype=complex)], [1e-2])
 
 
 def test_tau_normal_band_ball(BALL):
