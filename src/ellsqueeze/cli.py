@@ -35,9 +35,9 @@ from .errors import ConfigError, EllsqueezeError, EmptySampleError
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
 from .sequences import classify, generate, record_to_csv, tangency_ratio
-from .squeeze import gamma_floor, squeeze_lower_bound
+from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_lower_bound
 from .domconv import exhaustion_check, exhaustion_report_to_csv
-from .util import fmt, write_csv
+from .util import fmt, write_csv, write_json
 
 EXPERIMENTS = ("profile", "classify", "floor", "scale", "limits", "wbscan", "convergence")
 
@@ -64,7 +64,7 @@ _DEFAULTS = {
 
 _TOLERANCES = {
     "boundary_residual": 1e-10,
-    "basepoint_centering": 1e-10,
+    "basepoint_centering": BASEPOINT_TOL,
     "tau_relative": 1e-12,
     "levi_psd": -1e-8,
 }
@@ -141,9 +141,7 @@ def _write_manifest(outdir: Path, experiment: str, cfg: dict) -> None:
         "package_version": __version__,
         "tolerances": _TOLERANCES,
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "manifest.json", manifest)
 
 
 def run(experiment: str, cfg: dict) -> int:
@@ -189,9 +187,7 @@ def run(experiment: str, cfg: dict) -> int:
             "seed": report.seed,
             "argmin": [[c.real, c.imag] for c in report.argmin],
         }
-        with open(outdir / "floor.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "floor.json", payload)
         print(f"floor(s={report.s:g}, r={report.r:g}) = {fmt(report.value)}")
 
     elif experiment == "scale":
@@ -223,9 +219,7 @@ def run(experiment: str, cfg: dict) -> int:
             "excluded": report.excluded, "exclusion": report.exclusion,
             "passed": report.passed,
         }
-        with open(outdir / "wbscan.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "wbscan.json", summary)
         print(f"wbscan: min restricted Levi eigenvalue = {fmt(report.min_levi)} "
               f"({'pass' if report.passed else 'FAIL'})")
 
@@ -247,6 +241,15 @@ def run(experiment: str, cfg: dict) -> int:
     return 0
 
 
+def _flag_type(default):
+    """Parser of a flag: the type of its default; a list default takes a
+    comma-separated list of its element type."""
+    if isinstance(default, list):
+        element = type(default[0])
+        return lambda text: [element(x) for x in text.split(",")]
+    return type(default)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellsqueeze",
@@ -255,26 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--domain", type=str, default=None)
-        p.add_argument("--kind", type=str, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--ratio", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--uradius", type=float, default=None)
-        p.add_argument("--exclusion", type=float, default=None)
-        p.add_argument("--indices", type=lambda s: [int(x) for x in s.split(",")],
-                       default=None)
-        p.add_argument("--agrid", type=lambda s: [float(x) for x in s.split(",")],
-                       default=None)
-        p.add_argument("--levels", type=lambda s: [float(x) for x in s.split(",")],
-                       default=None)
+        for key, default in _DEFAULTS.items():
+            p.add_argument(f"--{key}", type=_flag_type(default), default=None)
     return parser
 
 

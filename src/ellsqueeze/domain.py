@@ -64,9 +64,8 @@ class BoundaryPoint:
 class GeneralEllipsoid:
     """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P."""
 
-    def __init__(self, P: WeightedPolynomial, positivity_count: int = 512,
-                 positivity_seed: int = 0):
-        report = P.positivity_scan(positivity_count, positivity_seed)
+    def __init__(self, P: WeightedPolynomial):
+        report = P.positivity_scan()
         if not report.passed:
             raise PositivityError(
                 f"P is not positive off the origin: min sampled value {report.min_value:g} "
@@ -74,11 +73,10 @@ class GeneralEllipsoid:
         self.P = P
         self.n = P.weights.n
         # the full gauge |z_n|^2 - 1 + P(z') as one table in all n variables
+        zero = (0,) * self.n
         e_n = (0,) * (self.n - 1) + (1,)
-        terms = {((0,) * self.n, (0,) * self.n): -1.0, (e_n, e_n): 1.0}
-        for (K, L), c in P.table.canonical.items():
-            terms[(K + (0,), L + (0,))] = c
-        self.gauge = HermitianPolynomial(self.n, terms)
+        self.gauge = HermitianPolynomial(
+            self.n, {(zero, zero): -1.0, (e_n, e_n): 1.0, **P.lifted_terms()})
         self._cloud_cache: dict = {}
         self._radius_cache: dict = {}
 
@@ -101,8 +99,8 @@ class GeneralEllipsoid:
         """|z_n|^2 - 1 + P(z') at points of shape (..., n)."""
         return self.gauge.value(z)
 
-    def contains(self, z: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return self.rho(z) < tol
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        return self.rho(z) < 0.0
 
     def dist_to_boundary(self, z: np.ndarray) -> np.ndarray:
         """First-order estimate |rho| / |grad_R rho| (real gradient norm)."""

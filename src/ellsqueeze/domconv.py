@@ -21,47 +21,38 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, pullback_coeffs
-from .domain import GeneralEllipsoid, SubdomainParams
+from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from .util import philox, write_csv
+
+
+# closed-domain membership rho < CLOSURE_TOL of the exhaustion check's images
+CLOSURE_TOL = 1e-9
+# margin-length probe directions per margin certificate, and their seed
+MARGIN_PROBES = 8
+MARGIN_PROBE_SEED = 2
 
 
 @dataclass
 class DomainOracle:
-    """Deterministic membership predicate with a bounding radius and a label."""
+    """Deterministic membership predicate."""
 
     contains: Callable[[np.ndarray], np.ndarray]
-    bounding_radius: float
-    label: str
 
     @classmethod
-    def from_ellipsoid(cls, D: GeneralEllipsoid, closed: bool = False,
-                       tol: float = 1e-9) -> "DomainOracle":
-        cut = tol if closed else 0.0
-        return cls(lambda z: D.rho(z) < cut, D.bounding_radius(),
-                   ("closure of " if closed else "") + "ellipsoid")
+    def from_ellipsoid(cls, D: GeneralEllipsoid) -> "DomainOracle":
+        return cls(D.contains)
 
     @classmethod
-    def from_subdomain(cls, D: GeneralEllipsoid, sp: SubdomainParams,
-                       closed: bool = False, tol: float = 1e-9) -> "DomainOracle":
-        cut = tol if closed else 0.0
-        return cls(lambda z: D.sub_gauge(sp, z) < cut, D.bounding_radius(),
-                   f"subdomain(s={sp.s:g}, r={sp.r:g})")
+    def from_subdomain(cls, D: GeneralEllipsoid, sp: SubdomainParams) -> "DomainOracle":
+        return cls(lambda z: contains_sub(D, sp, z))
 
     def pullback(self, psi: EllipsoidAutomorphism, D: GeneralEllipsoid) -> "DomainOracle":
         """Oracle of psi^{-1}(this set): composes the forward map."""
         weights = D.P.weights
-        return DomainOracle(
-            lambda z: self.contains(psi.apply(weights, z)),
-            self.bounding_radius / max(1.0 - abs(psi.a), 1e-12),
-            f"pullback[{psi.describe()}] of {self.label}",
-        )
+        return DomainOracle(lambda z: self.contains(psi.apply(weights, z)))
 
     def scaled(self, factor: float) -> "DomainOracle":
-        return DomainOracle(
-            lambda z: self.contains(np.asarray(z, complex) / factor),
-            self.bounding_radius * factor,
-            f"{factor:g} * {self.label}",
-        )
+        return DomainOracle(lambda z: self.contains(np.asarray(z, complex) / factor))
 
 
 @dataclass
@@ -70,7 +61,6 @@ class CompactCloud:
 
     points: np.ndarray
     margin: float
-    label: str = "cloud"
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
@@ -78,17 +68,16 @@ class CompactCloud:
             raise ValueError("margin must be nonnegative")
 
 
-def margin_certificate(oracle: DomainOracle, cloud: CompactCloud,
-                       probes: int = 8, seed: int = 2) -> bool:
+def margin_certificate(oracle: DomainOracle, cloud: CompactCloud) -> bool:
     """Check the cloud plus margin-length probes all sit inside the oracle."""
     inside = oracle.contains(cloud.points)
     if not np.asarray(inside).all():
         return False
-    if cloud.margin == 0.0 or probes == 0:
+    if cloud.margin == 0.0:
         return True
-    rng = philox(seed)
+    rng = philox(MARGIN_PROBE_SEED)
     npts, n = cloud.points.shape
-    dirs = rng.standard_normal((probes, 2 * n))
+    dirs = rng.standard_normal((MARGIN_PROBES, 2 * n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     cdirs = dirs[:, :n] + 1j * dirs[:, n:]
     for u in cdirs:
@@ -109,6 +98,16 @@ class ConditionIReport:
         return self.i0 is not None
 
 
+def _tail_start(flags: Sequence[bool]) -> Optional[int]:
+    """First 1-based index from which every later flag holds, else None."""
+    start = None
+    for i in range(len(flags), 0, -1):
+        if not flags[i - 1]:
+            break
+        start = i
+    return start
+
+
 def check_condition_i(omegas: Sequence[DomainOracle], omega0: DomainOracle,
                       cloud: CompactCloud) -> ConditionIReport:
     """Clause (i): the cloud must eventually be contained in the sequence.
@@ -124,12 +123,7 @@ def check_condition_i(omegas: Sequence[DomainOracle], omega0: DomainOracle,
         contained.append(bool(inside.all()))
         if not contained[-1]:
             witnesses[i] = cloud.points[~inside]
-    i0 = None
-    for i in range(len(contained), 0, -1):
-        if not contained[i - 1]:
-            break
-        i0 = i
-    return ConditionIReport(i0=i0, witnesses=witnesses)
+    return ConditionIReport(i0=_tail_start(contained), witnesses=witnesses)
 
 
 @dataclass
@@ -149,12 +143,7 @@ class ConditionIIReport:
 
 def check_condition_ii(omegas: Sequence[DomainOracle], omega0: DomainOracle,
                        cloud: CompactCloud) -> ConditionIIReport:
-    contained = [bool(np.asarray(om.contains(cloud.points)).all()) for om in omegas]
-    since = None
-    for i in range(len(contained), 0, -1):
-        if not contained[i - 1]:
-            break
-        since = i
+    since = _tail_start([bool(np.asarray(om.contains(cloud.points)).all()) for om in omegas])
     if since is None:
         return ConditionIIReport(False, None, None,
                                  np.empty((0, cloud.points.shape[1])), vacuous=True)
@@ -219,24 +208,20 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
     north[-1] = 1.0
     weights = D.P.weights
     fractions = []
+    swallowed = []
     coeffs = []
     b = 1.0 - s
     for a in a_grid:
         psi = EllipsoidAutomorphism(a=float(a), theta=0.0, sign=+1)
         img = psi.apply(weights, cloud)
-        ok = (D.rho(img) < 1e-9) & (np.linalg.norm(img - north, axis=1) <= u_radius)
+        ok = (D.rho(img) < CLOSURE_TOL) & (np.linalg.norm(img - north, axis=1) <= u_radius)
         fractions.append(float(np.mean(ok)))
+        swallowed.append(bool(ok.all()))
         coeffs.append(pullback_coeffs(b, float(a)) if 0.0 < a < 1.0 else (np.nan,) * 3)
-    fractions = np.array(fractions)
-    first = None
-    for i in range(len(fractions), 0, -1):
-        if fractions[i - 1] < 1.0:
-            break
-        first = i
     return ExhaustionReport(
-        a_grid=np.asarray(a_grid, dtype=float), fractions_inside=fractions,
-        first_ok_index=first, cloud_size=len(cloud), eps=eps, u_radius=u_radius,
-        coeffs=coeffs,
+        a_grid=np.asarray(a_grid, dtype=float), fractions_inside=np.array(fractions),
+        first_ok_index=_tail_start(swallowed), cloud_size=len(cloud), eps=eps,
+        u_radius=u_radius, coeffs=coeffs,
     )
 
 

@@ -39,6 +39,8 @@ from .wpoly import WeightedPolynomial
 PHASE_GRID = 256          # phases per frame reach, then golden-section refined
 COARSE_PHASE_GRID = 32    # phases per reach scored during the ascent, unrefined
 REACH_CAP = 1e6           # largest reach radius searched
+ASCENT_MAX_ITER = 40      # gradient steps of the frame's sphere ascent
+ASCENT_TOL = 1e-8         # relative gain below which the ascent stops
 
 # Limit diagnostics: Levi-form sample points (count, ball radius, seed) and
 # the Cauchy step above which a still-growing coefficient counts as diverging.
@@ -55,13 +57,10 @@ class DefiningFunctionPoly(HermitianPolynomial):
     def graph_model(cls, P: WeightedPolynomial) -> "DefiningFunctionPoly":
         """Re(z_n) + P(z') on C^n: the weighted model hypersurface gauge."""
         n = P.weights.n
-        terms = {}
         zero = (0,) * n
-        e_n = tuple(1 if i == n - 1 else 0 for i in range(n))
-        terms[(e_n, zero)] = 0.5  # Re(z_n) = (z_n + conj z_n)/2
-        for (K, L), c in P.table.canonical.items():
-            terms[(tuple(K) + (0,), tuple(L) + (0,))] = c
-        return cls(n, terms)
+        e_n = (0,) * (n - 1) + (1,)
+        # Re(z_n) = (z_n + conj z_n)/2
+        return cls(n, {(e_n, zero): 0.5, **P.lifted_terms()})
 
 
 # -- tau: reach along a complex line -------------------------------------------------
@@ -156,7 +155,7 @@ class ScalingFrame:
         return len(self.eta)
 
 
-def _orthonormal_complement(vectors: List[np.ndarray], n: int) -> np.ndarray:
+def _orthonormal_complement(vectors: List[np.ndarray]) -> np.ndarray:
     """Columns spanning the Hermitian-orthogonal complement of `vectors`."""
     A = np.array(vectors)  # rows
     _, _, vh = np.linalg.svd(np.conj(A))
@@ -187,6 +186,8 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not starts >= 1:
+        raise ValueError("starts must be >= 1")
     eta = np.asarray(eta, dtype=np.complex128)
     n = len(eta)
     direction = _normal_direction(rho, eta)
@@ -201,7 +202,7 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float,
     spread = 0.0
     while len(vectors) < n:
         if vectors:
-            basis = _orthonormal_complement(vectors, n)
+            basis = _orthonormal_complement(vectors)
             k = basis.shape[1]
             direction = basis[:, 0]
             if k > 1:
@@ -231,14 +232,13 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float,
                         points=points, converged=converged, start_spread=spread)
 
 
-def _sphere_ascent(f, u0: np.ndarray, max_iter: int = 40,
-                   tol: float = 1e-8) -> Tuple[np.ndarray, float]:
+def _sphere_ascent(f, u0: np.ndarray) -> Tuple[np.ndarray, float]:
     """Projected finite-difference ascent of f on the complex unit sphere."""
     u = u0 / np.linalg.norm(u0)
     fu = f(u)
     k = len(u)
     h = 1e-4
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAX_ITER):
         grad = np.zeros(2 * k)
         x = np.concatenate([u.real, u.imag])
         for i in range(2 * k):
@@ -260,7 +260,7 @@ def _sphere_ascent(f, u0: np.ndarray, max_iter: int = 40,
                 gain = fn - fu
                 u, fu = un, fn
                 improved = True
-                if gain < tol * max(abs(fu), 1e-30):
+                if gain < ASCENT_TOL * max(abs(fu), 1e-30):
                     return u, fu
                 break
             step *= 0.5
@@ -277,7 +277,7 @@ def frame_grid_check(rho: HermitianPolynomial, frame: ScalingFrame,
     the greedy frame should not be beaten by more than the optimizer tol.
     """
     n = frame.n
-    basis = _orthonormal_complement([frame.unitary[:, -1]], n)
+    basis = _orthonormal_complement([frame.unitary[:, -1]])
     q = _translated(rho, frame.eta)
     rng = philox(seed)
     best = -np.inf

@@ -29,6 +29,12 @@ from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from .util import write_csv
 
 MEMBERSHIP_R_GRID = (0.25, 0.5, 0.75, 0.9, 0.99)
+# classifier verdict: the tail is the last TAIL_FRACTION of the terms; it is
+# tangential when its ratios stay >= 1 - TANGENTIAL_TOL and nontangential
+# when they stay <= 1 - MARGIN_TOL
+TAIL_FRACTION = 0.5
+TANGENTIAL_TOL = 1e-6
+MARGIN_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,16 +69,11 @@ class ApproachSequence:
         return np.array([t.index for t in self.terms])
 
 
-def _slice_direction(D: GeneralEllipsoid, direction) -> np.ndarray:
-    d = D.n - 1
-    if direction is None:
-        u = np.zeros(d, dtype=np.complex128)
-        u[0] = 1.0
-        return u
-    u = np.asarray(direction, dtype=np.complex128).reshape(d)
-    if np.linalg.norm(u) == 0:
-        raise ValueError("direction must be nonzero")
-    return u / np.linalg.norm(u)
+def _slice_direction(D: GeneralEllipsoid) -> np.ndarray:
+    """The fixed slice direction e_1 of C^{n-1}."""
+    u = np.zeros(D.n - 1, dtype=np.complex128)
+    u[0] = 1.0
+    return u
 
 
 def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, target: float) -> np.ndarray:
@@ -85,7 +86,7 @@ def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, target: float) -> np.nda
 
 def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
              indices: Optional[Sequence[int]] = None, s: float = 0.5,
-             ratio: float = 0.5, direction=None) -> ApproachSequence:
+             ratio: float = 0.5) -> ApproachSequence:
     """Materialize an approach sequence to (0', 1).
 
     Kinds:
@@ -114,7 +115,7 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
             terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=Fraction(0)))
         params = {}
     elif kind == "tangential":
-        u = _slice_direction(D, direction)
+        u = _slice_direction(D)
         for j in indices:
             zn = Fraction(j - 1, j)
             p_target = Fraction(2, j) - Fraction(2, j * j)
@@ -125,7 +126,7 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
     elif kind == "cone":
         if not (0.0 < ratio < 1.0):
             raise ValueError("cone ratio must lie in (0, 1)")
-        u = _slice_direction(D, direction)
+        u = _slice_direction(D)
         s_f = Fraction(s)
         r_f = Fraction(ratio)
         for j in indices:
@@ -214,20 +215,17 @@ class ClassificationRecord:
     membership: np.ndarray  # terms x MEMBERSHIP_R_GRID booleans
     verdict: str
     tail_start: int
-    tangential_tol: float
-    margin_tol: float
 
 
-def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence,
-             tail_fraction: float = 0.5, tangential_tol: float = 1e-6,
-             margin_tol: float = 1e-3) -> ClassificationRecord:
+def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> ClassificationRecord:
     """Tail-based verdict: tangential, nontangential, or inconclusive.
 
     Terms are first reduced by the rotation z_n -> |z_n| (the gauge and P
     are rotation invariant, so this is the same sequence up to an
-    automorphism of the domain).  The verdict inspects the tail of the
-    ratio sequence: liminf >= 1 - tangential_tol is tangential, limsup
-    <= 1 - margin (margin > margin_tol) is nontangential.
+    automorphism of the domain).  The verdict inspects the tail (the last
+    TAIL_FRACTION of the terms) of the ratio sequence: a tail minimum
+    >= 1 - TANGENTIAL_TOL is tangential, a finite tail maximum
+    <= 1 - MARGIN_TOL is nontangential, anything else inconclusive.
     """
     derot_terms = []
     for t in seq.terms:
@@ -254,13 +252,13 @@ def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence,
     for k, r in enumerate(MEMBERSHIP_R_GRID):
         membership[:, k] = contains_sub(D, SubdomainParams(s, r), pts)
 
-    tail_start = int(n_terms * (1.0 - tail_fraction))
+    tail_start = int(n_terms * (1.0 - TAIL_FRACTION))
     tail = r_star[tail_start:]
     tail_min = float(np.min(tail))
     tail_max = float(np.max(tail))
-    if tail_min >= 1.0 - tangential_tol:
+    if tail_min >= 1.0 - TANGENTIAL_TOL:
         verdict = "tangential"
-    elif tail_max <= 1.0 - margin_tol and np.isfinite(tail_max):
+    elif tail_max <= 1.0 - MARGIN_TOL and np.isfinite(tail_max):
         verdict = "nontangential"
     else:
         verdict = "inconclusive"
@@ -269,7 +267,6 @@ def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence,
         s=s, indices=seq.indices(), abs_rho=abs_rho, normal_gap=gap,
         p_prime=p_prime, r_star=r_star, membership=membership,
         verdict=verdict, tail_start=tail_start,
-        tangential_tol=tangential_tol, margin_tol=margin_tol,
     )
 
 

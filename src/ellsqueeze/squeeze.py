@@ -41,6 +41,9 @@ from .util import complex_sphere, philox, write_csv
 BASEPOINT_TOL = 1e-10
 TIGHT_MARGIN = 1e-9
 MAX_GRID_BLOCKS = 1000
+# sphere directions sampling the slice level sets of `analytic_floor`
+ANALYTIC_FLOOR_SAMPLES = 2048
+ANALYTIC_FLOOR_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,7 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                        analytic=analytic)
 
 
-def analytic_floor(D: GeneralEllipsoid, r: float, samples: int = 2048,
-                   seed: int = 11) -> float:
+def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     """Distance between the slice level sets {P = r} and {P = 1} over twice
     the domain diameter.
 
@@ -304,10 +306,10 @@ def analytic_floor(D: GeneralEllipsoid, r: float, samples: int = 2048,
     sets are sampled by anisotropic dilation of sphere directions.
     """
     d = D.n - 1
-    u = complex_sphere(samples, d, seed)
+    u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, d, ANALYTIC_FLOOR_SEED)
     pu = D.P.eval(u)
-    inner = np.array([D.P.weights.dilate(r / pu[i], u[i]) for i in range(samples)])
-    outer = np.array([D.P.weights.dilate(1.0 / pu[i], u[i]) for i in range(samples)])
+    inner = np.array([D.P.weights.dilate(r / pu[i], u[i]) for i in range(len(u))])
+    outer = np.array([D.P.weights.dilate(1.0 / pu[i], u[i]) for i in range(len(u))])
     dists = np.linalg.norm(inner[:, None, :] - outer[None, :, :], axis=-1)
     delta = float(dists.min()) / 2.0
     diam = 2.0 * D.bounding_radius(margin=0.0)  # upper bound keeps the quotient a floor

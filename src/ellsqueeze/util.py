@@ -9,6 +9,7 @@ sample sets grow monotonically with the requested count.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -58,3 +59,10 @@ def write_csv(path, header, rows) -> None:
         lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Deterministic JSON writer: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -156,6 +156,10 @@ class WeightedPolynomial:
             scale = scale + mult * abs(c) * r ** (sum(a) + sum(b))
         return scale.reshape(np.shape(zp)[:-1])
 
+    def lifted_terms(self) -> dict:
+        """The table's terms in all n variables, constant in z_n."""
+        return {(K + (0,), L + (0,)): c for (K, L), c in self.table.canonical.items()}
+
     def positivity_scan(self, count: int = 512, seed: int = 0) -> PositivityReport:
         """Minimum of P over unit-sphere samples plus the coordinate axes.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ellsqueeze import domain
-from ellsqueeze.cli import EXPERIMENTS, main
+from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
 
 
 def run_cli(args):
@@ -50,6 +50,26 @@ def test_byte_identical_reruns(tmp_path, experiment):
     m2 = json.loads((out2 / "manifest.json").read_text())
     m1["config"].pop("out"), m2["config"].pop("out")
     assert m1 == m2
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_default_is_a_typed_flag(experiment):
+    parser = _build_parser()
+    for key, default in _DEFAULTS.items():
+        # integer-looking text, so a float flag must convert rather than keep ints
+        text = "1,2" if isinstance(default, list) else "3"
+        value = getattr(parser.parse_args([experiment, f"--{key}", text]), key)
+        assert type(value) is type(default), key
+        if isinstance(default, list):
+            assert all(type(x) is type(default[0]) for x in value), key
+
+
+def test_list_flags_parse_to_their_element_type():
+    args = _build_parser().parse_args(["profile", "--indices", "10,100",
+                                       "--levels", "1,0.1,0.01", "--agrid", "0.5,1"])
+    assert args.indices == [10, 100] and all(type(j) is int for j in args.indices)
+    assert args.levels == [1.0, 0.1, 0.01] and all(type(x) is float for x in args.levels)
+    assert args.agrid == [0.5, 1.0] and all(type(x) is float for x in args.agrid)
 
 
 def test_profile_schema(tmp_path):

@@ -115,6 +115,27 @@ def test_condition_ii_detects_limit_violation(E):
     assert len(rep.counterexamples) == 1
 
 
+def test_empty_sequence_never_contains(E):
+    om0 = DomainOracle.from_ellipsoid(E)
+    cloud = _ball_cloud(0.4, 50, 2, margin=0.05)
+    rep_i = check_condition_i([], om0, cloud)
+    assert rep_i.i0 is None and not rep_i.passed and not rep_i.witnesses
+    rep_ii = check_condition_ii([], om0, cloud)
+    assert rep_ii.vacuous and rep_ii.since_index is None
+    rep = exhaustion_check(E, s=0.5, a_grid=[], count=50)
+    assert rep.first_ok_index is None and not rep.passed
+
+
+def test_containment_lost_at_the_last_member(E):
+    # every member but the last holds the cloud: no tail run remains
+    om0 = DomainOracle.from_ellipsoid(E)
+    cloud = _ball_cloud(0.4, 50, 2, margin=0.05)
+    oms = [om0] * 4 + [om0.scaled(0.01)]
+    rep_i = check_condition_i(oms, om0, cloud)
+    assert rep_i.i0 is None and list(rep_i.witnesses) == [5]
+    assert check_condition_ii(oms, om0, cloud).vacuous
+
+
 # -- exhaustion ----------------------------------------------------------------------------
 
 

@@ -205,6 +205,20 @@ def test_frame_rejects_nonpositive_eps(BALL, eps):
         build_frame(BALL, ETA_BALL, eps)
 
 
+@pytest.mark.parametrize("starts", [0, -1, np.nan])
+def test_frame_rejects_starts_below_one(starts):
+    # the 3-variable model runs the multi-start ascent, so no start means no frame
+    eta = np.array([0.0, 0.0, -1e-3], dtype=complex)
+    with pytest.raises(ValueError, match="starts must be >= 1"):
+        build_frame(MIXED_GRAPH, eta, 1e-3, starts=starts)
+
+
+def test_scaling_rejects_starts_below_one():
+    etas = [np.array([0.0, 0.0, -d], dtype=complex) for d in (1e-2, 1e-3, 1e-4)]
+    with pytest.raises(ValueError, match="starts must be >= 1"):
+        scale_along_normal(MIXED_GRAPH, etas, starts=0)
+
+
 # -- tau_n / eps band ---------------------------------------------------------------------------
 
 
