@@ -1,0 +1,41 @@
+"""Kernel microbenchmarks, outside the tier-1 suite.
+
+    pytest bench --benchmark-only
+
+`first_crossing` runs on the quartic gauge, whose radial degrees are all
+even, and on the m = (2, 3) gauge with a z1^2 conj(z2)^3 cross term, whose
+odd degree keeps the solve in t itself; `analytic_floor` runs on a warm
+quartic domain.  Inputs are built outside the timed calls.
+"""
+
+import numpy as np
+import pytest
+
+from ellsqueeze import squeeze
+from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid
+from ellsqueeze.hermpoly import first_crossing
+from ellsqueeze.util import complex_sphere
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
+
+
+def _mixed_weight_domain():
+    return GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.1, ((0, 3), (0, 3)): 0.9,
+        ((2, 0), (0, 3)): 0.08 * np.exp(0.7j)}))
+
+
+@pytest.mark.parametrize("domain, rays", [
+    (GeneralEllipsoid.quartic_disc, 1 << 17),
+    (_mixed_weight_domain, 1 << 13),
+], ids=["quartic-2^17", "mixed-2-3-2^13"])
+def test_first_crossing(benchmark, domain, rays):
+    gauge = domain().gauge
+    u = complex_sphere(rays, gauge.d, 0)
+    t = benchmark(first_crossing, gauge, u, 0.0, RAY_CAP)
+    assert np.isfinite(t).all()
+
+
+def test_analytic_floor(benchmark):
+    D = GeneralEllipsoid.quartic_disc()
+    D.bounding_radius(margin=0.0)
+    assert benchmark(squeeze.analytic_floor, D, 0.5) > 0.0

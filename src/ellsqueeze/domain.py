@@ -114,7 +114,12 @@ class GeneralEllipsoid:
 
         Directions come from a scrambled Sobol sphere sequence; along each
         ray the boundary point is the smallest positive root of the radial
-        gauge polynomial (companion eigenvalues, one Newton polish).
+        gauge polynomial (companion eigenvalues, one Newton polish).  The
+        gauge of the ball, the quartic or any E(p) has only even radial
+        degrees, so the companion is built in x = t^2 at half the degree;
+        t -> t^2 increases on t > 0, so the smallest positive root in x
+        gives the first crossing exactly.  A gauge with an odd degree, such
+        as one with a z1^2 conj(z2)^3 term, solves in t.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)

@@ -293,8 +293,9 @@ class HermitianPolynomial:
 # -- radial first crossings ----------------------------------------------------
 
 # Rays per block in `first_crossing`.  A block holds a (rays x terms) monomial
-# array and a (rays x K x K) companion stack, so the block size, not the
-# cloud size, bounds the memory a solve adds on large boundary clouds.
+# array and a (rays x K/g x K/g) companion stack (K the table degree, g the
+# gcd of its degrees), so the block size, not the cloud size, bounds the
+# memory a solve adds on large boundary clouds.
 CROSSING_BLOCK = 8192
 
 # Largest |Im s| / |s| of a companion eigenvalue taken as a real root.  A
@@ -312,15 +313,23 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     polynomial sum_k c_k(u) t^k with radial coefficients
     c_k(u) = sum_{|A|+|B|=k} c_AB u^A conj(u)^B, so the first crossing is the
     smallest positive root of p(t) = table(t u) - level; a touching root
-    counts.  The roots are the eigenvalues of the companion matrix of the
-    reversed polynomial in s = 1/t, whose leading coefficient
-    c_0 - level is nonzero; the largest near-real s gives the first
-    crossing, and one Newton step polishes it where the step lowers |p|.
+    counts.  With g the gcd of the table's degrees, every nonzero c_k has
+    g | k, so p(t) = q(t^g) for a polynomial q of degree K/g; as t -> t^g
+    is increasing on t > 0, the first crossing is the g-th root of q's
+    smallest positive root, and a touching root of p is one of q.  The
+    roots of q are the eigenvalues of the companion matrix of its reversed
+    polynomial in s = 1/x, x = t^g, whose leading coefficient c_0 - level
+    is nonzero; the largest near-real s gives the first crossing,
+    t = s^(-1/g), and one Newton step on p polishes it where the step
+    lowers |p|.  Even-degree gauges (the ball, the quartic, every E(p))
+    thus solve companions of half the size; tables with an odd degree have
+    g = 1 and solve in t itself.
     """
     u = np.asarray(directions, dtype=np.complex128)
     A, B, C = table._expand()
     deg = A.sum(axis=1) + B.sum(axis=1)
     K = int(deg.max())
+    g = int(np.gcd.reduce(deg))
     out = np.full(len(u), np.inf)
     if K == 0:
         return out
@@ -330,22 +339,27 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
         block = slice(lo, lo + CROSSING_BLOCK)
         coeffs = (table._monomials(u[block]) @ radial).real
         coeffs[:, 0] -= level
-        out[block] = _smallest_positive_root(coeffs, cap)
+        out[block] = _smallest_positive_root(coeffs, g, cap)
     return out
 
 
-def _smallest_positive_root(a: np.ndarray, cap: float) -> np.ndarray:
-    """Smallest root in (0, cap] of each row's sum_k a_k t^k, else +inf."""
-    count, K = a.shape[0], a.shape[1] - 1
+def _smallest_positive_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
+    """Smallest root in (0, cap] of each row's sum_k a_k t^k, else +inf.
+
+    Only the a_k with g | k may be nonzero; the companion is that of the
+    polynomial in x = t^g with coefficients a[:, ::g].
+    """
+    q = a[:, ::g]
+    count, K = q.shape[0], q.shape[1] - 1
     companion = np.zeros((count, K, K))
-    companion[:, 0, :] = -a[:, 1:] / a[:, :1]
+    companion[:, 0, :] = -q[:, 1:] / q[:, :1]
     companion[:, np.arange(1, K), np.arange(K - 1)] = 1.0
     s = np.linalg.eigvals(companion)
     real = (s.real > 0.0) & (np.abs(s.imag) <= NEAR_REAL * np.abs(s))
     s_max = np.where(real, s.real, 0.0).max(axis=1)
     found = s_max > 0.0
     t = np.full(count, np.inf)
-    t[found] = _newton_polish(a[found], 1.0 / s_max[found])
+    t[found] = _newton_polish(a[found], (1.0 / s_max[found]) ** (1.0 / g))
     t[t > cap] = np.inf
     return t
 

@@ -44,6 +44,10 @@ MAX_GRID_BLOCKS = 1000
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
 ANALYTIC_FLOOR_SEED = 11
+# inner points per block of `analytic_floor`'s pair distances: a block holds a
+# (rows x samples x d) difference array, so this, not the sample count
+# squared, bounds the memory of the pairwise minimum
+FLOOR_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -310,8 +314,11 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     pu = D.P.eval(u)
     inner = np.array([D.P.weights.dilate(r / pu[i], u[i]) for i in range(len(u))])
     outer = np.array([D.P.weights.dilate(1.0 / pu[i], u[i]) for i in range(len(u))])
-    dists = np.linalg.norm(inner[:, None, :] - outer[None, :, :], axis=-1)
-    delta = float(dists.min()) / 2.0
+    gap = np.inf
+    for lo in range(0, len(inner), FLOOR_BLOCK):
+        diff = inner[lo:lo + FLOOR_BLOCK, None, :] - outer[None, :, :]
+        gap = min(gap, float(np.linalg.norm(diff, axis=-1).min()))
+    delta = gap / 2.0
     diam = 2.0 * D.bounding_radius(margin=0.0)  # upper bound keeps the quotient a floor
     return delta / diam
 

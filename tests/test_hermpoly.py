@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ellsqueeze import hermpoly
+from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import AdmissibilityError
 from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
 from ellsqueeze.util import complex_sphere, philox
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
 from helpers import (bisect_first_crossing, fd_gradient, fd_hessian,
                      mixed_weight_polynomial, random_admissible_polynomial)
@@ -172,3 +174,44 @@ def test_first_crossing_blocks_are_independent(monkeypatch):
     whole = first_crossing(table, u, 1.0, 1e6)
     monkeypatch.setattr(hermpoly, "CROSSING_BLOCK", 7)
     np.testing.assert_allclose(first_crossing(table, u, 1.0, 1e6), whole, rtol=1e-14)
+
+
+def _diagonal_ellipsoid():
+    # E(2, 3): gauge |z_3|^2 - 1 + |z_1|^4 + |z_2|^6, radial degrees 0, 2, 4, 6
+    return GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0}))
+
+
+def test_first_crossing_touching_root_in_t_squared():
+    # 1.4 |lam|^2 - |lam|^4 = q(t^2) with q(x) = 1.4 x - x^2 peaking at 0.49 at
+    # x = 0.7: the double root is one of q, and t = sqrt(0.7)
+    f = HermitianPolynomial(1, {((1,), (1,)): 1.4, ((2,), (2,)): -1.0})
+    for level in (0.49, 0.7 * 0.7):
+        got = first_crossing(f, np.array([[1.0], [1.0j]], dtype=complex), level, 1e6)
+        assert got == pytest.approx([np.sqrt(0.7)] * 2, abs=1e-7)
+
+
+def test_first_crossing_even_ellipsoid_matches_bisection():
+    table = _diagonal_ellipsoid().gauge
+    u = complex_sphere(48, table.d, seed=5)
+    got = first_crossing(table, u, 0.0, 1e6)
+    ref = bisect_first_crossing(table.value, u, 0.0, 1e6)
+    assert np.isfinite(ref).all()
+    assert np.abs(got - ref).max() <= 1e-15 * ref.max()
+
+
+@pytest.mark.parametrize("domain, size", [
+    (GeneralEllipsoid.quartic_disc, 2),
+    (lambda: GeneralEllipsoid.unit_ball(3), 1),
+    (_diagonal_ellipsoid, 3),
+    (lambda: GeneralEllipsoid(mixed_weight_polynomial()), 6),
+], ids=["quartic", "ball-3", "E-2-3", "mixed-2-3"])
+def test_companion_size_is_degree_over_gcd(domain, size, monkeypatch):
+    # even-degree gauges solve in x = t^g; the z1^2 conj(z2)^3 term keeps g = 1
+    gauge = domain().gauge
+    shapes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: shapes.append(a.shape[1:]) or eigvals(a))
+    first_crossing(gauge, complex_sphere(16, gauge.d, seed=0), 0.0, 1e6)
+    assert shapes == [(size, size)]

@@ -271,3 +271,10 @@ def test_profile_csv(E, tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("j,re_p1,im_p1,re_p2,im_p2,sigma_hat")
     assert len(lines) == 3
+
+
+def test_analytic_floor_blocks_are_exact(E, monkeypatch):
+    # the blocked minimum reduces each pair distance as the whole array does
+    whole = squeeze.analytic_floor(E, 0.5)
+    monkeypatch.setattr(squeeze, "FLOOR_BLOCK", 7)
+    assert squeeze.analytic_floor(E, 0.5) == whole
