@@ -5,15 +5,19 @@
 `first_crossing` runs on the quartic gauge, whose radial degrees are all
 even, and on the m = (2, 3) gauge with a z1^2 conj(z2)^3 cross term, whose
 odd degree keeps the solve in t itself; `analytic_floor` runs on a warm
-quartic domain.  Inputs are built outside the timed calls.
+quartic domain.  `squeeze_estimates` runs on warm quartic clouds, over a
+64-point floor grid at 2^14 samples and over the four `profile` terms
+(j = 10, 100, 1000, 10^4) at 2^17 samples.  Inputs are built outside the
+timed calls.
 """
 
 import numpy as np
 import pytest
 
 from ellsqueeze import squeeze
-from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid
+from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid, SubdomainParams
 from ellsqueeze.hermpoly import first_crossing
+from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
@@ -39,3 +43,17 @@ def test_analytic_floor(benchmark):
     D = GeneralEllipsoid.quartic_disc()
     D.bounding_radius(margin=0.0)
     assert benchmark(squeeze.analytic_floor, D, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("points, count", [
+    (lambda D: squeeze.subdomain_grid(D, SubdomainParams(0.5, 0.5), 64, 0), 1 << 14),
+    (lambda D: [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms],
+     1 << 17),
+], ids=["floor-grid-64-2^14", "profile-4-2^17"])
+def test_squeeze_estimates(benchmark, points, count):
+    D = GeneralEllipsoid.quartic_disc()
+    D.boundary_cloud(count, 0)
+    D.bounding_radius(margin=0.0)
+    D.bounding_radius()
+    ests = benchmark(squeeze.squeeze_estimates, D, points(D), count, 0)
+    assert all(0.0 < est.value <= 1.0 for est in ests)

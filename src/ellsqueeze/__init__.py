@@ -14,7 +14,8 @@ from .automorphisms import (EllipsoidAutomorphism, NormalizationResult,
 from .domain import (BoundaryPoint, GeneralEllipsoid, SubdomainParams,
                      contains_sub)
 from .errors import (AdmissibilityError, BoundedSearchError, ConfigError,
-                     EllsqueezeError, EmptySampleError, PositivityError)
+                     EllsqueezeError, EmptySampleError, PositivityError,
+                     ToleranceError)
 from .hermpoly import HermitianPolynomial
 from .scaling import (DefiningFunctionPoly, ScaledFunction, ScalingFrame,
                       build_frame, check_tau_normal, limit_diagnostics,
@@ -23,6 +24,6 @@ from .sequences import (ApproachSequence, ClassificationRecord, classify,
                         custom_sequence, generate, tangency_ratio)
 from .squeeze import (BallAutomorphism, EmbeddingChain, FloorReport, Rescale,
                       SqueezeEstimate, chain_family,
-                      gamma_floor, inscribed_radius, squeeze_lower_bound,
-                      squeeze_profile)
+                      gamma_floor, inscribed_radius, squeeze_estimates,
+                      squeeze_lower_bound, squeeze_profile)
 from .wpoly import MultiWeight, PositivityReport, WeightedPolynomial

@@ -31,11 +31,11 @@ import numpy as np
 from . import __version__
 from .automorphisms import normalize_point, pullback_coeffs
 from .domain import GeneralEllipsoid, samples_to_csv
-from .errors import ConfigError, EllsqueezeError, EmptySampleError
+from .errors import ConfigError, EllsqueezeError, EmptySampleError, ToleranceError
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
 from .sequences import classify, generate, record_to_csv, tangency_ratio
-from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_lower_bound
+from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_estimates
 from .domconv import exhaustion_check, exhaustion_report_to_csv
 from .util import fmt, write_csv, write_json
 
@@ -155,9 +155,10 @@ def run(experiment: str, cfg: dict) -> int:
     if experiment == "profile":
         indices = [int(j) for j in cfg["indices"]]
         seq = generate(D, "tangential", indices=indices)
+        estimates = squeeze_estimates(D, [term.z for term in seq.terms],
+                                      count=samples, seed=seed)
         rows = []
-        for term in seq.terms:
-            est = squeeze_lower_bound(D, term.z, count=samples, seed=seed)
+        for term, est in zip(seq.terms, estimates):
             norm = normalize_point(D, term.z)
             rows.append([term.index,
                          float(term.rho_exact()),
@@ -213,7 +214,11 @@ def run(experiment: str, cfg: dict) -> int:
 
     elif experiment == "wbscan":
         report = D.wb_scan(count=samples, seed=seed, exclusion=float(cfg["exclusion"]))
-        samples_to_csv(outdir / "wbscan.csv", D, report.points, report.levi_values)
+        residual = np.abs(D.rho(report.points))
+        worst, bound = float(residual.max()), _TOLERANCES["boundary_residual"]
+        if worst > bound:
+            raise ToleranceError("boundary_residual", worst, bound)
+        samples_to_csv(outdir / "wbscan.csv", report.points, residual, report.levi_values)
         summary = {
             "min_levi": report.min_levi, "tested": report.tested,
             "excluded": report.excluded, "exclusion": report.exclusion,

@@ -250,20 +250,19 @@ def contains_sub(D: GeneralEllipsoid, sp: SubdomainParams, z: np.ndarray) -> np.
     return D.sub_gauge(sp, z) < 0.0
 
 
-def samples_to_csv(path, D: GeneralEllipsoid, points: np.ndarray,
+def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
                    levi: Optional[np.ndarray] = None) -> None:
     """CSV emission (re_z1, im_z1, ..., residual, levi_min); levi may be blank."""
     points = np.atleast_2d(points)
-    residual = np.abs(D.rho(points))
     header = []
-    for j in range(D.n):
+    for j in range(points.shape[1]):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     header += ["residual", "levi_min"]
     rows = []
     for i, p in enumerate(points):
         row = []
-        for j in range(D.n):
-            row += [p[j].real, p[j].imag]
+        for z in p:
+            row += [z.real, z.imag]
         row.append(residual[i])
         row.append("" if levi is None else levi[i])
         rows.append(row)

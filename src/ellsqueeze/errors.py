@@ -27,3 +27,10 @@ class ConfigError(EllsqueezeError, ValueError):
 
 class EmptySampleError(EllsqueezeError, ValueError):
     """A parameter excluded every sample, so nothing is left to compute."""
+
+
+class ToleranceError(EllsqueezeError, RuntimeError):
+    """A measured quantity exceeded the tolerance the run manifest advertises."""
+
+    def __init__(self, name: str, value: float, bound: float):
+        super().__init__(f"{name} = {value:g} exceeds its tolerance {bound:g}")

@@ -23,6 +23,15 @@ Each chain's inscribed radius is a lower bound for the squeezing
 function, but the reported values are sampled estimates of those radii
 (upper estimates of them), exact only for the sampled clouds; the
 supremum over all embeddings is not computable.
+
+`squeeze_estimates` evaluates the family for many basepoints over one
+shared cloud.  Every chain ends in phi_c, and
+
+    |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2
+
+screens all samples for a block of basepoints at once.  Only the samples
+near each screened minimum go through the chain's explicit maps, and
+those explicit norms are the reported values.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
@@ -44,10 +54,14 @@ MAX_GRID_BLOCKS = 1000
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
 ANALYTIC_FLOOR_SEED = 11
-# inner points per block of `analytic_floor`'s pair distances: a block holds a
-# (rows x samples x d) difference array, so this, not the sample count
-# squared, bounds the memory of the pairwise minimum
-FLOOR_BLOCK = 128
+# basepoint-sample pairs per block of the closed-form screen: a block holds a
+# few (basepoints x samples) arrays, so this, not the grid size times the
+# sample count, bounds the memory of `squeeze_estimates`
+NORM_BLOCK = 1 << 15
+# squared norms within SCREEN_SLACK / (1 - |c|) of a chain's screened minimum
+# are evaluated again through the explicit maps; the closed form and the
+# explicit maps differ by about 1e-15 / (1 - |c|)
+SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -187,20 +201,93 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     return chains
 
 
-def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16,
-                        seed: int = 0, boundary_filter=None) -> SqueezeEstimate:
-    """Best inscribed-radius estimate over the strategy family at p.
+def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
+                      chains: Sequence[EmbeddingChain]) -> np.ndarray:
+    """Closed-form squared image norms of a cloud under chains of one shape.
 
-    The returned value never exceeds one and can only decrease when the
-    sample count grows (the cloud is prefix-stable and the rescale radii
-    are count-independent).  The sampling band reports the drop from the
+    Each chain is Rescale(R) then phi_c, after one domain automorphism psi or
+    none.  With w the rescaled image of a sample,
+
+        |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2,
+
+    evaluated on (chains, samples) arrays.  Without psi, w = xi / R is shared
+    by every chain; with psi, w is built from psi's formulas per chain.
+    Sums over the n coordinates are explicit: a complex matrix product with
+    an inner dimension of n is many times slower.
+    """
+    cols = np.ascontiguousarray(cloud.T)
+    c = np.array([chain.steps[-1].c for chain in chains])
+    R = chains[0].steps[-2].R
+    if len(chains[0].steps) == 2:
+        w = list(cols / R)
+    else:
+        psis = [chain.steps[0] for chain in chains]
+        a = np.array([[psi.a] for psi in psis], dtype=np.complex128)
+        rot = np.exp(1j * np.array([[psi.theta] for psi in psis]))
+        sign = np.array([[psi.sign] for psi in psis])
+        lam = 1.0 - (a * np.conj(a)).real
+        u = rot * cols[-1]
+        den = 1.0 + sign * np.conj(a) * u
+        roots = {mk: den ** (1.0 / mk) for mk in set(D.P.weights.m)}
+        w = [cols[k] * (lam ** (1.0 / (2 * mk)) / R) / roots[mk]
+             for k, mk in enumerate(D.P.weights.m)]
+        w.append((u + sign * a) / (R * den))
+    w2 = sum((wk * np.conj(wk)).real for wk in w)
+    gap = 1.0 - sum(wk * np.conj(c[:, k, None]) for k, wk in enumerate(w))
+    c2 = (c * np.conj(c)).real.sum(axis=1)[:, None]
+    return 1.0 - (1.0 - c2) * (1.0 - w2) / (gap * np.conj(gap)).real
+
+
+def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, half: int,
+                     chains: Sequence[EmbeddingChain]) -> List[Tuple[float, float]]:
+    """(full, half-prefix) minimum image norm of the cloud under each chain.
+
+    The closed form screens every sample; the samples within the slack of
+    a screened minimum, over the whole cloud or its half prefix, are
+    evaluated again through the chain's explicit maps, and those explicit
+    values are the ones returned.  The closed form loses accuracy like
+    1 / (1 - |c|), so the slack grows by that factor and the explicit
+    minimizers stay among the kept samples.  numpy may round the last bit
+    of an explicit value differently in this short array than inside the
+    whole cloud.
+    """
+    q = _screened_squares(D, cloud, chains)
+    c = np.array([np.linalg.norm(chain.steps[-1].c) for chain in chains])
+    slack = (SCREEN_SLACK / (1.0 - c))[:, None]
+    keep_full = q <= q.min(axis=1, keepdims=True) + slack
+    keep_half = np.zeros_like(keep_full)
+    keep_half[:, :half] = q[:, :half] <= q[:, :half].min(axis=1, keepdims=True) + slack
+    out = []
+    for chain, full, part in zip(chains, keep_full, keep_half):
+        idx = np.flatnonzero(full | part)
+        norms = chain_norms_at(chain, cloud[idx])
+        out.append((float(norms[full[idx]].min()), float(norms[part[idx]].min())))
+    return out
+
+
+def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
+                      seed: int = 0, boundary_filter=None) -> List[SqueezeEstimate]:
+    """Best inscribed-radius estimate over the strategy family at each point.
+
+    Each value never exceeds one and can only decrease when the sample
+    count grows (the cloud is prefix-stable and the rescale radii are
+    count-independent).  The sampling band reports the drop from the
     half-count estimate to the full-count estimate.
+
+    `points` holds the basepoints, shape (G, n) or a sequence of n-vectors;
+    all of them share one boundary cloud.  Blocks of at most `NORM_BLOCK`
+    basepoint-sample pairs are screened with the closed form for |phi_c|,
+    and every reported minimum is an explicit chain evaluation at the few
+    samples the screen keeps (`_screened_minima`), which include the
+    minimizer over the whole cloud.  The first chain of the family with the
+    largest minimum wins.
 
     `boundary_filter(points) -> mask` restricts the sampled boundary, for
     subdomains that share only part of their boundary with the ellipsoid;
-    the estimate is then local to the shared piece and labeled by the
+    the estimates are then local to the shared piece and labeled by the
     caller accordingly.
     """
+    points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
     cloud = D.boundary_cloud(count, seed)
     if boundary_filter is not None:
         mask = np.asarray(boundary_filter(cloud), dtype=bool)
@@ -208,25 +295,35 @@ def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16
             raise ValueError("boundary filter rejected every sample")
         cloud = cloud[mask]
     half = max(1, len(cloud) // 2)
-    best_val = -np.inf
-    best_chain = None
-    best_half = None
-    for chain in chain_family(D, p):
-        chain.check_basepoint()
-        norms = chain_norms_at(chain, cloud)
-        val = float(norms.min())
-        if val > best_val:
-            best_val = val
-            best_chain = chain
-            best_half = float(norms[:half].min())
-    value = min(best_val, 1.0)
-    return SqueezeEstimate(
-        point=np.asarray(p, dtype=np.complex128).reshape(D.n),
-        value=value,
-        chain=best_chain,
-        samples=int(len(cloud)),
-        band=max(best_half - best_val, 0.0),
-    )
+    families = [chain_family(D, p) for p in points]
+    for family in families:
+        for chain in family:
+            chain.check_basepoint()
+    block = max(1, NORM_BLOCK // len(cloud))
+    estimates = []
+    for lo in range(0, len(points), block):
+        rows = families[lo:lo + block]
+        # screen each chain of the family over the block's basepoints, then
+        # regroup the (full, half) minima by basepoint
+        minima = zip(*(_screened_minima(D, cloud, half, chains) for chains in zip(*rows)))
+        for p, family, pairs in zip(points[lo:lo + block], rows, minima):
+            best = max(range(len(family)), key=lambda j: pairs[j][0])
+            value, value_half = pairs[best]
+            estimates.append(SqueezeEstimate(
+                point=p.copy(),
+                value=min(value, 1.0),
+                chain=family[best],
+                samples=int(len(cloud)),
+                band=max(value_half - value, 0.0),
+            ))
+    return estimates
+
+
+def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16,
+                        seed: int = 0, boundary_filter=None) -> SqueezeEstimate:
+    """Best inscribed-radius estimate over the strategy family at one point;
+    see :func:`squeeze_estimates`."""
+    return squeeze_estimates(D, [p], count, seed, boundary_filter)[0]
 
 
 def squeeze_profile(D: GeneralEllipsoid, seq: ApproachSequence, count: int = 1 << 16,
@@ -237,8 +334,7 @@ def squeeze_profile(D: GeneralEllipsoid, seq: ApproachSequence, count: int = 1 <
     neighborhood of the target boundary point, pass a `boundary_filter`
     keeping the shared boundary piece.
     """
-    return [squeeze_lower_bound(D, t.z, count, seed, boundary_filter)
-            for t in seq.terms]
+    return squeeze_estimates(D, [t.z for t in seq.terms], count, seed, boundary_filter)
 
 
 @dataclass(frozen=True)
@@ -287,8 +383,7 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
     grid = subdomain_grid(D, sp, grid_count, seed)
     best = np.inf
     argmin = grid[0]
-    for z in grid:
-        est = squeeze_lower_bound(D, z, count, seed)
+    for est in squeeze_estimates(D, grid, count, seed):
         if est.value < best:
             best = est.value
             argmin = est.point
@@ -309,15 +404,15 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     "interpretation" reporting next to the empirical grid floor); the level
     sets are sampled by anisotropic dilation of sphere directions.
     """
-    d = D.n - 1
-    u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, d, ANALYTIC_FLOOR_SEED)
-    pu = D.P.eval(u)
-    inner = np.array([D.P.weights.dilate(r / pu[i], u[i]) for i in range(len(u))])
-    outer = np.array([D.P.weights.dilate(1.0 / pu[i], u[i]) for i in range(len(u))])
-    gap = np.inf
-    for lo in range(0, len(inner), FLOOR_BLOCK):
-        diff = inner[lo:lo + FLOOR_BLOCK, None, :] - outer[None, :, :]
-        gap = min(gap, float(np.linalg.norm(diff, axis=-1).min()))
+    u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, D.n - 1, ANALYTIC_FLOOR_SEED)
+    pu = D.P.eval(u)[:, None]
+    powers = 1.0 / (2.0 * np.array(D.P.weights.m))
+    inner = u * (r / pu) ** powers
+    outer = u * (1.0 / pu) ** powers
+    # viewed as real (re, im) coordinates, the gap is the smallest
+    # nearest-neighbour distance from the inner to the outer level set
+    tree = cKDTree(outer.view(np.float64))
+    gap = float(tree.query(inner.view(np.float64), k=1)[0].min())
     delta = gap / 2.0
     diam = 2.0 * D.bounding_radius(margin=0.0)  # upper bound keeps the quotient a floor
     return delta / diam

@@ -146,3 +146,47 @@ def levi_min_eig_pointwise(P: WeightedPolynomial, z: np.ndarray) -> float:
     basis = vh[1:].conj().T
     L = basis.conj().T @ H @ basis
     return float(np.linalg.eigvalsh(0.5 * (L + L.conj().T))[0])
+
+
+def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int,
+                                  boundary_filter=None):
+    """(value, chain label, band) of the chain family at one point.
+
+    Every chain of `squeeze.chain_family` maps the whole boundary cloud
+    through its explicit steps and takes the minimum image norm; the best
+    chain wins, the first on ties, and the band is its drop from the
+    half-prefix minimum.
+    """
+    from ellsqueeze.squeeze import chain_family, chain_norms_at
+
+    cloud = D.boundary_cloud(count, seed)
+    if boundary_filter is not None:
+        cloud = cloud[np.asarray(boundary_filter(cloud), dtype=bool)]
+    half = max(1, len(cloud) // 2)
+    best_val, best_label, best_half = -np.inf, None, None
+    for chain in chain_family(D, p):
+        chain.check_basepoint()
+        norms = chain_norms_at(chain, cloud)
+        if float(norms.min()) > best_val:
+            best_val, best_label = float(norms.min()), chain.label
+            best_half = float(norms[:half].min())
+    return min(best_val, 1.0), best_label, max(best_half - best_val, 0.0)
+
+
+def analytic_floor_pairwise(D, r: float, samples: int, seed: int) -> float:
+    """`squeeze.analytic_floor` from every inner/outer pair distance.
+
+    Each sphere direction is dilated onto the levels {P = r} and {P = 1}
+    one point at a time, and the gap is the minimum of all samples^2 pair
+    distances, taken over row blocks to bound memory.
+    """
+    from ellsqueeze.util import complex_sphere
+
+    u = complex_sphere(samples, D.n - 1, seed)
+    pu = D.P.eval(u)
+    inner = np.array([D.P.weights.dilate(r / pu[i], u[i]) for i in range(samples)])
+    outer = np.array([D.P.weights.dilate(1.0 / pu[i], u[i]) for i in range(samples)])
+    gap = min(float(np.linalg.norm(inner[lo:lo + 128, None, :] - outer[None, :, :],
+                                   axis=-1).min())
+              for lo in range(0, samples, 128))
+    return gap / 2.0 / (2.0 * D.bounding_radius(margin=0.0))

@@ -193,6 +193,18 @@ def test_rays_without_crossings_exit_code(tmp_path, monkeypatch):
     assert run_cli(["wbscan", "--out", str(tmp_path / "w"), "--samples", "100"]) == 3
 
 
+def test_boundary_residual_violation_exit_code(tmp_path, monkeypatch):
+    # scanned points pushed off the boundary: their |rho| exceeds the
+    # manifest's boundary_residual tolerance, so the run fails with status 3
+    # before writing the scan
+    solve = domain.GeneralEllipsoid._solve_boundary
+    monkeypatch.setattr(domain.GeneralEllipsoid, "_solve_boundary",
+                        lambda self, count, seed: 1.001 * solve(self, count, seed))
+    out = tmp_path / "w"
+    assert run_cli(["wbscan", "--out", str(out), "--samples", "100"]) == 3
+    assert not (out / "wbscan.csv").exists()
+
+
 def test_domain_file_round_trip(tmp_path):
     from ellsqueeze.wpoly import quartic_disc_polynomial
     poly = tmp_path / "poly.json"

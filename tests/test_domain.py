@@ -301,7 +301,7 @@ def test_dist_comparable_to_gauge_along_showcase(E):
 def test_samples_csv_schema(E, tmp_path):
     pts = E.boundary_cloud(5, seed=1)
     path = tmp_path / "samples.csv"
-    samples_to_csv(path, E, pts)
+    samples_to_csv(path, pts, np.abs(E.rho(pts)))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re_z1,im_z1,re_z2,im_z2,residual,levi_min"
     assert len(lines) == 6

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import helpers
 from ellsqueeze import squeeze
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
-                                chain_family, gamma_floor, inscribed_radius,
-                                profile_to_csv, squeeze_lower_bound,
+                                chain_family, chain_norms_at, gamma_floor,
+                                inscribed_radius, profile_to_csv,
+                                squeeze_estimates, squeeze_lower_bound,
                                 squeeze_profile, subdomain_grid)
 from ellsqueeze.domain import SubdomainParams, contains_sub
 from ellsqueeze.util import philox
@@ -273,8 +275,118 @@ def test_profile_csv(E, tmp_path):
     assert len(lines) == 3
 
 
-def test_analytic_floor_blocks_are_exact(E, monkeypatch):
-    # the blocked minimum reduces each pair distance as the whole array does
-    whole = squeeze.analytic_floor(E, 0.5)
-    monkeypatch.setattr(squeeze, "FLOOR_BLOCK", 7)
-    assert squeeze.analytic_floor(E, 0.5) == whole
+@pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
+def test_analytic_floor_matches_pairwise_minimum(E, r):
+    # the nearest-neighbour gap is the minimum over all pair distances; the
+    # tree sums the squared real coordinates in its own order, and numpy's
+    # array power need not round like a scalar power, so the last bit may move
+    pairwise = helpers.analytic_floor_pairwise(
+        E, r, squeeze.ANALYTIC_FLOOR_SAMPLES, squeeze.ANALYTIC_FLOOR_SEED)
+    assert abs(squeeze.analytic_floor(E, r) - pairwise) <= 2 * np.spacing(pairwise)
+
+
+# -- batched estimates ---------------------------------------------------------------------
+
+
+def _mixed_weight_domain():
+    return GeneralEllipsoid(helpers.mixed_weight_polynomial())
+
+
+def _estimate_inputs(D, grid_count):
+    grid = subdomain_grid(D, SubdomainParams(0.5, 0.5), grid_count, seed=0)
+    terms = [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms]
+    return np.concatenate([grid, terms])
+
+
+def _assert_match_pointwise(D, points, ests, count, boundary_filter=None):
+    for p, est in zip(points, ests, strict=True):
+        value, label, band = helpers.squeeze_lower_bound_pointwise(
+            D, p, count, 0, boundary_filter)
+        assert est.chain.label == label
+        assert abs(est.value - value) <= 4 * np.spacing(value)
+        assert abs(est.band - band) <= 8 * np.spacing(1.0)
+        assert np.array_equal(est.point, p)
+
+
+@pytest.mark.parametrize("domain, count", [
+    (GeneralEllipsoid.quartic_disc, 1 << 12),
+    (_mixed_weight_domain, 1 << 12),
+    (lambda: GeneralEllipsoid.unit_ball(3), 1 << 14),
+], ids=["quartic", "mixed-2-3", "ball-3"])
+def test_estimates_match_pointwise_loop(domain, count):
+    # both minima are explicit chain evaluations at the same sample, but the
+    # loop maps the whole cloud while the estimator maps only the samples
+    # its screen keeps, and numpy's SIMD loops may round the last bits of an
+    # element differently by its position in a longer array (a 1-row
+    # evaluation differs from the same row inside the cloud); against a
+    # 50-digit evaluation both sit within a few ulps of the exact norm
+    D = domain()
+    points = _estimate_inputs(D, 24)
+    ests = squeeze_estimates(D, points, count=count, seed=0)
+    _assert_match_pointwise(D, points, ests, count)
+    assert all(est.samples == count for est in ests)
+
+
+def test_estimates_do_not_depend_on_block_size(E, monkeypatch):
+    points = _estimate_inputs(E, 12)
+    blocked = squeeze_estimates(E, points, count=1 << 12, seed=0)
+    monkeypatch.setattr(squeeze, "NORM_BLOCK", 1)
+    single = squeeze_estimates(E, points, count=1 << 12, seed=0)
+    assert [(e.value, e.band, e.chain.label) for e in blocked] == \
+        [(e.value, e.band, e.chain.label) for e in single]
+
+
+@pytest.mark.parametrize("domain", [GeneralEllipsoid.quartic_disc, _mixed_weight_domain],
+                         ids=["quartic", "mixed-2-3"])
+def test_screen_tracks_explicit_chain_norms(domain):
+    # every sample, every chain of the family, floor grid points and the
+    # profile terms up to j = 10^4
+    D = domain()
+    cloud = D.boundary_cloud(1 << 14, seed=0)
+    for p in _estimate_inputs(D, 8):
+        for chain in chain_family(D, p):
+            screened = np.sqrt(squeeze._screened_squares(D, cloud, [chain])[0])
+            assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
+
+
+def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
+    # c a hair inside the sphere, a sample right next to it and near-ties
+    # around that sample: the closed form is off by more than SCREEN_SLACK
+    # there, and the slack scaled by 1 / (1 - |c|) still hands the explicit
+    # minimizers (whole cloud and half prefix) to the explicit maps
+    base = B.boundary_cloud(1 << 12, seed=0)
+    ties = base[7] * np.exp(1j * np.linspace(-1e-12, 1e-12, 41))[:, None]
+    cloud = np.concatenate([ties, base])
+    half = len(cloud) // 2
+    R = B.bounding_radius(margin=0.0) * (1.0 + squeeze.TIGHT_MARGIN)
+    c = (1.0 - 1e-6) * base[7] / R
+    chain = EmbeddingChain(B, (Rescale(R), BallAutomorphism(c)), c * R)
+    explicit = chain_norms_at(chain, cloud)
+    screened = squeeze._screened_squares(B, cloud, [chain])[0]
+    assert np.abs(screened - explicit ** 2).max() > squeeze.SCREEN_SLACK
+    evaluated = []
+
+    def spy(ch, pts):
+        evaluated.append(pts)
+        return chain_norms_at(ch, pts)
+
+    monkeypatch.setattr(squeeze, "chain_norms_at", spy)
+    squeeze._screened_minima(B, cloud, half, [chain])
+    kept = np.concatenate(evaluated)
+    for minimizer in (cloud[np.argmin(explicit)], cloud[np.argmin(explicit[:half])]):
+        assert (kept == minimizer).all(axis=1).any()
+
+
+def test_estimates_with_boundary_filter(E):
+    north = np.array([0.0, 1.0], dtype=complex)
+    keep = lambda pts: np.linalg.norm(pts - north, axis=1) < 0.8
+    points = _estimate_inputs(E, 6)
+    ests = squeeze_estimates(E, points, count=1 << 12, seed=0, boundary_filter=keep)
+    _assert_match_pointwise(E, points, ests, 1 << 12, keep)
+    kept = int(keep(E.boundary_cloud(1 << 12, 0)).sum())
+    assert all(est.samples == kept for est in ests)
+
+
+def test_estimates_of_no_points(E):
+    assert squeeze_estimates(E, [], count=1 << 10, seed=0) == []
+    assert squeeze_estimates(E, np.empty((0, 2), dtype=complex), count=1 << 10, seed=0) == []
