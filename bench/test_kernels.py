@@ -2,9 +2,13 @@
 
     pytest bench --benchmark-only
 
-`first_crossing` runs on the quartic gauge, whose radial degrees are all
-even, and on the m = (2, 3) gauge with a z1^2 conj(z2)^3 cross term, whose
-odd degree keeps the solve in t itself; `analytic_floor` runs on a warm
+`first_crossing` runs on the positive-diagonal gauges of the quartic, E(2, 3)
+and the ball in C^3, which solve by monotone Newton, and on the m = (2, 3)
+gauge with a z1^2 conj(z2)^3 cross term, whose odd degree keeps the
+companion solve in t itself.  The frame-sized call solves 32 phases of one
+line on the translated m = (2, 3) graph-model table at eta = (0, 0, -1e-3),
+as `scaling` does for each reach; it also keeps the companion.
+`analytic_floor` runs on a warm
 quartic domain.  `squeeze_estimates` runs on warm quartic clouds, over a
 64-point floor grid at 2^14 samples and over the four `profile` terms
 (j = 10, 100, 1000, 10^4) at 2^17 samples.  Inputs are built outside the
@@ -14,7 +18,7 @@ timed calls.
 import numpy as np
 import pytest
 
-from ellsqueeze import squeeze
+from ellsqueeze import scaling, squeeze
 from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid, SubdomainParams
 from ellsqueeze.hermpoly import first_crossing
 from ellsqueeze.sequences import generate
@@ -22,20 +26,33 @@ from ellsqueeze.util import complex_sphere
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
 
-def _mixed_weight_domain():
-    return GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+def _mixed_weight_polynomial():
+    return WeightedPolynomial(MultiWeight((2, 3)), {
         ((2, 0), (2, 0)): 1.1, ((0, 3), (0, 3)): 0.9,
-        ((2, 0), (0, 3)): 0.08 * np.exp(0.7j)}))
+        ((2, 0), (0, 3)): 0.08 * np.exp(0.7j)})
 
 
 @pytest.mark.parametrize("domain, rays", [
     (GeneralEllipsoid.quartic_disc, 1 << 17),
-    (_mixed_weight_domain, 1 << 13),
-], ids=["quartic-2^17", "mixed-2-3-2^13"])
+    (lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})), 1 << 15),
+    (lambda: GeneralEllipsoid.unit_ball(3), 1 << 15),
+    (lambda: GeneralEllipsoid(_mixed_weight_polynomial()), 1 << 13),
+], ids=["quartic-2^17", "E-2-3-2^15", "ball-3-2^15", "mixed-2-3-2^13"])
 def test_first_crossing(benchmark, domain, rays):
     gauge = domain().gauge
     u = complex_sphere(rays, gauge.d, 0)
     t = benchmark(first_crossing, gauge, u, 0.0, RAY_CAP)
+    assert np.isfinite(t).all()
+
+
+def test_first_crossing_frame_line(benchmark):
+    eps = 1e-3
+    rho = scaling.DefiningFunctionPoly.graph_model(_mixed_weight_polynomial())
+    q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
+    phases = np.linspace(0.0, 2.0 * np.pi, scaling.COARSE_PHASE_GRID, endpoint=False)
+    u = np.exp(1j * phases)[:, None] * complex_sphere(1, q.d, 0)
+    t = benchmark(first_crossing, q, u, eps, scaling.REACH_CAP)
     assert np.isfinite(t).all()
 
 

@@ -12,8 +12,12 @@ Boundary points are radial first crossings: rho(0) = -1 and the domain
 is bounded, so every ray t u from the origin reaches the zero level.
 Along the ray the gauge is a real polynomial in t, and
 :func:`~ellsqueeze.hermpoly.first_crossing` returns its smallest positive
-root from the companion eigenvalues of the radial coefficients, so
-non-monotone profiles still give the first sign change.
+root.  A gauge whose terms besides the constant -1 are all |z^A|^2 with
+positive coefficients (the ball, the quartic, every E(p)) rises
+monotonically along each ray, so its one root comes from monotone
+Newton; any other gauge, such as one with a z1^2 conj(z2)^3 term, takes
+the smallest positive root from companion eigenvalues of the radial
+coefficients, so non-monotone profiles still give the first sign change.
 """
 
 from __future__ import annotations
@@ -114,12 +118,13 @@ class GeneralEllipsoid:
 
         Directions come from a scrambled Sobol sphere sequence; along each
         ray the boundary point is the smallest positive root of the radial
-        gauge polynomial (companion eigenvalues, one Newton polish).  The
-        gauge of the ball, the quartic or any E(p) has only even radial
-        degrees, so the companion is built in x = t^2 at half the degree;
-        t -> t^2 increases on t > 0, so the smallest positive root in x
-        gives the first crossing exactly.  A gauge with an odd degree, such
-        as one with a z1^2 conj(z2)^3 term, solves in t.
+        gauge polynomial, then one Newton polish.  The gauge of the ball,
+        the quartic or any E(p) has only even radial degrees and positive
+        diagonal terms, so it is solved in x = t^2, where it has exactly
+        one positive root, by monotone Newton; t -> t^2 increases on
+        t > 0, so that root gives the first crossing exactly.  A gauge with
+        an odd degree, such as one with a z1^2 conj(z2)^3 term, solves in t
+        by companion eigenvalues.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)

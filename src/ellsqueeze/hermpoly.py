@@ -13,6 +13,14 @@ drift.  Differentiation and composition with affine maps are exact
 
 :func:`first_crossing` finds where a table first reaches a level along
 rays from the origin; it serves both boundary clouds and reach radii.
+Each ray's radial polynomial is solved in x = t^g, g the gcd of the
+table's degrees, in one of two ways chosen by the table.  A table whose
+non-constant terms are all diagonal with positive coefficients, and
+whose constant lies below the level (the gauges of the ball, the quartic
+and every E(p)), has one simple positive root per ray, which monotone
+Newton finds from a closed-form upper bound.  Every other table (cross
+terms, translated frame tables) takes the smallest positive root from
+companion eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, BoundedSearchError
 
 MultiIndex = Tuple[int, ...]
 PairKey = Tuple[MultiIndex, MultiIndex]
@@ -60,7 +68,7 @@ def _lowered(E: np.ndarray):
 class HermitianPolynomial:
     """Immutable Hermitian coefficient table in d complex variables."""
 
-    __slots__ = ("d", "_table", "_expanded")
+    __slots__ = ("d", "_table", "_expanded", "_diagonal_constant")
 
     def __init__(self, d: int, terms: Mapping[PairKey, complex]):
         """Build from {(A, B): coefficient}; pairs may come in either order.
@@ -146,7 +154,12 @@ class HermitianPolynomial:
         return len(self._table)
 
     def _expand(self):
-        """Materialized (A, B, coeff) arrays including conjugate partners."""
+        """Materialized (A, B, coeff) arrays including conjugate partners.
+
+        The first call also caches `_diagonal_constant`: the constant term
+        when every other term is diagonal (A == B) with a positive
+        coefficient, else None.
+        """
         if self._expanded is None:
             A, B, C = [], [], []
             for (a, b), c in sorted(self._table.items()):
@@ -159,11 +172,13 @@ class HermitianPolynomial:
                     C.append(np.conj(c))
             if not A:
                 A, B, C = [(0,) * self.d], [(0,) * self.d], [0.0 + 0.0j]
-            self._expanded = (
-                np.asarray(A, dtype=np.int64),
-                np.asarray(B, dtype=np.int64),
-                np.asarray(C, dtype=np.complex128),
-            )
+            A, B, C = (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
+                       np.asarray(C, dtype=np.complex128))
+            rest = (A + B).any(axis=1)
+            positive = (A == B).all(axis=1) & (C.real > 0.0)
+            self._diagonal_constant = (float(C.real[~rest].sum())
+                                       if positive[rest].all() else None)
+            self._expanded = (A, B, C)
         return self._expanded
 
     # -- evaluation and calculus ----------------------------------------------
@@ -293,15 +308,20 @@ class HermitianPolynomial:
 # -- radial first crossings ----------------------------------------------------
 
 # Rays per block in `first_crossing`.  A block holds a (rays x terms) monomial
-# array and a (rays x K/g x K/g) companion stack (K the table degree, g the
-# gcd of its degrees), so the block size, not the cloud size, bounds the
-# memory a solve adds on large boundary clouds.
+# array and, on the companion path, a (rays x K/g x K/g) companion stack (K the
+# table degree, g the gcd of its degrees), so the block size, not the cloud
+# size, bounds the memory a solve adds on large boundary clouds.
 CROSSING_BLOCK = 8192
 
 # Largest |Im s| / |s| of a companion eigenvalue taken as a real root.  A
 # touching (double) root splits into a conjugate pair whose imaginary part is
 # of the order sqrt(machine epsilon) relative to the root.
 NEAR_REAL = 1e-6
+
+# Newton iterations allowed per block on positive-diagonal tables.  Cloud
+# blocks settle in 6-7; the start is within a factor of the number of
+# positive radial terms of the root.
+NEWTON_MAX_ITER = 64
 
 
 def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: float,
@@ -316,14 +336,21 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     counts.  With g the gcd of the table's degrees, every nonzero c_k has
     g | k, so p(t) = q(t^g) for a polynomial q of degree K/g; as t -> t^g
     is increasing on t > 0, the first crossing is the g-th root of q's
-    smallest positive root, and a touching root of p is one of q.  The
+    smallest positive root, and a touching root of p is one of q.
+
+    Two solves share this setup, chosen by the table.  A *positive-diagonal*
+    table (every non-constant term has A == B and a positive coefficient,
+    and its constant is below `level`: the ball, the quartic, every E(p))
+    has c_k(u) = sum c_AA |u^A|^2 >= 0 for k > 0 and q(0) < 0, so by
+    Descartes's rule of signs q has exactly one positive root, simple, and
+    q is convex and increasing on x > 0; monotone Newton from an upper
+    bound finds it (:func:`_monotone_newton_root`).  Every other table
+    solves by companion eigenvalues (:func:`_smallest_positive_root`): the
     roots of q are the eigenvalues of the companion matrix of its reversed
-    polynomial in s = 1/x, x = t^g, whose leading coefficient c_0 - level
-    is nonzero; the largest near-real s gives the first crossing,
-    t = s^(-1/g), and one Newton step on p polishes it where the step
-    lowers |p|.  Even-degree gauges (the ball, the quartic, every E(p))
-    thus solve companions of half the size; tables with an odd degree have
-    g = 1 and solve in t itself.
+    polynomial in s = 1/x, whose leading coefficient c_0 - level is
+    nonzero, and the largest near-real s gives the first crossing,
+    t = s^(-1/g).  Either way one Newton step on p polishes t where the
+    step lowers |p|.
     """
     u = np.asarray(directions, dtype=np.complex128)
     A, B, C = table._expand()
@@ -333,14 +360,54 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     out = np.full(len(u), np.inf)
     if K == 0:
         return out
+    constant = table._diagonal_constant
+    solve = (_monotone_newton_root if constant is not None and constant < level
+             else _smallest_positive_root)
     radial = np.zeros((len(C), K + 1), dtype=np.complex128)
     radial[np.arange(len(C)), deg] = C
     for lo in range(0, len(u), CROSSING_BLOCK):
         block = slice(lo, lo + CROSSING_BLOCK)
         coeffs = (table._monomials(u[block]) @ radial).real
         coeffs[:, 0] -= level
-        out[block] = _smallest_positive_root(coeffs, g, cap)
+        out[block] = solve(coeffs, g, cap)
     return out
+
+
+def _monotone_newton_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
+    """The one positive root in (0, cap] of each row's sum_k a_k t^k, else +inf.
+
+    Rows must have a_0 < 0 and a_k >= 0 otherwise, with only the a_k with
+    g | k nonzero.  Newton on q(x) = sum_k a_{gk} x^k starts at
+    x0 = min over a_{gk} > 0 of (-a_0 / a_{gk})^(1/k).  The term a_{gk} x^k
+    alone reaches -a_0 at (-a_0 / a_{gk})^(1/k), so q >= 0 there and x0 is
+    at least the root; at the root some positive term holds a share of at
+    least 1/(positive terms) of -a_0, so x0 is at most the number of
+    positive terms times the root.  q is convex and increasing on x > 0,
+    so the iterates decrease to the root; iteration stops when no row
+    decreases.  Rows without a positive a_k never cross.
+    """
+    q = a[:, ::g]
+    count, K = q.shape[0], q.shape[1] - 1
+    positive = q[:, 1:] > 0.0
+    found = positive.any(axis=1)
+    q, positive = q[found], positive[found]
+    reach = np.divide(-q[:, :1], q[:, 1:], out=np.full(positive.shape, np.inf),
+                      where=positive)
+    x = (reach ** (1.0 / np.arange(1, K + 1))).min(axis=1)
+    for _ in range(NEWTON_MAX_ITER):
+        p, dp = _horner(q, x)
+        stepped = x - p / dp
+        lower = stepped < x
+        if not lower.any():
+            break
+        x = np.where(lower, stepped, x)
+    else:
+        raise BoundedSearchError(
+            f"monotone Newton did not settle in {NEWTON_MAX_ITER} iterations", cap)
+    t = np.full(count, np.inf)
+    t[found] = _newton_polish(a[found], x ** (1.0 / g))
+    t[t > cap] = np.inf
+    return t
 
 
 def _smallest_positive_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:

@@ -269,9 +269,12 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
                       seed: int = 0, boundary_filter=None) -> List[SqueezeEstimate]:
     """Best inscribed-radius estimate over the strategy family at each point.
 
-    Each value never exceeds one and can only decrease when the sample
-    count grows (the cloud is prefix-stable and the rescale radii are
-    count-independent).  The sampling band reports the drop from the
+    Each value never exceeds one and, up to the rounding of the explicit
+    chain maps, can only decrease when the sample count grows (the cloud
+    is prefix-stable and the rescale radii are count-independent).  That
+    rounding is a few ulps and grows like 1e-16 / (1 - |c|) next to the
+    sphere: a sample's explicit value may differ by that much inside a
+    larger cloud.  The sampling band reports the drop from the
     half-count estimate to the full-count estimate.
 
     `points` holds the basepoints, shape (G, n) or a sequence of n-vectors;

@@ -5,7 +5,7 @@ import pytest
 
 from ellsqueeze import hermpoly
 from ellsqueeze.domain import GeneralEllipsoid
-from ellsqueeze.errors import AdmissibilityError
+from ellsqueeze.errors import AdmissibilityError, BoundedSearchError
 from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
@@ -200,18 +200,101 @@ def test_first_crossing_even_ellipsoid_matches_bisection():
     assert np.abs(got - ref).max() <= 1e-15 * ref.max()
 
 
-@pytest.mark.parametrize("domain, size", [
-    (GeneralEllipsoid.quartic_disc, 2),
-    (lambda: GeneralEllipsoid.unit_ball(3), 1),
-    (_diagonal_ellipsoid, 3),
-    (lambda: GeneralEllipsoid(mixed_weight_polynomial()), 6),
-], ids=["quartic", "ball-3", "E-2-3", "mixed-2-3"])
-def test_companion_size_is_degree_over_gcd(domain, size, monkeypatch):
-    # even-degree gauges solve in x = t^g; the z1^2 conj(z2)^3 term keeps g = 1
-    gauge = domain().gauge
+_POSITIVE_DIAGONAL = pytest.mark.parametrize("domain", [
+    GeneralEllipsoid.quartic_disc,
+    lambda: GeneralEllipsoid.unit_ball(3),
+    _diagonal_ellipsoid,
+], ids=["quartic", "ball-3", "E-2-3"])
+
+
+def _spy_eigvals(monkeypatch):
+    """Record the matrix shape of every np.linalg.eigvals call."""
     shapes = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda a: shapes.append(a.shape[1:]) or eigvals(a))
-    first_crossing(gauge, complex_sphere(16, gauge.d, seed=0), 0.0, 1e6)
+    return shapes
+
+
+@_POSITIVE_DIAGONAL
+def test_positive_diagonal_gauges_call_no_eigvals(domain, monkeypatch):
+    gauge = domain().gauge
+    shapes = _spy_eigvals(monkeypatch)
+    t = first_crossing(gauge, complex_sphere(16, gauge.d, seed=0), 0.0, 1e6)
+    assert np.isfinite(t).all() and shapes == []
+
+
+@pytest.mark.parametrize("table, level, size", [
+    (lambda: GeneralEllipsoid(mixed_weight_polynomial()).gauge, 0.0, 6),
+    (lambda: HermitianPolynomial(1, {((1,), (1,)): 1.4, ((2,), (2,)): -1.0}), 0.3, 2),
+], ids=["mixed-2-3", "even-1.4-minus-quartic"])
+def test_companion_size_is_degree_over_gcd(table, level, size, monkeypatch):
+    # the z1^2 conj(z2)^3 term keeps g = 1; 1.4 |lam|^2 - |lam|^4 solves in x = t^2
+    table = table()
+    shapes = _spy_eigvals(monkeypatch)
+    first_crossing(table, complex_sphere(16, table.d, seed=0), level, 1e6)
     assert shapes == [(size, size)]
+
+
+@_POSITIVE_DIAGONAL
+def test_monotone_newton_matches_companion(domain, monkeypatch):
+    gauge = domain().gauge
+    rows = []
+    newton = hermpoly._monotone_newton_root
+    monkeypatch.setattr(hermpoly, "_monotone_newton_root",
+                        lambda a, g, cap: rows.append((a.copy(), g, cap)) or newton(a, g, cap))
+    first_crossing(gauge, complex_sphere(4096, gauge.d, seed=3), 0.0, 1e6)
+    [(a, g, cap)] = rows
+    got = newton(a, g, cap)
+    ref = hermpoly._smallest_positive_root(a, g, cap)
+    assert np.isfinite(ref).all()
+    assert (np.abs(got - ref) <= np.spacing(ref)).all()
+
+
+def test_monotone_newton_matches_bisection_on_edge_rays(monkeypatch):
+    # E(2, 3) gauge |z_3|^2 - 1 + |z_1|^4 + |z_2|^6: along e_3 only |z_n|^2 and
+    # along e_2 only the top-degree term rises; |u_1| = 1e-6 leaves a term near
+    # zero; the diagonal ray crosses at t ~ 1.28, beyond the cap
+    table = _diagonal_ellipsoid().gauge
+    shapes = _spy_eigvals(monkeypatch)
+    r = np.sqrt(1.0 - 1e-12)
+    u = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1j], [1e-6, 0, r], [1e-6j, r, 0],
+                  [r, 0, 1e-6], [1, 1, 1]], dtype=complex)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    got = first_crossing(table, u, 0.0, 1.1)
+    ref = bisect_first_crossing(table.value, u, 0.0, 1.1)
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    assert got[-1] == np.inf and np.isfinite(got[:-1]).all()
+    assert np.abs(got[:-1] - ref[:-1]).max() <= 1e-15 and shapes == []
+
+
+def test_monotone_newton_ray_without_positive_term_is_inf():
+    # |z_2|^2 + 0.5 |z_2|^4 is flat along e_1, so that ray has no positive term
+    table = HermitianPolynomial(2, {((0, 1), (0, 1)): 1.0, ((0, 2), (0, 2)): 0.5})
+    u = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    with np.errstate(all="raise"):
+        got = first_crossing(table, u, 1.5, 1e6)
+    assert got[0] == np.inf and got[1] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_monotone_newton_iteration_bound_raises(monkeypatch):
+    gauge = GeneralEllipsoid.quartic_disc().gauge
+    monkeypatch.setattr(hermpoly, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(BoundedSearchError):
+        first_crossing(gauge, complex_sphere(16, gauge.d, seed=0), 0.0, 1e6)
+
+
+@pytest.mark.parametrize("table, level", [
+    (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
+                             ((1, 0), (0, 1)): 0.1}), 1.0),
+    (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
+                             ((2, 0), (2, 0)): -0.1}), 0.5),
+    (HermitianPolynomial(2, {((0, 0), (0, 0)): 1.0, ((1, 0), (1, 0)): 1.0,
+                             ((0, 1), (0, 1)): 1.0}), 0.5),
+], ids=["off-diagonal", "negative-diagonal", "constant-above-level"])
+def test_other_tables_keep_the_companion(table, level, monkeypatch):
+    # a constant above the level breaks first_crossing's precondition; it
+    # still routes to the companion, which finds no positive root
+    shapes = _spy_eigvals(monkeypatch)
+    first_crossing(table, complex_sphere(16, 2, seed=0), level, 1e6)
+    assert len(shapes) == 1
