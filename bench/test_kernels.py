@@ -4,15 +4,16 @@
 
 `first_crossing` runs on the positive-diagonal gauges of the quartic, E(2, 3)
 and the ball in C^3, which solve by monotone Newton, and on the m = (2, 3)
-gauge with a z1^2 conj(z2)^3 cross term, whose odd degree keeps the
-companion solve in t itself.  The frame-sized call solves 32 phases of one
-line on the translated m = (2, 3) graph-model table at eta = (0, 0, -1e-3),
-as `scaling` does for each reach; it also keeps the companion.
-`analytic_floor` runs on a warm
-quartic domain.  `squeeze_estimates` runs on warm quartic clouds, over a
-64-point floor grid at 2^14 samples and over the four `profile` terms
-(j = 10, 100, 1000, 10^4) at 2^17 samples.  Inputs are built outside the
-timed calls.
+gauge with a z1^2 conj(z2)^3 cross term, which fails the positive-diagonal
+test and so solves by companion eigenvalues.  The frame-sized call solves 32
+phases of one line on the translated m = (2, 3) graph-model table at
+eta = (0, 0, -1e-3), as `scaling` does for each reach; it also fails the
+test and keeps the companion.  `analytic_floor` runs on a warm quartic
+domain.  `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
+at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
+normalizing automorphism takes square and cube roots), and over the four
+`profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
+Inputs are built outside the timed calls.
 """
 
 import numpy as np
@@ -62,13 +63,19 @@ def test_analytic_floor(benchmark):
     assert benchmark(squeeze.analytic_floor, D, 0.5) > 0.0
 
 
-@pytest.mark.parametrize("points, count", [
-    (lambda D: squeeze.subdomain_grid(D, SubdomainParams(0.5, 0.5), 64, 0), 1 << 14),
-    (lambda D: [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms],
+def _floor_grid(D):
+    return squeeze.subdomain_grid(D, SubdomainParams(0.5, 0.5), 64, 0)
+
+
+@pytest.mark.parametrize("domain, points, count", [
+    (GeneralEllipsoid.quartic_disc, _floor_grid, 1 << 14),
+    (lambda: GeneralEllipsoid(_mixed_weight_polynomial()), _floor_grid, 1 << 14),
+    (GeneralEllipsoid.quartic_disc,
+     lambda D: [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms],
      1 << 17),
-], ids=["floor-grid-64-2^14", "profile-4-2^17"])
-def test_squeeze_estimates(benchmark, points, count):
-    D = GeneralEllipsoid.quartic_disc()
+], ids=["floor-grid-64-2^14", "mixed-2-3-floor-grid-64-2^14", "profile-4-2^17"])
+def test_squeeze_estimates(benchmark, domain, points, count):
+    D = domain()
     D.boundary_cloud(count, 0)
     D.bounding_radius(margin=0.0)
     D.bounding_radius()

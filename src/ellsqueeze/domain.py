@@ -35,7 +35,7 @@ from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polyno
 # reference cloud used for radii that must not depend on a caller's sample count
 REFERENCE_COUNT = 1 << 14
 REFERENCE_SEED = 20210
-# rays with no boundary crossing up to this radius are skipped
+# a ray with no boundary crossing up to this radius fails the sampling
 RAY_CAP = 1e6
 
 
@@ -118,13 +118,16 @@ class GeneralEllipsoid:
 
         Directions come from a scrambled Sobol sphere sequence; along each
         ray the boundary point is the smallest positive root of the radial
-        gauge polynomial, then one Newton polish.  The gauge of the ball,
-        the quartic or any E(p) has only even radial degrees and positive
-        diagonal terms, so it is solved in x = t^2, where it has exactly
-        one positive root, by monotone Newton; t -> t^2 increases on
-        t > 0, so that root gives the first crossing exactly.  A gauge with
-        an odd degree, such as one with a z1^2 conj(z2)^3 term, solves in t
-        by companion eigenvalues.
+        gauge polynomial, then one Newton polish.  The radial polynomial is
+        solved in x = t^g, g the gcd of the gauge's degrees; t -> t^g
+        increases on t > 0, so the first root in x gives the first crossing
+        exactly.  The solver is chosen by the positive-diagonal test: a
+        gauge whose terms besides the constant are all |z^A|^2 with
+        positive coefficients (the ball, the quartic, any E(p)) has exactly
+        one positive root per ray and solves by monotone Newton; any other
+        gauge, such as one with a z1^2 conj(z2)^3 cross term, solves by
+        companion eigenvalues.  A ray without a crossing below `RAY_CAP`
+        raises BoundedSearchError.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)
@@ -135,24 +138,15 @@ class GeneralEllipsoid:
         return pts
 
     def _solve_boundary(self, count: int, seed: int) -> np.ndarray:
-        # rays without a crossing inside the cap are skipped and replaced by
-        # later draws of the same direction stream; a bounded domain with
-        # rho(0) = -1 guarantees crossings, so this only fires defensively
-        collected = []
-        drawn = 0
-        rounds = 0
-        while sum(len(c) for c in collected) < count:
-            rounds += 1
-            if rounds > 8:
-                raise BoundedSearchError(
-                    "boundary sampling failed: too many rays without crossings", RAY_CAP)
-            need = count - sum(len(c) for c in collected)
-            u = complex_sphere(drawn + need, self.n, seed)[drawn:]
-            drawn += need
-            t = first_crossing(self.gauge, u, 0.0, RAY_CAP)
-            ok = np.isfinite(t)
-            collected.append(t[ok, None] * u[ok])
-        return np.concatenate(collected, axis=0)[:count]
+        # rho(0) = -1 on a bounded domain, so every ray crosses; a ray with no
+        # crossing below the cap means the gauge or the cap is wrong
+        u = complex_sphere(count, self.n, seed)
+        t = first_crossing(self.gauge, u, 0.0, RAY_CAP)
+        if not np.isfinite(t).all():
+            raise BoundedSearchError(
+                f"boundary sampling failed: {int(np.isinf(t).sum())} of {count} rays "
+                "have no crossing", RAY_CAP)
+        return t[:, None] * u
 
     def boundary_sample(self, count: int, seed: int = 0) -> List[BoundaryPoint]:
         pts = self.boundary_cloud(count, seed)

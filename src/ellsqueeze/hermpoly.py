@@ -74,7 +74,8 @@ class HermitianPolynomial:
         """Build from {(A, B): coefficient}; pairs may come in either order.
 
         Diagonal coefficients (A == B) must be real.  Supplying both (A, B)
-        and (B, A) is allowed only when the values are exact conjugates.
+        and (B, A) is allowed only when the values are exact conjugates,
+        and the pair is then stored once.
         """
         if d < 1:
             raise AdmissibilityError("need at least one variable")
@@ -84,24 +85,14 @@ class HermitianPolynomial:
             a = _as_index(ka, self.d)
             b = _as_index(kb, self.d)
             c = complex(coeff)
-            if c == 0:
-                continue
-            if a == b:
-                if c.imag != 0.0:
-                    raise AdmissibilityError(
-                        f"diagonal coefficient for {a} must be real, got {c}")
-                key, val = (a, b), c
-            elif a <= b:
-                key, val = (a, b), c
-            else:
-                key, val = (b, a), np.conj(c)
-            if key in table:
-                table[key] = table[key] + val
-                if table[key] == 0:
-                    del table[key]
-            else:
-                table[key] = val
-        self._table = table
+            if a == b and c.imag != 0.0:
+                raise AdmissibilityError(
+                    f"diagonal coefficient for {a} must be real, got {c}")
+            key, val = ((a, b), c) if a <= b else ((b, a), np.conj(c))
+            if table.setdefault(key, val) != val:
+                raise AdmissibilityError(
+                    f"coefficients for {a, b} and its mirror are not conjugates")
+        self._table = {key: val for key, val in table.items() if val != 0}
         self._expanded = None
 
     # -- construction helpers -------------------------------------------------
@@ -121,6 +112,8 @@ class HermitianPolynomial:
         terms = {}
         for t in data["terms"]:
             key = (tuple(int(k) for k in t["A"]), tuple(int(k) for k in t["B"]))
+            if key in terms:
+                raise AdmissibilityError(f"duplicate term for pair {key}")
             terms[key] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
         return cls(d, terms)
 
@@ -369,27 +362,31 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
         block = slice(lo, lo + CROSSING_BLOCK)
         coeffs = (table._monomials(u[block]) @ radial).real
         coeffs[:, 0] -= level
-        out[block] = solve(coeffs, g, cap)
+        x = solve(coeffs[:, ::g])
+        found = np.isfinite(x)
+        t = np.full(len(x), np.inf)
+        t[found] = _newton_polish(coeffs[found], x[found] ** (1.0 / g))
+        t[t > cap] = np.inf
+        out[block] = t
     return out
 
 
-def _monotone_newton_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
-    """The one positive root in (0, cap] of each row's sum_k a_k t^k, else +inf.
+def _monotone_newton_root(q: np.ndarray) -> np.ndarray:
+    """The one positive root of each row's sum_k q_k x^k, else +inf.
 
-    Rows must have a_0 < 0 and a_k >= 0 otherwise, with only the a_k with
-    g | k nonzero.  Newton on q(x) = sum_k a_{gk} x^k starts at
-    x0 = min over a_{gk} > 0 of (-a_0 / a_{gk})^(1/k).  The term a_{gk} x^k
-    alone reaches -a_0 at (-a_0 / a_{gk})^(1/k), so q >= 0 there and x0 is
-    at least the root; at the root some positive term holds a share of at
-    least 1/(positive terms) of -a_0, so x0 is at most the number of
-    positive terms times the root.  q is convex and increasing on x > 0,
-    so the iterates decrease to the root; iteration stops when no row
-    decreases.  Rows without a positive a_k never cross.
+    Rows must have q_0 < 0 and q_k >= 0 otherwise.  Newton starts at
+    x0 = min over q_k > 0 of (-q_0 / q_k)^(1/k).  The term q_k x^k alone
+    reaches -q_0 at (-q_0 / q_k)^(1/k), so the polynomial is >= 0 there and
+    x0 is at least the root; at the root some positive term holds a share
+    of at least 1/(positive terms) of -q_0, so x0 is at most the number of
+    positive terms times the root.  The polynomial is convex and
+    increasing on x > 0, so the iterates decrease to the root; iteration
+    stops when no row decreases.  Rows without a positive q_k never cross.
     """
-    q = a[:, ::g]
-    count, K = q.shape[0], q.shape[1] - 1
+    K = q.shape[1] - 1
     positive = q[:, 1:] > 0.0
     found = positive.any(axis=1)
+    out = np.full(len(q), np.inf)
     q, positive = q[found], positive[found]
     reach = np.divide(-q[:, :1], q[:, 1:], out=np.full(positive.shape, np.inf),
                       where=positive)
@@ -403,20 +400,18 @@ def _monotone_newton_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
         x = np.where(lower, stepped, x)
     else:
         raise BoundedSearchError(
-            f"monotone Newton did not settle in {NEWTON_MAX_ITER} iterations", cap)
-    t = np.full(count, np.inf)
-    t[found] = _newton_polish(a[found], x ** (1.0 / g))
-    t[t > cap] = np.inf
-    return t
+            "monotone Newton did not settle within its iteration cap", NEWTON_MAX_ITER)
+    out[found] = x
+    return out
 
 
-def _smallest_positive_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
-    """Smallest root in (0, cap] of each row's sum_k a_k t^k, else +inf.
+def _smallest_positive_root(q: np.ndarray) -> np.ndarray:
+    """Smallest positive root of each row's sum_k q_k x^k, else +inf.
 
-    Only the a_k with g | k may be nonzero; the companion is that of the
-    polynomial in x = t^g with coefficients a[:, ::g].
+    The roots are the reciprocals of the eigenvalues of the companion
+    matrix of the reversed polynomial, whose leading coefficient q_0 must
+    be nonzero; the largest near-real eigenvalue gives the smallest root.
     """
-    q = a[:, ::g]
     count, K = q.shape[0], q.shape[1] - 1
     companion = np.zeros((count, K, K))
     companion[:, 0, :] = -q[:, 1:] / q[:, :1]
@@ -424,11 +419,8 @@ def _smallest_positive_root(a: np.ndarray, g: int, cap: float) -> np.ndarray:
     s = np.linalg.eigvals(companion)
     real = (s.real > 0.0) & (np.abs(s.imag) <= NEAR_REAL * np.abs(s))
     s_max = np.where(real, s.real, 0.0).max(axis=1)
-    found = s_max > 0.0
-    t = np.full(count, np.inf)
-    t[found] = _newton_polish(a[found], (1.0 / s_max[found]) ** (1.0 / g))
-    t[t > cap] = np.inf
-    return t
+    with np.errstate(divide="ignore"):
+        return 1.0 / s_max
 
 
 def _newton_polish(a: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ shared cloud.  Every chain ends in phi_c, and
 
     |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2
 
-screens all samples for a block of basepoints at once.  Only the samples
-near each screened minimum go through the chain's explicit maps, and
-those explicit norms are the reported values.
+screens all samples for a basepoint's whole family at once.  Only the
+samples near each screened minimum go through the whole chain's explicit
+maps, and those explicit norms are the reported values.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ MAX_GRID_BLOCKS = 1000
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
 ANALYTIC_FLOOR_SEED = 11
-# basepoint-sample pairs per block of the closed-form screen: a block holds a
-# few (basepoints x samples) arrays, so this, not the grid size times the
-# sample count, bounds the memory of `squeeze_estimates`
-NORM_BLOCK = 1 << 15
 # squared norms within SCREEN_SLACK / (1 - |c|) of a chain's screened minimum
 # are evaluated again through the explicit maps; the closed form and the
 # explicit maps differ by about 1e-15 / (1 - |c|)
@@ -203,39 +199,30 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
 
 def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
                       chains: Sequence[EmbeddingChain]) -> np.ndarray:
-    """Closed-form squared image norms of a cloud under chains of one shape.
+    """Closed-form squared image norms of a cloud under each chain.
 
-    Each chain is Rescale(R) then phi_c, after one domain automorphism psi or
-    none.  With w the rescaled image of a sample,
+    Every chain ends in Rescale(R) then phi_c; its steps before that pair
+    run through their own maps, giving w, and
 
-        |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2,
+        |phi_c(w / R)|^2 = 1 - (1 - |c|^2)(1 - |w|^2 / R^2) / |1 - <w, c> / R|^2,
 
-    evaluated on (chains, samples) arrays.  Without psi, w = xi / R is shared
-    by every chain; with psi, w is built from psi's formulas per chain.
-    Sums over the n coordinates are explicit: a complex matrix product with
-    an inner dimension of n is many times slower.
+    one row per chain, so chains of different shapes share one call.  Sums
+    over the n coordinates are explicit: a complex matrix product with an
+    inner dimension of n is many times slower.
     """
-    cols = np.ascontiguousarray(cloud.T)
-    c = np.array([chain.steps[-1].c for chain in chains])
-    R = chains[0].steps[-2].R
-    if len(chains[0].steps) == 2:
-        w = list(cols / R)
-    else:
-        psis = [chain.steps[0] for chain in chains]
-        a = np.array([[psi.a] for psi in psis], dtype=np.complex128)
-        rot = np.exp(1j * np.array([[psi.theta] for psi in psis]))
-        sign = np.array([[psi.sign] for psi in psis])
-        lam = 1.0 - (a * np.conj(a)).real
-        u = rot * cols[-1]
-        den = 1.0 + sign * np.conj(a) * u
-        roots = {mk: den ** (1.0 / mk) for mk in set(D.P.weights.m)}
-        w = [cols[k] * (lam ** (1.0 / (2 * mk)) / R) / roots[mk]
-             for k, mk in enumerate(D.P.weights.m)]
-        w.append((u + sign * a) / (R * den))
-    w2 = sum((wk * np.conj(wk)).real for wk in w)
-    gap = 1.0 - sum(wk * np.conj(c[:, k, None]) for k, wk in enumerate(w))
-    c2 = (c * np.conj(c)).real.sum(axis=1)[:, None]
-    return 1.0 - (1.0 - c2) * (1.0 - w2) / (gap * np.conj(gap)).real
+    weights = D.P.weights
+    out = np.empty((len(chains), len(cloud)))
+    for row, chain in zip(out, chains):
+        *lead, rescale, ball = chain.steps
+        w = cloud
+        for step in lead:
+            w = step.apply(weights, w)
+        R, c = rescale.R, ball.c
+        w2 = sum(wk.real ** 2 + wk.imag ** 2 for wk in w.T)
+        gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
+        c2 = float((c * np.conj(c)).real.sum())
+        row[:] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
+    return out
 
 
 def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, half: int,
@@ -278,12 +265,12 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     half-count estimate to the full-count estimate.
 
     `points` holds the basepoints, shape (G, n) or a sequence of n-vectors;
-    all of them share one boundary cloud.  Blocks of at most `NORM_BLOCK`
-    basepoint-sample pairs are screened with the closed form for |phi_c|,
-    and every reported minimum is an explicit chain evaluation at the few
-    samples the screen keeps (`_screened_minima`), which include the
-    minimizer over the whole cloud.  The first chain of the family with the
-    largest minimum wins.
+    all of them share one boundary cloud.  Each basepoint's family is
+    screened in one pass with the closed form for |phi_c|, and every
+    reported minimum is an explicit chain evaluation at the few samples the
+    screen keeps (`_screened_minima`), which include the minimizer over the
+    whole cloud.  The first chain of the family with the largest minimum
+    wins.
 
     `boundary_filter(points) -> mask` restricts the sampled boundary, for
     subdomains that share only part of their boundary with the ellipsoid;
@@ -298,27 +285,21 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
             raise ValueError("boundary filter rejected every sample")
         cloud = cloud[mask]
     half = max(1, len(cloud) // 2)
-    families = [chain_family(D, p) for p in points]
-    for family in families:
+    estimates = []
+    for p in points:
+        family = chain_family(D, p)
         for chain in family:
             chain.check_basepoint()
-    block = max(1, NORM_BLOCK // len(cloud))
-    estimates = []
-    for lo in range(0, len(points), block):
-        rows = families[lo:lo + block]
-        # screen each chain of the family over the block's basepoints, then
-        # regroup the (full, half) minima by basepoint
-        minima = zip(*(_screened_minima(D, cloud, half, chains) for chains in zip(*rows)))
-        for p, family, pairs in zip(points[lo:lo + block], rows, minima):
-            best = max(range(len(family)), key=lambda j: pairs[j][0])
-            value, value_half = pairs[best]
-            estimates.append(SqueezeEstimate(
-                point=p.copy(),
-                value=min(value, 1.0),
-                chain=family[best],
-                samples=int(len(cloud)),
-                band=max(value_half - value, 0.0),
-            ))
+        pairs = _screened_minima(D, cloud, half, family)
+        best = max(range(len(family)), key=lambda j: pairs[j][0])
+        value, value_half = pairs[best]
+        estimates.append(SqueezeEstimate(
+            point=p.copy(),
+            value=min(value, 1.0),
+            chain=family[best],
+            samples=int(len(cloud)),
+            band=max(value_half - value, 0.0),
+        ))
     return estimates
 
 

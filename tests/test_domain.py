@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ellsqueeze import domain
 from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
-from ellsqueeze.errors import EllsqueezeError, EmptySampleError, PositivityError
+from ellsqueeze.errors import (BoundedSearchError, EllsqueezeError, EmptySampleError,
+                               PositivityError)
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
@@ -115,6 +117,22 @@ def test_boundary_prefix_stability(E):
     big = E.boundary_cloud(4096, seed=3)
     small = E.boundary_cloud(1024, seed=3)
     assert np.array_equal(big[:1024], small)
+
+
+def test_single_ray_without_crossing_fails(monkeypatch):
+    # one ray of the cloud misses the boundary; it is reported, not replaced
+    # by a later draw of the direction stream
+    solve = domain.first_crossing
+
+    def miss_one(table, u, level, cap):
+        t = solve(table, u, level, cap)
+        if len(t) > 3:
+            t[3] = np.inf
+        return t
+
+    monkeypatch.setattr(domain, "first_crossing", miss_one)
+    with pytest.raises(BoundedSearchError):
+        GeneralEllipsoid.quartic_disc().boundary_cloud(64, seed=0)
 
 
 # -- bounding radius --------------------------------------------------------------------

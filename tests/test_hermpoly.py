@@ -44,6 +44,30 @@ def test_mirrored_pairs_accumulate():
     assert float(f.value(z)) == pytest.approx(float(g.value(z)), rel=1e-15)
 
 
+def test_conjugate_mirror_is_stored_once():
+    one = HermitianPolynomial(1, {((1,), (0,)): 0.5})
+    both = HermitianPolynomial(1, {((1,), (0,)): 0.5, ((0,), (1,)): 0.5})
+    z = np.array([1.0 + 0.0j])
+    assert float(both.value(z)) == float(one.value(z)) == 1.0
+    assert both.canonical == one.canonical
+    data = {"nvars": 1, "terms": [{"A": [1], "B": [0], "re": 0.5},
+                                  {"A": [0], "B": [1], "re": 0.5}]}
+    assert HermitianPolynomial.from_dict(data).canonical == one.canonical
+
+
+def test_non_conjugate_mirror_rejected():
+    with pytest.raises(AdmissibilityError):
+        HermitianPolynomial(1, {((1,), (0,)): 0.5j, ((0,), (1,)): 0.3})
+    data = {"nvars": 1, "terms": [{"A": [1], "B": [0], "im": 0.5},
+                                  {"A": [0], "B": [1], "re": 0.3}]}
+    with pytest.raises(AdmissibilityError):
+        HermitianPolynomial.from_dict(data)
+    duplicate = {"nvars": 1, "terms": [{"A": [1], "B": [0], "re": 0.5},
+                                       {"A": [1], "B": [0], "re": 0.5}]}
+    with pytest.raises(AdmissibilityError):
+        HermitianPolynomial.from_dict(duplicate)
+
+
 def test_raw_sum_imaginary_is_rounding_level():
     rng = philox(0)
     f = _abs2_table()
@@ -238,15 +262,12 @@ def test_companion_size_is_degree_over_gcd(table, level, size, monkeypatch):
 
 @_POSITIVE_DIAGONAL
 def test_monotone_newton_matches_companion(domain, monkeypatch):
+    # the same rays, setup and polish, with the companion solve swapped in
     gauge = domain().gauge
-    rows = []
-    newton = hermpoly._monotone_newton_root
-    monkeypatch.setattr(hermpoly, "_monotone_newton_root",
-                        lambda a, g, cap: rows.append((a.copy(), g, cap)) or newton(a, g, cap))
-    first_crossing(gauge, complex_sphere(4096, gauge.d, seed=3), 0.0, 1e6)
-    [(a, g, cap)] = rows
-    got = newton(a, g, cap)
-    ref = hermpoly._smallest_positive_root(a, g, cap)
+    u = complex_sphere(4096, gauge.d, seed=3)
+    got = first_crossing(gauge, u, 0.0, 1e6)
+    monkeypatch.setattr(hermpoly, "_monotone_newton_root", hermpoly._smallest_positive_root)
+    ref = first_crossing(gauge, u, 0.0, 1e6)
     assert np.isfinite(ref).all()
     assert (np.abs(got - ref) <= np.spacing(ref)).all()
 

@@ -327,15 +327,6 @@ def test_estimates_match_pointwise_loop(domain, count):
     assert all(est.samples == count for est in ests)
 
 
-def test_estimates_do_not_depend_on_block_size(E, monkeypatch):
-    points = _estimate_inputs(E, 12)
-    blocked = squeeze_estimates(E, points, count=1 << 12, seed=0)
-    monkeypatch.setattr(squeeze, "NORM_BLOCK", 1)
-    single = squeeze_estimates(E, points, count=1 << 12, seed=0)
-    assert [(e.value, e.band, e.chain.label) for e in blocked] == \
-        [(e.value, e.band, e.chain.label) for e in single]
-
-
 @pytest.mark.parametrize("domain", [GeneralEllipsoid.quartic_disc, _mixed_weight_domain],
                          ids=["quartic", "mixed-2-3"])
 def test_screen_tracks_explicit_chain_norms(domain):
@@ -347,6 +338,29 @@ def test_screen_tracks_explicit_chain_norms(domain):
         for chain in chain_family(D, p):
             screened = np.sqrt(squeeze._screened_squares(D, cloud, [chain])[0])
             assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("domain", [GeneralEllipsoid.quartic_disc, _mixed_weight_domain],
+                         ids=["quartic", "mixed-2-3"])
+def test_screen_mixes_chain_shapes(domain):
+    # two automorphisms before the closing pair, screened in one call next to
+    # the two-step and three-step chains of the family
+    D = domain()
+    cloud = D.boundary_cloud(1 << 12, seed=0)
+    p = _estimate_inputs(D, 2)[0]
+    trivial, normalize = chain_family(D, p)
+    psi = EllipsoidAutomorphism(a=0.3 + 0.2j, theta=0.4, sign=1)
+    lead = (normalize.steps[0], psi)
+    image = p.reshape(1, -1)
+    for step in lead:
+        image = step.apply(D.P.weights, image)
+    R = normalize.steps[1].R
+    longer = EmbeddingChain(D, lead + (Rescale(R), BallAutomorphism(image[0] / R)), p)
+    longer.check_basepoint()
+    chains = [trivial, longer, normalize]
+    screened = np.sqrt(squeeze._screened_squares(D, cloud, chains))
+    for row, chain in zip(screened, chains, strict=True):
+        assert np.abs(row - chain_norms_at(chain, cloud)).max() <= 1e-13
 
 
 def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
