@@ -5,11 +5,13 @@
 `first_crossing` runs on the positive-diagonal gauges of the quartic, E(2, 3)
 and the ball in C^3, which solve by monotone Newton, and on the m = (2, 3)
 gauge with a z1^2 conj(z2)^3 cross term, which fails the positive-diagonal
-test and so solves by companion eigenvalues.  The frame-sized call solves 32
-phases of one line on the translated m = (2, 3) graph-model table at
-eta = (0, 0, -1e-3), as `scaling` does for each reach; it also fails the
-test and keeps the companion.  `analytic_floor` runs on a warm quartic
-domain.  `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
+test and so solves by companion eigenvalues.  The frame-sized call solves the
+`scaling.PHASE_GRID` phases of one line on the translated m = (2, 3)
+graph-model table at eta = (0, 0, -1e-3), as `scaling` does for each reach
+before refining the worst phase; it also fails the test and keeps the
+companion.  `scale_along_normal` builds the frames and scaled tables of that
+graph model at delta = 1e-2, 1e-3 and 1e-4.  `analytic_floor` runs on a warm
+quartic domain.  `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
 at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots), and over the four
 `profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
@@ -51,10 +53,17 @@ def test_first_crossing_frame_line(benchmark):
     eps = 1e-3
     rho = scaling.DefiningFunctionPoly.graph_model(_mixed_weight_polynomial())
     q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
-    phases = np.linspace(0.0, 2.0 * np.pi, scaling.COARSE_PHASE_GRID, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * np.pi, scaling.PHASE_GRID, endpoint=False)
     u = np.exp(1j * phases)[:, None] * complex_sphere(1, q.d, 0)
     t = benchmark(first_crossing, q, u, eps, scaling.REACH_CAP)
     assert np.isfinite(t).all()
+
+
+def test_scale_along_normal(benchmark):
+    rho = scaling.DefiningFunctionPoly.graph_model(_mixed_weight_polynomial())
+    etas = [np.array([0.0, 0.0, -d]) for d in (1e-2, 1e-3, 1e-4)]
+    run = benchmark(scaling.scale_along_normal, rho, etas)
+    assert not scaling.limit_diagnostics(run).diverged
 
 
 def test_analytic_floor(benchmark):

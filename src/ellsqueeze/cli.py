@@ -38,6 +38,7 @@ from .sequences import classify, generate, record_to_csv, tangency_ratio
 from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_estimates
 from .domconv import exhaustion_check, exhaustion_report_to_csv
 from .util import fmt, write_csv, write_json
+from .wpoly import WeightedPolynomial
 
 EXPERIMENTS = ("profile", "classify", "floor", "scale", "limits", "wbscan", "convergence")
 
@@ -74,11 +75,29 @@ def _load_domain(spec: str) -> GeneralEllipsoid:
     if spec == "quartic":
         return GeneralEllipsoid.quartic_disc()
     if spec.startswith("ball:"):
-        return GeneralEllipsoid.unit_ball(int(spec.split(":", 1)[1]))
+        n = spec.split(":", 1)[1]
+        if not n.isdecimal() or int(n) < 2:
+            raise ConfigError(f"domain spec {spec!r}: ball:N needs an integer N >= 2")
+        return GeneralEllipsoid.unit_ball(int(n))
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"domain spec {spec!r} is neither built-in nor a file")
-    return GeneralEllipsoid.load(path)
+    try:
+        P = WeightedPolynomial.load(path)
+    except EllsqueezeError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read domain file {spec}: {exc!r}") from exc
+    return GeneralEllipsoid(P)
+
+
+def _mistyped(value, default) -> bool:
+    """Whether a config value lacks its default's type: an int may stand for
+    a float, a bool for neither, and list entries take the first entry's type."""
+    if isinstance(default, list):
+        return not isinstance(value, list) or any(_mistyped(x, default[0]) for x in value)
+    kind = (int, float) if type(default) is float else type(default)
+    return isinstance(value, bool) or not isinstance(value, kind)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -104,6 +123,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
+    mistyped = [key for key, default in _DEFAULTS.items() if _mistyped(cfg[key], default)]
+    if mistyped:
+        raise ConfigError(f"values not of their default's type: {mistyped}")
     if int(cfg["samples"]) < 1:
         raise ConfigError("samples must be >= 1")
     if not (0.0 < float(cfg["s"]) <= 1.0):
@@ -112,8 +134,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("r must lie in (0, 1]")
     if not (0.0 < float(cfg["ratio"]) < 1.0):
         raise ConfigError("ratio must lie in (0, 1)")
-    if not all(0.0 < float(a) < 1.0 for a in cfg["agrid"]):
-        raise ConfigError("agrid values must lie in (0, 1)")
+    if not cfg["agrid"] or not all(0.0 < float(a) < 1.0 for a in cfg["agrid"]):
+        raise ConfigError("agrid must be a non-empty list of values in (0, 1)")
     if len(cfg["levels"]) < 3 or not all(0.0 < float(lv) < np.inf for lv in cfg["levels"]):
         raise ConfigError("levels must be at least three positive finite values")
     if cfg["kind"] not in ("tangential", "normal", "cone"):
@@ -193,14 +215,15 @@ def run(experiment: str, cfg: dict) -> int:
 
     elif experiment == "scale":
         gauge = DefiningFunctionPoly.graph_model(D.P)
-        levels = [float(x) for x in cfg["levels"]]
-        etas = []
-        for delta in levels:
-            eta = np.zeros(D.n, dtype=np.complex128)
-            eta[-1] = -delta
-            etas.append(eta)
-        scaled = scale_along_normal(gauge, etas, seed=seed)
+        etas = [np.array([0.0] * (D.n - 1) + [-float(delta)], dtype=np.complex128)
+                for delta in cfg["levels"]]
+        scaled = scale_along_normal(gauge, etas)
         report = limit_diagnostics(scaled)
+        if report.psd_min_eig < _TOLERANCES["levi_psd"]:
+            raise ToleranceError("levi_psd", report.psd_min_eig, _TOLERANCES["levi_psd"])
+        drift = max(abs(sf.frame.taus[-1] / sf.eps - 1.0) for sf in scaled)
+        if drift > _TOLERANCES["tau_relative"]:
+            raise ToleranceError("tau_relative", drift, _TOLERANCES["tau_relative"])
         diagnostics_to_csv(outdir / "scale.csv", report)
         print(f"scale: sup Cauchy delta = {fmt(report.cauchy_deltas.max())}, "
               f"psd min eig = {fmt(report.psd_min_eig)}")

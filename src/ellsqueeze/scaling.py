@@ -10,11 +10,11 @@ is the reach along the complex line eta + C v before the gauge rises by
 eps.  All reaches at one base point read the same translated table
 q(w) = rho(eta + w) - rho(eta), built once by exact composition: along
 the ray t e^{i phi} v it is a real polynomial in t, and the reach is the
-smallest over phases of its first crossing of eps.  A greedy orthonormal
-frame maximizes these distances: the last vector is the complex gradient
-direction, the earlier ones maximize tau inside successive orthogonal
-complements.  Dilating by the frame radii and dividing by eps turns rho
-into the scaled table
+smallest over phases of its first crossing of eps.  A frame is the
+complex gradient direction and an orthonormal basis of its complement;
+on the weighted model Re z_n + P(z') these are the coordinate axes, in
+which Catlin's multitype is read.  Dilating by the reach along each
+frame vector and dividing by eps turns rho into the scaled table
 
     rho~(w) = (1/eps) rho(eta + U diag(tau) w),
 
@@ -36,11 +36,8 @@ from .hermpoly import HermitianPolynomial, first_crossing
 from .util import philox, write_csv
 from .wpoly import WeightedPolynomial
 
-PHASE_GRID = 256          # phases per frame reach, then golden-section refined
-COARSE_PHASE_GRID = 32    # phases per reach scored during the ascent, unrefined
+PHASE_GRID = 256          # phases per reach, then golden-section refined
 REACH_CAP = 1e6           # largest reach radius searched
-ASCENT_MAX_ITER = 40      # gradient steps of the frame's sphere ascent
-ASCENT_TOL = 1e-8         # relative gain below which the ascent stops
 
 # Limit diagnostics: Levi-form sample points (count, ball radius, seed) and
 # the Cauchy step above which a still-growing coefficient counts as diverging.
@@ -74,24 +71,19 @@ def _translated(rho: HermitianPolynomial, eta: np.ndarray) -> HermitianPolynomia
     return shifted + (-shifted.coefficient(zero, zero).real)
 
 
-def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float,
-              phase_grid: int = PHASE_GRID, refine: bool = True) -> Tuple[float, float]:
-    """(tau, worst phase) along direction v of a translated table q."""
+def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float) -> float:
+    """`tau` along direction v of a translated table q."""
 
     def reach(phases):
         return first_crossing(q, np.exp(1j * np.asarray(phases))[:, None] * v, eps, cap)
 
-    phases = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
     radii = reach(phases)
     if not np.isfinite(radii).any():
         raise BoundedSearchError("gauge never rises by eps along this line", cap)
     k = int(np.argmin(radii))
-    best_r, best_ph = radii[k], phases[k]
-    if not refine:
-        return float(best_r), float(best_ph)
-    # local golden-section refinement of the worst phase
-    a = phases[(k - 1) % phase_grid]
-    b = phases[(k + 1) % phase_grid]
+    a = phases[(k - 1) % PHASE_GRID]
+    b = phases[(k + 1) % PHASE_GRID]
     if b < a:
         b += 2.0 * np.pi
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -109,10 +101,7 @@ def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float,
             f2 = reach([x2])[0]
         if b - a < 1e-10 or abs(f1 - f2) <= 1e-14 * max(f1, f2):
             break
-    for r, ph in ((f1, x1), (f2, x2)):
-        if r < best_r:
-            best_r, best_ph = r, ph
-    return float(best_r), float(best_ph % (2.0 * np.pi))
+    return float(min(radii[k], f1, f2))
 
 
 def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
@@ -121,8 +110,8 @@ def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
 
     Computed on the translated table q(w) = rho(eta + w) - rho(eta) as the
     minimum over phases of the first radial crossing of the level eps: a
-    grid of 256 phases, then a golden-section refinement around the worst
-    one.  Each crossing is the smallest positive root of the radial
+    grid of PHASE_GRID phases, then a golden-section refinement around the
+    worst one.  Each crossing is the smallest positive root of the radial
     polynomial t -> q(t e^{i phase} v) - eps, found by
     :func:`~ellsqueeze.hermpoly.first_crossing`; a touching root counts.
     Raises :class:`BoundedSearchError` when no crossing exists below the cap.
@@ -132,7 +121,7 @@ def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
     v = np.asarray(v, dtype=np.complex128)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
         raise ValueError("direction must be a unit vector")
-    return _tau_line(_translated(rho, eta), v, eps, cap)[0]
+    return _tau_line(_translated(rho, eta), v, eps, cap)
 
 
 # -- scaling frames --------------------------------------------------------------------
@@ -140,26 +129,16 @@ def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
 
 @dataclass
 class ScalingFrame:
-    """Base point, level, orthonormal frame and extremal reach radii."""
+    """Base point, level, orthonormal frame and the reach along each column."""
 
     eta: np.ndarray
     eps: float
     unitary: np.ndarray       # columns e_1, ..., e_n
     taus: np.ndarray          # tau_1, ..., tau_n matching the columns
-    points: np.ndarray        # p_k = eta + tau_k e_k rows
-    converged: bool = True
-    start_spread: float = 0.0
 
     @property
     def n(self) -> int:
         return len(self.eta)
-
-
-def _orthonormal_complement(vectors: List[np.ndarray]) -> np.ndarray:
-    """Columns spanning the Hermitian-orthogonal complement of `vectors`."""
-    A = np.array(vectors)  # rows
-    _, _, vh = np.linalg.svd(np.conj(A))
-    return vh[len(vectors):].conj().T
 
 
 def _normal_direction(rho: HermitianPolynomial, eta: np.ndarray) -> np.ndarray:
@@ -172,122 +151,27 @@ def _normal_direction(rho: HermitianPolynomial, eta: np.ndarray) -> np.ndarray:
     return g / gn
 
 
-def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float,
-                starts: int = 32, seed: int = 0) -> ScalingFrame:
-    """Greedy extremal frame at (eta, eps).
+def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> ScalingFrame:
+    """Orthonormal frame and reach radii at (eta, eps).
 
-    The last frame vector is the normalized complex gradient
-    (conj(d rho/dz_k)), the representative of the real gradient; the
-    remaining vectors maximize tau over unit directions of successive
-    orthogonal complements (multi-start projected ascent on the coarse
-    phase grid).  Every reach reads one translated table
-    q(w) = rho(eta + w) - rho(eta).  Each vector is re-phased so the
-    touching point sits at positive real parameter.
+    The last column is the normalized complex gradient conj(d rho/dz_k),
+    the others the SVD basis of its complement, not re-phased; tau_k is
+    the reach along column k on one translated table.  At (0', -delta) on
+    the graph model Re z_n + P(z') with eps = delta, the columns are the
+    coordinate axes up to sign and order, tau_k = (delta/a_k)^(1/(2 m_k))
+    for the |z_k|^(2 m_k) coefficient a_k, and every scaled table is
+    -1 + Re w_n + P(c w') with one c for all delta.  Elsewhere the
+    complement is a fixed orthonormal basis, not a maximizer of tau.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not starts >= 1:
-        raise ValueError("starts must be >= 1")
     eta = np.asarray(eta, dtype=np.complex128)
-    n = len(eta)
-    direction = _normal_direction(rho, eta)
+    normal = _normal_direction(rho, eta)
+    _, _, vh = np.linalg.svd(np.conj(normal)[None, :])
+    unitary = np.column_stack([vh[1:].conj().T, normal])
     q = _translated(rho, eta)
-
-    def coarse_tau(w):
-        return _tau_line(q, w, eps, REACH_CAP, COARSE_PHASE_GRID, refine=False)[0]
-
-    rng = philox(seed)
-    vectors, taus = [], []
-    converged = True
-    spread = 0.0
-    while len(vectors) < n:
-        if vectors:
-            basis = _orthonormal_complement(vectors)
-            k = basis.shape[1]
-            direction = basis[:, 0]
-            if k > 1:
-                t_best = -np.inf
-                results = []
-                for _ in range(starts):
-                    x = rng.standard_normal(2 * k)
-                    u = x[:k] + 1j * x[k:]
-                    u, t_u = _sphere_ascent(lambda w: coarse_tau(basis @ w),
-                                            u / np.linalg.norm(u))
-                    results.append(t_u)
-                    if t_u > t_best:
-                        t_best, direction = t_u, basis @ u
-                spread = max(spread, float(np.max(results) - np.min(results)))
-                converged = converged and (np.max(results) - np.median(results)
-                                           <= 1e-6 * max(np.max(results), 1e-30))
-        t, phase = _tau_line(q, direction, eps, REACH_CAP)
-        vectors.append(direction * np.exp(1j * phase))
-        taus.append(t)
-
-    # the greedy order puts the normal direction first and e_1 (largest
-    # tangential reach) second; the normal direction goes last
-    unitary = np.roll(np.stack(vectors, axis=1), -1, axis=1)
-    taus = np.roll(np.array(taus), -1)
-    points = eta + taus[:, None] * unitary.T
-    return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus,
-                        points=points, converged=converged, start_spread=spread)
-
-
-def _sphere_ascent(f, u0: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Projected finite-difference ascent of f on the complex unit sphere."""
-    u = u0 / np.linalg.norm(u0)
-    fu = f(u)
-    k = len(u)
-    h = 1e-4
-    for _ in range(ASCENT_MAX_ITER):
-        grad = np.zeros(2 * k)
-        x = np.concatenate([u.real, u.imag])
-        for i in range(2 * k):
-            xp = x.copy()
-            xp[i] += h
-            up = xp[:k] + 1j * xp[k:]
-            grad[i] = (f(up / np.linalg.norm(up)) - fu) / h
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            break
-        improved = False
-        step = 0.5
-        while step > 1e-7:
-            xn = x + step * grad / gnorm
-            un = xn[:k] + 1j * xn[k:]
-            un /= np.linalg.norm(un)
-            fn = f(un)
-            if fn > fu + 1e-14:
-                gain = fn - fu
-                u, fu = un, fn
-                improved = True
-                if gain < ASCENT_TOL * max(abs(fu), 1e-30):
-                    return u, fu
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return u, fu
-
-
-def frame_grid_check(rho: HermitianPolynomial, frame: ScalingFrame,
-                     grid: int = 2000, seed: int = 3) -> float:
-    """Dense-sphere cross-check of the first tangential reach (n <= 3 sanity).
-
-    Returns the best tau found on a random grid of tangential directions;
-    the greedy frame should not be beaten by more than the optimizer tol.
-    """
-    n = frame.n
-    basis = _orthonormal_complement([frame.unitary[:, -1]])
-    q = _translated(rho, frame.eta)
-    rng = philox(seed)
-    best = -np.inf
-    for _ in range(grid):
-        x = rng.standard_normal(2 * (n - 1))
-        u = x[: n - 1] + 1j * x[n - 1:]
-        u /= np.linalg.norm(u)
-        t = _tau_line(q, basis @ u, frame.eps, REACH_CAP, COARSE_PHASE_GRID)[0]
-        best = max(best, t)
-    return best
+    taus = np.array([_tau_line(q, column, eps, REACH_CAP) for column in unitary.T])
+    return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus)
 
 
 # -- dilation and scaled tables -----------------------------------------------------------
@@ -331,15 +215,18 @@ def scaled_function(rho: HermitianPolynomial, frame: ScalingFrame) -> ScaledFunc
 
 def scale_along_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],
                        starts: int = 32, seed: int = 0) -> List[ScaledFunction]:
-    """Frames and scaled tables with the canonical level eps_j = -rho(eta_j)."""
+    """Frames and scaled tables with the canonical level eps_j = -rho(eta_j).
+
+    `starts` and `seed` are accepted and unused: `build_frame` chooses its
+    frame without a search.
+    """
     out = []
     for eta in etas:
         eta = np.asarray(eta, dtype=np.complex128)
         eps = -float(rho.value(eta))
         if not eps > 0:
             raise ValueError("base points must lie strictly inside {rho < 0}")
-        frame = build_frame(rho, eta, eps, starts=starts, seed=seed)
-        out.append(scaled_function(rho, frame))
+        out.append(scaled_function(rho, build_frame(rho, eta, eps)))
     return out
 
 

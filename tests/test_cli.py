@@ -1,12 +1,18 @@
 """CLI runner: artifacts, manifests, determinism, config validation."""
 
+import dataclasses
 import json
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ellsqueeze import domain
+from ellsqueeze import cli, domain
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
+from ellsqueeze.wpoly import quartic_disc_polynomial
+
+from helpers import mixed_weight_polynomial
 
 
 def run_cli(args):
@@ -82,11 +88,60 @@ def test_profile_schema(tmp_path):
     assert lines[1].startswith("10,-0.01,1,")
 
 
-def test_scale_exact_model(tmp_path):
-    out = tmp_path / "scale"
-    assert run_cli(["scale", "--out", str(out), "--levels", "0.01,0.001,0.0001"]) == 0
-    body = (out / "scale.csv").read_text()
-    assert body.startswith("key,")
+def _scale_keys(path):
+    """Coefficient keys of scale.csv as ((K, L), ...); a key holds commas."""
+    lines = path.read_text().strip().split("\n")
+    values = len(lines[0].split(",")) - 1
+    keys = []
+    for line in lines[1:]:
+        fields = line.split(",")
+        key = ",".join(fields[:len(fields) - values])
+        keys.append(tuple(tuple(int(x) for x in part.split(",")) for part in key.split(";")))
+    return keys
+
+
+def test_scale_exact_model(tmp_path, capsys):
+    # the weighted frame scales each model to its normal form
+    # -1 + Re w_n + P(c w'), whose keys are P's up to an order of w'
+    table = tmp_path / "mixed.json"
+    table.write_text(json.dumps(mixed_weight_polynomial().to_dict()))
+    for domain_spec, P in (("quartic", quartic_disc_polynomial()),
+                           (str(table), mixed_weight_polynomial())):
+        out = tmp_path / Path(domain_spec).stem
+        capsys.readouterr()
+        assert run_cli(["scale", "--out", str(out), "--domain", domain_spec,
+                        "--levels", "0.01,0.001,0.0001"]) == 0
+        assert float(capsys.readouterr().out.rsplit("psd min eig =", 1)[1]) >= -1e-12
+        n = P.weights.n
+        zero, e_n = (0,) * n, (0,) * (n - 1) + (1,)
+        # a pair (K, L) stands for its conjugate (L, K) too
+        keys = {tuple(sorted(key)) for key in _scale_keys(out / "scale.csv")}
+        assert any(keys == {(zero, zero), (zero, e_n)}
+                   | {tuple(sorted(tuple(I[i] for i in order) + (0,) for I in pair))
+                      for pair in P.lifted_terms()}
+                   for order in permutations(range(n - 1)))
+
+
+def test_scale_tolerance_violation_exit_code(tmp_path, monkeypatch):
+    # a limit Levi eigenvalue below levi_psd, or a normal reach off eps by more
+    # than tau_relative, fails the run with status 3 before scale.csv is written
+    diagnose, scale = cli.limit_diagnostics, cli.scale_along_normal
+
+    def negative_levi(scaled):
+        return dataclasses.replace(diagnose(scaled), psd_min_eig=-1e-3)
+
+    def stretched_normal(rho, etas):
+        run = scale(rho, etas)
+        run[-1].frame.taus[-1] *= 1.0 + 1e-9
+        return run
+
+    for name, patched in (("limit_diagnostics", negative_levi),
+                          ("scale_along_normal", stretched_normal)):
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, patched)
+            out = tmp_path / name
+            assert run_cli(["scale", "--out", str(out)]) == 3
+            assert not (out / "scale.csv").exists()
 
 
 def test_floor_artifacts(tmp_path):
@@ -130,6 +185,18 @@ def test_invalid_config_rejected(tmp_path):
     cfg.write_text(json.dumps({"nonsense": 1}))
     assert run_cli(["classify", "--config", str(cfg),
                     "--out", str(tmp_path / "x")]) == 2
+    # each value must have its default's type (an int may stand for a float)
+    for bad in ({"samples": "x"}, {"samples": 1.5}, {"levels": 0.01},
+                {"indices": [10, "a"]}, {"seed": True}, {"agrid": []}):
+        cfg.write_text(json.dumps(bad))
+        assert run_cli(["limits", "--config", str(cfg),
+                        "--out", str(tmp_path / "x")]) == 2, bad
+    # a domain file that is not JSON, or holds no terms
+    for name, text in (("notjson.json", "not json"),
+                       ("noterms.json", json.dumps({"n": 2, "m": [2]}))):
+        (tmp_path / name).write_text(text)
+        assert run_cli(["classify", "--domain", str(tmp_path / name),
+                        "--out", str(tmp_path / "x")]) == 2, name
 
 
 def test_invalid_parameter_rejected(tmp_path):
@@ -163,6 +230,9 @@ def test_invalid_parameter_rejected(tmp_path):
     ["scale", "--levels", "0.01,0.001"],
     # the exclusion tube swallows every boundary sample of the quartic
     ["wbscan", "--exclusion", "5", "--samples", "100"],
+    ["classify", "--domain", "ball:x"],
+    ["classify", "--domain", "ball:1"],
+    ["classify", "--domain", "ball:0"],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2

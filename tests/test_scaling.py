@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from ellsqueeze import scaling
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
 from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
 from ellsqueeze.scaling import (DefiningFunctionPoly, _translated, build_frame,
-                                check_tau_normal, frame_grid_check, limit_diagnostics,
+                                check_tau_normal, limit_diagnostics,
                                 scale_along_normal, scaled_function, tau)
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import quartic_disc_polynomial
@@ -131,14 +132,14 @@ def _count_compositions(monkeypatch):
 
 def test_frame_composes_one_table(monkeypatch):
     calls = _count_compositions(monkeypatch)
-    build_frame(MIXED_GRAPH, np.array([0.0, 0.0, -1e-3], dtype=complex), 1e-3, starts=2)
+    build_frame(MIXED_GRAPH, np.array([0.0, 0.0, -1e-3], dtype=complex), 1e-3)
     assert calls == [(3, 3)]
 
 
 def test_scaling_composes_two_tables_per_base_point(monkeypatch):
     calls = _count_compositions(monkeypatch)
     etas = [np.array([0.0, 0.0, -d], dtype=complex) for d in (1e-2, 1e-3)]
-    scale_along_normal(MIXED_GRAPH, etas, starts=2)
+    scale_along_normal(MIXED_GRAPH, etas)
     assert len(calls) == 4
 
 
@@ -149,13 +150,14 @@ def test_frame_ball(BALL):
     eps = 1e-2
     frame = build_frame(BALL, ETA_BALL, eps)
     assert np.abs(frame.unitary @ frame.unitary.conj().T - np.eye(2)).max() <= 1e-12
-    # normal column is e_2 up to the positive-real-parameter convention
+    # normal column is e_2 up to a unimodular factor
     assert abs(abs(frame.unitary[1, 1]) - 1.0) <= 1e-12
     assert frame.taus[1] == pytest.approx(ball_tau_normal_oracle(eps), rel=1e-9)
     assert frame.taus[0] == pytest.approx(np.sqrt(eps), rel=1e-9)
-    # touching points sit on the eps level set
+    # touching points eta + tau_k e_k sit on the eps level set
     for k in range(2):
-        lvl = float(BALL.value(frame.points[k])) - float(BALL.value(ETA_BALL))
+        point = ETA_BALL + frame.taus[k] * frame.unitary[:, k]
+        lvl = float(BALL.value(point)) - float(BALL.value(ETA_BALL))
         assert lvl == pytest.approx(eps, abs=1e-8)
 
 
@@ -167,7 +169,42 @@ def test_frame_graph_model(GRAPH):
     assert np.abs(np.abs(frame.unitary) - np.eye(2)).max() <= 1e-10
 
 
-def test_frame_ordering_and_unitarity_random():
+def test_frame_mixed_weight_model_is_the_weighted_frame(monkeypatch):
+    # on Re z_3 + P(z') with m = (2, 3) the frame is the coordinate axes and
+    # each reach is (delta/a_k)^(1/(2 m_k)), so weighted homogeneity makes
+    # the scaled tables equal at every level, one reach per frame vector
+    lines = []
+    original = scaling._tau_line
+
+    def counting(q, v, eps, cap):
+        lines.append(eps)
+        return original(q, v, eps, cap)
+
+    monkeypatch.setattr(scaling, "_tau_line", counting)
+    deltas = (1e-2, 1e-3, 1e-4)
+    run = scale_along_normal(MIXED_GRAPH, [np.array([0.0, 0.0, -d], dtype=complex)
+                                           for d in deltas])
+    assert lines == pytest.approx([d for d in deltas for _ in range(3)], rel=1e-15)
+    m, a = (2, 3), (1.1, 0.9)
+    for sf, delta in zip(run, deltas):
+        frame = sf.frame
+        mod = np.abs(frame.unitary)
+        perm = np.round(mod)
+        assert np.abs(mod - perm).max() <= 1e-15
+        assert (perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()
+        assert perm[2, 2] == 1.0
+        for k in range(2):
+            axis = int(np.argmax(mod[:, k]))
+            ratio = frame.taus[k] / delta ** (1.0 / (2 * m[axis]))
+            assert ratio == pytest.approx((1.0 / a[axis]) ** (1.0 / (2 * m[axis])), rel=1e-12)
+        assert frame.taus[2] == pytest.approx(delta, rel=1e-12)
+        table, ref = sf.table.canonical, run[0].table.canonical
+        assert table.keys() == ref.keys() and len(table) == 5
+        assert all(abs(table[k] - ref[k]) <= 1e-12 for k in ref)
+    assert not limit_diagnostics(run).diverged
+
+
+def test_frame_unitary_random():
     rng = philox(6)
     # random positive-definite quadratic gauge in 3 variables
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -183,15 +220,8 @@ def test_frame_ordering_and_unitarity_random():
                 terms[(ej, ek)] = H[j, k]
     gauge = DefiningFunctionPoly(3, terms)
     eta = np.array([0.05, -0.1j, 0.2], dtype=complex)
-    frame = build_frame(gauge, eta, 1e-3, starts=8, seed=1)
+    frame = build_frame(gauge, eta, 1e-3)
     assert np.abs(frame.unitary @ frame.unitary.conj().T - np.eye(3)).max() <= 1e-10
-    assert frame.taus[0] >= frame.taus[1] - 1e-10  # greedy ordering of the complement
-
-
-def test_frame_grid_cross_check(BALL):
-    frame = build_frame(BALL, ETA_BALL, 1e-2)
-    best = frame_grid_check(BALL, frame, grid=100, seed=2)
-    assert best <= frame.taus[0] * (1.0 + 1e-6)
 
 
 def test_frame_rejects_vanishing_gradient(BALL):
@@ -203,20 +233,6 @@ def test_frame_rejects_vanishing_gradient(BALL):
 def test_frame_rejects_nonpositive_eps(BALL, eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         build_frame(BALL, ETA_BALL, eps)
-
-
-@pytest.mark.parametrize("starts", [0, -1, np.nan])
-def test_frame_rejects_starts_below_one(starts):
-    # the 3-variable model runs the multi-start ascent, so no start means no frame
-    eta = np.array([0.0, 0.0, -1e-3], dtype=complex)
-    with pytest.raises(ValueError, match="starts must be >= 1"):
-        build_frame(MIXED_GRAPH, eta, 1e-3, starts=starts)
-
-
-def test_scaling_rejects_starts_below_one():
-    etas = [np.array([0.0, 0.0, -d], dtype=complex) for d in (1e-2, 1e-3, 1e-4)]
-    with pytest.raises(ValueError, match="starts must be >= 1"):
-        scale_along_normal(MIXED_GRAPH, etas, starts=0)
 
 
 # -- tau_n / eps band ---------------------------------------------------------------------------
