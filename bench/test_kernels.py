@@ -11,16 +11,25 @@ graph-model table at eta = (0, 0, -1e-3), as `scaling` does for each reach
 before refining the worst phase; it also fails the test and keeps the
 companion.  `scale_along_normal` builds the frames and scaled tables of that
 graph model at delta = 1e-2, 1e-3 and 1e-4.  `analytic_floor` runs on a warm
-quartic domain.  `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
+quartic domain.  The cold start is a fresh interpreter that imports the package
+and builds the m = (2, 3) domain, as each CLI run and benchmark set-up probe
+does; its Gram certificate proves P > 0, so it loads no scipy.
+`squeeze_estimates` runs on warm clouds: over a 64-point floor grid
 at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots), and over the four
 `profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
 Inputs are built outside the timed calls.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ellsqueeze
 from ellsqueeze import scaling, squeeze
 from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid, SubdomainParams
 from ellsqueeze.hermpoly import first_crossing
@@ -64,6 +73,17 @@ def test_scale_along_normal(benchmark):
     etas = [np.array([0.0, 0.0, -d]) for d in (1e-2, 1e-3, 1e-4)]
     run = benchmark(scaling.scale_along_normal, rho, etas)
     assert not scaling.limit_diagnostics(run).diverged
+
+
+def test_cold_start(benchmark):
+    src = str(Path(ellsqueeze.__file__).resolve().parent.parent)
+    table = json.dumps(_mixed_weight_polynomial().to_dict())
+    script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+              "from ellsqueeze import GeneralEllipsoid, WeightedPolynomial\n"
+              "GeneralEllipsoid(WeightedPolynomial.from_json(sys.argv[2]))")
+    proc = benchmark.pedantic(subprocess.run, args=([sys.executable, "-c", script, src, table],),
+                              rounds=10)
+    assert proc.returncode == 0
 
 
 def test_analytic_floor(benchmark):

@@ -66,14 +66,22 @@ class BoundaryPoint:
 
 
 class GeneralEllipsoid:
-    """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P."""
+    """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P.
+
+    P > 0 off the origin is proved from its Gram matrix
+    (:meth:`WeightedPolynomial.gram_certified`: the ball, the quartic, every
+    E(p) and cross-term tables whose G is positive definite); any other
+    table must pass the sampled :meth:`WeightedPolynomial.positivity_scan`,
+    or construction raises :class:`PositivityError`.
+    """
 
     def __init__(self, P: WeightedPolynomial):
-        report = P.positivity_scan()
-        if not report.passed:
-            raise PositivityError(
-                f"P is not positive off the origin: min sampled value {report.min_value:g} "
-                f"at z'={report.argmin}")
+        if not P.gram_certified():
+            report = P.positivity_scan()
+            if not report.passed:
+                raise PositivityError(
+                    f"P is not positive off the origin: min sampled value {report.min_value:g} "
+                    f"at z'={report.argmin}")
         self.P = P
         self.n = P.weights.n
         # the full gauge |z_n|^2 - 1 + P(z') as one table in all n variables

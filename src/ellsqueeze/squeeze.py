@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
@@ -388,6 +387,8 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     "interpretation" reporting next to the empirical grid floor); the level
     sets are sampled by anisotropic dilation of sphere directions.
     """
+    from scipy.spatial import cKDTree
+
     u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, D.n - 1, ANALYTIC_FLOOR_SEED)
     pu = D.P.eval(u)[:, None]
     powers = 1.0 / (2.0 * np.array(D.P.weights.m))

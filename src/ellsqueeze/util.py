@@ -4,7 +4,10 @@ All randomness in the package flows through the two generators below.
 Sphere directions use a scrambled Sobol sequence: the low-discrepancy
 cloud keeps min-over-samples statistics stable across seeds, and the
 first ``k`` points of a longer draw coincide with a shorter draw, so
-sample sets grow monotonically with the requested count.
+sample sets grow monotonically with the requested count.  scipy, which
+supplies the Sobol sequence and the inverse normal CDF, is imported inside
+:func:`sobol_sphere`, so importing the package and building domains do not
+load it; it loads when the first cloud is drawn.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import json
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -26,6 +27,9 @@ def sobol_sphere(count: int, real_dim: int, seed: int) -> np.ndarray:
     """`count` quasi-random unit vectors in R^real_dim, prefix-stable in count."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=real_dim, scramble=True, seed=int(seed))
     with warnings.catch_warnings():
         # non power-of-two draws are fine here; we only need the prefix property

@@ -9,8 +9,10 @@ degree one under the anisotropic dilation
 
 Weights are exact rationals: admissibility is decided by Fraction
 arithmetic, never by floating-point comparison.  Positivity of P off the
-origin is a sampled check (a report, not a certificate); domains built
-on top of a table refuse tables whose scan fails.
+origin is proved, where it can be, from the table's Gram matrix
+(:meth:`WeightedPolynomial.gram_certified`); a table the certificate
+declines is judged by a sampled scan (a report, not a proof), and domains
+built on top of a table refuse tables whose scan fails.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .hermpoly import HermitianPolynomial
 from .util import complex_sphere
 
 HALF = Fraction(1, 2)
+# smallest eigenvalue of a certified Gram matrix, relative to its largest
+# |eigenvalue|; the eigenvalue solve is backward stable, so its error is a
+# small multiple of 1e-16 of that scale, and a matrix cleared by this margin
+# is positive definite in exact arithmetic, not just up to rounding
+GRAM_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,13 +167,42 @@ class WeightedPolynomial:
         """The table's terms in all n variables, constant in z_n."""
         return {(K + (0,), L + (0,)): c for (K, L), c in self.table.canonical.items()}
 
+    def gram_certified(self) -> bool:
+        """Whether the Gram matrix of the table proves P > 0 off the origin.
+
+        With w the vector of weight-1/2 monomials z^K occurring in the table
+        and G[K, L] = c_KL Hermitian, P(z') = sum_KL G[K, L] w_K conj(w_L),
+        so P >= lambda_min(G) |w|^2.  If G is positive definite and w holds
+        every pure power z_j^{m_j}, then |w|^2 > 0 for z' != 0 and P > 0
+        there: an exact proof.  The converse fails, since monomials such as
+        z1^2, z1 z2, z2^2 are algebraically dependent and a positive P can
+        have an indefinite G; such tables return False and are left to
+        :meth:`positivity_scan`.  A G that is singular up to rounding
+        (lambda_min <= GRAM_MARGIN max |lambda|) is not certified.
+        """
+        d = len(self.weights.m)
+        terms = self.table.canonical
+        monomials = sorted({K for pair in terms for K in pair})
+        pure = {tuple(mj if i == j else 0 for i in range(d))
+                for j, mj in enumerate(self.weights.m)}
+        if not pure <= set(monomials):
+            return False
+        index = {K: i for i, K in enumerate(monomials)}
+        G = np.zeros((len(monomials), len(monomials)), dtype=np.complex128)
+        for (K, L), c in terms.items():
+            G[index[K], index[L]] = c
+            G[index[L], index[K]] = np.conj(c)
+        eig = np.linalg.eigvalsh(G)
+        return bool(eig[0] > GRAM_MARGIN * np.abs(eig).max())
+
     def positivity_scan(self, count: int = 512, seed: int = 0) -> PositivityReport:
         """Minimum of P over unit-sphere samples plus the coordinate axes.
 
         Every z' != 0 is delta_t(u) for exactly one unit u and t > 0, and
         P(delta_t u) = t P(u), so positivity on the sphere is equivalent to
-        positivity off the origin.  Sampling cannot certify it; the report
-        records the scanned minimum and flags min <= 0 as failure.
+        positivity off the origin.  Sampling cannot certify it (where the
+        table allows, :meth:`gram_certified` does); the report records the
+        scanned minimum and flags min <= 0 as failure.
         """
         if count < 1:
             raise ValueError("count must be >= 1")

@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellsqueeze
 from ellsqueeze import cli, domain
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
-from ellsqueeze.wpoly import quartic_disc_polynomial
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
 from helpers import mixed_weight_polynomial
 
@@ -282,3 +285,44 @@ def test_domain_file_round_trip(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["classify", "--out", str(out), "--domain", str(poly),
                     "--count", "5"]) == 0
+
+
+# builds the domains, runs the scipy-free experiments, then `profile`, and
+# prints the scipy modules loaded before and after `profile`
+_COLD_START = """
+import contextlib, io, json, sys
+from ellsqueeze import cli
+out = sys.argv[1]
+for spec in sys.argv[2:]:
+    cli._load_domain(spec)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+with contextlib.redirect_stdout(io.StringIO()):
+    status = [cli.main([name, "--out", out + "/" + name])
+              for name in ("scale", "limits", "classify")]
+    before = scipy_modules()
+    status.append(cli.main(["profile", "--samples", "256", "--out", out + "/profile"]))
+print(json.dumps([status, before, scipy_modules()]))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # domains the Gram certificate proves positive, and the experiments that
+    # draw no Sobol cloud, never import scipy; `profile` draws one and does
+    tables = []
+    for name, P in (("e23", WeightedPolynomial(MultiWeight((2, 3)), {
+            ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
+                    ("mixed", mixed_weight_polynomial())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(P.to_dict()))
+        tables.append(str(path))
+    src = str(Path(ellsqueeze.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _COLD_START,
+         str(tmp_path), "quartic", "ball:3", *tables],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert status == [0, 0, 0, 0]
+    assert before == []
+    assert "scipy.stats" in after

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellsqueeze.errors import AdmissibilityError
+from ellsqueeze import domain
+from ellsqueeze.errors import AdmissibilityError, PositivityError
 from ellsqueeze.wpoly import (MultiWeight, WeightedPolynomial,
                               quartic_disc_polynomial, unit_ball_polynomial)
 
-from helpers import fd_gradient, fd_hessian, random_admissible_polynomial, torus_grid_min
+from helpers import (fd_gradient, fd_hessian, mixed_weight_polynomial,
+                     random_admissible_polynomial, torus_grid_min)
 
 
 # -- weight arithmetic ------------------------------------------------------------
@@ -167,6 +169,99 @@ def test_positivity_cross_term_quartic():
     grid_min = torus_grid_min(P)
     assert grid_min > 0.0
     assert rep.min_value >= grid_min - 1e-9
+
+
+# -- Gram certificate -------------------------------------------------------------------------
+
+
+def _am_gm_table():
+    return WeightedPolynomial(MultiWeight((2, 2)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 2), (0, 2)): 1.0, ((2, 0), (0, 2)): 0.5})
+
+
+def _cross_term_2_3(a, b, c):
+    return WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): a, ((0, 3), (0, 3)): b, ((2, 0), (0, 3)): c})
+
+
+CERTIFIED = {
+    "quartic": quartic_disc_polynomial,
+    "ball-3": lambda: unit_ball_polynomial(3),
+    "E-2-3": lambda: _cross_term_2_3(1.0, 1.0, 0.0),
+    "mixed-2-3": mixed_weight_polynomial,
+    # the benchmark's weakest table: a = b = 0.8 and |c| = 0.1 < sqrt(ab)
+    "mixed-2-3-corner": lambda: _cross_term_2_3(0.8, 0.8, 0.1 * np.exp(2.0j)),
+    "am-gm": _am_gm_table,
+}
+
+
+def _degenerate_product():
+    # |z1 z2|^2 has no pure power and vanishes on the axes
+    return WeightedPolynomial(MultiWeight((2, 2)), {((1, 1), (1, 1)): 1.0})
+
+
+def _singular():
+    # c = sqrt(ab): G is singular and P = |sqrt(a) z1^2 + sqrt(b) z2^3|^2
+    return _cross_term_2_3(1.1, 0.9, np.sqrt(1.1 * 0.9))
+
+
+def _indefinite_positive():
+    # |x|^2 + |y|^2 + 2 Re(1.2 x conj y) + |x||y| with x = z1^2, y = z2^2 is at
+    # least |x|^2 + |y|^2 - 1.4 |x||y| > 0, but G over (z1^2, z1 z2, z2^2) has
+    # the eigenvalue 1 - 1.2 < 0
+    return WeightedPolynomial(MultiWeight((2, 2)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 2), (0, 2)): 1.0, ((1, 1), (1, 1)): 1.0,
+        ((2, 0), (0, 2)): 1.2})
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Tables whose positivity scan a domain construction runs."""
+    seen = []
+    scan = WeightedPolynomial.positivity_scan
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedPolynomial, "positivity_scan", spy)
+    return seen
+
+
+@pytest.mark.parametrize("table", CERTIFIED.values(), ids=CERTIFIED.keys())
+def test_gram_certificate_skips_the_scan(table, scans):
+    P = table()
+    assert P.gram_certified()
+    domain.GeneralEllipsoid(P)
+    assert scans == []
+
+
+def test_degenerate_product_declined_and_refused(scans):
+    P = _degenerate_product()
+    assert not P.gram_certified()
+    with pytest.raises(PositivityError):
+        domain.GeneralEllipsoid(P)
+    assert scans == [P]
+
+
+@pytest.mark.parametrize("table", [_singular, _indefinite_positive],
+                         ids=["singular", "indefinite"])
+def test_declined_tables_are_judged_by_the_scan(table, scans):
+    P = table()
+    assert not P.gram_certified()
+    if P.positivity_scan().passed:
+        domain.GeneralEllipsoid(P)
+    else:
+        with pytest.raises(PositivityError):
+            domain.GeneralEllipsoid(P)
+    assert scans == [P, P]
+
+
+def test_indefinite_gram_positive_table_passes_the_scan():
+    P = _indefinite_positive()
+    # on the sphere |x| = |y| is the worst case, where P = 0.6 |x|^2
+    assert torus_grid_min(P) > 0.0
+    assert P.positivity_scan().passed
 
 
 # -- derivatives ------------------------------------------------------------------------------
