@@ -35,7 +35,7 @@ from .errors import ConfigError, EllsqueezeError, EmptySampleError, ToleranceErr
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
 from .sequences import classify, generate, record_to_csv, tangency_ratio
-from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_estimates
+from .squeeze import BASEPOINT_TOL, analytic_floor, gamma_floor, squeeze_estimates
 from .domconv import exhaustion_check, exhaustion_report_to_csv
 from .util import fmt, write_csv, write_json
 from .wpoly import WeightedPolynomial
@@ -126,6 +126,8 @@ def _validate_config(cfg: dict) -> None:
     mistyped = [key for key, default in _DEFAULTS.items() if _mistyped(cfg[key], default)]
     if mistyped:
         raise ConfigError(f"values not of their default's type: {mistyped}")
+    if not (0 <= int(cfg["seed"]) < 2 ** 63):
+        raise ConfigError("seed must lie in [0, 2**63)")
     if int(cfg["samples"]) < 1:
         raise ConfigError("samples must be >= 1")
     if not (0.0 < float(cfg["s"]) <= 1.0):
@@ -184,8 +186,7 @@ def run(experiment: str, cfg: dict) -> int:
             norm = normalize_point(D, term.z)
             rows.append([term.index,
                          float(term.rho_exact()),
-                         1.0 if term.p_exact is None
-                         else tangency_ratio(D, float(cfg["s"]), term),
+                         tangency_ratio(D, float(cfg["s"]), term),
                          float(D.P.eval(norm.b[:-1])),
                          est.value])
         write_csv(outdir / "profile.csv",
@@ -201,11 +202,10 @@ def run(experiment: str, cfg: dict) -> int:
 
     elif experiment == "floor":
         report = gamma_floor(D, float(cfg["s"]), float(cfg["r"]),
-                             grid_count=int(cfg["grid"]), count=samples,
-                             seed=seed, with_analytic=True)
+                             grid_count=int(cfg["grid"]), count=samples, seed=seed)
         payload = {
             "s": report.s, "r": report.r, "floor": report.value,
-            "analytic_floor_interpretation": report.analytic,
+            "analytic_floor_interpretation": analytic_floor(D, report.r),
             "grid_count": report.grid_count, "samples": report.samples,
             "seed": report.seed,
             "argmin": [[c.real, c.imag] for c in report.argmin],

@@ -23,11 +23,11 @@ coefficients, so non-monotone profiles still give the first sign change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import BoundedSearchError, EmptySampleError, PositivityError
+from .errors import BoundedSearchError, EmptySampleError
 from .hermpoly import HermitianPolynomial, first_crossing
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
@@ -57,31 +57,19 @@ class SubdomainParams:
         return 1.0 - self.s
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A numerically located boundary point with its root-finding residual."""
-
-    z: np.ndarray
-    residual: float
-
-
 class GeneralEllipsoid:
     """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P.
 
-    P > 0 off the origin is proved from its Gram matrix
-    (:meth:`WeightedPolynomial.gram_certified`: the ball, the quartic, every
-    E(p) and cross-term tables whose G is positive definite); any other
-    table must pass the sampled :meth:`WeightedPolynomial.positivity_scan`,
-    or construction raises :class:`PositivityError`.
+    Construction runs :meth:`WeightedPolynomial.require_positive`: P > 0
+    off the origin is proved from its Gram matrix (the ball, the quartic,
+    every E(p) and cross-term tables whose G is positive definite), a
+    table the Gram matrix refutes is refused, and any other table must
+    pass the sampled :meth:`WeightedPolynomial.positivity_scan`; otherwise
+    construction raises :class:`PositivityError`.
     """
 
     def __init__(self, P: WeightedPolynomial):
-        if not P.gram_certified():
-            report = P.positivity_scan()
-            if not report.passed:
-                raise PositivityError(
-                    f"P is not positive off the origin: min sampled value {report.min_value:g} "
-                    f"at z'={report.argmin}")
+        P.require_positive()
         self.P = P
         self.n = P.weights.n
         # the full gauge |z_n|^2 - 1 + P(z') as one table in all n variables
@@ -113,11 +101,6 @@ class GeneralEllipsoid:
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         return self.rho(z) < 0.0
-
-    def dist_to_boundary(self, z: np.ndarray) -> np.ndarray:
-        """First-order estimate |rho| / |grad_R rho| (real gradient norm)."""
-        g = 2.0 * np.linalg.norm(self.gauge.gradient(z), axis=-1)
-        return np.abs(self.rho(z)) / g
 
     # -- boundary sampling --------------------------------------------------------
 
@@ -155,11 +138,6 @@ class GeneralEllipsoid:
                 f"boundary sampling failed: {int(np.isinf(t).sum())} of {count} rays "
                 "have no crossing", RAY_CAP)
         return t[:, None] * u
-
-    def boundary_sample(self, count: int, seed: int = 0) -> List[BoundaryPoint]:
-        pts = self.boundary_cloud(count, seed)
-        res = np.abs(self.rho(pts))
-        return [BoundaryPoint(pts[i].copy(), float(res[i])) for i in range(count)]
 
     def bounding_radius(self, margin: float = 0.01) -> float:
         """Radius R with D contained in the ball B(0, R).

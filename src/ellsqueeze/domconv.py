@@ -1,101 +1,26 @@
-"""Set-convergence checks for sequences of domains via membership oracles.
+"""Pullback exhaustion: the automorphism preimages of a subdomain swallow
+the closed domain.
 
-Convergence of open sets Omega_i -> Omega_0 is tested in the two-clause
-sense: (i) every compact subset of the limit eventually lies in the
-sequence, and (ii) any compact set eventually contained in the sequence
-lies in the limit.  Compact sets are represented by finite point clouds
-carrying an interior margin; all verdicts are therefore qualified by the
-tested resolution and failures carry concrete witness points.
-
-The pullback exhaustion check drives the package's main example: the
-preimages of an internal subdomain under the +1-variant automorphisms
-swallow every compact part of the closed domain away from the point
-(0', -1) once the parameter is close enough to one.
+The check drives the package's main example: the preimages of an
+internal subdomain under the +1-variant automorphisms swallow every
+compact part of the closed domain away from the point (0', -1) once the
+parameter is close enough to one.  The compact part is a finite point
+cloud, so a verdict holds at the tested resolution only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, pullback_coeffs
-from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
+from .domain import GeneralEllipsoid
 from .util import philox, write_csv
-
 
 # closed-domain membership rho < CLOSURE_TOL of the exhaustion check's images
 CLOSURE_TOL = 1e-9
-# margin-length probe directions per margin certificate, and their seed
-MARGIN_PROBES = 8
-MARGIN_PROBE_SEED = 2
-
-
-@dataclass
-class DomainOracle:
-    """Deterministic membership predicate."""
-
-    contains: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_ellipsoid(cls, D: GeneralEllipsoid) -> "DomainOracle":
-        return cls(D.contains)
-
-    @classmethod
-    def from_subdomain(cls, D: GeneralEllipsoid, sp: SubdomainParams) -> "DomainOracle":
-        return cls(lambda z: contains_sub(D, sp, z))
-
-    def pullback(self, psi: EllipsoidAutomorphism, D: GeneralEllipsoid) -> "DomainOracle":
-        """Oracle of psi^{-1}(this set): composes the forward map."""
-        weights = D.P.weights
-        return DomainOracle(lambda z: self.contains(psi.apply(weights, z)))
-
-    def scaled(self, factor: float) -> "DomainOracle":
-        return DomainOracle(lambda z: self.contains(np.asarray(z, complex) / factor))
-
-
-@dataclass
-class CompactCloud:
-    """Finite stand-in for a compact subset, with a declared interior margin."""
-
-    points: np.ndarray
-    margin: float
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-
-
-def margin_certificate(oracle: DomainOracle, cloud: CompactCloud) -> bool:
-    """Check the cloud plus margin-length probes all sit inside the oracle."""
-    inside = oracle.contains(cloud.points)
-    if not np.asarray(inside).all():
-        return False
-    if cloud.margin == 0.0:
-        return True
-    rng = philox(MARGIN_PROBE_SEED)
-    npts, n = cloud.points.shape
-    dirs = rng.standard_normal((MARGIN_PROBES, 2 * n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    cdirs = dirs[:, :n] + 1j * dirs[:, n:]
-    for u in cdirs:
-        if not np.asarray(oracle.contains(cloud.points + cloud.margin * u)).all():
-            return False
-    return True
-
-
-@dataclass
-class ConditionIReport:
-    """Smallest tested index from which the cloud stays inside the sequence."""
-
-    i0: Optional[int]
-    witnesses: dict = field(default_factory=dict)  # 1-based index -> points
-
-    @property
-    def passed(self) -> bool:
-        return self.i0 is not None
 
 
 def _tail_start(flags: Sequence[bool]) -> Optional[int]:
@@ -106,53 +31,6 @@ def _tail_start(flags: Sequence[bool]) -> Optional[int]:
             break
         start = i
     return start
-
-
-def check_condition_i(omegas: Sequence[DomainOracle], omega0: DomainOracle,
-                      cloud: CompactCloud) -> ConditionIReport:
-    """Clause (i): the cloud must eventually be contained in the sequence.
-
-    Precondition: the cloud sits inside the limit with its declared margin.
-    """
-    if not margin_certificate(omega0, cloud):
-        raise ValueError("cloud is not inside the limit domain at its declared margin")
-    contained = []
-    witnesses = {}
-    for i, om in enumerate(omegas, start=1):
-        inside = np.asarray(om.contains(cloud.points))
-        contained.append(bool(inside.all()))
-        if not contained[-1]:
-            witnesses[i] = cloud.points[~inside]
-    return ConditionIReport(i0=_tail_start(contained), witnesses=witnesses)
-
-
-@dataclass
-class ConditionIIReport:
-    """Clause (ii): persistent containment forces membership in the limit."""
-
-    eventually_contained: bool
-    since_index: Optional[int]
-    inside_limit: Optional[bool]
-    counterexamples: np.ndarray
-    vacuous: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.vacuous or bool(self.inside_limit)
-
-
-def check_condition_ii(omegas: Sequence[DomainOracle], omega0: DomainOracle,
-                       cloud: CompactCloud) -> ConditionIIReport:
-    since = _tail_start([bool(np.asarray(om.contains(cloud.points)).all()) for om in omegas])
-    if since is None:
-        return ConditionIIReport(False, None, None,
-                                 np.empty((0, cloud.points.shape[1])), vacuous=True)
-    inside = np.asarray(omega0.contains(cloud.points))
-    return ConditionIIReport(True, since, bool(inside.all()),
-                             cloud.points[~inside], vacuous=False)
-
-
-# -- pullback exhaustion ---------------------------------------------------------------
 
 
 @dataclass
@@ -223,19 +101,6 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
         first_ok_index=_tail_start(swallowed), cloud_size=len(cloud), eps=eps,
         u_radius=u_radius, coeffs=coeffs,
     )
-
-
-def condition_report_to_csv(path, report_i: ConditionIReport,
-                            report_ii: ConditionIIReport) -> None:
-    header = ["index_or_a", "condition", "pass", "witnesses"]
-    rows = []
-    rows.append([report_i.i0 if report_i.i0 is not None else -1, "i",
-                 report_i.passed,
-                 ";".join(str(i) for i in sorted(report_i.witnesses))])
-    rows.append([report_ii.since_index if report_ii.since_index is not None else -1,
-                 "ii", report_ii.passed,
-                 str(len(report_ii.counterexamples))])
-    write_csv(path, header, rows)
 
 
 def exhaustion_report_to_csv(path, report: ExhaustionReport) -> None:

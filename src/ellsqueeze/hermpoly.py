@@ -106,24 +106,6 @@ class HermitianPolynomial:
         zero = (0,) * d
         return cls(d, {(zero, zero): value})
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "HermitianPolynomial":
-        d = int(data["nvars"])
-        terms = {}
-        for t in data["terms"]:
-            key = (tuple(int(k) for k in t["A"]), tuple(int(k) for k in t["B"]))
-            if key in terms:
-                raise AdmissibilityError(f"duplicate term for pair {key}")
-            terms[key] = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
-        return cls(d, terms)
-
-    def to_dict(self) -> dict:
-        terms = [
-            {"A": list(a), "B": list(b), "re": c.real, "im": c.imag}
-            for (a, b), c in sorted(self._table.items())
-        ]
-        return {"nvars": self.d, "terms": terms}
-
     # -- table access ----------------------------------------------------------
 
     @property

@@ -185,18 +185,6 @@ class ScaledFunction:
     frame: ScalingFrame
     eps: float
 
-    def gamma(self, z: np.ndarray) -> np.ndarray:
-        """Forward normalized coordinates: diag(1/tau) U^H (z - eta)."""
-        z = np.asarray(z, dtype=np.complex128)
-        return (z - self.frame.eta) @ np.conj(self.frame.unitary) / self.frame.taus
-
-    def gamma_inv(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.complex128)
-        return self.frame.eta + (w * self.frame.taus) @ self.frame.unitary.T
-
-    def value(self, w: np.ndarray) -> np.ndarray:
-        return self.table.value(w)
-
     @property
     def value_at_origin(self) -> float:
         return float(self.table.value(np.zeros(self.frame.n, dtype=np.complex128)))

@@ -11,15 +11,15 @@ D^{s,r} with r < 1 has tail ratios accumulating at or above 1
 (tangential); a sequence trapped in some D^{s,r0} with r0 < 1 has tail
 ratios bounded by r0 (nontangential).
 
-Generated sequences carry exact rational shadows of z_n and P(z'):
-the textbook identities (rho = -1/j^2, gap = 1/j, ratio = 1) are then
-decided in exact arithmetic, with the floating materialization checked
-against them.  Custom sequences fall back to plain float evaluation.
+Every term carries exact rational shadows of its real z_n >= 0 and of
+P(z'): the textbook identities (rho = -1/j^2, gap = 1/j, ratio = 1) are
+then decided in exact arithmetic, with the floating materialization
+checked against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -39,17 +39,15 @@ MARGIN_TOL = 1e-3
 
 @dataclass(frozen=True)
 class SequenceTerm:
-    """One sequence element; exact fields are present for generated kinds."""
+    """One sequence element with the exact shadows of its real z_n and P(z')."""
 
     index: int
     z: np.ndarray
-    zn_exact: Optional[Fraction] = None
-    p_exact: Optional[Fraction] = None
+    zn_exact: Fraction
+    p_exact: Fraction
 
-    def rho_exact(self) -> Optional[Fraction]:
-        """Exact rho = z_n^2 - 1 + P(z') when both shadows exist (z_n real)."""
-        if self.zn_exact is None or self.p_exact is None:
-            return None
+    def rho_exact(self) -> Fraction:
+        """Exact rho = z_n^2 - 1 + P(z')."""
         return self.zn_exact * self.zn_exact - 1 + self.p_exact
 
 
@@ -60,7 +58,6 @@ class ApproachSequence:
     kind: str
     domain: GeneralEllipsoid
     terms: List[SequenceTerm]
-    params: dict = field(default_factory=dict)
 
     def points(self) -> np.ndarray:
         return np.array([t.z for t in self.terms])
@@ -113,7 +110,6 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
             z = np.zeros(D.n, dtype=np.complex128)
             z[-1] = float(zn)
             terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=Fraction(0)))
-        params = {}
     elif kind == "tangential":
         u = _slice_direction(D)
         for j in indices:
@@ -122,7 +118,6 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
             zp = _place_on_level(D, u, float(p_target))
             z = np.concatenate([zp, [float(zn)]])
             terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
-        params = {"direction": u}
     elif kind == "cone":
         if not (0.0 < ratio < 1.0):
             raise ValueError("cone ratio must lie in (0, 1)")
@@ -138,22 +133,10 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
             zp = _place_on_level(D, u, float(p_target))
             z = np.concatenate([zp, [float(zn)]])
             terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
-        params = {"s": s, "ratio": ratio, "direction": u}
-    elif kind == "custom":
-        raise ValueError("build custom sequences with `custom_sequence`")
     else:
         raise ValueError(f"unknown sequence kind {kind!r}")
 
-    seq = ApproachSequence(kind=kind, domain=D, terms=terms, params=params)
-    _validate(seq)
-    return seq
-
-
-def custom_sequence(D: GeneralEllipsoid, points: np.ndarray) -> ApproachSequence:
-    """Wrap explicit interior points (no exact shadows)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    terms = [SequenceTerm(i + 1, points[i].copy()) for i in range(len(points))]
-    seq = ApproachSequence(kind="custom", domain=D, terms=terms)
+    seq = ApproachSequence(kind=kind, domain=D, terms=terms)
     _validate(seq)
     return seq
 
@@ -164,10 +147,9 @@ def _validate(seq: ApproachSequence) -> None:
     if not inside.all():
         bad = seq.indices()[~inside]
         raise ValueError(f"sequence terms {bad.tolist()} are not inside the domain")
-    # rotation-invariant gap: distance to the circle {(0', e^{i theta})}; the
-    # classifier reduces by that rotation, so validation must match
-    gaps = np.sqrt(np.linalg.norm(pts[:, :-1], axis=1) ** 2
-                   + (1.0 - np.abs(pts[:, -1])) ** 2)
+    target = np.zeros(seq.domain.n)
+    target[-1] = 1.0
+    gaps = np.linalg.norm(pts - target, axis=1)
     if len(gaps) >= 4:
         tail = gaps[len(gaps) // 2:]
         if not np.all(np.diff(tail) <= 1e-12):
@@ -180,18 +162,18 @@ def _validate(seq: ApproachSequence) -> None:
 def tangency_ratio(D: GeneralEllipsoid, s: float, term) -> float:
     """Smallest r with term in D^{s,r}; +inf when the term misses D^s entirely.
 
-    Terms with exact shadows (and real rational z_n) are evaluated in exact
-    rational arithmetic; raw points use floating arithmetic.
+    A :class:`SequenceTerm` is evaluated from its exact shadows in rational
+    arithmetic; a raw point uses floating arithmetic.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    if isinstance(term, SequenceTerm) and term.zn_exact is not None and term.p_exact is not None:
+    if isinstance(term, SequenceTerm):
         s_f = Fraction(s)
         denom = s_f * s_f - (term.zn_exact - (1 - s_f)) ** 2
         if denom <= 0:
             return float("inf")
         return float(s_f * term.p_exact / denom)
-    z = term.z if isinstance(term, SequenceTerm) else np.asarray(term, dtype=np.complex128)
+    z = np.asarray(term, dtype=np.complex128)
     zn = complex(z[-1])
     denom = s * s - abs(zn - (1.0 - s)) ** 2
     if denom <= 0.0:
@@ -220,34 +202,20 @@ class ClassificationRecord:
 def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> ClassificationRecord:
     """Tail-based verdict: tangential, nontangential, or inconclusive.
 
-    Terms are first reduced by the rotation z_n -> |z_n| (the gauge and P
-    are rotation invariant, so this is the same sequence up to an
-    automorphism of the domain).  The verdict inspects the tail (the last
-    TAIL_FRACTION of the terms) of the ratio sequence: a tail minimum
-    >= 1 - TANGENTIAL_TOL is tangential, a finite tail maximum
-    <= 1 - MARGIN_TOL is nontangential, anything else inconclusive.
+    The per-term diagnostics come from the exact shadows.  The verdict
+    inspects the tail (the last TAIL_FRACTION of the terms) of the ratio
+    sequence: a tail minimum >= 1 - TANGENTIAL_TOL is tangential, a finite
+    tail maximum <= 1 - MARGIN_TOL is nontangential, anything else
+    inconclusive.
     """
-    derot_terms = []
-    for t in seq.terms:
-        z = t.z.copy()
-        z[-1] = abs(z[-1])
-        derot_terms.append(SequenceTerm(t.index, z, t.zn_exact, t.p_exact))
+    terms = seq.terms
+    abs_rho = np.array([abs(float(t.rho_exact())) for t in terms])
+    gap = np.array([abs(float(t.zn_exact - 1)) for t in terms])
+    p_prime = np.array([float(t.p_exact) for t in terms])
+    r_star = np.array([tangency_ratio(D, s, t) for t in terms])
 
-    n_terms = len(derot_terms)
-    abs_rho = np.empty(n_terms)
-    gap = np.empty(n_terms)
-    p_prime = np.empty(n_terms)
-    r_star = np.empty(n_terms)
-    for i, t in enumerate(derot_terms):
-        rho_e = t.rho_exact()
-        abs_rho[i] = abs(float(rho_e)) if rho_e is not None else abs(float(D.rho(t.z)))
-        gap[i] = (abs(float(t.zn_exact - 1)) if t.zn_exact is not None
-                  else abs(t.z[-1].real - 1.0))
-        p_prime[i] = (float(t.p_exact) if t.p_exact is not None
-                      else float(D.P.eval(t.z[:-1])))
-        r_star[i] = tangency_ratio(D, s, t)
-
-    pts = np.array([t.z for t in derot_terms])
+    n_terms = len(terms)
+    pts = seq.points()
     membership = np.empty((n_terms, len(MEMBERSHIP_R_GRID)), dtype=bool)
     for k, r in enumerate(MEMBERSHIP_R_GRID):
         membership[:, k] = contains_sub(D, SubdomainParams(s, r), pts)

@@ -37,15 +37,14 @@ maps, and those explicit norms are the reported values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from .errors import BoundedSearchError
-from .sequences import ApproachSequence
-from .util import complex_sphere, philox, write_csv
+from .util import complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
 TIGHT_MARGIN = 1e-9
@@ -163,12 +162,6 @@ def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(chain.apply(points), axis=-1)
 
 
-def inscribed_radius(chain: EmbeddingChain, count: int = 1 << 14, seed: int = 0) -> float:
-    """Min image norm over boundary samples: the chain's inscribed-ball estimate."""
-    chain.check_basepoint()
-    return float(chain_norms_at(chain, chain.domain.boundary_cloud(count, seed)).min())
-
-
 def _tight_radius(D: GeneralEllipsoid) -> float:
     return D.bounding_radius(margin=0.0) * (1.0 + TIGHT_MARGIN)
 
@@ -252,7 +245,7 @@ def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, half: int,
 
 
 def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
-                      seed: int = 0, boundary_filter=None) -> List[SqueezeEstimate]:
+                      seed: int = 0) -> List[SqueezeEstimate]:
     """Best inscribed-radius estimate over the strategy family at each point.
 
     Each value never exceeds one and, up to the rounding of the explicit
@@ -270,19 +263,9 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     screen keeps (`_screened_minima`), which include the minimizer over the
     whole cloud.  The first chain of the family with the largest minimum
     wins.
-
-    `boundary_filter(points) -> mask` restricts the sampled boundary, for
-    subdomains that share only part of their boundary with the ellipsoid;
-    the estimates are then local to the shared piece and labeled by the
-    caller accordingly.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
     cloud = D.boundary_cloud(count, seed)
-    if boundary_filter is not None:
-        mask = np.asarray(boundary_filter(cloud), dtype=bool)
-        if not mask.any():
-            raise ValueError("boundary filter rejected every sample")
-        cloud = cloud[mask]
     half = max(1, len(cloud) // 2)
     estimates = []
     for p in points:
@@ -303,30 +286,20 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
 
 
 def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16,
-                        seed: int = 0, boundary_filter=None) -> SqueezeEstimate:
+                        seed: int = 0) -> SqueezeEstimate:
     """Best inscribed-radius estimate over the strategy family at one point;
     see :func:`squeeze_estimates`."""
-    return squeeze_estimates(D, [p], count, seed, boundary_filter)[0]
-
-
-def squeeze_profile(D: GeneralEllipsoid, seq: ApproachSequence, count: int = 1 << 16,
-                    seed: int = 0, boundary_filter=None) -> List[SqueezeEstimate]:
-    """Per-term estimates along an approach sequence.
-
-    For subdomain families that agree with the ellipsoid only inside a
-    neighborhood of the target boundary point, pass a `boundary_filter`
-    keeping the shared boundary piece.
-    """
-    return squeeze_estimates(D, [t.z for t in seq.terms], count, seed, boundary_filter)
+    return squeeze_estimates(D, [p], count, seed)[0]
 
 
 @dataclass(frozen=True)
 class FloorReport:
     """Empirical squeezing floor over a subdomain grid.
 
-    Each grid value is a lower-bound estimate at its own point; the
-    minimum is a heuristic stand-in for the uniform subdomain floor, not
-    a certified constant.
+    Each grid value is a sampled upper estimate of a chain's inscribed
+    radius at its own point (see :class:`SqueezeEstimate`); the minimum is
+    a heuristic stand-in for the uniform subdomain floor, not a certified
+    constant.
     """
 
     s: float
@@ -336,7 +309,6 @@ class FloorReport:
     grid_count: int
     samples: int
     seed: int
-    analytic: Optional[float] = None
 
 
 def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
@@ -359,8 +331,7 @@ def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
 
 
 def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
-                count: int = 1 << 14, seed: int = 0,
-                with_analytic: bool = False) -> FloorReport:
+                count: int = 1 << 14, seed: int = 0) -> FloorReport:
     """Minimum squeezing estimate over a seeded grid of subdomain points."""
     sp = SubdomainParams(s, r)
     grid = subdomain_grid(D, sp, grid_count, seed)
@@ -370,10 +341,8 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
         if est.value < best:
             best = est.value
             argmin = est.point
-    analytic = analytic_floor(D, r) if with_analytic else None
     return FloorReport(s=s, r=r, value=float(best), argmin=argmin,
-                       grid_count=grid_count, samples=count, seed=seed,
-                       analytic=analytic)
+                       grid_count=grid_count, samples=count, seed=seed)
 
 
 def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
@@ -402,21 +371,3 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     diam = 2.0 * D.bounding_radius(margin=0.0)  # upper bound keeps the quotient a floor
     return delta / diam
 
-
-def profile_to_csv(path, estimates: Sequence[SqueezeEstimate],
-                   indices: Optional[Sequence[int]] = None,
-                   floor: Optional[FloorReport] = None) -> None:
-    n = len(estimates[0].point)
-    header = ["j"]
-    for k in range(n):
-        header += [f"re_p{k + 1}", f"im_p{k + 1}"]
-    header += ["sigma_hat", "chain_descriptor", "samples", "floor_r"]
-    rows = []
-    for i, est in enumerate(estimates):
-        row = [indices[i] if indices is not None else i + 1]
-        for k in range(n):
-            row += [est.point[k].real, est.point[k].imag]
-        row += [est.value, est.chain.describe(), est.samples,
-                "" if floor is None else floor.value]
-        rows.append(row)
-    write_csv(path, header, rows)

@@ -10,9 +10,11 @@ degree one under the anisotropic dilation
 Weights are exact rationals: admissibility is decided by Fraction
 arithmetic, never by floating-point comparison.  Positivity of P off the
 origin is proved, where it can be, from the table's Gram matrix
-(:meth:`WeightedPolynomial.gram_certified`); a table the certificate
-declines is judged by a sampled scan (a report, not a proof), and domains
-built on top of a table refuse tables whose scan fails.
+(:meth:`WeightedPolynomial.gram_certified`).  When every monomial of the
+table is a pure power z_j^{m_j}, the Gram matrix decides both ways, so a
+declined table is refused outright; any other declined table is judged
+by a sampled scan (a report, not a proof).  Domains call
+:meth:`WeightedPolynomial.require_positive`, which makes this decision.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, PositivityError
 from .hermpoly import HermitianPolynomial
 from .util import complex_sphere
 
@@ -167,6 +169,15 @@ class WeightedPolynomial:
         """The table's terms in all n variables, constant in z_n."""
         return {(K + (0,), L + (0,)): c for (K, L), c in self.table.canonical.items()}
 
+    def _pure_powers(self) -> set:
+        d = len(self.weights.m)
+        return {tuple(mj if i == j else 0 for i in range(d))
+                for j, mj in enumerate(self.weights.m)}
+
+    def _monomials(self) -> list:
+        """The weight-1/2 monomials z^K occurring in the table, sorted."""
+        return sorted({K for pair in self.table.canonical for K in pair})
+
     def gram_certified(self) -> bool:
         """Whether the Gram matrix of the table proves P > 0 off the origin.
 
@@ -180,20 +191,40 @@ class WeightedPolynomial:
         :meth:`positivity_scan`.  A G that is singular up to rounding
         (lambda_min <= GRAM_MARGIN max |lambda|) is not certified.
         """
-        d = len(self.weights.m)
-        terms = self.table.canonical
-        monomials = sorted({K for pair in terms for K in pair})
-        pure = {tuple(mj if i == j else 0 for i in range(d))
-                for j, mj in enumerate(self.weights.m)}
-        if not pure <= set(monomials):
+        monomials = self._monomials()
+        if not self._pure_powers() <= set(monomials):
             return False
         index = {K: i for i, K in enumerate(monomials)}
         G = np.zeros((len(monomials), len(monomials)), dtype=np.complex128)
-        for (K, L), c in terms.items():
+        for (K, L), c in self.table.canonical.items():
             G[index[K], index[L]] = c
             G[index[L], index[K]] = np.conj(c)
         eig = np.linalg.eigvalsh(G)
         return bool(eig[0] > GRAM_MARGIN * np.abs(eig).max())
+
+    def require_positive(self) -> None:
+        """Raise :class:`PositivityError` unless P > 0 off the origin.
+
+        A Gram certificate accepts the table.  When every monomial of the
+        table is a pure power z_j^{m_j} (every table for n = 2 or for
+        m = (2, 3)), z' -> w = (z_j^{m_j})_j maps onto C^{n-1}, and a table
+        the certificate declines misses a pure power, so P vanishes on
+        that axis, or has a G with some w != 0 and w* G w <= 0 up to
+        rounding, so P vanishes or turns negative off the origin: it is
+        refused without a scan.  Any other declined table must pass
+        :meth:`positivity_scan`.
+        """
+        if self.gram_certified():
+            return
+        if set(self._monomials()) <= self._pure_powers():
+            raise PositivityError(
+                "P is not positive off the origin: its monomials are pure powers "
+                "z_j^{m_j} and their Gram matrix is not positive definite")
+        report = self.positivity_scan()
+        if not report.passed:
+            raise PositivityError(
+                f"P is not positive off the origin: min sampled value {report.min_value:g} "
+                f"at z'={report.argmin}")
 
     def positivity_scan(self, count: int = 512, seed: int = 0) -> PositivityReport:
         """Minimum of P over unit-sphere samples plus the coordinate axes.

@@ -148,8 +148,7 @@ def levi_min_eig_pointwise(P: WeightedPolynomial, z: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (L + L.conj().T))[0])
 
 
-def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int,
-                                  boundary_filter=None):
+def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int):
     """(value, chain label, band) of the chain family at one point.
 
     Every chain of `squeeze.chain_family` maps the whole boundary cloud
@@ -160,8 +159,6 @@ def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int,
     from ellsqueeze.squeeze import chain_family, chain_norms_at
 
     cloud = D.boundary_cloud(count, seed)
-    if boundary_filter is not None:
-        cloud = cloud[np.asarray(boundary_filter(cloud), dtype=bool)]
     half = max(1, len(cloud) // 2)
     best_val, best_label, best_half = -np.inf, None, None
     for chain in chain_family(D, p):

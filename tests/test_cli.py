@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ellsqueeze
-from ellsqueeze import cli, domain
+from ellsqueeze import cli, domain, squeeze
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
@@ -154,6 +154,9 @@ def test_floor_artifacts(tmp_path):
     payload = json.loads((out / "floor.json").read_text())
     assert payload["floor"] > 0.0
     assert payload["analytic_floor_interpretation"] > 0.0
+    # the run computes the analytic floor itself, bit for bit
+    assert payload["analytic_floor_interpretation"] == squeeze.analytic_floor(
+        domain.GeneralEllipsoid.quartic_disc(), payload["r"])
 
 
 def test_wbscan_ball(tmp_path):
@@ -236,6 +239,12 @@ def test_invalid_parameter_rejected(tmp_path):
     ["classify", "--domain", "ball:x"],
     ["classify", "--domain", "ball:1"],
     ["classify", "--domain", "ball:0"],
+    # seeds outside [0, 2**63)
+    ["profile", "--seed", "-1"],
+    ["wbscan", "--seed", "-1"],
+    ["convergence", "--seed", "-1"],
+    ["floor", "--seed", str(2 ** 130)],
+    ["floor", "--seed", str(2 ** 63)],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2

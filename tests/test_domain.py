@@ -107,12 +107,6 @@ def test_min_boundary_norm_matches_lagrange_oracle(E):
     assert m >= 1.0 - 1e-10  # sampling can only overshoot the true minimum
 
 
-def test_boundary_sample_objects(E):
-    samples = E.boundary_sample(50, seed=2)
-    assert len(samples) == 50
-    assert all(s.residual <= 1e-10 for s in samples)
-
-
 def test_boundary_prefix_stability(E):
     big = E.boundary_cloud(4096, seed=3)
     small = E.boundary_cloud(1024, seed=3)
@@ -294,26 +288,6 @@ def test_degenerate_polynomial_blocks_domain():
     P = WeightedPolynomial(MultiWeight((2, 2)), {((1, 1), (1, 1)): 1.0})
     with pytest.raises(PositivityError):
         GeneralEllipsoid(P)
-
-
-def test_dist_to_boundary_first_order(E):
-    # inner-normal points: |rho| ~ 2 * dist near the smooth boundary point (0, 1)
-    for d in (1e-3, 1e-4):
-        z = np.array([0.0, 1.0 - d], dtype=complex)
-        est = float(E.dist_to_boundary(z))
-        assert est == pytest.approx(d, rel=2e-3)
-
-
-def test_dist_comparable_to_gauge_along_showcase(E):
-    # dist(a_n, boundary) ~ |rho(a_n)| with two-sided constants: the gradient
-    # norm stays in a fixed band near (0, 1), so the ratio does too
-    ratios = []
-    for n in (10, 100, 1000, 10000):
-        z = np.array([(2 / n - 2 / n ** 2) ** 0.25, 1 - 1 / n], dtype=complex)
-        ratios.append(float(E.dist_to_boundary(z) / abs(E.rho(z))))
-    assert min(ratios) > 0.2
-    assert max(ratios) < 1.0
-    assert max(ratios) / min(ratios) < 2.0
 
 
 def test_samples_csv_schema(E, tmp_path):

@@ -298,17 +298,9 @@ def test_scaled_table_matches_direct_composition(BALL):
     rng = philox(7)
     w = rng.standard_normal((100, 4))
     pts = w[:, :2] + 1j * w[:, 2:]
-    direct = BALL.value(sf.gamma_inv(pts)) / eps
-    assert np.abs(sf.value(pts) - direct).max() <= 1e-10
-
-
-def test_gamma_round_trip(BALL):
-    frame = build_frame(BALL, ETA_BALL, 1e-3)
-    sf = scaled_function(BALL, frame)
-    rng = philox(8)
-    w = rng.standard_normal((50, 4))
-    pts = w[:, :2] + 1j * w[:, 2:]
-    assert np.abs(sf.gamma(sf.gamma_inv(pts)) - pts).max() <= 1e-10
+    # the frame map w -> eta + U diag(tau) w
+    z = frame.eta + (pts * frame.taus) @ frame.unitary.T
+    assert np.abs(sf.table.value(pts) - BALL.value(z) / eps).max() <= 1e-10
 
 
 def test_scaled_functions_stay_plurisubharmonic(BALL, GRAPH):

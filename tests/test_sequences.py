@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
-from ellsqueeze.sequences import (MEMBERSHIP_R_GRID, classify, custom_sequence,
-                                  generate, record_to_csv, tangency_ratio)
+from ellsqueeze.sequences import (MEMBERSHIP_R_GRID, classify, generate, record_to_csv,
+                                  tangency_ratio)
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
 
@@ -66,11 +66,6 @@ def test_tangential_generalizes_to_mixed_domain(MIXED):
 def test_generate_validates_membership(E):
     seq = generate(E, "cone", count=25, s=0.5, ratio=0.9)
     assert all(bool(E.contains(t.z)) for t in seq.terms)
-
-
-def test_custom_sequence_rejects_outside(E):
-    with pytest.raises(ValueError):
-        custom_sequence(E, np.array([[0.0, 2.0]], dtype=complex))
 
 
 def test_generate_unknown_kind(E):
@@ -152,17 +147,6 @@ def test_exact_identities_in_record(E):
     assert rec.abs_rho[0] == pytest.approx(1e-2, abs=0)   # |rho| = 1/n^2 at n = 10
     assert rec.normal_gap[0] == pytest.approx(0.1, abs=0)
     assert rec.p_prime[0] == pytest.approx(0.18, abs=1e-16)
-
-
-def test_rotation_invariance(E):
-    seq = generate(E, "tangential", count=30)
-    rec = classify(E, 0.5, seq)
-    for theta in (0.4, 2.0):
-        rotated = seq.points()
-        rotated[:, -1] = rotated[:, -1] * np.exp(1j * theta)
-        rec_rot = classify(E, 0.5, custom_sequence(E, rotated))
-        assert rec_rot.verdict == rec.verdict
-        assert np.abs(rec_rot.r_star - rec.r_star).max() <= 1e-10
 
 
 def test_verdict_is_per_scale_and_resolution_qualified(E):

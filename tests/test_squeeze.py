@@ -1,4 +1,4 @@
-"""Squeezing estimator: chains, inscribed radii, floors, consistency."""
+"""Squeezing estimator: chains, sampled inscribed radii, floors, consistency."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
-                                chain_family, chain_norms_at, gamma_floor,
-                                inscribed_radius, profile_to_csv,
-                                squeeze_estimates, squeeze_lower_bound,
-                                squeeze_profile, subdomain_grid)
+                                analytic_floor, chain_family, chain_norms_at,
+                                gamma_floor, squeeze_estimates,
+                                squeeze_lower_bound, subdomain_grid)
 from ellsqueeze.domain import SubdomainParams, contains_sub
 from ellsqueeze.util import philox
 
@@ -72,35 +71,38 @@ def test_phi_parameter_validation():
         BallAutomorphism(np.array([1.0 + 0j, 0.0]))
 
 
-# -- chains and inscribed radii ----------------------------------------------------------
+# -- chains and sampled inscribed radii ---------------------------------------------------
+
+
+def _sampled_radius(chain, count):
+    """Min image norm of a centered chain over a boundary cloud."""
+    chain.check_basepoint()
+    return float(chain_norms_at(chain, chain.domain.boundary_cloud(count, 0)).min())
 
 
 def test_identity_chain_on_ball(B):
     chain = EmbeddingChain(B, (Rescale(B.bounding_radius(margin=0.0) * (1 + 1e-9)),),
                            np.zeros(2, dtype=complex))
-    val = inscribed_radius(chain, count=20000, seed=0)
-    assert val == pytest.approx(1.0, abs=1e-3)
+    assert _sampled_radius(chain, 20000) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_rescale_chain_on_quartic(E):
     # min |z| on the boundary is 1 (Lagrange oracle), so the pure rescale by
     # sqrt(5)/2 has inscribed radius 1/sqrt(1.25)
     chain = EmbeddingChain(E, (Rescale(np.sqrt(1.25)),), np.zeros(2, dtype=complex))
-    val = inscribed_radius(chain, count=100000, seed=0)
-    assert val == pytest.approx(1.0 / np.sqrt(1.25), abs=1e-3)
+    assert _sampled_radius(chain, 100000) == pytest.approx(1.0 / np.sqrt(1.25), abs=1e-3)
 
 
 def test_pure_automorphism_chain_on_ball(B):
     c = np.array([0.9 * np.exp(0.3j), 0.0], dtype=complex)
     chain = EmbeddingChain(B, (BallAutomorphism(c),), c)
-    val = inscribed_radius(chain, count=20000, seed=0)
-    assert val == pytest.approx(1.0, abs=1e-3)
+    assert _sampled_radius(chain, 20000) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_chain_rejects_uncentered_basepoint(B):
     chain = EmbeddingChain(B, (Rescale(2.0),), np.array([0.5, 0.0], dtype=complex))
     with pytest.raises(ValueError):
-        inscribed_radius(chain, count=100)
+        chain.check_basepoint()
 
 
 # -- squeeze lower bound --------------------------------------------------------------------
@@ -178,34 +180,15 @@ def test_estimator_automorphism_consistency(E):
 
 
 def test_profile_constant_center_ball(B):
-    from ellsqueeze.sequences import custom_sequence
-    seq = custom_sequence(B, np.zeros((3, 2), dtype=complex))
-    # constant at the center: skip convergence validation by construction
-    ests = squeeze_profile(B, seq, count=1 << 13, seed=0)
+    ests = squeeze_estimates(B, np.zeros((3, 2), dtype=complex), count=1 << 13, seed=0)
     for est in ests:
         assert est.value == pytest.approx(1.0, abs=1e-3)
 
 
 def test_profile_tangential_tail_trend(E):
     seq = generate(E, "tangential", indices=[10, 1000])
-    ests = squeeze_profile(E, seq, count=1 << 14, seed=0)
+    ests = squeeze_estimates(E, seq.points(), count=1 << 14, seed=0)
     assert ests[-1].value > ests[0].value
-
-
-def test_profile_with_boundary_filter(E):
-    # restricting sampling to a neighborhood of (0, 1) models subdomain
-    # families that share that boundary piece; dropping samples can only
-    # raise the min-over-samples estimate
-    seq = generate(E, "tangential", indices=[100])
-    full = squeeze_profile(E, seq, count=1 << 13, seed=0)[0]
-    north = np.array([0.0, 1.0], dtype=complex)
-    keep = lambda pts: np.linalg.norm(pts - north, axis=1) < 0.8
-    local = squeeze_profile(E, seq, count=1 << 13, seed=0, boundary_filter=keep)[0]
-    assert local.value >= full.value
-    assert local.samples < full.samples
-    with pytest.raises(ValueError):
-        squeeze_profile(E, seq, count=256, seed=0,
-                        boundary_filter=lambda pts: np.zeros(len(pts), dtype=bool))
 
 
 # -- floors ------------------------------------------------------------------------------------
@@ -241,7 +224,7 @@ def test_gamma_floor_monotone_in_r(E):
 def test_normal_profile_dominates_floor(E):
     floor = gamma_floor(E, 0.5, 0.5, grid_count=30, count=4096, seed=0)
     seq = generate(E, "normal", indices=[5, 50, 500])
-    for est in squeeze_profile(E, seq, count=4096, seed=0):
+    for est in squeeze_estimates(E, seq.points(), count=4096, seed=0):
         assert est.value >= floor.value - 1e-3
 
 
@@ -258,21 +241,10 @@ def test_gamma_floor_small_r_limits_to_axis_values(E):
 
 
 def test_analytic_floor_flagged(E):
-    rep = gamma_floor(E, 0.5, 0.5, grid_count=5, count=2048, seed=0, with_analytic=True)
     # distance between the levels {P = 1/2} and {P = 1} over twice the diameter:
     # radii 2^{-1/4} and 1 give delta = (1 - 2^{-1/4})/2 and d = 2 sqrt(5)/2
     expected = (1.0 - 0.5 ** 0.25) / 2.0 / (2.0 * np.sqrt(1.25))
-    assert rep.analytic == pytest.approx(expected, rel=0.05)
-
-
-def test_profile_csv(E, tmp_path):
-    seq = generate(E, "tangential", indices=[10, 100])
-    ests = squeeze_profile(E, seq, count=2048, seed=0)
-    path = tmp_path / "profile.csv"
-    profile_to_csv(path, ests, indices=[10, 100])
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("j,re_p1,im_p1,re_p2,im_p2,sigma_hat")
-    assert len(lines) == 3
+    assert analytic_floor(E, 0.5) == pytest.approx(expected, rel=0.05)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
@@ -298,10 +270,9 @@ def _estimate_inputs(D, grid_count):
     return np.concatenate([grid, terms])
 
 
-def _assert_match_pointwise(D, points, ests, count, boundary_filter=None):
+def _assert_match_pointwise(D, points, ests, count):
     for p, est in zip(points, ests, strict=True):
-        value, label, band = helpers.squeeze_lower_bound_pointwise(
-            D, p, count, 0, boundary_filter)
+        value, label, band = helpers.squeeze_lower_bound_pointwise(D, p, count, 0)
         assert est.chain.label == label
         assert abs(est.value - value) <= 4 * np.spacing(value)
         assert abs(est.band - band) <= 8 * np.spacing(1.0)
@@ -389,16 +360,6 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
     kept = np.concatenate(evaluated)
     for minimizer in (cloud[np.argmin(explicit)], cloud[np.argmin(explicit[:half])]):
         assert (kept == minimizer).all(axis=1).any()
-
-
-def test_estimates_with_boundary_filter(E):
-    north = np.array([0.0, 1.0], dtype=complex)
-    keep = lambda pts: np.linalg.norm(pts - north, axis=1) < 0.8
-    points = _estimate_inputs(E, 6)
-    ests = squeeze_estimates(E, points, count=1 << 12, seed=0, boundary_filter=keep)
-    _assert_match_pointwise(E, points, ests, 1 << 12, keep)
-    kept = int(keep(E.boundary_cloud(1 << 12, 0)).sum())
-    assert all(est.samples == kept for est in ests)
 
 
 def test_estimates_of_no_points(E):

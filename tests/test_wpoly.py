@@ -244,17 +244,44 @@ def test_degenerate_product_declined_and_refused(scans):
     assert scans == [P]
 
 
-@pytest.mark.parametrize("table", [_singular, _indefinite_positive],
-                         ids=["singular", "indefinite"])
-def test_declined_tables_are_judged_by_the_scan(table, scans):
+def _negative_quartic():
+    return WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): -1.0})
+
+
+def _missing_power():
+    # |z1^2|^2 on m = (2, 3) vanishes on the z2 axis
+    return WeightedPolynomial(MultiWeight((2, 3)), {((2, 0), (2, 0)): 1.0})
+
+
+# (table, whether construction refuses it, whether it runs the scan); the
+# first three tables' monomials are all pure powers, so their Gram matrices
+# decide and the scan never runs
+@pytest.mark.parametrize("table, refused, scanned", [
+    (_singular, True, False),
+    (_negative_quartic, True, False),
+    (_missing_power, True, False),
+    (_indefinite_positive, False, True),
+], ids=["singular", "negative", "missing-power", "indefinite"])
+def test_declined_tables_are_judged_by_the_scan(table, refused, scanned, scans):
     P = table()
     assert not P.gram_certified()
-    if P.positivity_scan().passed:
-        domain.GeneralEllipsoid(P)
-    else:
+    if refused:
         with pytest.raises(PositivityError):
             domain.GeneralEllipsoid(P)
-    assert scans == [P, P]
+    else:
+        domain.GeneralEllipsoid(P)
+    assert scans == ([P] if scanned else [])
+
+
+def test_singular_table_vanishes_off_the_origin():
+    # P = |sqrt(a) z1^2 + sqrt(b) z2^3|^2 is zero on sqrt(a) z1^2 = -sqrt(b) z2^3,
+    # (|z| = 10.6 here, each term about 9e3), where the sampled scan sees
+    # only positive values
+    P = _singular()
+    z2 = 100.0 ** (1.0 / 3.0)
+    z1 = 1j * np.sqrt(np.sqrt(0.9 / 1.1) * z2 ** 3)
+    assert abs(float(P.eval(np.array([z1, z2])))) <= 1e-10
+    assert P.positivity_scan().passed
 
 
 def test_indefinite_gram_positive_table_passes_the_scan():
