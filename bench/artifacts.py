@@ -1,0 +1,60 @@
+"""Write every CLI experiment's artifacts at their defaults, for a diff between checkouts.
+
+    python bench/artifacts.py OUT
+
+runs the seven experiments of `ellsqueeze.cli` at their default
+configuration on three domains: `quartic`, `ball:3` and the m = (2, 3)
+table with a z1^2 conj(z2)^3 cross term of the kernel benchmarks, one
+member of the family `perfbench` draws its mixed-weight tables from
+(written to OUT/mixed-2-3.json).  Each run is a fresh interpreter on the
+package of the checkout holding this script, started in OUT with relative
+paths, so its manifest does not name OUT.  Run `r` of domain `d` writes
+its artifacts to OUT/d/r/ together with `stdout.txt`: its exit status and
+everything it printed.  Two checkouts then compare with one
+
+    diff -r OUT_A OUT_B
+
+which is empty when the two programs write the same bytes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from ellsqueeze.cli import EXPERIMENTS  # noqa: E402
+from test_kernels import _mixed_weight_polynomial  # noqa: E402
+
+MIXED = "mixed-2-3.json"
+DOMAINS = {"quartic": "quartic", "ball-3": "ball:3", "mixed-2-3": MIXED}
+
+
+def main(out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / MIXED).write_text(json.dumps(_mixed_weight_polynomial().to_dict(), indent=1) + "\n",
+                             encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    failed = 0
+    for name, spec in DOMAINS.items():
+        for experiment in EXPERIMENTS:
+            run = Path(name) / experiment
+            proc = subprocess.run(
+                [sys.executable, "-m", "ellsqueeze.cli", experiment,
+                 "--domain", spec, "--out", str(run)],
+                cwd=out, env=env, capture_output=True, text=True)
+            (out / run).mkdir(parents=True, exist_ok=True)
+            (out / run / "stdout.txt").write_text(
+                f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}", encoding="utf-8")
+            failed += proc.returncode != 0
+            print(f"{run}: exit {proc.returncode}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(Path(sys.argv[1])))

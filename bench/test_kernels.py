@@ -2,18 +2,17 @@
 
     pytest bench --benchmark-only
 
-`first_crossing` runs on the positive-diagonal gauges of the quartic, E(2, 3)
-and the ball in C^3, which solve by monotone Newton, and on the m = (2, 3)
-gauge with a z1^2 conj(z2)^3 cross term, which fails the positive-diagonal
-test and so solves by companion eigenvalues.  The frame-sized call solves the
+`first_crossing` runs on the gauges of the quartic, E(2, 3) and the ball in
+C^3, and on the m = (2, 3) gauge with a z1^2 conj(z2)^3 cross term; how each
+ray is solved is stated in `first_crossing`.  The frame-sized call solves the
 `scaling.PHASE_GRID` phases of one line on the translated m = (2, 3)
 graph-model table at eta = (0, 0, -1e-3), as `scaling` does for each reach
-before refining the worst phase; it also fails the test and keeps the
-companion.  `scale_along_normal` builds the frames and scaled tables of that
-graph model at delta = 1e-2, 1e-3 and 1e-4.  `analytic_floor` runs on a warm
-quartic domain.  The cold start is a fresh interpreter that imports the package
-and builds the m = (2, 3) domain, as each CLI run and benchmark set-up probe
-does; its Gram certificate proves P > 0, so it loads no scipy.
+before refining the worst phase.  `scale_along_normal` builds the frames
+and scaled tables of that graph model at delta = 1e-2, 1e-3 and 1e-4.
+`analytic_floor` runs on a warm quartic domain.  The cold start is a fresh
+interpreter that imports the package and builds the m = (2, 3) domain, as
+each CLI run and benchmark set-up probe does; its Gram certificate proves
+P > 0, so it loads no scipy.
 `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
 at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots), and over the four

@@ -221,7 +221,7 @@ def run(experiment: str, cfg: dict) -> int:
         report = limit_diagnostics(scaled)
         if report.psd_min_eig < _TOLERANCES["levi_psd"]:
             raise ToleranceError("levi_psd", report.psd_min_eig, _TOLERANCES["levi_psd"])
-        drift = max(abs(sf.frame.taus[-1] / sf.eps - 1.0) for sf in scaled)
+        drift = max(abs(sf.frame.taus[-1] / sf.frame.eps - 1.0) for sf in scaled)
         if drift > _TOLERANCES["tau_relative"]:
             raise ToleranceError("tau_relative", drift, _TOLERANCES["tau_relative"])
         diagnostics_to_csv(outdir / "scale.csv", report)

@@ -12,12 +12,7 @@ Boundary points are radial first crossings: rho(0) = -1 and the domain
 is bounded, so every ray t u from the origin reaches the zero level.
 Along the ray the gauge is a real polynomial in t, and
 :func:`~ellsqueeze.hermpoly.first_crossing` returns its smallest positive
-root.  A gauge whose terms besides the constant -1 are all |z^A|^2 with
-positive coefficients (the ball, the quartic, every E(p)) rises
-monotonically along each ray, so its one root comes from monotone
-Newton; any other gauge, such as one with a z1^2 conj(z2)^3 term, takes
-the smallest positive root from companion eigenvalues of the radial
-coefficients, so non-monotone profiles still give the first sign change.
+root, choosing its solver per ray.
 """
 
 from __future__ import annotations
@@ -109,16 +104,9 @@ class GeneralEllipsoid:
 
         Directions come from a scrambled Sobol sphere sequence; along each
         ray the boundary point is the smallest positive root of the radial
-        gauge polynomial, then one Newton polish.  The radial polynomial is
-        solved in x = t^g, g the gcd of the gauge's degrees; t -> t^g
-        increases on t > 0, so the first root in x gives the first crossing
-        exactly.  The solver is chosen by the positive-diagonal test: a
-        gauge whose terms besides the constant are all |z^A|^2 with
-        positive coefficients (the ball, the quartic, any E(p)) has exactly
-        one positive root per ray and solves by monotone Newton; any other
-        gauge, such as one with a z1^2 conj(z2)^3 cross term, solves by
-        companion eigenvalues.  A ray without a crossing below `RAY_CAP`
-        raises BoundedSearchError.
+        gauge polynomial (:func:`~ellsqueeze.hermpoly.first_crossing`, which
+        says how each ray is solved).  A ray without a crossing below
+        `RAY_CAP` raises BoundedSearchError.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)

@@ -14,13 +14,7 @@ drift.  Differentiation and composition with affine maps are exact
 :func:`first_crossing` finds where a table first reaches a level along
 rays from the origin; it serves both boundary clouds and reach radii.
 Each ray's radial polynomial is solved in x = t^g, g the gcd of the
-table's degrees, in one of two ways chosen by the table.  A table whose
-non-constant terms are all diagonal with positive coefficients, and
-whose constant lies below the level (the gauges of the ball, the quartic
-and every E(p)), has one simple positive root per ray, which monotone
-Newton finds from a closed-form upper bound.  Every other table (cross
-terms, translated frame tables) takes the smallest positive root from
-companion eigenvalues.
+table's degrees, by a solver chosen per ray (see :func:`first_crossing`).
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ def _lowered(E: np.ndarray):
 class HermitianPolynomial:
     """Immutable Hermitian coefficient table in d complex variables."""
 
-    __slots__ = ("d", "_table", "_expanded", "_diagonal_constant")
+    __slots__ = ("d", "_table", "_expanded")
 
     def __init__(self, d: int, terms: Mapping[PairKey, complex]):
         """Build from {(A, B): coefficient}; pairs may come in either order.
@@ -129,12 +123,7 @@ class HermitianPolynomial:
         return len(self._table)
 
     def _expand(self):
-        """Materialized (A, B, coeff) arrays including conjugate partners.
-
-        The first call also caches `_diagonal_constant`: the constant term
-        when every other term is diagonal (A == B) with a positive
-        coefficient, else None.
-        """
+        """Materialized (A, B, coeff) arrays including conjugate partners."""
         if self._expanded is None:
             A, B, C = [], [], []
             for (a, b), c in sorted(self._table.items()):
@@ -147,13 +136,8 @@ class HermitianPolynomial:
                     C.append(np.conj(c))
             if not A:
                 A, B, C = [(0,) * self.d], [(0,) * self.d], [0.0 + 0.0j]
-            A, B, C = (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
-                       np.asarray(C, dtype=np.complex128))
-            rest = (A + B).any(axis=1)
-            positive = (A == B).all(axis=1) & (C.real > 0.0)
-            self._diagonal_constant = (float(C.real[~rest].sum())
-                                       if positive[rest].all() else None)
-            self._expanded = (A, B, C)
+            self._expanded = (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
+                              np.asarray(C, dtype=np.complex128))
         return self._expanded
 
     # -- evaluation and calculus ----------------------------------------------
@@ -293,9 +277,9 @@ CROSSING_BLOCK = 8192
 # of the order sqrt(machine epsilon) relative to the root.
 NEAR_REAL = 1e-6
 
-# Newton iterations allowed per block on positive-diagonal tables.  Cloud
-# blocks settle in 6-7; the start is within a factor of the number of
-# positive radial terms of the root.
+# Newton iterations allowed per block on monotone rays.  Cloud blocks settle
+# in 6-7; the start is within a factor of the number of positive radial
+# terms of the root.
 NEWTON_MAX_ITER = 64
 
 
@@ -313,19 +297,20 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     is increasing on t > 0, the first crossing is the g-th root of q's
     smallest positive root, and a touching root of p is one of q.
 
-    Two solves share this setup, chosen by the table.  A *positive-diagonal*
-    table (every non-constant term has A == B and a positive coefficient,
-    and its constant is below `level`: the ball, the quartic, every E(p))
-    has c_k(u) = sum c_AA |u^A|^2 >= 0 for k > 0 and q(0) < 0, so by
-    Descartes's rule of signs q has exactly one positive root, simple, and
-    q is convex and increasing on x > 0; monotone Newton from an upper
-    bound finds it (:func:`_monotone_newton_root`).  Every other table
-    solves by companion eigenvalues (:func:`_smallest_positive_root`): the
-    roots of q are the eigenvalues of the companion matrix of its reversed
-    polynomial in s = 1/x, whose leading coefficient c_0 - level is
-    nonzero, and the largest near-real s gives the first crossing,
-    t = s^(-1/g).  Either way one Newton step on p polishes t where the
-    step lowers |p|.
+    The solver is chosen per ray from its coefficients q_k = c_{gk}(u),
+    with q_0 = c_0 - level.  A *monotone* ray has q_0 < 0, every other
+    q_k >= 0 and some q_k > 0; every ray of the ball, the quartic and
+    every E(p) is one, as their gauges have only |z^A|^2 terms with
+    positive coefficients.  By Descartes's rule of signs its q has exactly
+    one positive root, simple, and q is convex and increasing on x > 0, so
+    monotone Newton from an upper bound finds it
+    (:func:`_monotone_newton_root`).  Every other ray solves by companion
+    eigenvalues (:func:`_smallest_positive_root`): the roots of q are the
+    eigenvalues of the companion matrix of its reversed polynomial in
+    s = 1/x, whose leading coefficient q_0 is nonzero, and the largest
+    near-real s gives the first crossing, t = s^(-1/g); a ray with no
+    rising term has none and stays +inf.  Either way one Newton step on p
+    polishes t where the step lowers |p|.
     """
     u = np.asarray(directions, dtype=np.complex128)
     A, B, C = table._expand()
@@ -335,16 +320,19 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     out = np.full(len(u), np.inf)
     if K == 0:
         return out
-    constant = table._diagonal_constant
-    solve = (_monotone_newton_root if constant is not None and constant < level
-             else _smallest_positive_root)
     radial = np.zeros((len(C), K + 1), dtype=np.complex128)
     radial[np.arange(len(C)), deg] = C
     for lo in range(0, len(u), CROSSING_BLOCK):
         block = slice(lo, lo + CROSSING_BLOCK)
         coeffs = (table._monomials(u[block]) @ radial).real
         coeffs[:, 0] -= level
-        x = solve(coeffs[:, ::g])
+        q = coeffs[:, ::g]
+        monotone = ((q[:, 0] < 0.0) & (q[:, 1:] >= 0.0).all(axis=1)
+                    & (q[:, 1:] > 0.0).any(axis=1))
+        x = np.empty(len(q))
+        x[monotone] = _monotone_newton_root(q[monotone])
+        if not monotone.all():
+            x[~monotone] = _smallest_positive_root(q[~monotone])
         found = np.isfinite(x)
         t = np.full(len(x), np.inf)
         t[found] = _newton_polish(coeffs[found], x[found] ** (1.0 / g))
@@ -354,22 +342,19 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
 
 
 def _monotone_newton_root(q: np.ndarray) -> np.ndarray:
-    """The one positive root of each row's sum_k q_k x^k, else +inf.
+    """The one positive root of each row's sum_k q_k x^k.
 
-    Rows must have q_0 < 0 and q_k >= 0 otherwise.  Newton starts at
-    x0 = min over q_k > 0 of (-q_0 / q_k)^(1/k).  The term q_k x^k alone
-    reaches -q_0 at (-q_0 / q_k)^(1/k), so the polynomial is >= 0 there and
-    x0 is at least the root; at the root some positive term holds a share
-    of at least 1/(positive terms) of -q_0, so x0 is at most the number of
-    positive terms times the root.  The polynomial is convex and
-    increasing on x > 0, so the iterates decrease to the root; iteration
-    stops when no row decreases.  Rows without a positive q_k never cross.
+    Rows must have q_0 < 0, q_k >= 0 otherwise and some q_k > 0.  Newton
+    starts at x0 = min over q_k > 0 of (-q_0 / q_k)^(1/k).  The term
+    q_k x^k alone reaches -q_0 at (-q_0 / q_k)^(1/k), so the polynomial is
+    >= 0 there and x0 is at least the root; at the root some positive term
+    holds a share of at least 1/(positive terms) of -q_0, so x0 is at most
+    the number of positive terms times the root.  The polynomial is convex
+    and increasing on x > 0, so the iterates decrease to the root;
+    iteration stops when no row decreases.
     """
     K = q.shape[1] - 1
     positive = q[:, 1:] > 0.0
-    found = positive.any(axis=1)
-    out = np.full(len(q), np.inf)
-    q, positive = q[found], positive[found]
     reach = np.divide(-q[:, :1], q[:, 1:], out=np.full(positive.shape, np.inf),
                       where=positive)
     x = (reach ** (1.0 / np.arange(1, K + 1))).min(axis=1)
@@ -383,8 +368,7 @@ def _monotone_newton_root(q: np.ndarray) -> np.ndarray:
     else:
         raise BoundedSearchError(
             "monotone Newton did not settle within its iteration cap", NEWTON_MAX_ITER)
-    out[found] = x
-    return out
+    return x
 
 
 def _smallest_positive_root(q: np.ndarray) -> np.ndarray:

@@ -183,7 +183,6 @@ class ScaledFunction:
 
     table: HermitianPolynomial
     frame: ScalingFrame
-    eps: float
 
     @property
     def value_at_origin(self) -> float:
@@ -198,7 +197,7 @@ def scaled_function(rho: HermitianPolynomial, frame: ScalingFrame) -> ScaledFunc
     """
     M = frame.unitary * frame.taus[None, :]
     composed = rho.compose_affine(frame.eta, M)
-    return ScaledFunction(table=composed * (1.0 / frame.eps), frame=frame, eps=frame.eps)
+    return ScaledFunction(table=composed * (1.0 / frame.eps), frame=frame)
 
 
 def scale_along_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],

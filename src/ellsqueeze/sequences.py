@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
+from .errors import ConfigError
 from .util import write_csv
 
 MEMBERSHIP_R_GRID = (0.25, 0.5, 0.75, 0.9, 0.99)
@@ -75,10 +76,9 @@ def _slice_direction(D: GeneralEllipsoid) -> np.ndarray:
 
 def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, target: float) -> np.ndarray:
     """delta_t(u) with P(delta_t u) = target, using P(delta_t u) = t P(u)."""
-    pu = float(D.P.eval(u))
     if target == 0.0:
         return np.zeros_like(u)
-    return D.P.weights.dilate(target / pu, u)
+    return D.P.weights.dilate(target / float(D.P.eval(u)), u)
 
 
 def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
@@ -100,41 +100,27 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
         indices = range(2, count + 2)
     indices = [int(j) for j in indices]
     if any(j < 1 for j in indices):
-        raise ValueError("sequence indices must be >= 1")
-    d = D.n - 1
+        raise ConfigError("sequence indices must be >= 1")
+    if kind not in ("normal", "tangential", "cone"):
+        raise ConfigError(f"unknown sequence kind {kind!r}")
+    if kind == "cone" and not (0.0 < ratio < 1.0):
+        raise ConfigError("cone ratio must lie in (0, 1)")
+    u = _slice_direction(D)
     terms: List[SequenceTerm] = []
-
-    if kind == "normal":
-        for j in indices:
-            zn = Fraction(j - 1, j)
-            z = np.zeros(D.n, dtype=np.complex128)
-            z[-1] = float(zn)
-            terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=Fraction(0)))
-    elif kind == "tangential":
-        u = _slice_direction(D)
-        for j in indices:
-            zn = Fraction(j - 1, j)
+    for j in indices:
+        zn = Fraction(j - 1, j)
+        if kind == "normal":
+            p_target = Fraction(0)
+        elif kind == "tangential":
             p_target = Fraction(2, j) - Fraction(2, j * j)
-            zp = _place_on_level(D, u, float(p_target))
-            z = np.concatenate([zp, [float(zn)]])
-            terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
-    elif kind == "cone":
-        if not (0.0 < ratio < 1.0):
-            raise ValueError("cone ratio must lie in (0, 1)")
-        u = _slice_direction(D)
-        s_f = Fraction(s)
-        r_f = Fraction(ratio)
-        for j in indices:
-            zn = Fraction(j - 1, j)
+        else:
+            s_f = Fraction(s)
             gap = s_f * s_f - (zn - (1 - s_f)) ** 2
             if gap <= 0:
-                raise ValueError(f"index {j} leaves the subdomain scale s={s}")
-            p_target = r_f * gap / s_f
-            zp = _place_on_level(D, u, float(p_target))
-            z = np.concatenate([zp, [float(zn)]])
-            terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
-    else:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+                raise ConfigError(f"index {j} leaves the subdomain scale s={s}")
+            p_target = Fraction(ratio) * gap / s_f
+        z = np.concatenate([_place_on_level(D, u, float(p_target)), [float(zn)]])
+        terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
 
     seq = ApproachSequence(kind=kind, domain=D, terms=terms)
     _validate(seq)
@@ -146,14 +132,14 @@ def _validate(seq: ApproachSequence) -> None:
     inside = seq.domain.contains(pts)
     if not inside.all():
         bad = seq.indices()[~inside]
-        raise ValueError(f"sequence terms {bad.tolist()} are not inside the domain")
+        raise ConfigError(f"sequence terms {bad.tolist()} are not inside the domain")
     target = np.zeros(seq.domain.n)
     target[-1] = 1.0
     gaps = np.linalg.norm(pts - target, axis=1)
     if len(gaps) >= 4:
         tail = gaps[len(gaps) // 2:]
         if not np.all(np.diff(tail) <= 1e-12):
-            raise ValueError("sequence does not approach (0', 1): tail gaps not decreasing")
+            raise ConfigError("sequence does not approach (0', 1): tail gaps not decreasing")
 
 
 # -- tangency ratio ----------------------------------------------------------------

@@ -245,6 +245,10 @@ def test_invalid_parameter_rejected(tmp_path):
     ["convergence", "--seed", "-1"],
     ["floor", "--seed", str(2 ** 130)],
     ["floor", "--seed", str(2 ** 63)],
+    # sequences that cannot be built: a term rounds onto the boundary, and a
+    # cone term leaves the subdomain scale
+    ["profile", "--indices", "1000000000"],
+    ["classify", "--kind", "cone", "--s", "0.001"],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellsqueeze import hermpoly
+from ellsqueeze import hermpoly, scaling
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import AdmissibilityError, BoundedSearchError
 from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
@@ -244,15 +244,39 @@ def test_companion_size_is_degree_over_gcd(table, level, size, monkeypatch):
     assert shapes == [(size, size)]
 
 
-@_POSITIVE_DIAGONAL
-def test_monotone_newton_matches_companion(domain, monkeypatch):
-    # the same rays, setup and polish, with the companion solve swapped in
+def _gauge_rays(domain):
     gauge = domain().gauge
-    u = complex_sphere(4096, gauge.d, seed=3)
-    got = first_crossing(gauge, u, 0.0, 1e6)
+    return gauge, complex_sphere(4096, gauge.d, seed=3), 0.0, 1e6
+
+
+def _frame_axis_rays():
+    # the e_2 axis line of the m = (2, 3) graph model translated to
+    # eta = (0, 0, -1e-3), as `build_frame` solves it: every phase is monotone
+    eps = 1e-3
+    rho = scaling.DefiningFunctionPoly.graph_model(mixed_weight_polynomial())
+    q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
+    phases = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    return q, np.exp(1j * phases)[:, None] * np.array([0.0, 1.0, 0.0]), eps, scaling.REACH_CAP
+
+
+@pytest.mark.parametrize("rays", [
+    lambda: _gauge_rays(GeneralEllipsoid.quartic_disc),
+    lambda: _gauge_rays(lambda: GeneralEllipsoid.unit_ball(3)),
+    lambda: _gauge_rays(_diagonal_ellipsoid),
+    lambda: _gauge_rays(lambda: GeneralEllipsoid(mixed_weight_polynomial())),
+    _frame_axis_rays,
+], ids=["quartic", "ball-3", "E-2-3", "mixed-2-3", "frame-axis-line"])
+def test_monotone_newton_matches_companion(rays, monkeypatch):
+    # the same rays, setup and polish, with the companion solve swapped in on
+    # the rays that take Newton (about half of the mixed gauge's)
+    table, u, level, cap = rays()
+    newton, solved = hermpoly._monotone_newton_root, []
+    monkeypatch.setattr(hermpoly, "_monotone_newton_root",
+                        lambda q: solved.append(len(q)) or newton(q))
+    got = first_crossing(table, u, level, cap)
     monkeypatch.setattr(hermpoly, "_monotone_newton_root", hermpoly._smallest_positive_root)
-    ref = first_crossing(gauge, u, 0.0, 1e6)
-    assert np.isfinite(ref).all()
+    ref = first_crossing(table, u, level, cap)
+    assert sum(solved) > 0 and np.isfinite(ref).all()
     assert (np.abs(got - ref) <= np.spacing(ref)).all()
 
 
@@ -274,7 +298,8 @@ def test_monotone_newton_matches_bisection_on_edge_rays(monkeypatch):
 
 
 def test_monotone_newton_ray_without_positive_term_is_inf():
-    # |z_2|^2 + 0.5 |z_2|^4 is flat along e_1, so that ray has no positive term
+    # |z_2|^2 + 0.5 |z_2|^4 is flat along e_1, so that ray has no positive
+    # term; it goes to the companion, which finds no root
     table = HermitianPolynomial(2, {((0, 1), (0, 1)): 1.0, ((0, 2), (0, 2)): 0.5})
     u = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     with np.errstate(all="raise"):
@@ -289,17 +314,42 @@ def test_monotone_newton_iteration_bound_raises(monkeypatch):
         first_crossing(gauge, complex_sphere(16, gauge.d, seed=0), 0.0, 1e6)
 
 
+def test_positive_ray_coefficients_take_newton(monkeypatch):
+    # |z_1|^2 + |z_2|^2 + 0.2 Re(z_1 conj z_2) has a cross term, but its
+    # radial coefficient 1 + 0.2 Re(u_1 conj u_2) is positive on every ray
+    table = HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
+                                    ((1, 0), (0, 1)): 0.1})
+    u = complex_sphere(16, 2, seed=0)
+    shapes = _spy_eigvals(monkeypatch)
+    got = first_crossing(table, u, 1.0, 1e6)
+    ref = bisect_first_crossing(table.value, u, 1.0, 1e6)
+    assert shapes == [] and np.abs(got - ref).max() <= 1e-15
+
+
 @pytest.mark.parametrize("table, level", [
     (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
-                             ((1, 0), (0, 1)): 0.1}), 1.0),
+                             ((1, 0), (0, 1)): 1.5}), 1.0),
     (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
                              ((2, 0), (2, 0)): -0.1}), 0.5),
     (HermitianPolynomial(2, {((0, 0), (0, 0)): 1.0, ((1, 0), (1, 0)): 1.0,
                              ((0, 1), (0, 1)): 1.0}), 0.5),
 ], ids=["off-diagonal", "negative-diagonal", "constant-above-level"])
 def test_other_tables_keep_the_companion(table, level, monkeypatch):
-    # a constant above the level breaks first_crossing's precondition; it
-    # still routes to the companion, which finds no positive root
+    # exactly the rays with a negative radial coefficient, or a constant at or
+    # above the level, go to the companion: the off-diagonal table's
+    # 1 + 3 Re(u_1 conj u_2) is negative on some rays and positive on others;
+    # a constant above the level breaks first_crossing's precondition, and the
+    # companion finds no positive root
+    u = complex_sphere(16, 2, seed=0)
+    A, B, C = table._expand()
+    radial = (table._monomials(u) * C).real
+    deg = (A + B).sum(axis=1)
+    q = np.stack([radial[:, deg == k].sum(axis=1) for k in (0, 2, 4)], axis=1)
+    q[:, 0] -= level
+    other = (q[:, 0] >= 0.0) | (q[:, 1:] < 0.0).any(axis=1)
+    companion, rows = hermpoly._smallest_positive_root, []
+    monkeypatch.setattr(hermpoly, "_smallest_positive_root",
+                        lambda q: rows.append(len(q)) or companion(q))
     shapes = _spy_eigvals(monkeypatch)
-    first_crossing(table, complex_sphere(16, 2, seed=0), level, 1e6)
-    assert len(shapes) == 1
+    first_crossing(table, u, level, 1e6)
+    assert len(shapes) == 1 and rows == [other.sum()] and 0 < other.sum()

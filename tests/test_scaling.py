@@ -365,7 +365,7 @@ def test_limit_flags_divergence(GRAPH):
     run = scale_along_normal(GRAPH, etas)
     for k, sf in enumerate(run):
         bump = DefiningFunctionPoly(2, {((0, 0), (0, 0)): float(2 ** k)})
-        run[k] = type(sf)(table=sf.table + bump, frame=sf.frame, eps=sf.eps)
+        run[k] = type(sf)(table=sf.table + bump, frame=sf.frame)
     rep = limit_diagnostics(run)
     assert rep.diverged
     assert ((0, 0), (0, 0)) in rep.diverging_keys
