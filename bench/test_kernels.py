@@ -30,8 +30,8 @@ import pytest
 
 import ellsqueeze
 from ellsqueeze import scaling, squeeze
-from ellsqueeze.domain import RAY_CAP, GeneralEllipsoid, SubdomainParams
-from ellsqueeze.hermpoly import first_crossing
+from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams
+from ellsqueeze.hermpoly import RAY_CAP, first_crossing
 from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
@@ -63,7 +63,7 @@ def test_first_crossing_frame_line(benchmark):
     q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
     phases = np.linspace(0.0, 2.0 * np.pi, scaling.PHASE_GRID, endpoint=False)
     u = np.exp(1j * phases)[:, None] * complex_sphere(1, q.d, 0)
-    t = benchmark(first_crossing, q, u, eps, scaling.REACH_CAP)
+    t = benchmark(first_crossing, q, u, eps, RAY_CAP)
     assert np.isfinite(t).all()
 
 

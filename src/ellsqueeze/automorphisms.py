@@ -77,22 +77,13 @@ class EllipsoidAutomorphism:
         den = 1.0 + self.sign * np.conj(self.a) * w
         return self.lam / (den * np.conj(den)).real
 
-    def describe(self) -> str:
-        return f"psi(a={self.a:.6g}, theta={self.theta:.6g}, sign={self.sign:+d})"
-
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """Rotation + Moebius data sending an interior point onto {z_n = 0}."""
+    """The automorphism sending an interior point onto {z_n = 0}, and its image b."""
 
-    theta: float
-    a: float
     b: np.ndarray
     automorphism: EllipsoidAutomorphism
-
-    @property
-    def lam(self) -> float:
-        return 1.0 - self.a ** 2
 
 
 def normalize_point(D: GeneralEllipsoid, q: np.ndarray) -> NormalizationResult:
@@ -121,7 +112,7 @@ def normalize_point(D: GeneralEllipsoid, q: np.ndarray) -> NormalizationResult:
     b = np.zeros(D.n, dtype=np.complex128)
     for k, mk in enumerate(D.P.weights.m):
         b[k] = q[k] / lam ** (1.0 / (2 * mk))
-    return NormalizationResult(theta=theta, a=a, b=b, automorphism=psi)
+    return NormalizationResult(b=b, automorphism=psi)
 
 
 def pullback_coeffs(b: float, a: float) -> Tuple[float, float, float]:

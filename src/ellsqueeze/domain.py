@@ -18,20 +18,17 @@ root, choosing its solver per ray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BoundedSearchError, EmptySampleError
-from .hermpoly import HermitianPolynomial, first_crossing
+from .hermpoly import RAY_CAP, HermitianPolynomial, first_crossing
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
 
 # reference cloud used for radii that must not depend on a caller's sample count
 REFERENCE_COUNT = 1 << 14
 REFERENCE_SEED = 20210
-# a ray with no boundary crossing up to this radius fails the sampling
-RAY_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class GeneralEllipsoid:
         ray the boundary point is the smallest positive root of the radial
         gauge polynomial (:func:`~ellsqueeze.hermpoly.first_crossing`, which
         says how each ray is solved).  A ray without a crossing below
-        `RAY_CAP` raises BoundedSearchError.
+        `hermpoly.RAY_CAP` raises BoundedSearchError.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)
@@ -130,23 +127,17 @@ class GeneralEllipsoid:
     def bounding_radius(self, margin: float = 0.01) -> float:
         """Radius R with D contained in the ball B(0, R).
 
-        Computed as the max norm over the fixed reference boundary cloud plus
-        a safety margin; |z| has no interior maximum, so the boundary sup is
-        the domain sup.
+        Computed as the max norm over the fixed reference boundary cloud,
+        floored at 1, plus a safety margin; |z| has no interior maximum, so
+        the boundary sup is the domain sup, and the circle (0', e^{i theta})
+        lies on the boundary, so that sup is at least 1.
         """
         key = float(margin)
         if key not in self._radius_cache:
             pts = self.boundary_cloud(REFERENCE_COUNT, REFERENCE_SEED)
-            self._radius_cache[key] = float(np.linalg.norm(pts, axis=1).max()) * (1.0 + margin)
+            sup = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
+            self._radius_cache[key] = sup * (1.0 + margin)
         return self._radius_cache[key]
-
-    # -- subdomains ----------------------------------------------------------------
-
-    def sub_gauge(self, sp: SubdomainParams, z: np.ndarray) -> np.ndarray:
-        """|z_n - (1-s)|^2 + (s/r) P(z') - s^2; negative inside D^{s,r}."""
-        z = np.asarray(z, dtype=np.complex128)
-        w = z[..., -1] - sp.b
-        return (w * np.conj(w)).real + (sp.s / sp.r) * self.P.eval(z[..., :-1]) - sp.s ** 2
 
     # -- Levi geometry ----------------------------------------------------------------
 
@@ -187,14 +178,11 @@ class GeneralEllipsoid:
         if len(kept) == 0:
             raise EmptySampleError("exclusion tube swallowed every sample; lower `exclusion`")
         eigs = self.levi_min_eig(kept)
-        k = int(np.argmin(eigs))
         return WBScanReport(
-            min_levi=float(eigs[k]),
-            argmin=kept[k].copy(),
+            min_levi=float(eigs.min()),
             tested=int(len(kept)),
             excluded=int(count - len(kept)),
             exclusion=exclusion,
-            seed=seed,
             levi_values=eigs,
             points=kept,
         )
@@ -205,11 +193,9 @@ class WBScanReport:
     """Result of a strong-pseudoconvexity boundary scan."""
 
     min_levi: float
-    argmin: np.ndarray
     tested: int
     excluded: int
     exclusion: float
-    seed: int
     levi_values: np.ndarray
     points: np.ndarray
 
@@ -219,13 +205,15 @@ class WBScanReport:
 
 
 def contains_sub(D: GeneralEllipsoid, sp: SubdomainParams, z: np.ndarray) -> np.ndarray:
-    """Membership test for the internal subdomain D^{s,r}."""
-    return D.sub_gauge(sp, z) < 0.0
+    """Membership in D^{s,r}: |z_n - (1-s)|^2 + (s/r) P(z') < s^2."""
+    z = np.asarray(z, dtype=np.complex128)
+    w = z[..., -1] - sp.b
+    return (w * np.conj(w)).real + (sp.s / sp.r) * D.P.eval(z[..., :-1]) - sp.s ** 2 < 0.0
 
 
 def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
-                   levi: Optional[np.ndarray] = None) -> None:
-    """CSV emission (re_z1, im_z1, ..., residual, levi_min); levi may be blank."""
+                   levi: np.ndarray) -> None:
+    """CSV emission (re_z1, im_z1, ..., residual, levi_min)."""
     points = np.atleast_2d(points)
     header = []
     for j in range(points.shape[1]):
@@ -237,6 +225,6 @@ def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
         for z in p:
             row += [z.real, z.imag]
         row.append(residual[i])
-        row.append("" if levi is None else levi[i])
+        row.append(levi[i])
         rows.append(row)
     write_csv(path, header, rows)

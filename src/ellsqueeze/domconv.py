@@ -41,8 +41,6 @@ class ExhaustionReport:
     fractions_inside: np.ndarray
     first_ok_index: Optional[int]
     cloud_size: int
-    eps: float
-    u_radius: float
     coeffs: List[tuple]
 
     @property
@@ -98,8 +96,7 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
         coeffs.append(pullback_coeffs(b, float(a)) if 0.0 < a < 1.0 else (np.nan,) * 3)
     return ExhaustionReport(
         a_grid=np.asarray(a_grid, dtype=float), fractions_inside=np.array(fractions),
-        first_ok_index=_tail_start(swallowed), cloud_size=len(cloud), eps=eps,
-        u_radius=u_radius, coeffs=coeffs,
+        first_ok_index=_tail_start(swallowed), cloud_size=len(cloud), coeffs=coeffs,
     )
 
 

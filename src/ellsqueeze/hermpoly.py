@@ -19,6 +19,7 @@ table's degrees, by a solver chosen per ray (see :func:`first_crossing`).
 
 from __future__ import annotations
 
+import cmath
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -67,9 +68,9 @@ class HermitianPolynomial:
     def __init__(self, d: int, terms: Mapping[PairKey, complex]):
         """Build from {(A, B): coefficient}; pairs may come in either order.
 
-        Diagonal coefficients (A == B) must be real.  Supplying both (A, B)
-        and (B, A) is allowed only when the values are exact conjugates,
-        and the pair is then stored once.
+        Coefficients must be finite, and diagonal ones (A == B) real.
+        Supplying both (A, B) and (B, A) is allowed only when the values are
+        exact conjugates, and the pair is then stored once.
         """
         if d < 1:
             raise AdmissibilityError("need at least one variable")
@@ -79,6 +80,8 @@ class HermitianPolynomial:
             a = _as_index(ka, self.d)
             b = _as_index(kb, self.d)
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise AdmissibilityError(f"coefficient for {a, b} is not finite: {c}")
             if a == b and c.imag != 0.0:
                 raise AdmissibilityError(
                     f"diagonal coefficient for {a} must be real, got {c}")
@@ -88,17 +91,6 @@ class HermitianPolynomial:
                     f"coefficients for {a, b} and its mirror are not conjugates")
         self._table = {key: val for key, val in table.items() if val != 0}
         self._expanded = None
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, d: int) -> "HermitianPolynomial":
-        return cls(d, {})
-
-    @classmethod
-    def constant(cls, d: int, value: float) -> "HermitianPolynomial":
-        zero = (0,) * d
-        return cls(d, {(zero, zero): value})
 
     # -- table access ----------------------------------------------------------
 
@@ -186,23 +178,9 @@ class HermitianPolynomial:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, HermitianPolynomial):
-            if other.d != self.d:
-                raise AdmissibilityError("variable count mismatch")
-            merged = dict(self._table)
-            for key, c in other._table.items():
-                merged[key] = merged.get(key, 0.0 + 0.0j) + c
-            return HermitianPolynomial(self.d, merged)
-        return self + HermitianPolynomial.constant(self.d, float(other))
-
-    __radd__ = __add__
-
     def __mul__(self, scalar: float):
         s = float(scalar)
         return HermitianPolynomial(self.d, {k: c * s for k, c in self._table.items()})
-
-    __rmul__ = __mul__
 
     # -- exact affine composition -----------------------------------------------
 
@@ -276,6 +254,10 @@ CROSSING_BLOCK = 8192
 # touching (double) root splits into a conjugate pair whose imaginary part is
 # of the order sqrt(machine epsilon) relative to the root.
 NEAR_REAL = 1e-6
+
+# Largest radius searched along a ray, for boundary points and reach radii
+# alike; a crossing beyond it counts as none.
+RAY_CAP = 1e6
 
 # Newton iterations allowed per block on monotone rays.  Cloud blocks settle
 # in 6-7; the start is within a factor of the number of positive radial

@@ -32,12 +32,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundedSearchError
-from .hermpoly import HermitianPolynomial, first_crossing
+from .hermpoly import RAY_CAP, HermitianPolynomial, first_crossing
 from .util import philox, write_csv
 from .wpoly import WeightedPolynomial
 
 PHASE_GRID = 256          # phases per reach, then golden-section refined
-REACH_CAP = 1e6           # largest reach radius searched
 
 # Limit diagnostics: Levi-form sample points (count, ball radius, seed) and
 # the Cauchy step above which a still-growing coefficient counts as diverging.
@@ -65,10 +64,11 @@ class DefiningFunctionPoly(HermitianPolynomial):
 
 def _translated(rho: HermitianPolynomial, eta: np.ndarray) -> HermitianPolynomial:
     """Table of w -> rho(eta + w) - rho(eta), with q(0) = 0 exactly."""
-    shifted = rho.compose_affine(eta, np.eye(len(eta)))
+    shifted = rho.compose_affine(eta, np.eye(len(eta))).canonical
     zero = (0,) * len(eta)
-    # the constant term of the shifted table is rho(eta); cancel it exactly
-    return shifted + (-shifted.coefficient(zero, zero).real)
+    # the constant term of the shifted table is rho(eta); q(0) = 0 drops it
+    shifted.pop((zero, zero), None)
+    return HermitianPolynomial(len(eta), shifted)
 
 
 def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float) -> float:
@@ -105,7 +105,7 @@ def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float) -> 
 
 
 def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
-        cap: float = REACH_CAP) -> float:
+        cap: float = RAY_CAP) -> float:
     """Reach along the complex line through eta in direction v at level eps.
 
     Computed on the translated table q(w) = rho(eta + w) - rho(eta) as the
@@ -170,7 +170,7 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> Scalin
     _, _, vh = np.linalg.svd(np.conj(normal)[None, :])
     unitary = np.column_stack([vh[1:].conj().T, normal])
     q = _translated(rho, eta)
-    taus = np.array([_tau_line(q, column, eps, REACH_CAP) for column in unitary.T])
+    taus = np.array([_tau_line(q, column, eps, RAY_CAP) for column in unitary.T])
     return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus)
 
 

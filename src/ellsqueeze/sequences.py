@@ -12,9 +12,9 @@ D^{s,r} with r < 1 has tail ratios accumulating at or above 1
 ratios bounded by r0 (nontangential).
 
 Every term carries exact rational shadows of its real z_n >= 0 and of
-P(z'): the textbook identities (rho = -1/j^2, gap = 1/j, ratio = 1) are
-then decided in exact arithmetic, with the floating materialization
-checked against them.
+P(z'): the textbook identities (rho = -1/j^2, gap = 1/j, ratio = 1) and
+the classifier's memberships in D^{s,r} are then decided in exact
+arithmetic, so no rounding of the floating points can contradict them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
+from .domain import GeneralEllipsoid
 from .errors import ConfigError
 from .util import write_csv
 
@@ -56,7 +56,6 @@ class SequenceTerm:
 class ApproachSequence:
     """A materialized sequence of interior points converging to (0', 1)."""
 
-    kind: str
     domain: GeneralEllipsoid
     terms: List[SequenceTerm]
 
@@ -65,13 +64,6 @@ class ApproachSequence:
 
     def indices(self) -> np.ndarray:
         return np.array([t.index for t in self.terms])
-
-
-def _slice_direction(D: GeneralEllipsoid) -> np.ndarray:
-    """The fixed slice direction e_1 of C^{n-1}."""
-    u = np.zeros(D.n - 1, dtype=np.complex128)
-    u[0] = 1.0
-    return u
 
 
 def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, target: float) -> np.ndarray:
@@ -105,7 +97,8 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
         raise ConfigError(f"unknown sequence kind {kind!r}")
     if kind == "cone" and not (0.0 < ratio < 1.0):
         raise ConfigError("cone ratio must lie in (0, 1)")
-    u = _slice_direction(D)
+    u = np.zeros(D.n - 1, dtype=np.complex128)
+    u[0] = 1.0  # the fixed slice direction e_1
     terms: List[SequenceTerm] = []
     for j in indices:
         zn = Fraction(j - 1, j)
@@ -122,7 +115,7 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
         z = np.concatenate([_place_on_level(D, u, float(p_target)), [float(zn)]])
         terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
 
-    seq = ApproachSequence(kind=kind, domain=D, terms=terms)
+    seq = ApproachSequence(domain=D, terms=terms)
     _validate(seq)
     return seq
 
@@ -145,6 +138,15 @@ def _validate(seq: ApproachSequence) -> None:
 # -- tangency ratio ----------------------------------------------------------------
 
 
+def _exact_ratio(s: float, term: SequenceTerm) -> Optional[Fraction]:
+    """r*(term) from its exact shadows; None when the term misses D^s."""
+    s_f = Fraction(s)
+    denom = s_f * s_f - (term.zn_exact - (1 - s_f)) ** 2
+    if denom <= 0:
+        return None
+    return s_f * term.p_exact / denom
+
+
 def tangency_ratio(D: GeneralEllipsoid, s: float, term) -> float:
     """Smallest r with term in D^{s,r}; +inf when the term misses D^s entirely.
 
@@ -154,11 +156,8 @@ def tangency_ratio(D: GeneralEllipsoid, s: float, term) -> float:
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if isinstance(term, SequenceTerm):
-        s_f = Fraction(s)
-        denom = s_f * s_f - (term.zn_exact - (1 - s_f)) ** 2
-        if denom <= 0:
-            return float("inf")
-        return float(s_f * term.p_exact / denom)
+        exact = _exact_ratio(s, term)
+        return float("inf") if exact is None else float(exact)
     z = np.asarray(term, dtype=np.complex128)
     zn = complex(z[-1])
     denom = s * s - abs(zn - (1.0 - s)) ** 2
@@ -182,16 +181,17 @@ class ClassificationRecord:
     r_star: np.ndarray
     membership: np.ndarray  # terms x MEMBERSHIP_R_GRID booleans
     verdict: str
-    tail_start: int
 
 
 def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> ClassificationRecord:
     """Tail-based verdict: tangential, nontangential, or inconclusive.
 
-    The per-term diagnostics come from the exact shadows.  The verdict
-    inspects the tail (the last TAIL_FRACTION of the terms) of the ratio
-    sequence: a tail minimum >= 1 - TANGENTIAL_TOL is tangential, a finite
-    tail maximum <= 1 - MARGIN_TOL is nontangential, anything else
+    The per-term diagnostics come from the exact shadows; a term lies in
+    D^{s,r} of the membership grid exactly when r > r*, decided in rational
+    arithmetic, so a term whose r* equals a grid value r is not in D^{s,r}.
+    The verdict inspects the tail (the last TAIL_FRACTION of the terms) of
+    the ratio sequence: a tail minimum >= 1 - TANGENTIAL_TOL is tangential,
+    a finite tail maximum <= 1 - MARGIN_TOL is nontangential, anything else
     inconclusive.
     """
     terms = seq.terms
@@ -199,14 +199,11 @@ def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> Classifica
     gap = np.array([abs(float(t.zn_exact - 1)) for t in terms])
     p_prime = np.array([float(t.p_exact) for t in terms])
     r_star = np.array([tangency_ratio(D, s, t) for t in terms])
+    exact = [_exact_ratio(s, t) for t in terms]
+    grid = [Fraction(r) for r in MEMBERSHIP_R_GRID]
+    membership = np.array([[x is not None and r > x for r in grid] for x in exact], dtype=bool)
 
-    n_terms = len(terms)
-    pts = seq.points()
-    membership = np.empty((n_terms, len(MEMBERSHIP_R_GRID)), dtype=bool)
-    for k, r in enumerate(MEMBERSHIP_R_GRID):
-        membership[:, k] = contains_sub(D, SubdomainParams(s, r), pts)
-
-    tail_start = int(n_terms * (1.0 - TAIL_FRACTION))
+    tail_start = int(len(terms) * (1.0 - TAIL_FRACTION))
     tail = r_star[tail_start:]
     tail_min = float(np.min(tail))
     tail_max = float(np.max(tail))
@@ -220,7 +217,7 @@ def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> Classifica
     return ClassificationRecord(
         s=s, indices=seq.indices(), abs_rho=abs_rho, normal_gap=gap,
         p_prime=p_prime, r_star=r_star, membership=membership,
-        verdict=verdict, tail_start=tail_start,
+        verdict=verdict,
     )
 
 

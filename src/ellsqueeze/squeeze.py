@@ -71,9 +71,6 @@ class Rescale:
     def apply(self, weights, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=np.complex128) / self.R
 
-    def describe(self) -> str:
-        return f"rescale(1/{self.R:.6g})"
-
 
 @dataclass(frozen=True)
 class BallAutomorphism:
@@ -97,9 +94,6 @@ class BallAutomorphism:
         ip = z @ np.conj(c)
         proj = (ip / c2)[..., None] * c
         return (c - proj - s * (z - proj)) / (1.0 - ip)[..., None]
-
-    def describe(self) -> str:
-        return f"ball_auto(|c|={np.linalg.norm(self.c):.6g})"
 
 
 ChainStep = Union[EllipsoidAutomorphism, Rescale, BallAutomorphism]
@@ -127,9 +121,6 @@ class EmbeddingChain:
             raise ValueError(f"chain does not center its basepoint: |f(p)| = {err:g}")
         return err
 
-    def describe(self) -> str:
-        return self.label + "[" + " -> ".join(s.describe() for s in self.steps) + "]"
-
 
 @dataclass(frozen=True)
 class SqueezeEstimate:
@@ -146,10 +137,6 @@ class SqueezeEstimate:
     samples: int
     band: float
 
-    def describe(self) -> str:
-        return (f"sigma_hat={self.value:.6f} (+-{self.band:.2g} sampling band, "
-                f"{self.samples} samples) via {self.chain.describe()}")
-
 
 def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
     """Norms of the chain images of an explicit boundary point set.
@@ -160,10 +147,6 @@ def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
     estimate under domain automorphisms.
     """
     return np.linalg.norm(chain.apply(points), axis=-1)
-
-
-def _tight_radius(D: GeneralEllipsoid) -> float:
-    return D.bounding_radius(margin=0.0) * (1.0 + TIGHT_MARGIN)
 
 
 def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
@@ -179,7 +162,7 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
         D, (Rescale(R_pad), BallAutomorphism(c_triv)), p, label="trivial"))
 
     norm = normalize_point(D, p)
-    R_tight = _tight_radius(D)
+    R_tight = D.bounding_radius(margin=0.0) * (1.0 + TIGHT_MARGIN)
     image = norm.b / R_tight
     chains.append(EmbeddingChain(
         D,

@@ -6,7 +6,7 @@ cloud keeps min-over-samples statistics stable across seeds, and the
 first ``k`` points of a longer draw coincide with a shorter draw, so
 sample sets grow monotonically with the requested count.  scipy, which
 supplies the Sobol sequence and the inverse normal CDF, is imported inside
-:func:`sobol_sphere`, so importing the package and building domains do not
+:func:`complex_sphere`, so importing the package and building domains do not
 load it; it loads when the first cloud is drawn.
 """
 
@@ -23,14 +23,18 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def sobol_sphere(count: int, real_dim: int, seed: int) -> np.ndarray:
-    """`count` quasi-random unit vectors in R^real_dim, prefix-stable in count."""
+def complex_sphere(count: int, cdim: int, seed: int) -> np.ndarray:
+    """`count` quasi-random points on the unit sphere of C^cdim, prefix-stable in count.
+
+    Normalized inverse-normal images of a scrambled Sobol sequence in
+    R^(2 cdim), whose first cdim coordinates are the real parts.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     from scipy.special import ndtri
     from scipy.stats import qmc
 
-    sob = qmc.Sobol(d=real_dim, scramble=True, seed=int(seed))
+    sob = qmc.Sobol(d=2 * cdim, scramble=True, seed=int(seed))
     with warnings.catch_warnings():
         # non power-of-two draws are fine here; we only need the prefix property
         warnings.simplefilter("ignore", UserWarning)
@@ -38,12 +42,7 @@ def sobol_sphere(count: int, real_dim: int, seed: int) -> np.ndarray:
     g = ndtri(np.clip(u01, 1e-15, 1.0 - 1e-15))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
-
-
-def complex_sphere(count: int, cdim: int, seed: int) -> np.ndarray:
-    """Quasi-random points on the unit sphere of C^cdim."""
-    g = sobol_sphere(count, 2 * cdim, seed)
+    g = g / norms[:, None]
     return g[:, :cdim] + 1j * g[:, cdim:]
 
 

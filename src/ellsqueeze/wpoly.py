@@ -65,14 +65,12 @@ class MultiWeight:
             raise AdmissibilityError(f"multi-index entries must be integers >= 0, got {tuple(K)}")
         return sum(Fraction(int(k), 2 * mj) for k, mj in zip(K, self.m))
 
-    def dilation_factors(self, t: float) -> np.ndarray:
-        """Componentwise scale factors of delta_t."""
+    def dilate(self, t: float, zp: np.ndarray) -> np.ndarray:
+        """delta_t(z'), componentwise z_j t^{1/(2 m_j)}."""
         if t <= 0:
             raise ValueError(f"dilation parameter must be positive, got {t}")
-        return np.array([t ** (1.0 / (2 * mj)) for mj in self.m])
-
-    def dilate(self, t: float, zp: np.ndarray) -> np.ndarray:
-        return np.asarray(zp, dtype=np.complex128) * self.dilation_factors(t)
+        factors = np.array([t ** (1.0 / (2 * mj)) for mj in self.m])
+        return np.asarray(zp, dtype=np.complex128) * factors
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,6 @@ class PositivityReport:
 
     min_value: float
     argmin: np.ndarray
-    count: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -245,7 +241,7 @@ class WeightedPolynomial:
         pts = np.concatenate(pts, axis=0)[:count]
         vals = self.eval(pts)
         k = int(np.argmin(vals))
-        return PositivityReport(float(vals[k]), pts[k].copy(), count, seed)
+        return PositivityReport(float(vals[k]), pts[k].copy())
 
 
 def unit_ball_polynomial(n: int) -> WeightedPolynomial:

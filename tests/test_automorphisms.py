@@ -112,7 +112,7 @@ def test_round_trips_random_parameters(E):
 
 def test_normalize_center(E):
     res = normalize_point(E, np.zeros(2, dtype=complex))
-    assert res.theta == 0.0 and res.a == 0.0
+    assert res.automorphism.theta == 0.0 and res.automorphism.a == 0.0
     assert np.abs(res.b).max() == 0.0
 
 
@@ -179,7 +179,7 @@ def test_normalize_slice_level_identity_mixed_weights():
             continue
         res = normalize_point(D, q)
         lhs = float(D.P.eval(res.b[:-1]))
-        rhs = float(D.P.eval(q[:-1])) / res.lam
+        rhs = float(D.P.eval(q[:-1])) / res.automorphism.lam
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

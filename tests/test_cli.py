@@ -272,6 +272,30 @@ def test_numerical_failure_exit_code(tmp_path):
                     "--domain", str(poly), "--count", "5"]) == 3
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_coefficient_exit_code(tmp_path, capsys, value):
+    # json writes the bare tokens NaN and Infinity, which json.load reads back
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({
+        "n": 2, "m": [2], "terms": [{"K": [2], "L": [2], "re": value, "im": 0.0}]}))
+    assert run_cli(["classify", "--out", str(tmp_path / "z"), "--domain", str(poly)]) == 3
+    assert "coefficient for ((2,), (2,)) is not finite" in capsys.readouterr().err
+
+
+def test_steep_table_profile(tmp_path):
+    # P = 1e12 |z_1|^4: the reference rays alone put the bounding radius at
+    # 0.19, below the norms of the sequence terms, and the chain family
+    # could not be built
+    poly = tmp_path / "steep.json"
+    poly.write_text(json.dumps({
+        "n": 2, "m": [2], "terms": [{"K": [2], "L": [2], "re": 1e12, "im": 0.0}]}))
+    out = tmp_path / "p"
+    assert run_cli(["profile", "--out", str(out), "--domain", str(poly)]) == 0
+    sigma = [float(line.split(",")[-1])
+             for line in (out / "profile.csv").read_text().strip().split("\n")[1:]]
+    assert len(sigma) == 4 and all(0.0 < v <= 1.0 for v in sigma)
+
+
 def test_rays_without_crossings_exit_code(tmp_path, monkeypatch):
     # no ray reaches the boundary: the typed sampling failure maps to status 3
     monkeypatch.setattr(domain, "first_crossing",

@@ -8,6 +8,7 @@ from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
 from ellsqueeze.errors import (BoundedSearchError, EllsqueezeError, EmptySampleError,
                                PositivityError)
+from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
@@ -148,6 +149,18 @@ def test_bounding_radius_flat_quartic():
     P = WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): 1.0 / 16.0})
     D = GeneralEllipsoid(P)
     assert D.bounding_radius() == pytest.approx(1.01 * 2.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("a", [1e6, 1e12])
+def test_bounding_radius_steep_table(a):
+    # P = a |z_1|^4: the true sup |z| is about 1 + 1/(4a), reached off the
+    # circle (0', e^{i theta}), but the reference rays reach the boundary
+    # far inside it; the radius must still cover that circle and every
+    # interior point of the showcase sequence
+    D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): a}))
+    assert D.bounding_radius(margin=0.0) >= 1.0
+    term = generate(D, "tangential", indices=[10 ** 4]).terms[0].z
+    assert np.linalg.norm(term) < D.bounding_radius(margin=0.0)
 
 
 def test_no_sample_exceeds_bounding_radius(E):
@@ -293,7 +306,8 @@ def test_degenerate_polynomial_blocks_domain():
 def test_samples_csv_schema(E, tmp_path):
     pts = E.boundary_cloud(5, seed=1)
     path = tmp_path / "samples.csv"
-    samples_to_csv(path, pts, np.abs(E.rho(pts)))
+    samples_to_csv(path, pts, np.abs(E.rho(pts)), E.levi_min_eig(pts))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re_z1,im_z1,re_z2,im_z2,residual,levi_min"
     assert len(lines) == 6
+    assert all(line.split(",")[-1] for line in lines[1:])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellsqueeze.automorphisms import EllipsoidAutomorphism, pullback_coeffs
-from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams
+from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from ellsqueeze.domconv import exhaustion_check, exhaustion_cloud, exhaustion_report_to_csv
 
 
@@ -82,7 +82,7 @@ def test_exhaustion_membership_matches_pullback_coeffs(E):
         psi = EllipsoidAutomorphism(a=a, theta=0.0, sign=+1)
         c1, c2, c3 = pullback_coeffs(sp.b, a)
         img = psi.apply(E.P.weights, interior)
-        direct = E.sub_gauge(sp, img) < 0
+        direct = contains_sub(E, sp, img)
         pulled = (np.abs(interior[:, 1] - c1) ** 2
                   + c2 * E.P.eval(interior[:, :1])) < c3
         gap = np.abs(np.abs(interior[:, 1] - c1) ** 2

@@ -112,13 +112,19 @@ def test_degree():
     assert f.degree() == 3
 
 
-def test_addition_and_scaling():
+def test_scalar_multiple():
+    # scaling by a power of two is exact in every coefficient and sum
     f = _abs2_table()
-    g = f + f * (-1.0)
     z = np.array([0.5, 0.25j])
-    assert float(g.value(z)) == 0.0
-    h = f * 2.0 + 1.0
-    assert float(h.value(z)) == pytest.approx(2 * float(f.value(z)) + 1.0, rel=1e-15)
+    assert float((f * 2.0).value(z)) == 2 * float(f.value(z))
+    assert float((f * (-1.0)).value(z)) == -float(f.value(z))
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1.0, float("-inf"))],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_non_finite_coefficient_rejected(coeff):
+    with pytest.raises(AdmissibilityError, match=r"\(\(1, 0\), \(0, 1\)\) is not finite"):
+        HermitianPolynomial(2, {((0, 0), (0, 0)): -1.0, ((1, 0), (0, 1)): coeff})
 
 
 def test_min_levi_eigenvalue_quadratic():
@@ -156,7 +162,7 @@ def test_first_crossing_flat_direction_and_cap():
     assert first_crossing(ball, u, 4.0, 1.5).tolist() == [np.inf, np.inf]
     assert first_crossing(ball, u, 4.0, 3.0) == pytest.approx([2.0, 2.0], rel=1e-15)
     # a table with no radial terms at all
-    assert first_crossing(HermitianPolynomial.zero(2), u, 1.0, 1e6).tolist() == [np.inf] * 2
+    assert first_crossing(HermitianPolynomial(2, {}), u, 1.0, 1e6).tolist() == [np.inf] * 2
 
 
 def test_first_crossing_touching_root_counts():
@@ -256,7 +262,7 @@ def _frame_axis_rays():
     rho = scaling.DefiningFunctionPoly.graph_model(mixed_weight_polynomial())
     q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
     phases = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    return q, np.exp(1j * phases)[:, None] * np.array([0.0, 1.0, 0.0]), eps, scaling.REACH_CAP
+    return q, np.exp(1j * phases)[:, None] * np.array([0.0, 1.0, 0.0]), eps, hermpoly.RAY_CAP
 
 
 @pytest.mark.parametrize("rays", [

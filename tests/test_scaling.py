@@ -363,9 +363,11 @@ def test_limit_flags_divergence(GRAPH):
     # fabricate a run whose constant coefficient drifts without settling
     etas = [np.array([0.0, -1e-2], dtype=complex)] * 4
     run = scale_along_normal(GRAPH, etas)
+    const = ((0, 0), (0, 0))
     for k, sf in enumerate(run):
-        bump = DefiningFunctionPoly(2, {((0, 0), (0, 0)): float(2 ** k)})
-        run[k] = type(sf)(table=sf.table + bump, frame=sf.frame)
+        bumped = sf.table.canonical
+        bumped[const] = bumped.get(const, 0.0) + float(2 ** k)
+        run[k] = type(sf)(table=HermitianPolynomial(2, bumped), frame=sf.frame)
     rep = limit_diagnostics(run)
     assert rep.diverged
     assert ((0, 0), (0, 0)) in rep.diverging_keys

@@ -142,6 +142,18 @@ def test_cone_is_nontangential(E):
     assert np.allclose(rec.r_star, 0.5, atol=1e-12)
 
 
+@pytest.mark.parametrize("domain", ["quartic", "ball-3", "mixed"])
+def test_membership_agrees_with_exact_ratio(E, MIXED, domain):
+    # every cone term has exact r* = 0.5, itself a grid value: a term lies in
+    # D^{s,r} only when r > r*, so the r = 0.5 column is empty, while the
+    # floating gauge of the materialized point rounds either way at the tie
+    D = {"quartic": E, "ball-3": GeneralEllipsoid.unit_ball(3), "mixed": MIXED}[domain]
+    rec = classify(D, 0.5, generate(D, "cone", count=40, ratio=0.5))
+    assert np.array_equal(rec.membership,
+                          np.array(MEMBERSHIP_R_GRID)[None, :] > rec.r_star[:, None])
+    assert not rec.membership[:, MEMBERSHIP_R_GRID.index(0.5)].any()
+
+
 def test_exact_identities_in_record(E):
     rec = classify(E, 0.5, generate(E, "tangential", indices=[10, 100]))
     assert rec.abs_rho[0] == pytest.approx(1e-2, abs=0)   # |rho| = 1/n^2 at n = 10
