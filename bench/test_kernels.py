@@ -17,6 +17,12 @@ P > 0, so it loads no scipy.
 at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots), and over the four
 `profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
+`HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
+2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
+points of the translated m = (2, 3) graph-model table).
+`EllipsoidAutomorphism.apply` maps 2^14-point boundary clouds of the
+quartic and of the m = (2, 3) domain, whose weights take the square-root
+and cube-root slice factors.
 Inputs are built outside the timed calls.
 """
 
@@ -30,6 +36,7 @@ import pytest
 
 import ellsqueeze
 from ellsqueeze import scaling, squeeze
+from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams
 from ellsqueeze.hermpoly import RAY_CAP, first_crossing
 from ellsqueeze.sequences import generate
@@ -57,10 +64,36 @@ def test_first_crossing(benchmark, domain, rays):
     assert np.isfinite(t).all()
 
 
+def _translated_frame_table():
+    rho = scaling.DefiningFunctionPoly.graph_model(_mixed_weight_polynomial())
+    return scaling._translated(rho, np.array([0.0, 0.0, -1e-3]))
+
+
+@pytest.mark.parametrize("table, points", [
+    (lambda: GeneralEllipsoid.quartic_disc().gauge, 1 << 17),
+    (lambda: GeneralEllipsoid(_mixed_weight_polynomial()).gauge, 1 << 13),
+    (_translated_frame_table, 1),
+    (_translated_frame_table, 32),
+], ids=["quartic-2^17", "mixed-2-3-2^13", "frame-1", "frame-32"])
+def test_value(benchmark, table, points):
+    q = table()
+    z = 0.5 * complex_sphere(points, q.d, 0)
+    assert np.isfinite(benchmark(q.value, z)).all()
+
+
+@pytest.mark.parametrize("domain", [
+    GeneralEllipsoid.quartic_disc, lambda: GeneralEllipsoid(_mixed_weight_polynomial()),
+], ids=["quartic-2^14", "mixed-2-3-2^14"])
+def test_automorphism_apply(benchmark, domain):
+    D = domain()
+    cloud = D.boundary_cloud(1 << 14, 0)
+    psi = EllipsoidAutomorphism(a=0.9 * np.exp(0.4j), theta=0.3)
+    assert np.isfinite(benchmark(psi.apply, D.P.weights, cloud)).all()
+
+
 def test_first_crossing_frame_line(benchmark):
     eps = 1e-3
-    rho = scaling.DefiningFunctionPoly.graph_model(_mixed_weight_polynomial())
-    q = scaling._translated(rho, np.array([0.0, 0.0, -eps]))
+    q = _translated_frame_table()
     phases = np.linspace(0.0, 2.0 * np.pi, scaling.PHASE_GRID, endpoint=False)
     u = np.exp(1j * phases)[:, None] * complex_sphere(1, q.d, 0)
     t = benchmark(first_crossing, q, u, eps, RAY_CAP)

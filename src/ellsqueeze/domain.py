@@ -219,12 +219,7 @@ def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
     for j in range(points.shape[1]):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     header += ["residual", "levi_min"]
-    rows = []
-    for i, p in enumerate(points):
-        row = []
-        for z in p:
-            row += [z.real, z.imag]
-        row.append(residual[i])
-        row.append(levi[i])
-        rows.append(row)
-    write_csv(path, header, rows)
+    # the text fmt gives a float, without its per-cell type checks
+    parts = np.stack([points.real, points.imag], axis=-1).reshape(len(points), 2 * points.shape[1])
+    rows = np.column_stack([parts, residual, levi]).tolist()
+    write_csv(path, header, ([f"{x:.17g}" for x in row] for row in rows))

@@ -11,6 +11,13 @@ partner is materialized on demand, so Hermitian symmetry can never
 drift.  Differentiation and composition with affine maps are exact
 (coefficient arithmetic only), which the scaling machinery relies on.
 
+Every evaluation goes through one monomial kernel, planned once per
+table (`_Plan`): per variable one power table of z_j and one of conj z_j
+over the exponents 0..top the table uses, and each monomial a product of
+gathers from those tables.  `value`, `gradient`, `hessian` and
+:func:`first_crossing` share it; derivatives gather lowered exponents
+from the same tables.
+
 :func:`first_crossing` finds where a table first reaches a level along
 rays from the origin; it serves both boundary clouds and reach radii.
 Each ray's radial polynomial is solved in x = t^g, g the gcd of the
@@ -20,6 +27,7 @@ table's degrees, by a solver chosen per ray (see :func:`first_crossing`).
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -39,31 +47,63 @@ def _as_index(raw, d: int) -> MultiIndex:
     return idx
 
 
-def _powers(z: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Products prod_j z_j^E_j for every exponent row of E, shape (..., rows).
+class _Plan:
+    """A table's expanded arrays and its monomial kernel, built once per table.
 
-    The one monomial kernel: values, derivatives and radial coefficients
-    all evaluate through it.
+    A, B and C hold every stored pair and its conjugate partner.  exps[j]
+    holds the exponents 0..top_j of variable j, top_j its largest in A or
+    B.  A power table z_j^exps[j] is indexed by the exponent itself, so
+    `holo` (A transposed) and `anti` (B transposed) are the gathers, one
+    row per variable, and a lowered exponent max(A[r, j] - 1, 0) is a
+    gather from the same table.  `radial` maps the monomials to the radial
+    coefficients c_0..c_K of :func:`first_crossing`, and g is the gcd of
+    the table's degrees.
     """
-    return np.prod(z[..., None, :] ** E, axis=-1)
 
+    __slots__ = ("A", "B", "C", "exps", "holo", "anti", "radial", "K", "g")
 
-def _lowered(E: np.ndarray):
-    """Per variable j, the exponent rows of E with E_j lowered by one.
+    def __init__(self, A: list, B: list, C: list):
+        self.A = np.asarray(A, dtype=np.int64)
+        self.B = np.asarray(B, dtype=np.int64)
+        self.C = np.asarray(C, dtype=np.complex128)
+        self.exps = [np.arange(max(col) + 1) for col in zip(*A, *B)]
+        self.holo = self.A.T.copy()
+        self.anti = self.B.T.copy()
+        deg = [sum(a) + sum(b) for a, b in zip(A, B)]
+        self.K = max(deg)
+        self.g = math.gcd(*deg)
+        self.radial = np.zeros((len(C), self.K + 1), dtype=np.complex128)
+        self.radial[np.arange(len(C)), deg] = self.C
 
-    Rows with E_j = 0 stay unchanged; their derivative coefficient
-    E_j c is zero, so the monomial they produce never contributes.
-    """
-    for j in range(E.shape[1]):
-        Ej = E.copy()
-        Ej[:, j] = np.maximum(Ej[:, j] - 1, 0)
-        yield Ej
+    def product(self, z: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """prod_j z_j^index[j] for points z of shape (..., d), shape (..., rows).
+
+        Each variable's power table comes from one `np.power` call, whose
+        small integer powers multiply in their own order (numpy's
+        vectorized z * z rounds some points differently from z ** 2); row
+        r takes entry index[j, r] of table j.  The gathered columns
+        multiply from the first variable to the last in numpy's vectorized
+        complex product, into a C-contiguous array: BLAS sums the products
+        with C in an order that depends on the layout.
+        """
+        out = np.power(z[..., 0, None], self.exps[0]).take(index[0], axis=-1)
+        for j in range(1, len(index)):
+            out *= np.power(z[..., j, None], self.exps[j]).take(index[j], axis=-1)
+        return out
+
+    @staticmethod
+    def lowered(index: np.ndarray):
+        """Per variable j, `index` with row j lowered by one, floored at 0."""
+        for j, row in enumerate(index):
+            low = index.copy()
+            low[j] = np.maximum(row - 1, 0)
+            yield low
 
 
 class HermitianPolynomial:
     """Immutable Hermitian coefficient table in d complex variables."""
 
-    __slots__ = ("d", "_table", "_expanded")
+    __slots__ = ("d", "_table", "_plan")
 
     def __init__(self, d: int, terms: Mapping[PairKey, complex]):
         """Build from {(A, B): coefficient}; pairs may come in either order.
@@ -90,7 +130,7 @@ class HermitianPolynomial:
                 raise AdmissibilityError(
                     f"coefficients for {a, b} and its mirror are not conjugates")
         self._table = {key: val for key, val in table.items() if val != 0}
-        self._expanded = None
+        self._plan = None
 
     # -- table access ----------------------------------------------------------
 
@@ -114,9 +154,9 @@ class HermitianPolynomial:
     def __len__(self) -> int:
         return len(self._table)
 
-    def _expand(self):
-        """Materialized (A, B, coeff) arrays including conjugate partners."""
-        if self._expanded is None:
+    def _expand(self) -> _Plan:
+        """Evaluation plan of the table with its conjugate partners, built once."""
+        if self._plan is None:
             A, B, C = [], [], []
             for (a, b), c in sorted(self._table.items()):
                 A.append(a)
@@ -128,46 +168,54 @@ class HermitianPolynomial:
                     C.append(np.conj(c))
             if not A:
                 A, B, C = [(0,) * self.d], [(0,) * self.d], [0.0 + 0.0j]
-            self._expanded = (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64),
-                              np.asarray(C, dtype=np.complex128))
-        return self._expanded
+            self._plan = _Plan(A, B, C)
+        return self._plan
 
     # -- evaluation and calculus ----------------------------------------------
 
     def _monomials(self, z: np.ndarray) -> np.ndarray:
         """Monomials z^A conj(z)^B of the expanded table, shape (..., terms)."""
-        A, B, _ = self._expand()
+        plan = self._expand()
         z = np.asarray(z, dtype=np.complex128)
-        return _powers(z, A) * _powers(np.conj(z), B)
+        out = plan.product(z, plan.holo)
+        out *= plan.product(np.conj(z), plan.anti)
+        return out
 
     def raw_sum(self, z: np.ndarray) -> np.ndarray:
         """Full Hermitian sum as a complex number (imaginary part ~ rounding)."""
-        return self._monomials(z) @ self._expand()[2]
+        return self._monomials(z) @ self._expand().C
 
     def value(self, z: np.ndarray) -> np.ndarray:
         """Real value of the table at points z of shape (..., d)."""
         return self.raw_sum(z).real
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        """Holomorphic derivatives (df/dz_1, ..., df/dz_d), shape (..., d)."""
-        A, B, C = self._expand()
+        """Holomorphic derivatives (df/dz_1, ..., df/dz_d), shape (..., d).
+
+        Rows with A_j = 0 keep their exponents in df/dz_j; their weight
+        A_j c is zero, so the monomial they produce never contributes.
+        """
+        plan = self._expand()
         z = np.asarray(z, dtype=np.complex128)
-        anti = _powers(np.conj(z), B)
+        anti = plan.product(np.conj(z), plan.anti)
         out = np.empty(z.shape, dtype=np.complex128)
-        for j, Aj in enumerate(_lowered(A)):
-            out[..., j] = (_powers(z, Aj) * anti) @ (C * A[:, j])
+        for j, index in enumerate(plan.lowered(plan.holo)):
+            holo = plan.product(z, index)
+            holo *= anti
+            out[..., j] = holo @ (plan.C * plan.A[:, j])
         return out
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
         """Complex Hessian d^2 f / dz_j dconj(z)_k; exactly Hermitian."""
-        A, B, C = self._expand()
+        plan = self._expand()
         z = np.asarray(z, dtype=np.complex128)
+        zc = np.conj(z)
+        holo = [plan.product(z, index) for index in plan.lowered(plan.holo)]
+        anti = [plan.product(zc, index) for index in plan.lowered(plan.anti)]
         H = np.empty(z.shape[:-1] + (self.d, self.d), dtype=np.complex128)
-        holos = [_powers(z, Aj) for Aj in _lowered(A)]
-        antis = [_powers(np.conj(z), Bk) for Bk in _lowered(B)]
         for j in range(self.d):
             for k in range(self.d):
-                H[..., j, k] = (holos[j] * antis[k]) @ (C * A[:, j] * B[:, k])
+                H[..., j, k] = (holo[j] * anti[k]) @ (plan.C * plan.A[:, j] * plan.B[:, k])
         # bitwise-exact Hermitian symmetrization ((x+y)/2 commutes with conj)
         return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
@@ -222,8 +270,8 @@ class HermitianPolynomial:
             return poly
 
         out: Dict[PairKey, complex] = {}
-        A, B, C = self._expand()
-        for a, b, c in zip(map(tuple, A), map(tuple, B), C):
+        plan = self._expand()
+        for a, b, c in zip(map(tuple, plan.A), map(tuple, plan.B), plan.C):
             pa = holo_expand(a)
             pb = holo_expand(b)
             for alpha, ca in pa.items():
@@ -295,18 +343,14 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     polishes t where the step lowers |p|.
     """
     u = np.asarray(directions, dtype=np.complex128)
-    A, B, C = table._expand()
-    deg = A.sum(axis=1) + B.sum(axis=1)
-    K = int(deg.max())
-    g = int(np.gcd.reduce(deg))
+    plan = table._expand()
+    g = plan.g
     out = np.full(len(u), np.inf)
-    if K == 0:
+    if plan.K == 0:
         return out
-    radial = np.zeros((len(C), K + 1), dtype=np.complex128)
-    radial[np.arange(len(C)), deg] = C
     for lo in range(0, len(u), CROSSING_BLOCK):
         block = slice(lo, lo + CROSSING_BLOCK)
-        coeffs = (table._monomials(u[block]) @ radial).real
+        coeffs = (table._monomials(u[block]) @ plan.radial).real
         coeffs[:, 0] -= level
         q = coeffs[:, ::g]
         monotone = ((q[:, 0] < 0.0) & (q[:, 1:] >= 0.0).all(axis=1)

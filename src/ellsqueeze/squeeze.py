@@ -172,7 +172,13 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     return chains
 
 
-def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
+def _squared_norms(w: np.ndarray) -> np.ndarray:
+    """|w|^2 per point, summed over the n coordinates explicitly: a complex
+    matrix product with an inner dimension of n is many times slower."""
+    return sum(wk.real ** 2 + wk.imag ** 2 for wk in w.T)
+
+
+def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarray,
                       chains: Sequence[EmbeddingChain]) -> np.ndarray:
     """Closed-form squared image norms of a cloud under each chain.
 
@@ -181,26 +187,27 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
 
         |phi_c(w / R)|^2 = 1 - (1 - |c|^2)(1 - |w|^2 / R^2) / |1 - <w, c> / R|^2,
 
-    one row per chain, so chains of different shapes share one call.  Sums
-    over the n coordinates are explicit: a complex matrix product with an
-    inner dimension of n is many times slower.
+    one row per chain, so chains of different shapes share one call.  A
+    chain with no steps before the pair has w = cloud, whose |w|^2 is
+    `cloud_w2`, computed once for all basepoints.
     """
     weights = D.P.weights
     out = np.empty((len(chains), len(cloud)))
     for row, chain in zip(out, chains):
         *lead, rescale, ball = chain.steps
-        w = cloud
-        for step in lead:
-            w = step.apply(weights, w)
+        w, w2 = cloud, cloud_w2
+        if lead:
+            for step in lead:
+                w = step.apply(weights, w)
+            w2 = _squared_norms(w)
         R, c = rescale.R, ball.c
-        w2 = sum(wk.real ** 2 + wk.imag ** 2 for wk in w.T)
         gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
         c2 = float((c * np.conj(c)).real.sum())
         row[:] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
     return out
 
 
-def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, half: int,
+def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarray, half: int,
                      chains: Sequence[EmbeddingChain]) -> List[Tuple[float, float]]:
     """(full, half-prefix) minimum image norm of the cloud under each chain.
 
@@ -213,7 +220,7 @@ def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, half: int,
     of an explicit value differently in this short array than inside the
     whole cloud.
     """
-    q = _screened_squares(D, cloud, chains)
+    q = _screened_squares(D, cloud, cloud_w2, chains)
     c = np.array([np.linalg.norm(chain.steps[-1].c) for chain in chains])
     slack = (SCREEN_SLACK / (1.0 - c))[:, None]
     keep_full = q <= q.min(axis=1, keepdims=True) + slack
@@ -249,13 +256,14 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
     cloud = D.boundary_cloud(count, seed)
+    cloud_w2 = _squared_norms(cloud)
     half = max(1, len(cloud) // 2)
     estimates = []
     for p in points:
         family = chain_family(D, p)
         for chain in family:
             chain.check_basepoint()
-        pairs = _screened_minima(D, cloud, half, family)
+        pairs = _screened_minima(D, cloud, cloud_w2, half, family)
         best = max(range(len(family)), key=lambda j: pairs[j][0])
         value, value_half = pairs[best]
         estimates.append(SqueezeEstimate(

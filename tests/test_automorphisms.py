@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellsqueeze.automorphisms import (EllipsoidAutomorphism, normalize_point,
-                                      pullback_coeffs)
+                                      principal_sqrt, pullback_coeffs)
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from ellsqueeze.util import philox
 
@@ -79,6 +79,45 @@ def test_fractional_power_branch_consistency(E):
         den = 1.0 - np.conj(a) * w
         factor = psi.apply(E.P.weights, z)[:, 0] / z[:, 0]
         assert np.abs(factor ** m1 - np.sqrt(psi.lam) / den).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.999, 0.99999])
+def test_square_root_factor_matches_50_digits(E, a):
+    # the weight-2 slice factor lam^{1/4} / sqrt(den) over 2^12 points of the
+    # closed quartic domain, with z_1 = 1 so that the image's first coordinate
+    # is the factor itself: the real-arithmetic root stays within 1.1 eps of
+    # the exact root of den (numpy's complex root reaches 0.90 eps here), and
+    # the factor, whose division adds rounding, is no less accurate than the
+    # same factor with numpy's complex root
+    mpmath = pytest.importorskip("mpmath")
+    cloud = E.boundary_cloud(1 << 11, seed=0)
+    z = np.concatenate([cloud, cloud * philox(3).uniform(0.0, 1.0, len(cloud))[:, None]])
+    z[:, 0] = 1.0
+    psi = EllipsoidAutomorphism(a=a, theta=0.7)
+    factor = psi.apply(E.P.weights, z)[:, 0]
+    den = 1.0 + psi.sign * np.conj(psi.a) * (z[:, -1] * np.exp(1j * psi.theta))
+    complex_factor = psi.lam ** 0.25 / np.sqrt(den)
+    with mpmath.workdps(50):
+        roots = [mpmath.sqrt(mpmath.mpc(complex(d))) for d in den]
+        c = mpmath.mpf(psi.lam ** 0.25)
+
+        def worst(values, exact):
+            return max(float(abs(mpmath.mpc(complex(v)) - e) / abs(e))
+                       for v, e in zip(values, exact))
+
+        eps = np.finfo(float).eps
+        assert worst(principal_sqrt(den), roots) <= 1.1 * eps
+        exact = [c / r for r in roots]
+        assert worst(factor, exact) <= worst(complex_factor, exact)
+
+
+def test_principal_sqrt_off_the_right_half_plane():
+    # |z_n| > 1 can put Re den <= 0, where |den| + Re den cancels; the whole
+    # array then takes numpy's complex root, still the principal one
+    den = np.array([4.0 + 1e-3j, -4.0 + 1e-300j, -4.0 - 0.0j, -1.0 + 2.0j, 0.0j, 2.0 - 0.5j])
+    assert np.array_equal(principal_sqrt(den), np.sqrt(den))
+    assert principal_sqrt(np.complex128(0.25 - 0.0j)) == 0.5
+    assert principal_sqrt(np.empty(0, dtype=complex)).shape == (0,)
 
 
 # -- inversion --------------------------------------------------------------------------

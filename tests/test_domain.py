@@ -9,7 +9,7 @@ from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
 from ellsqueeze.errors import (BoundedSearchError, EllsqueezeError, EmptySampleError,
                                PositivityError)
 from ellsqueeze.sequences import generate
-from ellsqueeze.util import complex_sphere, philox
+from ellsqueeze.util import complex_sphere, fmt, philox, write_csv
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
 from helpers import (bisect_first_crossing, fd_hessian, fd_gradient, levi_min_eig_pointwise,
@@ -311,3 +311,19 @@ def test_samples_csv_schema(E, tmp_path):
     assert lines[0] == "re_z1,im_z1,re_z2,im_z2,residual,levi_min"
     assert len(lines) == 6
     assert all(line.split(",")[-1] for line in lines[1:])
+
+
+def test_samples_csv_text_is_fmt(tmp_path):
+    # each cell is the text util.fmt gives the float, including signed
+    # zeros, non-finite values and the 17th significant digit
+    pts = np.array([[complex(0.1, 0.2), complex(-0.0, 1e-300), complex(np.nan, 1.0)],
+                    [complex(1.0 / 3.0, -0.0), complex(5e-324, -np.inf), complex(2.0 ** 60, 0.0)]])
+    residual = np.array([0.0, 7.1e-17])
+    levi = np.array([-0.0, 123456789.123456789])
+    path = tmp_path / "samples.csv"
+    samples_to_csv(path, pts, residual, levi)
+    rows = [[fmt(x) for z in p for x in (z.real, z.imag)] + [fmt(r), fmt(v)]
+            for p, r, v in zip(pts, residual, levi)]
+    header = [f"{part}_z{j}" for j in (1, 2, 3) for part in ("re", "im")]
+    write_csv(tmp_path / "reference.csv", header + ["residual", "levi_min"], rows)
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()

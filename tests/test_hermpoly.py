@@ -347,9 +347,9 @@ def test_other_tables_keep_the_companion(table, level, monkeypatch):
     # a constant above the level breaks first_crossing's precondition, and the
     # companion finds no positive root
     u = complex_sphere(16, 2, seed=0)
-    A, B, C = table._expand()
-    radial = (table._monomials(u) * C).real
-    deg = (A + B).sum(axis=1)
+    plan = table._expand()
+    radial = (table._monomials(u) * plan.C).real
+    deg = (plan.A + plan.B).sum(axis=1)
     q = np.stack([radial[:, deg == k].sum(axis=1) for k in (0, 2, 4)], axis=1)
     q[:, 0] -= level
     other = (q[:, 0] >= 0.0) | (q[:, 1:] < 0.0).any(axis=1)
@@ -359,3 +359,138 @@ def test_other_tables_keep_the_companion(table, level, monkeypatch):
     shapes = _spy_eigvals(monkeypatch)
     first_crossing(table, u, level, 1e6)
     assert len(shapes) == 1 and rows == [other.sum()] and 0 < other.sum()
+
+
+# -- the monomial kernel against the formulas it replaced ------------------------------
+
+
+def _product_formula(z, E):
+    # every power z_j^E_j, then a reduction over the variables
+    return np.prod(z[..., None, :] ** E, axis=-1)
+
+
+def _lowered_rows(E):
+    for j in range(E.shape[1]):
+        Ej = E.copy()
+        Ej[:, j] = np.maximum(Ej[:, j] - 1, 0)
+        yield Ej
+
+
+def _formula_gradient(table, z):
+    plan = table._expand()
+    anti = _product_formula(np.conj(z), plan.B)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for j, Aj in enumerate(_lowered_rows(plan.A)):
+        out[..., j] = (_product_formula(z, Aj) * anti) @ (plan.C * plan.A[:, j])
+    return out
+
+
+def _formula_hessian(table, z):
+    plan = table._expand()
+    holos = [_product_formula(z, Aj) for Aj in _lowered_rows(plan.A)]
+    antis = [_product_formula(np.conj(z), Bk) for Bk in _lowered_rows(plan.B)]
+    H = np.empty(z.shape[:-1] + (table.d, table.d), dtype=np.complex128)
+    for j in range(table.d):
+        for k in range(table.d):
+            H[..., j, k] = (holos[j] * antis[k]) @ (plan.C * plan.A[:, j] * plan.B[:, k])
+    return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+
+
+def _bits(a):
+    # compares signed zeros too
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _translated_frame_table():
+    # the table a scaling frame solves its reaches on: rho(eta + w) - rho(eta),
+    # composed with compose_affine(eta, I)
+    rho = scaling.DefiningFunctionPoly.graph_model(mixed_weight_polynomial())
+    return scaling._translated(rho, np.array([0.0, 0.0, -1e-3]))
+
+
+def _rotated_frame_table():
+    # the graph-model gauge in a unitary frame at a shifted point: most of its
+    # 400 monomials multiply powers of two or three variables
+    rho = scaling.DefiningFunctionPoly.graph_model(mixed_weight_polynomial())
+    Q = np.linalg.qr(philox(12).standard_normal((3, 3))
+                     + 1j * philox(13).standard_normal((3, 3)))[0]
+    return rho.compose_affine(np.array([0.0, 0.1j, -1e-3]), Q)
+
+
+KERNEL_TABLES = {
+    "ball-3": lambda: GeneralEllipsoid.unit_ball(3).gauge,
+    "quartic": lambda: GeneralEllipsoid.quartic_disc().gauge,
+    "E-2-3": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})).gauge,
+    "mixed-2-3": lambda: GeneralEllipsoid(mixed_weight_polynomial()).gauge,
+    "translated-frame": _translated_frame_table,
+}
+
+
+def _kernel_points(d):
+    rng = philox(14)
+    z = rng.standard_normal((500, d)) + 1j * rng.standard_normal((500, d))
+    z[:20] = 0.0
+    z[20:40, 0] = -0.0
+    z[40:60] = complex(-0.0, -0.0)
+    z[60:80, -1] = complex(0.0, -0.0)
+    z[80:100, -1] = complex(-0.0, 0.0)
+    return z
+
+
+@pytest.mark.parametrize("name", KERNEL_TABLES)
+@pytest.mark.parametrize("shape", ["(d,)", "(1, d)", "(N, d)"])
+def test_kernel_is_bit_identical_to_product_formulas(name, shape):
+    # the power tables must come from np.power: numpy's vectorized z * z
+    # rounds about 29% of points differently from z ** 2.  Each monomial of
+    # these tables has at most one variable on each side, so the kernel's
+    # vectorized products multiply by exact ones where the formula's
+    # reduction does
+    table = KERNEL_TABLES[name]()
+    z = _kernel_points(table.d)
+    points = {"(d,)": [z[i] for i in (0, 25, 45, 65, 85, 300)],
+              "(1, d)": [z[i:i + 1] for i in (0, 25, 45, 65, 85, 300)],
+              "(N, d)": [z]}[shape]
+    plan = table._expand()
+    for x in points:
+        expected = _product_formula(x, plan.A) * _product_formula(np.conj(x), plan.B)
+        assert np.array_equal(_bits(table._monomials(x)), _bits(expected))
+        assert np.array_equal(_bits(table.value(x)), _bits((expected @ plan.C).real))
+        assert np.array_equal(_bits(table.gradient(x)), _bits(_formula_gradient(table, x)))
+        assert np.array_equal(_bits(table.hessian(x)), _bits(_formula_hessian(table, x)))
+
+
+@pytest.mark.parametrize("name", [*KERNEL_TABLES, "rotated-frame"])
+def test_kernel_monomials_are_c_contiguous(name):
+    # BLAS sums the products with C in an order that depends on the layout:
+    # an F-ordered array of the same monomials gives other last bits
+    table = KERNEL_TABLES.get(name, _rotated_frame_table)()
+    z = _kernel_points(table.d)
+    assert table._monomials(z).flags.c_contiguous
+    assert table._monomials(z[:1]).flags.c_contiguous
+
+
+def test_kernel_products_of_several_variables_are_as_accurate():
+    # a monomial with powers of two or more variables multiplies them in
+    # numpy's vectorized complex product, which rounds a third of them
+    # differently from the scalar product of the reduction in
+    # _product_formula; against 50 digits it is no less accurate
+    mpmath = pytest.importorskip("mpmath")
+    table = _rotated_frame_table()
+    plan = table._expand()
+    z = _kernel_points(table.d)[100:120]
+    kernel = table._monomials(z)
+    formula = _product_formula(z, plan.A) * _product_formula(np.conj(z), plan.B)
+    assert (kernel != formula).mean() > 0.1
+    errors = []
+    with mpmath.workdps(50):
+        for x, got, old in zip(z, kernel, formula):
+            x = [mpmath.mpc(complex(xj)) for xj in x]
+            for a, b, g, o in zip(plan.A, plan.B, got, old):
+                exact = mpmath.fprod(xj ** int(aj) * mpmath.conj(xj) ** int(bj)
+                                     for xj, aj, bj in zip(x, a, b))
+                errors.append([float(abs(exact - mpmath.mpc(g)) / abs(exact)),
+                               float(abs(exact - mpmath.mpc(o)) / abs(exact))])
+    errors = np.array(errors) / np.finfo(float).eps
+    assert errors[:, 0].max() <= errors[:, 1].max()
+    assert errors[:, 0].mean() <= errors[:, 1].mean()

@@ -305,9 +305,10 @@ def test_screen_tracks_explicit_chain_norms(domain):
     # profile terms up to j = 10^4
     D = domain()
     cloud = D.boundary_cloud(1 << 14, seed=0)
+    w2 = squeeze._squared_norms(cloud)
     for p in _estimate_inputs(D, 8):
         for chain in chain_family(D, p):
-            screened = np.sqrt(squeeze._screened_squares(D, cloud, [chain])[0])
+            screened = np.sqrt(squeeze._screened_squares(D, cloud, w2, [chain])[0])
             assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
 
 
@@ -329,7 +330,8 @@ def test_screen_mixes_chain_shapes(domain):
     longer = EmbeddingChain(D, lead + (Rescale(R), BallAutomorphism(image[0] / R)), p)
     longer.check_basepoint()
     chains = [trivial, longer, normalize]
-    screened = np.sqrt(squeeze._screened_squares(D, cloud, chains))
+    w2 = squeeze._squared_norms(cloud)
+    screened = np.sqrt(squeeze._screened_squares(D, cloud, w2, chains))
     for row, chain in zip(screened, chains, strict=True):
         assert np.abs(row - chain_norms_at(chain, cloud)).max() <= 1e-13
 
@@ -347,7 +349,7 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
     c = (1.0 - 1e-6) * base[7] / R
     chain = EmbeddingChain(B, (Rescale(R), BallAutomorphism(c)), c * R)
     explicit = chain_norms_at(chain, cloud)
-    screened = squeeze._screened_squares(B, cloud, [chain])[0]
+    screened = squeeze._screened_squares(B, cloud, squeeze._squared_norms(cloud), [chain])[0]
     assert np.abs(screened - explicit ** 2).max() > squeeze.SCREEN_SLACK
     evaluated = []
 
@@ -356,7 +358,7 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
         return chain_norms_at(ch, pts)
 
     monkeypatch.setattr(squeeze, "chain_norms_at", spy)
-    squeeze._screened_minima(B, cloud, half, [chain])
+    squeeze._screened_minima(B, cloud, squeeze._squared_norms(cloud), half, [chain])
     kept = np.concatenate(evaluated)
     for minimizer in (cloud[np.argmin(explicit)], cloud[np.argmin(explicit[:half])]):
         assert (kept == minimizer).all(axis=1).any()
