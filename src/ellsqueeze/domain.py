@@ -2,17 +2,18 @@
 
 The defining gauge is rho(z) = |z_n|^2 - 1 + P(z'), negative inside,
 zero on the boundary.  It is held as one Hermitian table in all n
-variables (`GeneralEllipsoid.gauge`); rho, its gradient, the complex
-Hessian behind the batched Levi form and the boundary ray solves all
-evaluate that table.  Subdomains D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2}
-sit inside the domain and osculate it at (0', 1); they drive both the
-tangential-convergence classifier and the squeezing floor estimates.
+variables (`GeneralEllipsoid.gauge`); rho, its gradient and the complex
+Hessian behind the batched Levi form evaluate that table.  Subdomains
+D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2} sit inside the domain and
+osculate it at (0', 1); they drive both the tangential-convergence
+classifier and the squeezing floor estimates.
 
-Boundary points are radial first crossings: rho(0) = -1 and the domain
-is bounded, so every ray t u from the origin reaches the zero level.
-Along the ray the gauge is a real polynomial in t, and
-:func:`~ellsqueeze.hermpoly.first_crossing` returns its smallest positive
-root, choosing its solver per ray.
+Boundary points are weighted dilations of sphere points, in closed form:
+rho + 1 = |z_n|^2 + P(z') is homogeneous of degree one under
+Delta_s(z) = (delta_s(z'), s^(1/2) z_n), so for u != 0 the point
+Delta_s(u) with s = 1 / (|u_n|^2 + P(u')) lies on the boundary, and each
+Delta-orbit meets the boundary exactly once.  No root is solved, and
+drawing a cloud cannot fail.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundedSearchError, EmptySampleError
-from .hermpoly import RAY_CAP, HermitianPolynomial, first_crossing
+from .errors import EmptySampleError
+from .hermpoly import HermitianPolynomial
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
 
@@ -99,11 +100,9 @@ class GeneralEllipsoid:
     def boundary_cloud(self, count: int, seed: int = 0) -> np.ndarray:
         """Array of `count` boundary points (prefix-stable in count).
 
-        Directions come from a scrambled Sobol sphere sequence; along each
-        ray the boundary point is the smallest positive root of the radial
-        gauge polynomial (:func:`~ellsqueeze.hermpoly.first_crossing`, which
-        says how each ray is solved).  A ray without a crossing below
-        `hermpoly.RAY_CAP` raises BoundedSearchError.
+        Sphere points come from a scrambled Sobol sequence, and each is
+        dilated onto the boundary along its Delta-orbit (module docstring),
+        with no root solve.
         """
         key = int(seed)
         cached = self._cloud_cache.get(key)
@@ -114,15 +113,13 @@ class GeneralEllipsoid:
         return pts
 
     def _solve_boundary(self, count: int, seed: int) -> np.ndarray:
-        # rho(0) = -1 on a bounded domain, so every ray crosses; a ray with no
-        # crossing below the cap means the gauge or the cap is wrong
+        # s from P's own table: rho(u) + 1 would evaluate the whole gauge
+        # and round through -1 + 1
         u = complex_sphere(count, self.n, seed)
-        t = first_crossing(self.gauge, u, 0.0, RAY_CAP)
-        if not np.isfinite(t).all():
-            raise BoundedSearchError(
-                f"boundary sampling failed: {int(np.isinf(t).sum())} of {count} rays "
-                "have no crossing", RAY_CAP)
-        return t[:, None] * u
+        s = 1.0 / (self.P.eval(u[:, :-1]) + (u[:, -1] * np.conj(u[:, -1])).real)
+        u[:, :-1] = self.P.weights.dilate(s, u[:, :-1])
+        u[:, -1] *= np.sqrt(s)
+        return u
 
     def bounding_radius(self, margin: float = 0.01) -> float:
         """Radius R with D contained in the ball B(0, R).

@@ -19,9 +19,10 @@ gathers from those tables.  `value`, `gradient`, `hessian` and
 from the same tables.
 
 :func:`first_crossing` finds where a table first reaches a level along
-rays from the origin; it serves both boundary clouds and reach radii.
-Each ray's radial polynomial is solved in x = t^g, g the gcd of the
-table's degrees, by a solver chosen per ray (see :func:`first_crossing`).
+rays from the origin; it serves the reach radii of `scaling`, at most
+`scaling.PHASE_GRID` rays per call.  Each ray's radial polynomial is
+solved in x = t^g, g the gcd of the table's degrees, by a solver chosen
+per ray (see :func:`first_crossing`).
 """
 
 from __future__ import annotations
@@ -292,23 +293,17 @@ class HermitianPolynomial:
 
 # -- radial first crossings ----------------------------------------------------
 
-# Rays per block in `first_crossing`.  A block holds a (rays x terms) monomial
-# array and, on the companion path, a (rays x K/g x K/g) companion stack (K the
-# table degree, g the gcd of its degrees), so the block size, not the cloud
-# size, bounds the memory a solve adds on large boundary clouds.
-CROSSING_BLOCK = 8192
-
 # Largest |Im s| / |s| of a companion eigenvalue taken as a real root.  A
 # touching (double) root splits into a conjugate pair whose imaginary part is
 # of the order sqrt(machine epsilon) relative to the root.
 NEAR_REAL = 1e-6
 
-# Largest radius searched along a ray, for boundary points and reach radii
-# alike; a crossing beyond it counts as none.
+# Largest radius searched along a ray for a reach radius; a crossing beyond
+# it counts as none.
 RAY_CAP = 1e6
 
-# Newton iterations allowed per block on monotone rays.  Cloud blocks settle
-# in 6-7; the start is within a factor of the number of positive radial
+# Newton iterations allowed per call on monotone rays.  Reach lines settle
+# within 7; the start is within a factor of the number of positive radial
 # terms of the root.
 NEWTON_MAX_ITER = 64
 
@@ -329,11 +324,12 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
 
     The solver is chosen per ray from its coefficients q_k = c_{gk}(u),
     with q_0 = c_0 - level.  A *monotone* ray has q_0 < 0, every other
-    q_k >= 0 and some q_k > 0; every ray of the ball, the quartic and
-    every E(p) is one, as their gauges have only |z^A|^2 terms with
-    positive coefficients.  By Descartes's rule of signs its q has exactly
-    one positive root, simple, and q is convex and increasing on x > 0, so
-    monotone Newton from an upper bound finds it
+    q_k >= 0 and some q_k > 0; every phase of a reach line is one where
+    the translated table restricts to |w^A|^2 terms with positive
+    coefficients, as on the tangential axes through a base point on the
+    normal axis of a weighted model.  By Descartes's rule of signs its q
+    has exactly one positive root, simple, and q is convex and increasing
+    on x > 0, so monotone Newton from an upper bound finds it
     (:func:`_monotone_newton_root`).  Every other ray solves by companion
     eigenvalues (:func:`_smallest_positive_root`): the roots of q are the
     eigenvalues of the companion matrix of its reversed polynomial in
@@ -345,26 +341,22 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     u = np.asarray(directions, dtype=np.complex128)
     plan = table._expand()
     g = plan.g
-    out = np.full(len(u), np.inf)
+    t = np.full(len(u), np.inf)
     if plan.K == 0:
-        return out
-    for lo in range(0, len(u), CROSSING_BLOCK):
-        block = slice(lo, lo + CROSSING_BLOCK)
-        coeffs = (table._monomials(u[block]) @ plan.radial).real
-        coeffs[:, 0] -= level
-        q = coeffs[:, ::g]
-        monotone = ((q[:, 0] < 0.0) & (q[:, 1:] >= 0.0).all(axis=1)
-                    & (q[:, 1:] > 0.0).any(axis=1))
-        x = np.empty(len(q))
-        x[monotone] = _monotone_newton_root(q[monotone])
-        if not monotone.all():
-            x[~monotone] = _smallest_positive_root(q[~monotone])
-        found = np.isfinite(x)
-        t = np.full(len(x), np.inf)
-        t[found] = _newton_polish(coeffs[found], x[found] ** (1.0 / g))
-        t[t > cap] = np.inf
-        out[block] = t
-    return out
+        return t
+    coeffs = (table._monomials(u) @ plan.radial).real
+    coeffs[:, 0] -= level
+    q = coeffs[:, ::g]
+    monotone = ((q[:, 0] < 0.0) & (q[:, 1:] >= 0.0).all(axis=1)
+                & (q[:, 1:] > 0.0).any(axis=1))
+    x = np.empty(len(q))
+    x[monotone] = _monotone_newton_root(q[monotone])
+    if not monotone.all():
+        x[~monotone] = _smallest_positive_root(q[~monotone])
+    found = np.isfinite(x)
+    t[found] = _newton_polish(coeffs[found], x[found] ** (1.0 / g))
+    t[t > cap] = np.inf
+    return t
 
 
 def _monotone_newton_root(q: np.ndarray) -> np.ndarray:

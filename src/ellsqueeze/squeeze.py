@@ -91,7 +91,8 @@ class BallAutomorphism:
         if c2 == 0.0:
             return -z
         s = np.sqrt(1.0 - c2)
-        ip = z @ np.conj(c)
+        # elementwise, so a point's bits do not depend on the array's length
+        ip = sum(z[..., k] * np.conj(ck) for k, ck in enumerate(c))
         proj = (ip / c2)[..., None] * c
         return (c - proj - s * (z - proj)) / (1.0 - ip)[..., None]
 
@@ -350,10 +351,9 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     from scipy.spatial import cKDTree
 
     u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, D.n - 1, ANALYTIC_FLOOR_SEED)
-    pu = D.P.eval(u)[:, None]
-    powers = 1.0 / (2.0 * np.array(D.P.weights.m))
-    inner = u * (r / pu) ** powers
-    outer = u * (1.0 / pu) ** powers
+    pu = D.P.eval(u)
+    inner = D.P.weights.dilate(r / pu, u)
+    outer = D.P.weights.dilate(1.0 / pu, u)
     # viewed as real (re, im) coordinates, the gap is the smallest
     # nearest-neighbour distance from the inner to the outer level set
     tree = cKDTree(outer.view(np.float64))

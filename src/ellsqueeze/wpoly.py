@@ -65,11 +65,16 @@ class MultiWeight:
             raise AdmissibilityError(f"multi-index entries must be integers >= 0, got {tuple(K)}")
         return sum(Fraction(int(k), 2 * mj) for k, mj in zip(K, self.m))
 
-    def dilate(self, t: float, zp: np.ndarray) -> np.ndarray:
-        """delta_t(z'), componentwise z_j t^{1/(2 m_j)}."""
-        if t <= 0:
+    def dilate(self, t, zp: np.ndarray) -> np.ndarray:
+        """delta_t(z'), componentwise z_j t^{1/(2 m_j)}, for one t or one t per
+        point (shape (N,) against z' of shape (N, n-1)).  A single t takes
+        Python's float power, whose last bits numpy's array power may miss."""
+        if not np.all(np.asarray(t) > 0):
             raise ValueError(f"dilation parameter must be positive, got {t}")
-        factors = np.array([t ** (1.0 / (2 * mj)) for mj in self.m])
+        if np.ndim(t) == 0:
+            factors = np.array([t ** (1.0 / (2 * mj)) for mj in self.m])
+        else:
+            factors = np.asarray(t, dtype=float)[:, None] ** (1.0 / (2 * np.array(self.m)))
         return np.asarray(zp, dtype=np.complex128) * factors
 
 

@@ -7,7 +7,6 @@ import sys
 from itertools import permutations
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ellsqueeze
@@ -294,13 +293,6 @@ def test_steep_table_profile(tmp_path):
     sigma = [float(line.split(",")[-1])
              for line in (out / "profile.csv").read_text().strip().split("\n")[1:]]
     assert len(sigma) == 4 and all(0.0 < v <= 1.0 for v in sigma)
-
-
-def test_rays_without_crossings_exit_code(tmp_path, monkeypatch):
-    # no ray reaches the boundary: the typed sampling failure maps to status 3
-    monkeypatch.setattr(domain, "first_crossing",
-                        lambda table, u, level, cap: np.full(len(u), np.inf))
-    assert run_cli(["wbscan", "--out", str(tmp_path / "w"), "--samples", "100"]) == 3
 
 
 def test_boundary_residual_violation_exit_code(tmp_path, monkeypatch):

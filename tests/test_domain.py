@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from ellsqueeze import domain
+from ellsqueeze import cli, domain, hermpoly
 from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
-from ellsqueeze.errors import (BoundedSearchError, EllsqueezeError, EmptySampleError,
-                               PositivityError)
+from ellsqueeze.errors import EllsqueezeError, EmptySampleError, PositivityError
 from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere, fmt, philox, write_csv
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
-from helpers import (bisect_first_crossing, fd_hessian, fd_gradient, levi_min_eig_pointwise,
-                     mixed_weight_polynomial)
+from helpers import fd_hessian, fd_gradient, levi_min_eig_pointwise, mixed_weight_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +27,8 @@ def B():
 DOMAINS = {
     "quartic": GeneralEllipsoid.quartic_disc,
     "ball3": lambda: GeneralEllipsoid.unit_ball(3),
+    "e23": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
     "mixed": lambda: GeneralEllipsoid(mixed_weight_polynomial()),
 }
 
@@ -83,14 +83,43 @@ def test_ball_boundary_is_sphere(B):
 
 
 def test_mixed_weight_boundary_matches_bisection():
-    # the cloud's rays are the Sobol directions, so each point must be the
-    # first zero of rho on its ray
+    # each cloud point is Delta_s(u) = (delta_s(u'), s^(1/2) u_n) of its Sobol
+    # direction u, with s the zero of the increasing s -> rho(Delta_s u),
+    # bisected here through rho alone
     D = GeneralEllipsoid(mixed_weight_polynomial())
     pts = D.boundary_cloud(64, seed=5)
     u = complex_sphere(64, 3, seed=5)
-    ref = bisect_first_crossing(D.rho, u, 0.0, 1e6)
-    assert np.abs(pts - ref[:, None] * u).max() <= 1e-12 * ref.max()
+    powers = np.array([1.0 / (2 * mj) for mj in D.P.weights.m] + [0.5])
+
+    def orbit(s):
+        return u * s[:, None] ** powers
+
+    lo, hi = np.zeros(64), np.ones(64)
+    while (D.rho(orbit(hi)) < 0.0).any():
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = D.rho(orbit(mid)) >= 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    ref = orbit(hi)
+    assert np.abs(pts - ref).max() <= 1e-12 * np.linalg.norm(ref, axis=1).max()
     assert np.abs(D.rho(pts)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_boundary_cloud_solves_no_roots(name, monkeypatch):
+    # every point is a closed-form dilation of its sphere direction, so no
+    # ray is solved, whichever module names the solver
+    def solve(*args):
+        raise AssertionError("boundary_cloud solved a ray")
+
+    for module in (hermpoly, domain):
+        monkeypatch.setattr(module, "first_crossing", solve, raising=False)
+    for solver in ("_monotone_newton_root", "_smallest_positive_root"):
+        monkeypatch.setattr(hermpoly, solver, solve)
+    D = DOMAINS[name]()
+    pts = D.boundary_cloud(1 << 12, seed=0)
+    assert np.abs(D.rho(pts)).max() <= cli._TOLERANCES["boundary_residual"]
 
 
 def test_quartic_defining_equation(E):
@@ -112,22 +141,6 @@ def test_boundary_prefix_stability(E):
     big = E.boundary_cloud(4096, seed=3)
     small = E.boundary_cloud(1024, seed=3)
     assert np.array_equal(big[:1024], small)
-
-
-def test_single_ray_without_crossing_fails(monkeypatch):
-    # one ray of the cloud misses the boundary; it is reported, not replaced
-    # by a later draw of the direction stream
-    solve = domain.first_crossing
-
-    def miss_one(table, u, level, cap):
-        t = solve(table, u, level, cap)
-        if len(t) > 3:
-            t[3] = np.inf
-        return t
-
-    monkeypatch.setattr(domain, "first_crossing", miss_one)
-    with pytest.raises(BoundedSearchError):
-        GeneralEllipsoid.quartic_disc().boundary_cloud(64, seed=0)
 
 
 # -- bounding radius --------------------------------------------------------------------

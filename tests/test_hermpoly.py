@@ -182,14 +182,6 @@ def test_first_crossing_takes_the_first_of_two_roots():
     assert got[0] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_first_crossing_blocks_are_independent(monkeypatch):
-    table = mixed_weight_polynomial().table
-    u = complex_sphere(50, 2, seed=1)
-    whole = first_crossing(table, u, 1.0, 1e6)
-    monkeypatch.setattr(hermpoly, "CROSSING_BLOCK", 7)
-    np.testing.assert_allclose(first_crossing(table, u, 1.0, 1e6), whole, rtol=1e-14)
-
-
 def _diagonal_ellipsoid():
     # E(2, 3): gauge |z_3|^2 - 1 + |z_1|^4 + |z_2|^6, radial degrees 0, 2, 4, 6
     return GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {

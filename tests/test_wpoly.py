@@ -125,6 +125,8 @@ def test_dilate_rejects_nonpositive():
     P = quartic_disc_polynomial()
     with pytest.raises(ValueError):
         P.eval(P.weights.dilate(0.0, np.array([1.0 + 0j])))
+    with pytest.raises(ValueError):
+        P.weights.dilate(np.array([1.0, 0.0]), np.ones((2, 1), dtype=complex))
 
 
 def test_weighted_homogeneity_property():
@@ -137,6 +139,11 @@ def test_weighted_homogeneity_property():
             for t in (1e-3, 1e-1, 1.0, 1e1, 1e3):
                 scaled = float(P.eval(P.weights.dilate(t, zp)))
                 assert abs(scaled - t * base) <= 1e-10 * t * abs(base)
+        # one parameter per point
+        zp = rng.standard_normal((5, len(m))) + 1j * rng.standard_normal((5, len(m)))
+        t = np.array([1e-3, 1e-1, 1.0, 1e1, 1e3])
+        scaled = P.eval(P.weights.dilate(t, zp))
+        assert np.all(np.abs(scaled - t * P.eval(zp)) <= 1e-10 * t * np.abs(P.eval(zp)))
 
 
 # -- positivity -----------------------------------------------------------------------------
