@@ -25,4 +25,4 @@ from .sequences import (ApproachSequence, ClassificationRecord, classify,
 from .squeeze import (BallAutomorphism, EmbeddingChain, FloorReport, Rescale,
                       SqueezeEstimate, chain_family, gamma_floor,
                       squeeze_estimates, squeeze_lower_bound)
-from .wpoly import MultiWeight, PositivityReport, WeightedPolynomial
+from .wpoly import MultiWeight, WeightedPolynomial

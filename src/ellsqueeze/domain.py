@@ -18,7 +18,9 @@ drawing a cloud cannot fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +28,6 @@ from .errors import EmptySampleError
 from .hermpoly import HermitianPolynomial
 from .util import complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
-
-# reference cloud used for radii that must not depend on a caller's sample count
-REFERENCE_COUNT = 1 << 14
-REFERENCE_SEED = 20210
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,9 @@ class GeneralEllipsoid:
     """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P.
 
     Construction runs :meth:`WeightedPolynomial.require_positive`: P > 0
-    off the origin is proved from its Gram matrix (the ball, the quartic,
-    every E(p) and cross-term tables whose G is positive definite), a
-    table the Gram matrix refutes is refused, and any other table must
-    pass the sampled :meth:`WeightedPolynomial.positivity_scan`; otherwise
-    construction raises :class:`PositivityError`.
+    off the origin must be proved from its Gram matrix (the ball, the
+    quartic, every E(p) and cross-term tables whose G is positive
+    definite); any other table raises :class:`PositivityError`.
     """
 
     def __init__(self, P: WeightedPolynomial):
@@ -71,7 +67,6 @@ class GeneralEllipsoid:
         self.gauge = HermitianPolynomial(
             self.n, {(zero, zero): -1.0, (e_n, e_n): 1.0, **P.lifted_terms()})
         self._cloud_cache: dict = {}
-        self._radius_cache: dict = {}
 
     @classmethod
     def unit_ball(cls, n: int) -> "GeneralEllipsoid":
@@ -122,19 +117,46 @@ class GeneralEllipsoid:
         return u
 
     def bounding_radius(self, margin: float = 0.01) -> float:
-        """Radius R with D contained in the ball B(0, R).
+        """(1 + margin) times a proved bound for sup |z| over D (`_sup_norm`)."""
+        return self._sup_norm * (1.0 + margin)
 
-        Computed as the max norm over the fixed reference boundary cloud,
-        floored at 1, plus a safety margin; |z| has no interior maximum, so
-        the boundary sup is the domain sup, and the circle (0', e^{i theta})
-        lies on the boundary, so that sup is at least 1.
+    @cached_property
+    def _sup_norm(self) -> float:
+        """Upper bound for sup |z| over D, by weak duality from P's power floor.
+
+        |z| peaks on the boundary, where |z|^2 = 1 + sum_j x_j - P(z') with
+        x_j = |z_j|^2, and P >= sum_j y_j with y_j = mu_j x_j^{m_j}
+        (:meth:`WeightedPolynomial.power_floor`).  So sup |z|^2 - 1 is at
+        most the max of sum_j (y_j/mu_j)^{1/m_j} - y_j over y >= 0 with
+        sum_j y_j <= 1, and a multiplier t - 1 >= 0 for that constraint gives
+
+            sup |z|^2 <= t (1 + sum_{m_j >= 2} (m_j - 1) y_j(t)),
+            y_j(t) = ((t m_j)^{m_j} mu_j)^{-1/(m_j - 1)},
+
+        for every t >= t0 = max(1, max over m_j = 1 of 1/mu_j).  The bound
+        is least at t0 if sum_j y_j(t0) <= 1, else at the root of
+        sum_j y_j(t) = 1, which bisection brackets; on pure-power tables it
+        is then the exact sup.  The root in y_j acts on y_j^{-(m_j - 1)}, so
+        its inexact exponent costs about eps y_j |log y_j| <= eps / e; the
+        rest sums positive terms within a few ulps, halved by the square
+        root, which two ulps of rounding up cover.
         """
-        key = float(margin)
-        if key not in self._radius_cache:
-            pts = self.boundary_cloud(REFERENCE_COUNT, REFERENCE_SEED)
-            sup = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
-            self._radius_cache[key] = sup * (1.0 + margin)
-        return self._radius_cache[key]
+        m = np.array(self.P.weights.m, dtype=float)
+        mu = self.P.power_floor()
+        t = float(np.max(1.0 / mu[m == 1], initial=1.0))
+        m, mu = m[m > 1], mu[m > 1]
+
+        def y(t):
+            return ((t * m) ** m * mu) ** (-1.0 / (m - 1.0))
+
+        if y(t).sum() > 1.0:
+            # every y_j(hi) <= 1 / len(m), so sum_j y_j(hi) <= 1
+            lo, hi = t, max(t, float(np.max((len(m) ** (m - 1.0) / mu) ** (1.0 / m) / m)))
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if y(mid).sum() > 1.0 else (lo, mid)
+            t = hi
+        root = math.sqrt(t * (1.0 + ((m - 1.0) * y(t)).sum()))
+        return math.nextafter(math.nextafter(root, math.inf), math.inf)
 
     # -- Levi geometry ----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ class AdmissibilityError(EllsqueezeError, ValueError):
 
 
 class PositivityError(EllsqueezeError, ValueError):
-    """A polynomial that must be positive off the origin failed the positivity scan."""
+    """A polynomial that must be positive off the origin is not certified positive."""
 
 
 class BoundedSearchError(EllsqueezeError, RuntimeError):

@@ -1,4 +1,4 @@
-"""Squeezing-function lower bounds from explicit embedding chains.
+"""Sampled estimates of the inscribed radii of explicit embedding chains.
 
 For an embedding f of the domain into the unit ball with f(p) = 0, the
 largest ball around the origin inside f(D) is a lower bound for the
@@ -12,15 +12,16 @@ sample count grows.
 
 The default strategy family contains two chains:
 
-  trivial    rescale by the padded bounding radius, then center the
-             image of p (a guaranteed embedding);
+  trivial    rescale by the bounding radius padded by 1%, then center
+             the image of p;
   normalize  move p to the slice {z_n = 0} with the explicit
-             automorphism, rescale by the sampled boundary sup norm
-             (tight, exact up to boundary-sampling accuracy), then
-             center the image.
+             automorphism, rescale by the proved bound for the sup norm
+             of the domain (`GeneralEllipsoid.bounding_radius` with no
+             margin), then center the image.
 
-Each chain's inscribed radius is a lower bound for the squeezing
-function, but the reported values are sampled estimates of those radii
+Both rescales are at least sup |z| over D, so each chain maps D into the
+unit ball and its inscribed radius is a lower bound for the squeezing
+function.  The reported values are sampled estimates of those radii
 (upper estimates of them), exact only for the sampled clouds; the
 supremum over all embeddings is not computable.
 
@@ -47,7 +48,6 @@ from .errors import BoundedSearchError
 from .util import complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
-TIGHT_MARGIN = 1e-9
 MAX_GRID_BLOCKS = 1000
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
@@ -163,7 +163,7 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
         D, (Rescale(R_pad), BallAutomorphism(c_triv)), p, label="trivial"))
 
     norm = normalize_point(D, p)
-    R_tight = D.bounding_radius(margin=0.0) * (1.0 + TIGHT_MARGIN)
+    R_tight = D.bounding_radius(margin=0.0)
     image = norm.b / R_tight
     chains.append(EmbeddingChain(
         D,

@@ -8,13 +8,13 @@ degree one under the anisotropic dilation
     delta_t(z') = (t^{1/(2 m_1)} z_1, ..., t^{1/(2 m_{n-1})} z_{n-1}).
 
 Weights are exact rationals: admissibility is decided by Fraction
-arithmetic, never by floating-point comparison.  Positivity of P off the
-origin is proved, where it can be, from the table's Gram matrix
-(:meth:`WeightedPolynomial.gram_certified`).  When every monomial of the
-table is a pure power z_j^{m_j}, the Gram matrix decides both ways, so a
-declined table is refused outright; any other declined table is judged
-by a sampled scan (a report, not a proof).  Domains call
-:meth:`WeightedPolynomial.require_positive`, which makes this decision.
+arithmetic, never by floating-point comparison.  Everything the package
+knows about P's size comes from the table's Gram matrix: positivity off
+the origin is proved by :meth:`WeightedPolynomial.gram_certified`, and a
+table it declines is refused by
+:meth:`WeightedPolynomial.require_positive`, which domains call; the
+floor P >= sum_j mu_j |z_j|^{2 m_j} of
+:meth:`WeightedPolynomial.power_floor` bounds a domain's radius.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, PositivityError
 from .hermpoly import HermitianPolynomial
-from .util import complex_sphere
 
 HALF = Fraction(1, 2)
 # smallest eigenvalue of a certified Gram matrix, relative to its largest
@@ -76,18 +75,6 @@ class MultiWeight:
         else:
             factors = np.asarray(t, dtype=float)[:, None] ** (1.0 / (2 * np.array(self.m)))
         return np.asarray(zp, dtype=np.complex128) * factors
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Outcome of a sampled positivity scan (heuristic, seed-reproducible)."""
-
-    min_value: float
-    argmin: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.min_value > 0.0
 
 
 class WeightedPolynomial:
@@ -170,83 +157,69 @@ class WeightedPolynomial:
         """The table's terms in all n variables, constant in z_n."""
         return {(K + (0,), L + (0,)): c for (K, L), c in self.table.canonical.items()}
 
-    def _pure_powers(self) -> set:
+    def _pure_powers(self) -> list:
+        """The monomials z_j^{m_j}, in the order of j."""
         d = len(self.weights.m)
-        return {tuple(mj if i == j else 0 for i in range(d))
-                for j, mj in enumerate(self.weights.m)}
+        return [tuple(mj if i == j else 0 for i in range(d))
+                for j, mj in enumerate(self.weights.m)]
 
-    def _monomials(self) -> list:
-        """The weight-1/2 monomials z^K occurring in the table, sorted."""
-        return sorted({K for pair in self.table.canonical for K in pair})
-
-    def gram_certified(self) -> bool:
-        """Whether the Gram matrix of the table proves P > 0 off the origin.
-
-        With w the vector of weight-1/2 monomials z^K occurring in the table
-        and G[K, L] = c_KL Hermitian, P(z') = sum_KL G[K, L] w_K conj(w_L),
-        so P >= lambda_min(G) |w|^2.  If G is positive definite and w holds
-        every pure power z_j^{m_j}, then |w|^2 > 0 for z' != 0 and P > 0
-        there: an exact proof.  The converse fails, since monomials such as
-        z1^2, z1 z2, z2^2 are algebraically dependent and a positive P can
-        have an indefinite G; such tables return False and are left to
-        :meth:`positivity_scan`.  A G that is singular up to rounding
-        (lambda_min <= GRAM_MARGIN max |lambda|) is not certified.
-        """
-        monomials = self._monomials()
-        if not self._pure_powers() <= set(monomials):
-            return False
+    def _gram(self):
+        """(w, G): the weight-1/2 monomials z^K of the table, sorted, and the
+        Hermitian G[K, L] = c_KL with P(z') = sum_KL G[K, L] w_K conj(w_L);
+        None when w misses a pure power z_j^{m_j}."""
+        monomials = sorted({K for pair in self.table.canonical for K in pair})
+        if not set(self._pure_powers()) <= set(monomials):
+            return None
         index = {K: i for i, K in enumerate(monomials)}
         G = np.zeros((len(monomials), len(monomials)), dtype=np.complex128)
         for (K, L), c in self.table.canonical.items():
             G[index[K], index[L]] = c
             G[index[L], index[K]] = np.conj(c)
-        eig = np.linalg.eigvalsh(G)
+        return monomials, G
+
+    def gram_certified(self) -> bool:
+        """Whether the Gram matrix of the table proves P > 0 off the origin.
+
+        P >= lambda_min(G) |w|^2 (see :meth:`_gram`).  If G is positive
+        definite and w holds every pure power z_j^{m_j}, then |w|^2 > 0 for
+        z' != 0 and P > 0 there: an exact proof.  G is unique, since distinct
+        (K, L) give distinct monomials z^K conj(z^L).  The converse still
+        fails: a positive Hermitian form need not be a Hermitian sum of
+        squares, so a positive P can have an indefinite G.  A G that is
+        singular up to rounding (lambda_min <= GRAM_MARGIN max |lambda|) is
+        not certified.
+        """
+        gram = self._gram()
+        if gram is None:
+            return False
+        eig = np.linalg.eigvalsh(gram[1])
         return bool(eig[0] > GRAM_MARGIN * np.abs(eig).max())
 
     def require_positive(self) -> None:
-        """Raise :class:`PositivityError` unless P > 0 off the origin.
-
-        A Gram certificate accepts the table.  When every monomial of the
-        table is a pure power z_j^{m_j} (every table for n = 2 or for
-        m = (2, 3)), z' -> w = (z_j^{m_j})_j maps onto C^{n-1}, and a table
-        the certificate declines misses a pure power, so P vanishes on
-        that axis, or has a G with some w != 0 and w* G w <= 0 up to
-        rounding, so P vanishes or turns negative off the origin: it is
-        refused without a scan.  Any other declined table must pass
-        :meth:`positivity_scan`.
-        """
-        if self.gram_certified():
-            return
-        if set(self._monomials()) <= self._pure_powers():
+        """Raise :class:`PositivityError` unless :meth:`gram_certified`
+        proves P > 0 off the origin."""
+        if not self.gram_certified():
             raise PositivityError(
-                "P is not positive off the origin: its monomials are pure powers "
-                "z_j^{m_j} and their Gram matrix is not positive definite")
-        report = self.positivity_scan()
-        if not report.passed:
-            raise PositivityError(
-                f"P is not positive off the origin: min sampled value {report.min_value:g} "
-                f"at z'={report.argmin}")
+                "P is not certified positive off the origin: its Gram matrix over the "
+                "table's monomials misses a pure power z_j^{m_j} or is not positive definite")
 
-    def positivity_scan(self, count: int = 512, seed: int = 0) -> PositivityReport:
-        """Minimum of P over unit-sphere samples plus the coordinate axes.
+    def power_floor(self) -> np.ndarray:
+        """mu with P(z') >= sum_j mu_j |z_j|^{2 m_j}, for a certified table.
 
-        Every z' != 0 is delta_t(u) for exactly one unit u and t > 0, and
-        P(delta_t u) = t P(u), so positivity on the sphere is equivalent to
-        positivity off the origin.  Sampling cannot certify it (where the
-        table allows, :meth:`gram_certified` does); the report records the
-        scanned minimum and flags min <= 0 as failure.
+        With Delta = diag(G) and S = Delta^{-1/2} G Delta^{-1/2}, P = v* S v
+        for v = Delta^{1/2} w, so P >= lambda_min(S) sum_K G[K, K] |w_K|^2;
+        keeping only the pure powers z_j^{m_j} = w_{K_j} gives
+        mu_j = lambda_min(S) G[K_j, K_j].  lambda_min(S) is lowered by
+        len(S) eps lambda_max(S), the scale of the eigenvalue solve's
+        backward error.  On pure-power tables S = I, and mu_j is the
+        coefficient of |z_j|^{2 m_j} up to that lowering.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        d = len(self.weights.m)
-        axes = np.eye(d, dtype=np.complex128)
-        pts = [axes]
-        if count > d:
-            pts.append(complex_sphere(count - d, d, seed))
-        pts = np.concatenate(pts, axis=0)[:count]
-        vals = self.eval(pts)
-        k = int(np.argmin(vals))
-        return PositivityReport(float(vals[k]), pts[k].copy())
+        monomials, G = self._gram()
+        g = G.diagonal().real
+        # sqrt(g_K * g_K) is g_K to the bit, so S has an exact unit diagonal
+        eig = np.linalg.eigvalsh(G / np.sqrt(np.outer(g, g)))
+        lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
+        return lam * g[[monomials.index(p) for p in self._pure_powers()]]
 
 
 def unit_ball_polynomial(n: int) -> WeightedPolynomial:

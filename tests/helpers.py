@@ -87,18 +87,12 @@ def mixed_weight_polynomial() -> WeightedPolynomial:
         ((2, 0), (0, 3)): 0.08 * np.exp(0.7j)})
 
 
-def torus_grid_min(P: WeightedPolynomial, steps: int = 60) -> float:
-    """Dense modulus/phase grid minimum of P over the unit sphere (n-1 = 2 only)."""
-    assert len(P.weights.m) == 2
-    best = np.inf
-    ts = np.linspace(0.0, np.pi / 2, steps)
-    phases = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
-    for t in ts:
-        r1, r2 = np.cos(t), np.sin(t)
-        for ph in phases:
-            z = np.array([r1, r2 * np.exp(1j * ph)])
-            best = min(best, float(P.eval(z)))
-    return best
+def double_root_polynomial() -> WeightedPolynomial:
+    """|z1^2 - 2 z1 z2 + z2^2|^2 = |z1 - z2|^4 on m = (2, 2): zero on z1 = z2,
+    with a rank-one Gram matrix."""
+    return WeightedPolynomial(MultiWeight((2, 2)), {
+        ((2, 0), (2, 0)): 1.0, ((1, 1), (1, 1)): 4.0, ((0, 2), (0, 2)): 1.0,
+        ((2, 0), (1, 1)): -2.0, ((2, 0), (0, 2)): 1.0, ((1, 1), (0, 2)): -2.0})
 
 
 def bisect_first_crossing(f, directions: np.ndarray, level: float,

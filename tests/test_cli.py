@@ -14,7 +14,7 @@ from ellsqueeze import cli, domain, squeeze
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
-from helpers import mixed_weight_polynomial
+from helpers import double_root_polynomial, mixed_weight_polynomial
 
 
 def run_cli(args):
@@ -271,6 +271,15 @@ def test_numerical_failure_exit_code(tmp_path):
                     "--domain", str(poly), "--count", "5"]) == 3
 
 
+def test_uncertified_table_exit_code(tmp_path, capsys):
+    # |z1 - z2|^4 vanishes on z1 = z2; a sampled scan once let it build an
+    # unbounded domain
+    poly = tmp_path / "double-root.json"
+    poly.write_text(json.dumps(double_root_polynomial().to_dict()))
+    assert run_cli(["profile", "--out", str(tmp_path / "p"), "--domain", str(poly)]) == 3
+    assert "not certified" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
 def test_non_finite_coefficient_exit_code(tmp_path, capsys, value):
     # json writes the bare tokens NaN and Infinity, which json.load reads back
@@ -321,9 +330,14 @@ def test_domain_file_round_trip(tmp_path):
 _COLD_START = """
 import contextlib, io, json, sys
 from ellsqueeze import cli
+from ellsqueeze.errors import PositivityError
 out = sys.argv[1]
+refused = []
 for spec in sys.argv[2:]:
-    cli._load_domain(spec)
+    try:
+        cli._load_domain(spec)
+    except PositivityError:
+        refused.append(spec)
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 with contextlib.redirect_stdout(io.StringIO()):
@@ -331,17 +345,20 @@ with contextlib.redirect_stdout(io.StringIO()):
               for name in ("scale", "limits", "classify")]
     before = scipy_modules()
     status.append(cli.main(["profile", "--samples", "256", "--out", out + "/profile"]))
-print(json.dumps([status, before, scipy_modules()]))
+print(json.dumps([status, before, scipy_modules(), refused]))
 """
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # domains the Gram certificate proves positive, and the experiments that
-    # draw no Sobol cloud, never import scipy; `profile` draws one and does
+    # building a domain, or refusing a table the Gram certificate declines
+    # (|z1 - z2|^4, whose monomials are not all pure powers), and the
+    # experiments that draw no Sobol cloud never import scipy; `profile`
+    # draws one and does
     tables = []
     for name, P in (("e23", WeightedPolynomial(MultiWeight((2, 3)), {
             ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
-                    ("mixed", mixed_weight_polynomial())):
+                    ("mixed", mixed_weight_polynomial()),
+                    ("double-root", double_root_polynomial())):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(P.to_dict()))
         tables.append(str(path))
@@ -351,7 +368,8 @@ def test_cold_start_loads_no_scipy(tmp_path):
          str(tmp_path), "quartic", "ball:3", *tables],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, before, after = json.loads(proc.stdout.splitlines()[-1])
+    status, before, after, refused = json.loads(proc.stdout.splitlines()[-1])
+    assert refused == tables[-1:]
     assert status == [0, 0, 0, 0]
     assert before == []
     assert "scipy.stats" in after

@@ -166,14 +166,103 @@ def test_bounding_radius_flat_quartic():
 
 @pytest.mark.parametrize("a", [1e6, 1e12])
 def test_bounding_radius_steep_table(a):
-    # P = a |z_1|^4: the true sup |z| is about 1 + 1/(4a), reached off the
-    # circle (0', e^{i theta}), but the reference rays reach the boundary
-    # far inside it; the radius must still cover that circle and every
+    # P = a |z_1|^4: the true sup |z| is about 1 + 1/(8a), reached off the
+    # circle (0', e^{i theta}); the radius must cover that circle and every
     # interior point of the showcase sequence
     D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): a}))
     assert D.bounding_radius(margin=0.0) >= 1.0
     term = generate(D, "tangential", indices=[10 ** 4]).terms[0].z
     assert np.linalg.norm(term) < D.bounding_radius(margin=0.0)
+
+
+def _diagonal(m, coeffs):
+    d = len(m)
+    unit = [tuple(mj if i == j else 0 for i in range(d)) for j, mj in enumerate(m)]
+    return GeneralEllipsoid(WeightedPolynomial(MultiWeight(m), {
+        (K, K): a for K, a in zip(unit, coeffs)}))
+
+
+# domain -> its true sup |z|^2 in closed form (mpmath numbers in, mpmath out).
+# With x_j = |z_j|^2 the sup of |z|^2 = 1 + sum_j x_j - P is at the per-axis
+# stationary points x_j = (a_j m_j)^(-1/(m_j - 1)) when those satisfy P <= 1,
+# else on P = 1
+SUP_SQUARED = {
+    "quartic": (GeneralEllipsoid.quartic_disc, lambda mp: mp.mpf(5) / 4),
+    "E-2-3": (DOMAINS["e23"], lambda mp: 1 + mp.mpf(1) / 4 + 2 / (3 * mp.sqrt(3))),
+    # x^2 / 16 <= 1 caps x at 4, below the stationary point 8
+    "flat-quartic": (lambda: _diagonal((2,), [1.0 / 16.0]), lambda mp: mp.mpf(4)),
+    # |z_1|^2 / 2 + |z_2|^2 = 1 on the boundary: |z|^2 = 1 + |z_1|^2 / 2 <= 2
+    "half-ball": (lambda: _diagonal((1,), [0.5]), lambda mp: mp.mpf(2)),
+    # x_1 / 2 + x_2^2 <= 1, stationary x_2 = 1/2 and then x_1 = 3/2: 1 + 3/4 + 3/8
+    "mixed-1-2": (lambda: _diagonal((1, 2), [0.5, 1.0]), lambda mp: mp.mpf(17) / 8),
+    **{f"steep-1e{k}": (lambda k=k: _diagonal((2,), [10.0 ** k]),
+                        lambda mp, k=k: 1 + 1 / (4 * mp.mpf(10) ** k))
+       for k in range(0, 13, 2)},
+    "ball-3": (DOMAINS["ball3"], lambda mp: mp.mpf(1)),
+}
+
+
+@pytest.mark.parametrize("domain_, sup_squared", SUP_SQUARED.values(), ids=SUP_SQUARED.keys())
+def test_bounding_radius_is_the_proved_sup(domain_, sup_squared):
+    # at least the true sup and within 4 ulps of it, on tables whose
+    # monomials are all pure powers
+    mp = pytest.importorskip("mpmath")
+    R = domain_().bounding_radius(margin=0.0)
+    with mp.workdps(50):
+        true = mp.sqrt(sup_squared(mp))
+        assert mp.mpf(R) >= true
+        assert mp.mpf(R) - true <= 4 * np.spacing(R)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.8, 0.8, 0.1), (1.2, 0.9, 0.05j)])
+def test_bounding_radius_covers_cross_term_tables(a, b, c):
+    # the benchmark's corner m = (2, 3) tables: a boundary point of locally
+    # largest norm (over |z_1|, |z_2| and the phase of z_2) stays inside the
+    # radius, which overshoots it by less than 1e-3
+    from scipy.optimize import minimize
+
+    D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): a, ((0, 3), (0, 3)): b, ((2, 0), (0, 3)): c}))
+
+    def slice_point(v):
+        return np.array([v[0], v[1] * np.exp(1j * v[2])])
+
+    def boundary_point(v):
+        zp = slice_point(v)
+        return np.append(zp, np.sqrt(max(1.0 - float(D.P.eval(zp)), 0.0)))
+
+    inside = {"type": "ineq", "fun": lambda v: 1.0 - D.P.eval(slice_point(v))}
+    best = max((minimize(lambda v: -np.linalg.norm(boundary_point(v)), start,
+                         constraints=[inside], method="SLSQP", options={"ftol": 1e-14})
+                for start in ([0.8, 0.8, 0.0], [0.8, 0.8, 1.0], [0.8, 0.8, 2.0])),
+               key=lambda res: -res.fun)
+    z = boundary_point(best.x)
+    assert abs(float(D.rho(z))) <= 1e-12
+    R = D.bounding_radius(margin=0.0)
+    assert np.linalg.norm(z) <= R <= (1.0 + 1e-3) * np.linalg.norm(z)
+
+
+def test_chains_send_the_sup_point_into_the_ball():
+    # on E(2, 3) the sup |z| is reached at |z_1|^2 = 1/2, |z_2|^2 = 3^(-1/2).
+    # A chain's leading automorphism maps the boundary onto itself, so its
+    # closing rescale and ball automorphism must keep every phase of that
+    # boundary point in the closed unit ball; a rescale by less than the
+    # sup cannot
+    from ellsqueeze.squeeze import chain_family
+
+    D = DOMAINS["e23"]()
+    moduli = np.sqrt([0.5, 3.0 ** -0.5, 0.75 - 3.0 ** -1.5])
+    phases = np.stack(np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+                                  np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False),
+                                  np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False),
+                                  indexing="ij"), axis=-1).reshape(-1, 3)
+    z = moduli * np.exp(1j * phases)
+    assert np.abs(D.rho(z)).max() <= 1e-15
+    for chain in chain_family(D, np.array([0.1, 0.05, 0.3])):
+        w = z
+        for step in chain.steps[-2:]:
+            w = step.apply(D.P.weights, w)
+        assert np.linalg.norm(w, axis=-1).max() <= 1.0, chain.label
 
 
 def test_no_sample_exceeds_bounding_radius(E):

@@ -345,7 +345,7 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
     ties = base[7] * np.exp(1j * np.linspace(-1e-12, 1e-12, 41))[:, None]
     cloud = np.concatenate([ties, base])
     half = len(cloud) // 2
-    R = B.bounding_radius(margin=0.0) * (1.0 + squeeze.TIGHT_MARGIN)
+    R = B.bounding_radius(margin=0.0)
     c = (1.0 - 1e-6) * base[7] / R
     chain = EmbeddingChain(B, (Rescale(R), BallAutomorphism(c)), c * R)
     explicit = chain_norms_at(chain, cloud)

@@ -11,8 +11,8 @@ from ellsqueeze.errors import AdmissibilityError, PositivityError
 from ellsqueeze.wpoly import (MultiWeight, WeightedPolynomial,
                               quartic_disc_polynomial, unit_ball_polynomial)
 
-from helpers import (fd_gradient, fd_hessian, mixed_weight_polynomial,
-                     random_admissible_polynomial, torus_grid_min)
+from helpers import (double_root_polynomial, fd_gradient, fd_hessian,
+                     mixed_weight_polynomial, random_admissible_polynomial)
 
 
 # -- weight arithmetic ------------------------------------------------------------
@@ -146,38 +146,6 @@ def test_weighted_homogeneity_property():
         assert np.all(np.abs(scaled - t * P.eval(zp)) <= 1e-10 * t * np.abs(P.eval(zp)))
 
 
-# -- positivity -----------------------------------------------------------------------------
-
-
-def test_positivity_quartic_on_circle():
-    # |z_1|^4 = 1 on every unit sample, so the minimum is exactly one
-    rep = quartic_disc_polynomial().positivity_scan(count=200, seed=1)
-    assert rep.passed
-    assert rep.min_value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_positivity_degenerate_product():
-    # |z_1|^2 |z_2|^2 vanishes on the axes; the scan includes them and must flag it
-    P = WeightedPolynomial(MultiWeight((2, 2)), {((1, 1), (1, 1)): 1.0})
-    rep = P.positivity_scan(count=100, seed=0)
-    assert not rep.passed
-    assert rep.min_value == pytest.approx(0.0, abs=1e-15)
-
-
-def test_positivity_cross_term_quartic():
-    # |z_1|^4 + |z_2|^4 + Re(z_1^2 conj(z_2)^2): positive by AM-GM, torus grid agrees
-    P = WeightedPolynomial(MultiWeight((2, 2)), {
-        ((2, 0), (2, 0)): 1.0,
-        ((0, 2), (0, 2)): 1.0,
-        ((2, 0), (0, 2)): 0.5,
-    })
-    rep = P.positivity_scan(count=400, seed=3)
-    assert rep.passed
-    grid_min = torus_grid_min(P)
-    assert grid_min > 0.0
-    assert rep.min_value >= grid_min - 1e-9
-
-
 # -- Gram certificate -------------------------------------------------------------------------
 
 
@@ -221,34 +189,19 @@ def _indefinite_positive():
         ((2, 0), (0, 2)): 1.2})
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """Tables whose positivity scan a domain construction runs."""
-    seen = []
-    scan = WeightedPolynomial.positivity_scan
-
-    def spy(self, *args, **kwargs):
-        seen.append(self)
-        return scan(self, *args, **kwargs)
-
-    monkeypatch.setattr(WeightedPolynomial, "positivity_scan", spy)
-    return seen
-
-
 @pytest.mark.parametrize("table", CERTIFIED.values(), ids=CERTIFIED.keys())
-def test_gram_certificate_skips_the_scan(table, scans):
+def test_gram_certificate_skips_the_scan(table):
+    # a certified table builds its domain, and construction samples nothing
     P = table()
     assert P.gram_certified()
     domain.GeneralEllipsoid(P)
-    assert scans == []
 
 
-def test_degenerate_product_declined_and_refused(scans):
+def test_degenerate_product_declined_and_refused():
     P = _degenerate_product()
     assert not P.gram_certified()
     with pytest.raises(PositivityError):
         domain.GeneralEllipsoid(P)
-    assert scans == [P]
 
 
 def _negative_quartic():
@@ -260,42 +213,35 @@ def _missing_power():
     return WeightedPolynomial(MultiWeight((2, 3)), {((2, 0), (2, 0)): 1.0})
 
 
-# (table, whether construction refuses it, whether it runs the scan); the
-# first three tables' monomials are all pure powers, so their Gram matrices
-# decide and the scan never runs
-@pytest.mark.parametrize("table, refused, scanned", [
-    (_singular, True, False),
-    (_negative_quartic, True, False),
-    (_missing_power, True, False),
-    (_indefinite_positive, False, True),
+# every table the certificate declines is refused, positive (indefinite) or not
+@pytest.mark.parametrize("table", [
+    _singular, _negative_quartic, _missing_power, _indefinite_positive,
 ], ids=["singular", "negative", "missing-power", "indefinite"])
-def test_declined_tables_are_judged_by_the_scan(table, refused, scanned, scans):
+def test_declined_tables_are_judged_by_the_scan(table):
     P = table()
     assert not P.gram_certified()
-    if refused:
-        with pytest.raises(PositivityError):
-            domain.GeneralEllipsoid(P)
-    else:
+    with pytest.raises(PositivityError, match="not certified positive"):
         domain.GeneralEllipsoid(P)
-    assert scans == ([P] if scanned else [])
 
 
 def test_singular_table_vanishes_off_the_origin():
     # P = |sqrt(a) z1^2 + sqrt(b) z2^3|^2 is zero on sqrt(a) z1^2 = -sqrt(b) z2^3,
-    # (|z| = 10.6 here, each term about 9e3), where the sampled scan sees
-    # only positive values
+    # (|z| = 10.6 here, each term about 9e3)
     P = _singular()
     z2 = 100.0 ** (1.0 / 3.0)
     z1 = 1j * np.sqrt(np.sqrt(0.9 / 1.1) * z2 ** 3)
     assert abs(float(P.eval(np.array([z1, z2])))) <= 1e-10
-    assert P.positivity_scan().passed
+    with pytest.raises(PositivityError):
+        P.require_positive()
 
 
-def test_indefinite_gram_positive_table_passes_the_scan():
-    P = _indefinite_positive()
-    # on the sphere |x| = |y| is the worst case, where P = 0.6 |x|^2
-    assert torus_grid_min(P) > 0.0
-    assert P.positivity_scan().passed
+def test_double_root_table_is_refused():
+    # a sampled scan passed this table (minimum 1.5e-7 over 512 points), and
+    # the domain built from it was unbounded: rho(10, 10, 0) = -1
+    P = double_root_polynomial()
+    assert P.eval(np.array([10.0, 10.0])) == 0.0
+    with pytest.raises(PositivityError, match="not certified positive"):
+        domain.GeneralEllipsoid(P)
 
 
 # -- derivatives ------------------------------------------------------------------------------
