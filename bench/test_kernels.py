@@ -2,7 +2,7 @@
 
     pytest bench --benchmark-only
 
-`GeneralEllipsoid._solve_boundary` draws boundary clouds (the Sobol sphere
+`GeneralEllipsoid.boundary_cloud` draws boundary clouds (the Sobol sphere
 draw and the closed-form dilation of each point onto the boundary) on the
 quartic, E(2, 3), the ball in C^3 and the m = (2, 3) domain with a
 z1^2 conj(z2)^3 cross term.  `first_crossing`, which serves reach radii
@@ -62,7 +62,7 @@ def _mixed_weight_polynomial():
 ], ids=["quartic-2^17", "E-2-3-2^15", "ball-3-2^15", "mixed-2-3-2^13"])
 def test_solve_boundary(benchmark, domain, count):
     D = domain()
-    pts = benchmark(D._solve_boundary, count, 0)
+    pts = benchmark(D.boundary_cloud, count, 0)
     assert np.abs(D.rho(pts)).max() <= 1e-10
 
 

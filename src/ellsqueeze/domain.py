@@ -66,7 +66,6 @@ class GeneralEllipsoid:
         e_n = (0,) * (self.n - 1) + (1,)
         self.gauge = HermitianPolynomial(
             self.n, {(zero, zero): -1.0, (e_n, e_n): 1.0, **P.lifted_terms()})
-        self._cloud_cache: dict = {}
 
     @classmethod
     def unit_ball(cls, n: int) -> "GeneralEllipsoid":
@@ -99,15 +98,6 @@ class GeneralEllipsoid:
         dilated onto the boundary along its Delta-orbit (module docstring),
         with no root solve.
         """
-        key = int(seed)
-        cached = self._cloud_cache.get(key)
-        if cached is not None and len(cached) >= count:
-            return cached[:count]
-        pts = self._solve_boundary(count, seed)
-        self._cloud_cache[key] = pts
-        return pts
-
-    def _solve_boundary(self, count: int, seed: int) -> np.ndarray:
         # s from P's own table: rho(u) + 1 would evaluate the whole gauge
         # and round through -1 + 1
         u = complex_sphere(count, self.n, seed)

@@ -20,15 +20,14 @@ from the same tables.
 
 :func:`first_crossing` finds where a table first reaches a level along
 rays from the origin; it serves the reach radii of `scaling`, at most
-`scaling.PHASE_GRID` rays per call.  Each ray's radial polynomial is
-solved in x = t^g, g the gcd of the table's degrees, by a solver chosen
-per ray (see :func:`first_crossing`).
+`scaling.PHASE_GRID` rays per call.  The signs of a ray's radial
+coefficients leave it unsolved, or pick Newton or companion eigenvalues
+(see :func:`first_crossing`).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -57,11 +56,10 @@ class _Plan:
     `holo` (A transposed) and `anti` (B transposed) are the gathers, one
     row per variable, and a lowered exponent max(A[r, j] - 1, 0) is a
     gather from the same table.  `radial` maps the monomials to the radial
-    coefficients c_0..c_K of :func:`first_crossing`, and g is the gcd of
-    the table's degrees.
+    coefficients c_0..c_K of :func:`first_crossing`.
     """
 
-    __slots__ = ("A", "B", "C", "exps", "holo", "anti", "radial", "K", "g")
+    __slots__ = ("A", "B", "C", "exps", "holo", "anti", "radial", "K")
 
     def __init__(self, A: list, B: list, C: list):
         self.A = np.asarray(A, dtype=np.int64)
@@ -72,7 +70,6 @@ class _Plan:
         self.anti = self.B.T.copy()
         deg = [sum(a) + sum(b) for a, b in zip(A, B)]
         self.K = max(deg)
-        self.g = math.gcd(*deg)
         self.radial = np.zeros((len(C), self.K + 1), dtype=np.complex128)
         self.radial[np.arange(len(C)), deg] = self.C
 
@@ -151,9 +148,6 @@ class HermitianPolynomial:
         if not self._table:
             return 0
         return max(sum(a) + sum(b) for a, b in self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
     def _expand(self) -> _Plan:
         """Evaluation plan of the table with its conjugate partners, built once."""
@@ -316,45 +310,46 @@ def first_crossing(table: HermitianPolynomial, directions: np.ndarray, level: fl
     table must satisfy table(0) < level.  Along a ray the table is the real
     polynomial sum_k c_k(u) t^k with radial coefficients
     c_k(u) = sum_{|A|+|B|=k} c_AB u^A conj(u)^B, so the first crossing is the
-    smallest positive root of p(t) = table(t u) - level; a touching root
-    counts.  With g the gcd of the table's degrees, every nonzero c_k has
-    g | k, so p(t) = q(t^g) for a polynomial q of degree K/g; as t -> t^g
-    is increasing on t > 0, the first crossing is the g-th root of q's
-    smallest positive root, and a touching root of p is one of q.
+    smallest positive root of p(t) = table(t u) - level, with coefficients
+    q_0 = c_0(u) - level and q_k = c_k(u); a touching root counts.
 
-    The solver is chosen per ray from its coefficients q_k = c_{gk}(u),
-    with q_0 = c_0 - level.  A *monotone* ray has q_0 < 0, every other
-    q_k >= 0 and some q_k > 0; every phase of a reach line is one where
-    the translated table restricts to |w^A|^2 terms with positive
-    coefficients, as on the tangential axes through a base point on the
-    normal axis of a weighted model.  By Descartes's rule of signs its q
-    has exactly one positive root, simple, and q is convex and increasing
-    on x > 0, so monotone Newton from an upper bound finds it
-    (:func:`_monotone_newton_root`).  Every other ray solves by companion
-    eigenvalues (:func:`_smallest_positive_root`): the roots of q are the
-    eigenvalues of the companion matrix of its reversed polynomial in
-    s = 1/x, whose leading coefficient q_0 is nonzero, and the largest
-    near-real s gives the first crossing, t = s^(-1/g); a ray with no
-    rising term has none and stays +inf.  Either way one Newton step on p
-    polishes t where the step lowers |p|.
+    Descartes's rule of signs picks each ray's path:
+
+    - q_0 < 0 and no q_k > 0: p < 0 on t > 0, so the ray stays +inf
+      unsolved, as on half the phases of a weighted model's normal line,
+      where p = t cos(phase) - level.
+    - *monotone*, q_0 < 0, every other q_k >= 0 and some q_k > 0: p has
+      exactly one positive root, simple, and is convex and increasing on
+      t > 0, so monotone Newton from an upper bound finds it
+      (:func:`_monotone_newton_root`).  So are the other phases of that
+      normal line, and every phase of the tangential axes through a base
+      point on it, where the translated table restricts to |w^A|^2 terms
+      with positive coefficients.
+    - every other ray, with q_k of both signs or q_0 >= 0, as `tau` meets
+      at general base points, solves by companion eigenvalues
+      (:func:`_smallest_positive_root`): the roots of p are the
+      reciprocals of the eigenvalues of the companion matrix of its
+      reversed polynomial, whose leading coefficient q_0 is nonzero, and
+      the largest near-real one gives the first crossing, else +inf.
+
+    Either root is polished by one Newton step on p where it lowers |p|.
     """
     u = np.asarray(directions, dtype=np.complex128)
     plan = table._expand()
-    g = plan.g
     t = np.full(len(u), np.inf)
     if plan.K == 0:
         return t
-    coeffs = (table._monomials(u) @ plan.radial).real
-    coeffs[:, 0] -= level
-    q = coeffs[:, ::g]
-    monotone = ((q[:, 0] < 0.0) & (q[:, 1:] >= 0.0).all(axis=1)
-                & (q[:, 1:] > 0.0).any(axis=1))
-    x = np.empty(len(q))
-    x[monotone] = _monotone_newton_root(q[monotone])
-    if not monotone.all():
-        x[~monotone] = _smallest_positive_root(q[~monotone])
-    found = np.isfinite(x)
-    t[found] = _newton_polish(coeffs[found], x[found] ** (1.0 / g))
+    q = (table._monomials(u) @ plan.radial).real
+    q[:, 0] -= level
+    below = q[:, 0] < 0.0
+    rising = (q[:, 1:] > 0.0).any(axis=1)
+    monotone = below & rising & (q[:, 1:] >= 0.0).all(axis=1)
+    other = ~monotone & (rising | ~below)
+    t[monotone] = _monotone_newton_root(q[monotone])
+    if other.any():
+        t[other] = _smallest_positive_root(q[other])
+    found = np.isfinite(t)
+    t[found] = _newton_polish(q[found], t[found])
     t[t > cap] = np.inf
     return t
 

@@ -308,9 +308,9 @@ def test_boundary_residual_violation_exit_code(tmp_path, monkeypatch):
     # scanned points pushed off the boundary: their |rho| exceeds the
     # manifest's boundary_residual tolerance, so the run fails with status 3
     # before writing the scan
-    solve = domain.GeneralEllipsoid._solve_boundary
-    monkeypatch.setattr(domain.GeneralEllipsoid, "_solve_boundary",
-                        lambda self, count, seed: 1.001 * solve(self, count, seed))
+    cloud = domain.GeneralEllipsoid.boundary_cloud
+    monkeypatch.setattr(domain.GeneralEllipsoid, "boundary_cloud",
+                        lambda self, count, seed=0: 1.001 * cloud(self, count, seed))
     out = tmp_path / "w"
     assert run_cli(["wbscan", "--out", str(out), "--samples", "100"]) == 3
     assert not (out / "wbscan.csv").exists()

@@ -137,10 +137,21 @@ def test_min_boundary_norm_matches_lagrange_oracle(E):
     assert m >= 1.0 - 1e-10  # sampling can only overshoot the true minimum
 
 
-def test_boundary_prefix_stability(E):
-    big = E.boundary_cloud(4096, seed=3)
-    small = E.boundary_cloud(1024, seed=3)
-    assert np.array_equal(big[:1024], small)
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_boundary_prefix_stability(name):
+    # every draw is computed afresh, so each prefix is an independent draw
+    D = DOMAINS[name]()
+    big = D.boundary_cloud(5000, seed=3)
+    for count in (1, 7, 1024, 4096, 4999):
+        assert np.array_equal(big[:count], D.boundary_cloud(count, seed=3))
+
+
+def test_boundary_cloud_edited_in_place_leaves_next_draw_on_boundary():
+    D = DOMAINS["quartic"]()
+    cloud = D.boundary_cloud(64, seed=3)
+    cloud *= 2.0
+    pts = D.boundary_cloud(32, seed=3)
+    assert np.abs(D.rho(pts)).max() <= cli._TOLERANCES["boundary_residual"]
 
 
 # -- bounding radius --------------------------------------------------------------------

@@ -8,7 +8,8 @@ from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import AdmissibilityError, BoundedSearchError
 from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
 from ellsqueeze.util import complex_sphere, philox
-from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
+from ellsqueeze.wpoly import (MultiWeight, WeightedPolynomial, quartic_disc_polynomial,
+                              unit_ball_polynomial)
 
 from helpers import (bisect_first_crossing, fd_gradient, fd_hessian,
                      mixed_weight_polynomial, random_admissible_polynomial)
@@ -232,10 +233,10 @@ def test_positive_diagonal_gauges_call_no_eigvals(domain, monkeypatch):
 
 @pytest.mark.parametrize("table, level, size", [
     (lambda: GeneralEllipsoid(mixed_weight_polynomial()).gauge, 0.0, 6),
-    (lambda: HermitianPolynomial(1, {((1,), (1,)): 1.4, ((2,), (2,)): -1.0}), 0.3, 2),
+    (lambda: HermitianPolynomial(1, {((1,), (1,)): 1.4, ((2,), (2,)): -1.0}), 0.3, 4),
 ], ids=["mixed-2-3", "even-1.4-minus-quartic"])
-def test_companion_size_is_degree_over_gcd(table, level, size, monkeypatch):
-    # the z1^2 conj(z2)^3 term keeps g = 1; 1.4 |lam|^2 - |lam|^4 solves in x = t^2
+def test_companion_size_is_degree(table, level, size, monkeypatch):
+    # one companion row per degree, the even table's zero odd coefficients included
     table = table()
     shapes = _spy_eigvals(monkeypatch)
     first_crossing(table, complex_sphere(16, table.d, seed=0), level, 1e6)
@@ -295,14 +296,16 @@ def test_monotone_newton_matches_bisection_on_edge_rays(monkeypatch):
     assert np.abs(got[:-1] - ref[:-1]).max() <= 1e-15 and shapes == []
 
 
-def test_monotone_newton_ray_without_positive_term_is_inf():
+def test_monotone_newton_ray_without_positive_term_is_inf(monkeypatch):
     # |z_2|^2 + 0.5 |z_2|^4 is flat along e_1, so that ray has no positive
-    # term; it goes to the companion, which finds no root
+    # term; it cannot cross and is +inf without a solve
     table = HermitianPolynomial(2, {((0, 1), (0, 1)): 1.0, ((0, 2), (0, 2)): 0.5})
     u = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    shapes = _spy_eigvals(monkeypatch)
     with np.errstate(all="raise"):
         got = first_crossing(table, u, 1.5, 1e6)
     assert got[0] == np.inf and got[1] == pytest.approx(1.0, rel=1e-15)
+    assert shapes == []
 
 
 def test_monotone_newton_iteration_bound_raises(monkeypatch):
@@ -324,33 +327,59 @@ def test_positive_ray_coefficients_take_newton(monkeypatch):
     assert shapes == [] and np.abs(got - ref).max() <= 1e-15
 
 
+def _off_diagonal(extra):
+    # |z_1|^2 + |z_2|^2 + 3 Re(z_1 conj z_2): the radial coefficient
+    # 1 + 3 Re(u_1 conj u_2) is negative on some rays and positive on others
+    return HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
+                                   ((1, 0), (0, 1)): 1.5, **extra})
+
+
 @pytest.mark.parametrize("table, level", [
-    (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
-                             ((1, 0), (0, 1)): 1.5}), 1.0),
+    (_off_diagonal({((2, 0), (2, 0)): 1.0, ((0, 2), (0, 2)): 1.0}), 1.0),
     (HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
                              ((2, 0), (2, 0)): -0.1}), 0.5),
     (HermitianPolynomial(2, {((0, 0), (0, 0)): 1.0, ((1, 0), (1, 0)): 1.0,
                              ((0, 1), (0, 1)): 1.0}), 0.5),
-], ids=["off-diagonal", "negative-diagonal", "constant-above-level"])
+    (_off_diagonal({}), 1.0),
+], ids=["off-diagonal", "negative-diagonal", "constant-above-level", "no-rising-term"])
 def test_other_tables_keep_the_companion(table, level, monkeypatch):
-    # exactly the rays with a negative radial coefficient, or a constant at or
-    # above the level, go to the companion: the off-diagonal table's
-    # 1 + 3 Re(u_1 conj u_2) is negative on some rays and positive on others;
-    # a constant above the level breaks first_crossing's precondition, and the
-    # companion finds no positive root
+    # exactly the rays with radial coefficients of both signs, or a constant
+    # at or above the level, go to the companion; a ray with the constant
+    # below the level and no positive coefficient cannot cross and is +inf
+    # unsolved.  With the |z|^4 terms the off-diagonal table's falling rays
+    # rise again; without them they never rise.  A constant above the level
+    # breaks first_crossing's precondition, and the companion finds no
+    # positive root
     u = complex_sphere(16, 2, seed=0)
     plan = table._expand()
     radial = (table._monomials(u) * plan.C).real
     deg = (plan.A + plan.B).sum(axis=1)
     q = np.stack([radial[:, deg == k].sum(axis=1) for k in (0, 2, 4)], axis=1)
     q[:, 0] -= level
-    other = (q[:, 0] >= 0.0) | (q[:, 1:] < 0.0).any(axis=1)
+    rising, falling = (q[:, 1:] > 0.0).any(axis=1), (q[:, 1:] < 0.0).any(axis=1)
+    other = (q[:, 0] >= 0.0) | (rising & falling)
+    dead = (q[:, 0] < 0.0) & ~rising
     companion, rows = hermpoly._smallest_positive_root, []
     monkeypatch.setattr(hermpoly, "_smallest_positive_root",
                         lambda q: rows.append(len(q)) or companion(q))
     shapes = _spy_eigvals(monkeypatch)
-    first_crossing(table, u, level, 1e6)
-    assert len(shapes) == 1 and rows == [other.sum()] and 0 < other.sum()
+    t = first_crossing(table, u, level, 1e6)
+    assert rows == ([other.sum()] if other.any() else []) and len(shapes) == len(rows)
+    assert (t[dead] == np.inf).all() and (other | dead).any()
+
+
+@pytest.mark.parametrize("P", [
+    quartic_disc_polynomial, lambda: unit_ball_polynomial(3), mixed_weight_polynomial,
+], ids=["quartic", "ball-3", "mixed-2-3"])
+def test_reach_lines_on_graph_models_call_no_eigvals(P, monkeypatch):
+    # along the normal the ray t cos(phase) - eps has no rising term on half
+    # the phases and is monotone on the rest; the tangential axes are monotone
+    rho = scaling.DefiningFunctionPoly.graph_model(P())
+    eta = np.zeros(rho.d, dtype=complex)
+    eta[-1] = -1e-3
+    shapes = _spy_eigvals(monkeypatch)
+    run = scaling.scale_along_normal(rho, [eta])
+    assert shapes == [] and np.isfinite(run[0].frame.taus).all()
 
 
 # -- the monomial kernel against the formulas it replaced ------------------------------
