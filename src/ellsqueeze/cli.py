@@ -282,12 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellsqueeze",
         description="squeezing-function experiments on generalized ellipsoids")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        for key, default in _DEFAULTS.items():
-            p.add_argument(f"--{key}", type=_flag_type(default), default=None)
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", type=str, default=None)
+    for key, default in _DEFAULTS.items():
+        parser.add_argument(f"--{key}", type=_flag_type(default), default=None)
     return parser
 
 

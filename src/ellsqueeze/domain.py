@@ -51,14 +51,16 @@ class SubdomainParams:
 class GeneralEllipsoid:
     """D_P = {(z', z_n) : |z_n|^2 + P(z') < 1} for an admissible positive P.
 
-    Construction runs :meth:`WeightedPolynomial.require_positive`: P > 0
-    off the origin must be proved from its Gram matrix (the ball, the
-    quartic, every E(p) and cross-term tables whose G is positive
-    definite); any other table raises :class:`PositivityError`.
+    Construction keeps the power floor of
+    :meth:`WeightedPolynomial.power_floor`, which proves P > 0 off the
+    origin from its Gram matrix (the ball, the quartic, every E(p) and
+    cross-term tables whose G is positive definite, however their
+    coefficients are scaled) and later bounds the radius; any other table
+    raises :class:`PositivityError`.
     """
 
     def __init__(self, P: WeightedPolynomial):
-        P.require_positive()
+        self._mu = P.power_floor()
         self.P = P
         self.n = P.weights.n
         # the full gauge |z_n|^2 - 1 + P(z') as one table in all n variables
@@ -115,10 +117,11 @@ class GeneralEllipsoid:
         """Upper bound for sup |z| over D, by weak duality from P's power floor.
 
         |z| peaks on the boundary, where |z|^2 = 1 + sum_j x_j - P(z') with
-        x_j = |z_j|^2, and P >= sum_j y_j with y_j = mu_j x_j^{m_j}
-        (:meth:`WeightedPolynomial.power_floor`).  So sup |z|^2 - 1 is at
-        most the max of sum_j (y_j/mu_j)^{1/m_j} - y_j over y >= 0 with
-        sum_j y_j <= 1, and a multiplier t - 1 >= 0 for that constraint gives
+        x_j = |z_j|^2, and P >= sum_j y_j with y_j = mu_j x_j^{m_j}, mu the
+        power floor kept at construction (no eigenvalue is solved here).
+        So sup |z|^2 - 1 is at most the max of sum_j (y_j/mu_j)^{1/m_j} - y_j
+        over y >= 0 with sum_j y_j <= 1, and a multiplier t - 1 >= 0 for
+        that constraint gives
 
             sup |z|^2 <= t (1 + sum_{m_j >= 2} (m_j - 1) y_j(t)),
             y_j(t) = ((t m_j)^{m_j} mu_j)^{-1/(m_j - 1)},
@@ -132,7 +135,7 @@ class GeneralEllipsoid:
         root, which two ulps of rounding up cover.
         """
         m = np.array(self.P.weights.m, dtype=float)
-        mu = self.P.power_floor()
+        mu = self._mu
         t = float(np.max(1.0 / mu[m == 1], initial=1.0))
         m, mu = m[m > 1], mu[m > 1]
 

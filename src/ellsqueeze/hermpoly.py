@@ -144,11 +144,6 @@ class HermitianPolynomial:
             return self._table.get((ka, kb), 0.0 + 0.0j)
         return np.conj(self._table.get((kb, ka), 0.0 + 0.0j))
 
-    def degree(self) -> int:
-        if not self._table:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self._table)
-
     def _expand(self) -> _Plan:
         """Evaluation plan of the table with its conjugate partners, built once."""
         if self._plan is None:

@@ -255,7 +255,6 @@ class LimitReport:
     cauchy_deltas: np.ndarray     # len(tables)-1 sup-norm steps
     limit_table: HermitianPolynomial
     psd_min_eig: float
-    degree: int
     diverged: bool
     diverging_keys: List[tuple] = field(default_factory=list)
 
@@ -303,7 +302,7 @@ def limit_diagnostics(scaled: Sequence[ScaledFunction]) -> LimitReport:
 
     return LimitReport(
         keys=keys, series=series, cauchy_deltas=cauchy, limit_table=limit,
-        psd_min_eig=min_eig, degree=limit.degree(),
+        psd_min_eig=min_eig,
         diverged=bool(diverging), diverging_keys=diverging,
     )
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
-from .errors import BoundedSearchError
+from .errors import BoundedSearchError, ToleranceError
 from .util import complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
@@ -119,7 +119,7 @@ class EmbeddingChain:
     def check_basepoint(self) -> float:
         err = float(np.linalg.norm(self.apply(self.basepoint.reshape(1, -1))[0]))
         if err > BASEPOINT_TOL:
-            raise ValueError(f"chain does not center its basepoint: |f(p)| = {err:g}")
+            raise ToleranceError("basepoint_centering", err, BASEPOINT_TOL)
         return err
 
 

@@ -9,12 +9,11 @@ degree one under the anisotropic dilation
 
 Weights are exact rationals: admissibility is decided by Fraction
 arithmetic, never by floating-point comparison.  Everything the package
-knows about P's size comes from the table's Gram matrix: positivity off
-the origin is proved by :meth:`WeightedPolynomial.gram_certified`, and a
-table it declines is refused by
-:meth:`WeightedPolynomial.require_positive`, which domains call; the
-floor P >= sum_j mu_j |z_j|^{2 m_j} of
-:meth:`WeightedPolynomial.power_floor` bounds a domain's radius.
+knows about P's size comes from one solve on the unit-diagonal scaling of
+the table's Gram matrix, in :meth:`WeightedPolynomial.power_floor`: the
+floor P >= sum_j mu_j |z_j|^{2 m_j} it returns proves P > 0 off the
+origin and bounds a domain's radius, and a table it cannot certify is
+refused with :class:`PositivityError`.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from .errors import AdmissibilityError, PositivityError
 from .hermpoly import HermitianPolynomial
 
 HALF = Fraction(1, 2)
-# smallest eigenvalue of a certified Gram matrix, relative to its largest
-# |eigenvalue|; the eigenvalue solve is backward stable, so its error is a
+# smallest eigenvalue of a certified unit-diagonal Gram matrix, relative
+# to its largest; the eigenvalue solve is backward stable, so its error is a
 # small multiple of 1e-16 of that scale, and a matrix cleared by this margin
 # is positive definite in exact arithmetic, not just up to rounding
 GRAM_MARGIN = 1e-10
@@ -157,69 +156,49 @@ class WeightedPolynomial:
         """The table's terms in all n variables, constant in z_n."""
         return {(K + (0,), L + (0,)): c for (K, L), c in self.table.canonical.items()}
 
-    def _pure_powers(self) -> list:
-        """The monomials z_j^{m_j}, in the order of j."""
-        d = len(self.weights.m)
-        return [tuple(mj if i == j else 0 for i in range(d))
-                for j, mj in enumerate(self.weights.m)]
+    def power_floor(self) -> np.ndarray:
+        """mu > 0 with P(z') >= sum_j mu_j |z_j|^{2 m_j}; its existence proves
+        P > 0 off the origin, and a table without one raises
+        :class:`PositivityError`.
 
-    def _gram(self):
-        """(w, G): the weight-1/2 monomials z^K of the table, sorted, and the
-        Hermitian G[K, L] = c_KL with P(z') = sum_KL G[K, L] w_K conj(w_L);
-        None when w misses a pure power z_j^{m_j}."""
+        Let w be the weight-1/2 monomials z^K of the table, sorted, and G the
+        Hermitian G[K, L] = c_KL, so P = w* G w; G is unique, since distinct
+        (K, L) give distinct monomials z^K conj(z^L).  With Delta = diag(G)
+        and S = Delta^{-1/2} G Delta^{-1/2}, P = v* S v for v = Delta^{1/2} w,
+        so P >= lambda_min(S) sum_K G[K, K] |w_K|^2; keeping only the pure
+        powers z_j^{m_j} = w_{K_j} gives mu_j = lambda_min(S) G[K_j, K_j].
+        lambda_min(S) is lowered by len(S) eps lambda_max(S), the scale of the
+        eigenvalue solve's backward error.  On pure-power tables S = I, and
+        mu_j is the coefficient of |z_j|^{2 m_j} up to that lowering.
+
+        The table is refused when w misses a pure power, when some G[K, K]
+        <= 0, or when lambda_min(S) <= GRAM_MARGIN lambda_max(S) (singular up
+        to rounding).  S is within a factor len(S) of the best-conditioned
+        diagonal scaling of G (van der Sluis), so the verdict does not hang
+        on how the coefficients are scaled.  A positive Hermitian form need
+        not be a Hermitian sum of squares, so a positive P can still have an
+        indefinite G and be refused.
+        """
         monomials = sorted({K for pair in self.table.canonical for K in pair})
-        if not set(self._pure_powers()) <= set(monomials):
-            return None
         index = {K: i for i, K in enumerate(monomials)}
         G = np.zeros((len(monomials), len(monomials)), dtype=np.complex128)
         for (K, L), c in self.table.canonical.items():
             G[index[K], index[L]] = c
             G[index[L], index[K]] = np.conj(c)
-        return monomials, G
-
-    def gram_certified(self) -> bool:
-        """Whether the Gram matrix of the table proves P > 0 off the origin.
-
-        P >= lambda_min(G) |w|^2 (see :meth:`_gram`).  If G is positive
-        definite and w holds every pure power z_j^{m_j}, then |w|^2 > 0 for
-        z' != 0 and P > 0 there: an exact proof.  G is unique, since distinct
-        (K, L) give distinct monomials z^K conj(z^L).  The converse still
-        fails: a positive Hermitian form need not be a Hermitian sum of
-        squares, so a positive P can have an indefinite G.  A G that is
-        singular up to rounding (lambda_min <= GRAM_MARGIN max |lambda|) is
-        not certified.
-        """
-        gram = self._gram()
-        if gram is None:
-            return False
-        eig = np.linalg.eigvalsh(gram[1])
-        return bool(eig[0] > GRAM_MARGIN * np.abs(eig).max())
-
-    def require_positive(self) -> None:
-        """Raise :class:`PositivityError` unless :meth:`gram_certified`
-        proves P > 0 off the origin."""
-        if not self.gram_certified():
-            raise PositivityError(
-                "P is not certified positive off the origin: its Gram matrix over the "
-                "table's monomials misses a pure power z_j^{m_j} or is not positive definite")
-
-    def power_floor(self) -> np.ndarray:
-        """mu with P(z') >= sum_j mu_j |z_j|^{2 m_j}, for a certified table.
-
-        With Delta = diag(G) and S = Delta^{-1/2} G Delta^{-1/2}, P = v* S v
-        for v = Delta^{1/2} w, so P >= lambda_min(S) sum_K G[K, K] |w_K|^2;
-        keeping only the pure powers z_j^{m_j} = w_{K_j} gives
-        mu_j = lambda_min(S) G[K_j, K_j].  lambda_min(S) is lowered by
-        len(S) eps lambda_max(S), the scale of the eigenvalue solve's
-        backward error.  On pure-power tables S = I, and mu_j is the
-        coefficient of |z_j|^{2 m_j} up to that lowering.
-        """
-        monomials, G = self._gram()
         g = G.diagonal().real
-        # sqrt(g_K * g_K) is g_K to the bit, so S has an exact unit diagonal
-        eig = np.linalg.eigvalsh(G / np.sqrt(np.outer(g, g)))
-        lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
-        return lam * g[[monomials.index(p) for p in self._pure_powers()]]
+        # rows of the pure powers z_j^{m_j}, in the order of j
+        d = len(self.weights.m)
+        pure = [index.get(tuple(mj if i == j else 0 for i in range(d)))
+                for j, mj in enumerate(self.weights.m)]
+        if None not in pure and np.all(g > 0):
+            # sqrt(g_K * g_K) is g_K to the bit, so S has an exact unit diagonal
+            eig = np.linalg.eigvalsh(G / np.sqrt(np.outer(g, g)))
+            if eig[0] > GRAM_MARGIN * eig[-1]:
+                lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
+                return lam * g[pure]
+        raise PositivityError(
+            "P is not certified positive off the origin: its Gram matrix over the "
+            "table's monomials misses a pure power z_j^{m_j} or is not positive definite")
 
 
 def unit_ball_polynomial(n: int) -> WeightedPolynomial:

@@ -316,6 +316,15 @@ def test_boundary_residual_violation_exit_code(tmp_path, monkeypatch):
     assert not (out / "wbscan.csv").exists()
 
 
+def test_basepoint_centering_violation_exit_code(tmp_path, monkeypatch):
+    # no chain centres its basepoint within a negative basepoint_centering
+    # tolerance, so the run fails with status 3 before writing the profile
+    monkeypatch.setattr(squeeze, "BASEPOINT_TOL", -1.0)
+    out = tmp_path / "p"
+    assert run_cli(["profile", "--out", str(out), "--samples", "256"]) == 3
+    assert not (out / "profile.csv").exists()
+
+
 def test_domain_file_round_trip(tmp_path):
     from ellsqueeze.wpoly import quartic_disc_polynomial
     poly = tmp_path / "poly.json"

@@ -210,6 +210,11 @@ SUP_SQUARED = {
                         lambda mp, k=k: 1 + 1 / (4 * mp.mpf(10) ** k))
        for k in range(0, 13, 2)},
     "ball-3": (DOMAINS["ball3"], lambda mp: mp.mpf(1)),
+    # coefficients 1e10 apart, stationary x_1 = 1 / (2e10) and x_2 = 1 / sqrt(3)
+    "steep-2-3": (lambda: _diagonal((2, 3), [1e10, 1.0]),
+                  lambda mp: 1 + 1 / (4 * mp.mpf(10) ** 10) + 2 / (3 * mp.sqrt(3))),
+    # a linear image of the unit ball: |z|^2 = 1 + (1 - a) x_1 with a x_1 <= 1
+    "wide-ball": (lambda: _diagonal((1, 1), [1e-11, 1.0]), lambda mp: 1 / mp.mpf(1e-11)),
 }
 
 

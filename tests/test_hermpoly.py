@@ -108,11 +108,6 @@ def test_compose_affine_reduces_variables():
         float(f.value(lam * np.array([1.0, 1.0j]))), rel=1e-14)
 
 
-def test_degree():
-    f = HermitianPolynomial(2, {((2, 0), (0, 1)): 2.0 - 1.0j, ((0, 0), (0, 0)): 0.5})
-    assert f.degree() == 3
-
-
 def test_scalar_multiple():
     # scaling by a power of two is exact in every coefficient and sum
     f = _abs2_table()

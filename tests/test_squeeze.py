@@ -7,7 +7,7 @@ import helpers
 from ellsqueeze import squeeze
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid
-from ellsqueeze.errors import BoundedSearchError
+from ellsqueeze.errors import BoundedSearchError, ToleranceError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
                                 analytic_floor, chain_family, chain_norms_at,
@@ -101,7 +101,7 @@ def test_pure_automorphism_chain_on_ball(B):
 
 def test_chain_rejects_uncentered_basepoint(B):
     chain = EmbeddingChain(B, (Rescale(2.0),), np.array([0.5, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ToleranceError, match="basepoint_centering"):
         chain.check_basepoint()
 
 

@@ -167,6 +167,11 @@ CERTIFIED = {
     # the benchmark's weakest table: a = b = 0.8 and |c| = 0.1 < sqrt(ab)
     "mixed-2-3-corner": lambda: _cross_term_2_3(0.8, 0.8, 0.1 * np.exp(2.0j)),
     "am-gm": _am_gm_table,
+    # coefficients 1e10 and 1e11 apart: the raw Gram matrix fails GRAM_MARGIN,
+    # its unit-diagonal scaling is the identity
+    "steep-2-3": lambda: _cross_term_2_3(1e10, 1.0, 0.0),
+    "wide-ball": lambda: WeightedPolynomial(MultiWeight((1, 1)), {
+        ((1, 0), (1, 0)): 1e-11, ((0, 1), (0, 1)): 1.0}),
 }
 
 
@@ -193,13 +198,14 @@ def _indefinite_positive():
 def test_gram_certificate_skips_the_scan(table):
     # a certified table builds its domain, and construction samples nothing
     P = table()
-    assert P.gram_certified()
+    assert np.all(P.power_floor() > 0)
     domain.GeneralEllipsoid(P)
 
 
 def test_degenerate_product_declined_and_refused():
     P = _degenerate_product()
-    assert not P.gram_certified()
+    with pytest.raises(PositivityError):
+        P.power_floor()
     with pytest.raises(PositivityError):
         domain.GeneralEllipsoid(P)
 
@@ -219,7 +225,8 @@ def _missing_power():
 ], ids=["singular", "negative", "missing-power", "indefinite"])
 def test_declined_tables_are_judged_by_the_scan(table):
     P = table()
-    assert not P.gram_certified()
+    with pytest.raises(PositivityError, match="not certified positive"):
+        P.power_floor()
     with pytest.raises(PositivityError, match="not certified positive"):
         domain.GeneralEllipsoid(P)
 
@@ -232,7 +239,7 @@ def test_singular_table_vanishes_off_the_origin():
     z1 = 1j * np.sqrt(np.sqrt(0.9 / 1.1) * z2 ** 3)
     assert abs(float(P.eval(np.array([z1, z2])))) <= 1e-10
     with pytest.raises(PositivityError):
-        P.require_positive()
+        P.power_floor()
 
 
 def test_double_root_table_is_refused():
