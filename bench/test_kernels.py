@@ -2,7 +2,7 @@
 
     pytest bench --benchmark-only
 
-`GeneralEllipsoid.boundary_cloud` draws boundary clouds (the Sobol sphere
+`GeneralEllipsoid.boundary_cloud` draws boundary clouds (the R_d sphere
 draw and the closed-form dilation of each point onto the boundary) on the
 quartic, E(2, 3), the ball in C^3 and the m = (2, 3) domain with a
 z1^2 conj(z2)^3 cross term.  `first_crossing`, which serves reach radii

@@ -96,7 +96,7 @@ class GeneralEllipsoid:
     def boundary_cloud(self, count: int, seed: int = 0) -> np.ndarray:
         """Array of `count` boundary points (prefix-stable in count).
 
-        Sphere points come from a scrambled Sobol sequence, and each is
+        Sphere points come from :func:`complex_sphere`, and each is
         dilated onto the boundary along its Delta-orbit (module docstring),
         with no root solve.
         """

@@ -19,9 +19,6 @@ from .automorphisms import EllipsoidAutomorphism, pullback_coeffs
 from .domain import GeneralEllipsoid
 from .util import philox, write_csv
 
-# closed-domain membership rho < CLOSURE_TOL of the exhaustion check's images
-CLOSURE_TOL = 1e-9
-
 
 def _tail_start(flags: Sequence[bool]) -> Optional[int]:
     """First 1-based index from which every later flag holds, else None."""
@@ -72,8 +69,10 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
     """Sweep the +1-variant parameters and test the closed-domain inclusion.
 
     For each a the cloud (closed domain minus an eps-ball at (0', -1)) is
-    tested for membership in psi_a^{-1}(closure cap U) with U the ball of
-    radius u_radius at (0', 1); the report records the first grid index
+    tested for membership in psi_a^{-1}(U) with U the ball of radius
+    u_radius at (0', 1).  psi_a maps the closed domain onto itself (rho o
+    psi_a is a positive factor times rho), so the images need no closure
+    test.  The report records the first grid index
     where the inclusion holds, together with the pullback coefficient
     triple (c1, c2, c3) drifting to (0, 1, 1).
     """
@@ -90,7 +89,7 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
     for a in a_grid:
         psi = EllipsoidAutomorphism(a=float(a), theta=0.0, sign=+1)
         img = psi.apply(weights, cloud)
-        ok = (D.rho(img) < CLOSURE_TOL) & (np.linalg.norm(img - north, axis=1) <= u_radius)
+        ok = np.linalg.norm(img - north, axis=1) <= u_radius
         fractions.append(float(np.mean(ok)))
         swallowed.append(bool(ok.all()))
         coeffs.append(pullback_coeffs(b, float(a)) if 0.0 < a < 1.0 else (np.nan,) * 3)

@@ -1,19 +1,17 @@
 """Seeded sampling helpers and deterministic output formatting.
 
 All randomness in the package flows through the two generators below.
-Sphere directions use a scrambled Sobol sequence: the low-discrepancy
-cloud keeps min-over-samples statistics stable across seeds, and the
-first ``k`` points of a longer draw coincide with a shorter draw, so
-sample sets grow monotonically with the requested count.  scipy, which
-supplies the Sobol sequence and the inverse normal CDF, is imported inside
-:func:`complex_sphere`, so importing the package and building domains do not
-load it; it loads when the first cloud is drawn.
+Sphere directions come from a seeded R_d Kronecker sequence (Roberts 2018,
+"The unreasonable effectiveness of quasirandom sequences"): the
+low-discrepancy cloud keeps min-over-samples statistics stable across seeds,
+and each point depends only on its index, so the first ``k`` points of a
+longer draw coincide with a shorter draw and sample sets grow monotonically
+with the requested count.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 
@@ -26,24 +24,29 @@ def philox(seed: int) -> np.random.Generator:
 def complex_sphere(count: int, cdim: int, seed: int) -> np.ndarray:
     """`count` quasi-random points on the unit sphere of C^cdim, prefix-stable in count.
 
-    Normalized inverse-normal images of a scrambled Sobol sequence in
-    R^(2 cdim), whose first cdim coordinates are the real parts.
+    Point i is x_i = frac(s + i alpha) in [0, 1)^(2 cdim), with alpha_k =
+    phi^-k for the root phi of x^(2 cdim + 1) = x + 1 and the shift s drawn
+    from ``philox(seed)``.  Its first cdim coordinates give the moduli of a
+    standard complex Gaussian, |g_k|^2 = -ln(1 - x_k), and its last cdim
+    the phases; normalizing g keeps the sphere's measure exactly.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=2 * cdim, scramble=True, seed=int(seed))
-    with warnings.catch_warnings():
-        # non power-of-two draws are fine here; we only need the prefix property
-        warnings.simplefilter("ignore", UserWarning)
-        u01 = sob.random(count)
-    g = ndtri(np.clip(u01, 1e-15, 1.0 - 1e-15))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    g = g / norms[:, None]
-    return g[:, :cdim] + 1j * g[:, cdim:]
+    d = 2 * cdim
+    phi = 2.0
+    for _ in range(64):  # fixed-point iteration, a contraction onto the root
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    x = philox(seed).random(d) + np.arange(count)[:, None] * alpha
+    x -= np.floor(x)
+    r = -np.log1p(-x[:, :cdim])
+    r /= r.sum(axis=1, keepdims=True)
+    np.sqrt(r, out=r)
+    angle = 2.0 * np.pi * x[:, cdim:]
+    u = np.empty((count, cdim), dtype=complex)
+    np.multiply(r, np.cos(angle), out=u.real)
+    np.multiply(r, np.sin(angle), out=u.imag)
+    return u
 
 
 def fmt(x) -> str:

@@ -191,8 +191,12 @@ class WeightedPolynomial:
         pure = [index.get(tuple(mj if i == j else 0 for i in range(d)))
                 for j, mj in enumerate(self.weights.m)]
         if None not in pure and np.all(g > 0):
-            # sqrt(g_K * g_K) is g_K to the bit, so S has an exact unit diagonal
-            eig = np.linalg.eigvalsh(G / np.sqrt(np.outer(g, g)))
+            # scaled by sqrt(g) on each side, so no product g_K g_L over- or
+            # underflows; the unit diagonal is then set exactly
+            h = np.sqrt(g)
+            S = G / h[:, None] / h
+            np.fill_diagonal(S, 1.0)
+            eig = np.linalg.eigvalsh(S)
             if eig[0] > GRAM_MARGIN * eig[-1]:
                 lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
                 return lam * g[pure]

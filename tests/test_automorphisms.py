@@ -85,11 +85,11 @@ def test_fractional_power_branch_consistency(E):
 @pytest.mark.parametrize("a", [0.5, 0.9, 0.999, 0.99999])
 def test_square_root_factor_matches_50_digits(E, a):
     # the weight-2 slice factor lam^{1/4} / sqrt(den) over 2^12 points of the
-    # closed quartic domain (where 2^11 Sobol rays first cross the boundary,
+    # closed quartic domain (where 2^11 sphere rays first cross the boundary,
     # and one point inside on each ray), with z_1 = 1 so that the image's
     # first coordinate is the factor itself: the real-arithmetic root stays
     # within 1.1 eps of the exact root of den (numpy's complex root reaches
-    # 0.90 eps here), and the factor, whose division adds rounding, is no
+    # 0.85 eps here), and the factor, whose division adds rounding, is no
     # less accurate than the same factor with numpy's complex root
     mpmath = pytest.importorskip("mpmath")
     u = complex_sphere(1 << 11, 2, seed=0)

@@ -80,10 +80,16 @@ def test_ball_boundary_is_sphere(B):
     for D in (B, GeneralEllipsoid.unit_ball(3)):
         pts = D.boundary_cloud(5000, seed=0)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-10
+    # the sphere itself: unit norms to rounding, and each |u_k|^2 averages
+    # 1/cdim within 2e-3, about half the Monte Carlo standard error here
+    for cdim in (1, 2, 3):
+        u = complex_sphere(5000, cdim, seed=0)
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-15
+        assert np.abs((u.real ** 2 + u.imag ** 2).mean(axis=0) - 1.0 / cdim).max() <= 2e-3
 
 
 def test_mixed_weight_boundary_matches_bisection():
-    # each cloud point is Delta_s(u) = (delta_s(u'), s^(1/2) u_n) of its Sobol
+    # each cloud point is Delta_s(u) = (delta_s(u'), s^(1/2) u_n) of its sphere
     # direction u, with s the zero of the increasing s -> rho(Delta_s u),
     # bisected here through rho alone
     D = GeneralEllipsoid(mixed_weight_polynomial())
@@ -142,8 +148,12 @@ def test_boundary_prefix_stability(name):
     # every draw is computed afresh, so each prefix is an independent draw
     D = DOMAINS[name]()
     big = D.boundary_cloud(5000, seed=3)
+    sphere = complex_sphere(5000, D.n - 1, seed=3)
     for count in (1, 7, 1024, 4096, 4999):
         assert np.array_equal(big[:count], D.boundary_cloud(count, seed=3))
+        assert np.array_equal(sphere[:count], complex_sphere(count, D.n - 1, seed=3))
+    # another seed moves every coordinate of every point
+    assert (D.boundary_cloud(5000, seed=4) != big).all()
 
 
 def test_boundary_cloud_edited_in_place_leaves_next_draw_on_boundary():
@@ -215,6 +225,11 @@ SUP_SQUARED = {
                   lambda mp: 1 + 1 / (4 * mp.mpf(10) ** 10) + 2 / (3 * mp.sqrt(3))),
     # a linear image of the unit ball: |z|^2 = 1 + (1 - a) x_1 with a x_1 <= 1
     "wide-ball": (lambda: _diagonal((1, 1), [1e-11, 1.0]), lambda mp: 1 / mp.mpf(1e-11)),
+    # a x_1 <= 1 with a > 1 keeps |z|^2 <= 1; the product of the diagonal
+    # coefficients over- or underflows in these two
+    "flat-ball-1e200": (lambda: _diagonal((1, 1), [1e200, 1.0]), lambda mp: mp.mpf(1)),
+    "wide-ball-1e-200": (lambda: _diagonal((1, 1), [1e-200, 1.0]),
+                         lambda mp: 1 / mp.mpf(1e-200)),
 }
 
 

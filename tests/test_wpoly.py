@@ -1,6 +1,7 @@
 """Weighted polynomial calculus: weights, evaluation, dilation, positivity."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,11 @@ CERTIFIED = {
     "steep-2-3": lambda: _cross_term_2_3(1e10, 1.0, 0.0),
     "wide-ball": lambda: WeightedPolynomial(MultiWeight((1, 1)), {
         ((1, 0), (1, 0)): 1e-11, ((0, 1), (0, 1)): 1.0}),
+    # g_1 g_2 would overflow in the first and underflow in the second
+    "flat-ball-1e200": lambda: WeightedPolynomial(MultiWeight((1, 1)), {
+        ((1, 0), (1, 0)): 1e200, ((0, 1), (0, 1)): 1.0}),
+    "wide-ball-1e-200": lambda: WeightedPolynomial(MultiWeight((1, 1)), {
+        ((1, 0), (1, 0)): 1e-200, ((0, 1), (0, 1)): 1.0}),
 }
 
 
@@ -195,11 +201,13 @@ def _indefinite_positive():
 
 
 @pytest.mark.parametrize("table", CERTIFIED.values(), ids=CERTIFIED.keys())
-def test_gram_certificate_skips_the_scan(table):
-    # a certified table builds its domain, and construction samples nothing
+def test_certified_tables_build_domains(table):
+    # a certified table builds its domain, with no numpy warning on the way
     P = table()
-    assert np.all(P.power_floor() > 0)
-    domain.GeneralEllipsoid(P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(P.power_floor() > 0)
+        domain.GeneralEllipsoid(P)
 
 
 def test_degenerate_product_declined_and_refused():
@@ -223,7 +231,7 @@ def _missing_power():
 @pytest.mark.parametrize("table", [
     _singular, _negative_quartic, _missing_power, _indefinite_positive,
 ], ids=["singular", "negative", "missing-power", "indefinite"])
-def test_declined_tables_are_judged_by_the_scan(table):
+def test_uncertified_tables_are_refused(table):
     P = table()
     with pytest.raises(PositivityError, match="not certified positive"):
         P.power_floor()
