@@ -13,10 +13,15 @@ and scaled tables of that graph model at delta = 1e-2, 1e-3 and 1e-4.
 `bounding_radius` computes its closed form on a fresh quartic, E(2, 3) and
 m = (2, 3) domain each round, the domain built outside the timed call; it
 times the closed form only, since the Gram solve behind the power floor
-runs at construction.  `analytic_floor` runs on the quartic.  The cold
-start is a fresh interpreter that imports the package and builds the
-m = (2, 3) domain, as each CLI run and benchmark set-up probe does; its
-Gram certificate proves P > 0, so it loads no scipy.
+runs at construction.  `analytic_floor` runs at r = 0.5 on the quartic,
+whose level sets have 2 real coordinates, and on the m = (2, 3) domain,
+whose 4 let the bounding boxes of its blocks rule out fewer block pairs;
+the level sets are sampled, and the gap search between them is exact.  The
+cold start is a fresh interpreter that imports the package and builds the
+m = (2, 3) domain, as each CLI run and benchmark set-up probe does.  The
+cold `floor` is a fresh interpreter that runs the `floor` experiment on
+the quartic over an 8-point grid at 2^10 samples, so it times imports and
+the analytic floor more than the grid.  Neither loads scipy.
 `squeeze_estimates` runs on warm clouds: over a 64-point floor grid
 at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots), and over the four
@@ -121,6 +126,18 @@ def test_cold_start(benchmark):
     assert proc.returncode == 0
 
 
+def test_cold_floor(benchmark, tmp_path):
+    src = str(Path(ellsqueeze.__file__).resolve().parent.parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+              "from ellsqueeze import cli\n"
+              "sys.exit(cli.main(['floor', '--grid', '8', '--samples', '1024',"
+              " '--out', sys.argv[2]]))")
+    proc = benchmark.pedantic(subprocess.run,
+                              args=([sys.executable, "-c", script, src, str(tmp_path)],),
+                              kwargs={"capture_output": True}, rounds=10)
+    assert proc.returncode == 0
+
+
 @pytest.mark.parametrize("domain", [
     GeneralEllipsoid.quartic_disc,
     lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
@@ -133,8 +150,11 @@ def test_bounding_radius(benchmark, domain):
     assert R >= 1.0
 
 
-def test_analytic_floor(benchmark):
-    D = GeneralEllipsoid.quartic_disc()
+@pytest.mark.parametrize("domain", [
+    GeneralEllipsoid.quartic_disc, lambda: GeneralEllipsoid(_mixed_weight_polynomial()),
+], ids=["quartic", "mixed-2-3"])
+def test_analytic_floor(benchmark, domain):
+    D = domain()
     assert benchmark(squeeze.analytic_floor, D, 0.5) > 0.0
 
 

@@ -172,12 +172,13 @@ class WeightedPolynomial:
         mu_j is the coefficient of |z_j|^{2 m_j} up to that lowering.
 
         The table is refused when w misses a pure power, when some G[K, K]
-        <= 0, or when lambda_min(S) <= GRAM_MARGIN lambda_max(S) (singular up
-        to rounding).  S is within a factor len(S) of the best-conditioned
-        diagonal scaling of G (van der Sluis), so the verdict does not hang
-        on how the coefficients are scaled.  A positive Hermitian form need
-        not be a Hermitian sum of squares, so a positive P can still have an
-        indefinite G and be refused.
+        <= 0, when some off-diagonal |S[K, L]| >= 1, or when lambda_min(S) <=
+        GRAM_MARGIN lambda_max(S) (singular up to rounding).  S is within a
+        factor len(S) of the best-conditioned diagonal scaling of G (van der
+        Sluis), so the verdict does not hang on how the coefficients are
+        scaled.  A positive Hermitian form need not be a Hermitian sum of
+        squares, so a positive P can still have an indefinite G and be
+        refused.
         """
         monomials = sorted({K for pair in self.table.canonical for K in pair})
         index = {K: i for i, K in enumerate(monomials)}
@@ -192,14 +193,18 @@ class WeightedPolynomial:
                 for j, mj in enumerate(self.weights.m)]
         if None not in pure and np.all(g > 0):
             # scaled by sqrt(g) on each side, so no product g_K g_L over- or
-            # underflows; the unit diagonal is then set exactly
+            # underflows; the unit diagonal is then set exactly.  A quotient
+            # overflows only when |S[K, L]| >= 1, and any such off-diagonal
+            # entry, inf included, already rules out a positive definite S
             h = np.sqrt(g)
-            S = G / h[:, None] / h
+            with np.errstate(over="ignore"):
+                S = G / h[:, None] / h
             np.fill_diagonal(S, 1.0)
-            eig = np.linalg.eigvalsh(S)
-            if eig[0] > GRAM_MARGIN * eig[-1]:
-                lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
-                return lam * g[pure]
+            if np.abs(S - np.eye(len(g))).max() < 1.0:
+                eig = np.linalg.eigvalsh(S)
+                if eig[0] > GRAM_MARGIN * eig[-1]:
+                    lam = eig[0] - len(g) * np.finfo(float).eps * eig[-1]
+                    return lam * g[pure]
         raise PositivityError(
             "P is not certified positive off the origin: its Gram matrix over the "
             "table's monomials misses a pure power z_j^{m_j} or is not positive definite")

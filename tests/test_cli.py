@@ -334,8 +334,8 @@ def test_domain_file_round_trip(tmp_path):
                     "--count", "5"]) == 0
 
 
-# builds the domains, runs the experiments that draw no cloud, then three
-# that do, and prints the scipy modules loaded before and after those three
+# builds the domains, runs the experiments that draw no cloud, then the four
+# that do, and prints the scipy modules loaded before and after those four
 _COLD_START = """
 import contextlib, io, json, sys
 from ellsqueeze import cli
@@ -355,6 +355,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     before = scipy_modules()
     status += [cli.main([name, "--samples", "256", "--out", out + "/" + name])
                for name in ("profile", "convergence", "wbscan")]
+    status.append(cli.main(["floor", "--grid", "4", "--samples", "256",
+                            "--out", out + "/floor"]))
 print(json.dumps([status, before, scipy_modules(), refused]))
 """
 
@@ -362,8 +364,8 @@ print(json.dumps([status, before, scipy_modules(), refused]))
 def test_cold_start_loads_no_scipy(tmp_path):
     # building a domain, or refusing a table the Gram certificate declines
     # (|z1 - z2|^4, whose monomials are not all pure powers), never imports
-    # scipy, and neither do the experiments, with or without boundary
-    # clouds; only `floor` does, through `analytic_floor`
+    # scipy, and neither does any of the seven experiments, with or without
+    # boundary clouds
     tables = []
     for name, P in (("e23", WeightedPolynomial(MultiWeight((2, 3)), {
             ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
@@ -380,6 +382,6 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     status, before, after, refused = json.loads(proc.stdout.splitlines()[-1])
     assert refused == tables[-1:]
-    assert status == [0] * 6
+    assert status == [0] * 7
     assert before == []
     assert after == []

@@ -250,7 +250,7 @@ def test_bounding_radius_covers_cross_term_tables(a, b, c):
     # the benchmark's corner m = (2, 3) tables: a boundary point of locally
     # largest norm (over |z_1|, |z_2| and the phase of z_2) stays inside the
     # radius, which overshoots it by less than 1e-3
-    from scipy.optimize import minimize
+    minimize = pytest.importorskip("scipy.optimize").minimize
 
     D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
         ((2, 0), (2, 0)): a, ((0, 3), (0, 3)): b, ((2, 0), (0, 3)): c}))

@@ -14,7 +14,8 @@ from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
                                 gamma_floor, squeeze_estimates,
                                 squeeze_lower_bound, subdomain_grid)
 from ellsqueeze.domain import SubdomainParams, contains_sub
-from ellsqueeze.util import philox
+from ellsqueeze.util import complex_sphere, philox
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,6 @@ def test_rejects_outside_basepoint(E):
 def test_three_dimensional_domains():
     # the chain family is dimension generic: calibrate on the 3-ball and
     # sanity-check a mixed-weight ellipsoid in C^3
-    from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
     B3 = GeneralEllipsoid.unit_ball(3)
     p = np.array([0.2 + 0.1j, -0.3, 0.4j], dtype=complex)
     est = squeeze_lower_bound(B3, p, count=1 << 14, seed=0)
@@ -249,12 +249,64 @@ def test_analytic_floor_flagged(E):
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
 def test_analytic_floor_matches_pairwise_minimum(E, r):
-    # the nearest-neighbour gap is the minimum over all pair distances; the
-    # tree sums the squared real coordinates in its own order, and numpy's
-    # array power need not round like a scalar power, so the last bit may move
+    # the gap is the minimum over all pair distances; the oracle dilates one
+    # point at a time with Python's scalar power, which need not round like
+    # numpy's array power, and `np.linalg.norm` sums the squares in its own
+    # order, so the last bit may move
     pairwise = helpers.analytic_floor_pairwise(
         E, r, squeeze.ANALYTIC_FLOOR_SAMPLES, squeeze.ANALYTIC_FLOOR_SEED)
     assert abs(squeeze.analytic_floor(E, r) - pairwise) <= 2 * np.spacing(pairwise)
+
+
+FLOOR_DOMAINS = {
+    "quartic": GeneralEllipsoid.quartic_disc,
+    "ball-3": lambda: GeneralEllipsoid.unit_ball(3),
+    "E-2-3": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
+    "mixed-2-3": lambda: GeneralEllipsoid(helpers.mixed_weight_polynomial()),
+}
+FLOOR_RADII = [0.1, 0.25, 0.5, 0.75, 0.9]
+
+
+def _floor_level_sets(D, r):
+    """`analytic_floor`'s samples of {P = r} and {P = 1}, as real coordinates."""
+    u = complex_sphere(squeeze.ANALYTIC_FLOOR_SAMPLES, D.n - 1, squeeze.ANALYTIC_FLOOR_SEED)
+    pu = D.P.eval(u)
+    return (D.P.weights.dilate(r / pu, u).view(np.float64),
+            D.P.weights.dilate(1.0 / pu, u).view(np.float64))
+
+
+def _floor_from_gap(D, gap):
+    return gap / 2.0 / (2.0 * D.bounding_radius(margin=0.0))
+
+
+@pytest.mark.parametrize("r", FLOOR_RADII)
+@pytest.mark.parametrize("domain", FLOOR_DOMAINS.values(), ids=FLOOR_DOMAINS.keys())
+def test_analytic_floor_is_the_all_pairs_minimum(domain, r):
+    # the block search measures only the block pairs it cannot rule out, yet
+    # its gap is bit for bit the minimum over every pair, with the squares
+    # summed in coordinate order
+    D = domain()
+    inner, outer = _floor_level_sets(D, r)
+    best = np.inf
+    for lo in range(0, len(inner), 128):
+        d2 = 0.0
+        for k in range(inner.shape[1]):
+            dk = inner[lo:lo + 128, None, k] - outer[None, :, k]
+            d2 = d2 + dk * dk
+        best = min(best, float(d2.min()))
+    assert analytic_floor(D, r) == _floor_from_gap(D, float(np.sqrt(best)))
+
+
+@pytest.mark.parametrize("r", FLOOR_RADII)
+@pytest.mark.parametrize("domain", FLOOR_DOMAINS.values(), ids=FLOOR_DOMAINS.keys())
+def test_analytic_floor_matches_kd_tree(domain, r):
+    # scipy's k-d tree, which the gap search replaced, gives the same bits
+    spatial = pytest.importorskip("scipy.spatial")
+    D = domain()
+    inner, outer = _floor_level_sets(D, r)
+    gap = float(spatial.cKDTree(outer).query(inner)[0].min())
+    assert analytic_floor(D, r) == _floor_from_gap(D, gap)
 
 
 # -- batched estimates ---------------------------------------------------------------------

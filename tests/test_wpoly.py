@@ -227,16 +227,25 @@ def _missing_power():
     return WeightedPolynomial(MultiWeight((2, 3)), {((2, 0), (2, 0)): 1.0})
 
 
-# every table the certificate declines is refused, positive (indefinite) or not
+def _overflowing_cross_term():
+    # the unit-diagonal entry 1e200 / sqrt(1e-200) / sqrt(1e-200) overflows to inf
+    return WeightedPolynomial(MultiWeight((1, 1)), {
+        ((1, 0), (1, 0)): 1e-200, ((0, 1), (0, 1)): 1e-200, ((1, 0), (0, 1)): 1e200})
+
+
+# every table the certificate declines is refused, positive (indefinite) or
+# not, with no numpy warning on the way
 @pytest.mark.parametrize("table", [
-    _singular, _negative_quartic, _missing_power, _indefinite_positive,
-], ids=["singular", "negative", "missing-power", "indefinite"])
+    _singular, _negative_quartic, _missing_power, _indefinite_positive, _overflowing_cross_term,
+], ids=["singular", "negative", "missing-power", "indefinite", "cross-term-1e200"])
 def test_uncertified_tables_are_refused(table):
     P = table()
-    with pytest.raises(PositivityError, match="not certified positive"):
-        P.power_floor()
-    with pytest.raises(PositivityError, match="not certified positive"):
-        domain.GeneralEllipsoid(P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityError, match="not certified positive"):
+            P.power_floor()
+        with pytest.raises(PositivityError, match="not certified positive"):
+            domain.GeneralEllipsoid(P)
 
 
 def test_singular_table_vanishes_off_the_origin():
