@@ -3,14 +3,15 @@
     python bench/artifacts.py OUT
 
 runs the seven experiments of `ellsqueeze.cli` at their default
-configuration, and `classify` also with `--kind cone` and `--kind normal`,
-on three domains: `quartic`, `ball:3` and the m = (2, 3) table with a
+configuration, `classify` also with `--kind cone` and `--kind normal`, and
+`floor` also on the thin subdomain s = r = 0.1 (`floor-small`), on three
+domains: `quartic`, `ball:3` and the m = (2, 3) table with a
 z1^2 conj(z2)^3 cross term of the kernel benchmarks, one member of the
 family `perfbench` draws its mixed-weight tables from (written to
 OUT/mixed-2-3.json).  Each run is a fresh interpreter on the
 package of the checkout holding this script, started in OUT with relative
 paths, so its manifest does not name OUT.  Run `r` of domain `d` (an
-experiment, or `classify-cone` and `classify-normal`) writes its
+experiment, `classify-cone`, `classify-normal` or `floor-small`) writes its
 artifacts to OUT/d/r/ together with `stdout.txt`: its exit status and
 everything it printed.  Two checkouts then compare with one
 
@@ -34,8 +35,10 @@ MIXED = "mixed-2-3.json"
 DOMAINS = {"quartic": "quartic", "ball-3": "ball:3", "mixed-2-3": MIXED}
 # run name -> CLI arguments after the domain: every experiment at its
 # defaults, then `classify` on the two sequence kinds it does not default to
+# and `floor` on a subdomain far thinner than the domain's bounding box
 RUNS = {experiment: [experiment] for experiment in EXPERIMENTS}
 RUNS.update({f"classify-{kind}": ["classify", "--kind", kind] for kind in ("cone", "normal")})
+RUNS["floor-small"] = ["floor", "--s", "0.1", "--r", "0.1"]
 
 
 def main(out: Path) -> int:

@@ -22,9 +22,11 @@ m = (2, 3) domain, as each CLI run and benchmark set-up probe does.  The
 cold `floor` is a fresh interpreter that runs the `floor` experiment on
 the quartic over an 8-point grid at 2^10 samples, so it times imports and
 the analytic floor more than the grid.  Neither loads scipy.
-`squeeze_estimates` runs on warm clouds: over a 64-point floor grid
-at 2^14 samples on the quartic and on that m = (2, 3) domain (where the
-normalizing automorphism takes square and cube roots), and over the four
+`squeeze_estimates` runs on warm clouds: over the 64-point floor grid
+of D^{0.5,0.5} (`subdomain_grid`, the cloud's first 64 sphere points
+dilated into the subdomain in closed form) at 2^14 samples on the quartic
+and on that m = (2, 3) domain (where the normalizing automorphism takes
+square and cube roots), and over the four
 `profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32

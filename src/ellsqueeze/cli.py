@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automorphisms import normalize_point, pullback_coeffs
+from .automorphisms import pullback_coeffs
 from .domain import GeneralEllipsoid, samples_to_csv
 from .errors import ConfigError, EllsqueezeError, EmptySampleError, ToleranceError
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
@@ -181,14 +181,14 @@ def run(experiment: str, cfg: dict) -> int:
         seq = generate(D, "tangential", indices=indices)
         estimates = squeeze_estimates(D, [term.z for term in seq.terms],
                                       count=samples, seed=seed)
-        rows = []
-        for term, est in zip(seq.terms, estimates):
-            norm = normalize_point(D, term.z)
-            rows.append([term.index,
-                         float(term.rho_exact()),
-                         tangency_ratio(D, float(cfg["s"]), term),
-                         float(D.P.eval(norm.b[:-1])),
-                         est.value])
+        # P(b') of the slice image b = psi(q) is P(q') / (1 - q_n^2) by
+        # weighted homogeneity, so it comes from the exact shadows too
+        rows = [[term.index,
+                 float(term.rho_exact()),
+                 tangency_ratio(D, float(cfg["s"]), term),
+                 float(term.p_exact / (1 - term.zn_exact ** 2)),
+                 est.value]
+                for term, est in zip(seq.terms, estimates)]
         write_csv(outdir / "profile.csv",
                   ["n", "rho", "r_star", "P_b_prime", "sigma_hat"], rows)
         print(f"profile: {len(rows)} terms, last sigma_hat = {fmt(rows[-1][-1])}")

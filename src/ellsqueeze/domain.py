@@ -6,7 +6,10 @@ variables (`GeneralEllipsoid.gauge`); rho, its gradient and the complex
 Hessian behind the batched Levi form evaluate that table.  Subdomains
 D^{s,r} = {|z_n - (1-s)|^2 + (s/r) P(z') < s^2} sit inside the domain and
 osculate it at (0', 1); they drive both the tangential-convergence
-classifier and the squeezing floor estimates.
+classifier and the squeezing floor estimates.  By the homogeneity of P,
+D^{s,r} is the image of D under w -> (delta_{rs}(w'), 1 - s + s w_n), which
+carries the level t of D (|w_n|^2 + P(w') = t) to the level s^2 t of
+D^{s,r}; the floor grid of `squeeze.subdomain_grid` is built this way.
 
 Boundary points are weighted dilations of sphere points, in closed form:
 rho + 1 = |z_n|^2 + P(z') is homogeneous of degree one under

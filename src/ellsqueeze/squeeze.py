@@ -33,22 +33,29 @@ shared cloud.  Every chain ends in phi_c, and
 screens all samples for a basepoint's whole family at once.  Only the
 samples near each screened minimum go through the whole chain's explicit
 maps, and those explicit norms are the reported values.
+
+`gamma_floor` minimizes those estimates over a grid of D^{s,r} in closed
+form (`subdomain_grid`): D^{s,r} is the image of D under
+w -> (delta_{rs}(w'), 1 - s + s w_n), so the estimation cloud's first
+sphere points, each moved to a level t of D with P(t <= x) = x^Q,
+Q = 1 + sum_k 1/m_k, the level law of a uniform sample, land in D^{s,r}
+for every admissible s and r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, normalize_point
-from .domain import GeneralEllipsoid, SubdomainParams, contains_sub
-from .errors import BoundedSearchError, ToleranceError
+from .domain import GeneralEllipsoid, SubdomainParams
+from .errors import ToleranceError
 from .util import complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
-MAX_GRID_BLOCKS = 1000
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
 ANALYTIC_FLOOR_SEED = 11
@@ -294,10 +301,13 @@ def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16
 class FloorReport:
     """Empirical squeezing floor over a subdomain grid.
 
-    Each grid value is a sampled upper estimate of a chain's inscribed
-    radius at its own point (see :class:`SqueezeEstimate`); the minimum is
-    a heuristic stand-in for the uniform subdomain floor, not a certified
-    constant.
+    The grid (`subdomain_grid`) is the image under
+    w -> (delta_{rs}(w'), 1 - s + s w_n) of the estimation cloud's first
+    `grid_count` sphere points, each dilated to a level t of D with
+    P(t <= x) = x^Q, Q = 1 + sum_k 1/m_k.  Each grid value is a sampled
+    upper estimate of a chain's inscribed radius at its own point (see
+    :class:`SqueezeEstimate`); the minimum is a heuristic stand-in for the
+    uniform subdomain floor, not a certified constant.
     """
 
     s: float
@@ -311,35 +321,47 @@ class FloorReport:
 
 def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
                    seed: int = 0) -> np.ndarray:
-    """Seeded rejection sample of interior points of D^{s,r}."""
-    rng = philox(seed)
-    R = D.bounding_radius()
-    out = []
-    attempts = 0
-    while len(out) < grid_count:
-        attempts += 1
-        if attempts > MAX_GRID_BLOCKS:
-            raise BoundedSearchError(
-                "rejection sampling failed to fill the subdomain grid", MAX_GRID_BLOCKS)
-        block = rng.uniform(-R, R, size=(max(512, 4 * grid_count), 2 * D.n))
-        z = block[:, : D.n] + 1j * block[:, D.n:]
-        keep = contains_sub(D, sp, z)
-        out.extend(z[keep])
-    return np.array(out[:grid_count])
+    """Seeded interior points of D^{s,r}, in closed form and prefix-stable
+    in `grid_count`.
+
+    D^{s,r} is the image of D under w -> (delta_{rs}(w'), 1 - s + s w_n),
+    and D itself is swept by the Delta_t images of its boundary, t in
+    (0, 1).  Point i is therefore
+
+        p_i = (delta_{r s t_i}(xi_i'), 1 - s + s sqrt(t_i) xi_{i,n}),
+
+    with xi_i the i-th point of `D.boundary_cloud(grid_count, seed)`, so
+    the grid's sphere points are the first points of the estimation cloud
+    `squeeze_estimates` draws with the same seed.  p_i lies on the level
+    |z_n - (1 - s)|^2 + (s/r) P(z') = s^2 t_i of D^{s,r}.  Lebesgue measure
+    scales by t^Q under Delta_t, Q = 1 + sum_k 1/m_k, so t_i = U_i^{1/Q}
+    with U_i uniform from `philox(seed)` gives the levels the law they have
+    in a uniform sample of D^{s,r}: P(t <= x) = x^Q.  The sphere points keep
+    the cloud's law, so the grid is uniform in D^{s,r} when D is a ball and
+    otherwise only in its levels.
+    """
+    q = 1 + sum(Fraction(1, mk) for mk in D.P.weights.m)
+    t = philox(seed).random(grid_count) ** float(1 / q)
+    p = D.boundary_cloud(grid_count, seed)
+    p[:, :-1] = D.P.weights.dilate(sp.r * sp.s * t, p[:, :-1])
+    p[:, -1] = sp.b + sp.s * np.sqrt(t) * p[:, -1]
+    return p
 
 
 def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                 count: int = 1 << 14, seed: int = 0) -> FloorReport:
-    """Minimum squeezing estimate over a seeded grid of subdomain points."""
-    sp = SubdomainParams(s, r)
-    grid = subdomain_grid(D, sp, grid_count, seed)
-    best = np.inf
-    argmin = grid[0]
-    for est in squeeze_estimates(D, grid, count, seed):
-        if est.value < best:
-            best = est.value
-            argmin = est.point
-    return FloorReport(s=s, r=r, value=float(best), argmin=argmin,
+    """Minimum squeezing estimate over a seeded grid of subdomain points
+    (`subdomain_grid`); the first grid point with the least value is the
+    argmin.
+
+    The estimates use the cloud whose first sphere points the grid dilates.
+    That reuse is deliberate: each value is still an upper estimate of its
+    chain's inscribed radius, a lower bound for the squeezing function, and
+    a grid drawn from other sphere points read higher floors.
+    """
+    grid = subdomain_grid(D, SubdomainParams(s, r), grid_count, seed)
+    best = min(squeeze_estimates(D, grid, count, seed), key=lambda est: est.value)
+    return FloorReport(s=s, r=r, value=float(best.value), argmin=best.point,
                        grid_count=grid_count, samples=count, seed=seed)
 
 

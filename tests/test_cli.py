@@ -12,6 +12,7 @@ import pytest
 import ellsqueeze
 from ellsqueeze import cli, domain, squeeze
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
+from ellsqueeze.sequences import generate
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
 from helpers import double_root_polynomial, mixed_weight_polynomial
@@ -156,6 +157,41 @@ def test_floor_artifacts(tmp_path):
     # the run computes the analytic floor itself, bit for bit
     assert payload["analytic_floor_interpretation"] == squeeze.analytic_floor(
         domain.GeneralEllipsoid.quartic_disc(), payload["r"])
+
+
+def _domain_spec(tmp_path, name):
+    if name != "mixed-2-3":
+        return name
+    poly = tmp_path / "mixed-2-3.json"
+    poly.write_text(json.dumps(mixed_weight_polynomial().to_dict()))
+    return str(poly)
+
+
+@pytest.mark.parametrize("name, sr", [
+    ("quartic", 0.1), ("ball:3", 0.1), ("mixed-2-3", 0.1), ("ball:3", 0.25)])
+def test_floor_small_subdomains(tmp_path, name, sr):
+    # a 200-point grid on subdomains too thin for a rejection sampler
+    # drawing from the domain's bounding box
+    out = tmp_path / "floor"
+    assert run_cli(["floor", "--out", str(out), "--domain", _domain_spec(tmp_path, name),
+                    "--s", str(sr), "--r", str(sr), "--grid", "200",
+                    "--samples", "1024"]) == 0
+    payload = json.loads((out / "floor.json").read_text())
+    assert 0.0 < payload["floor"] <= 1.0
+
+
+@pytest.mark.parametrize("name", ["quartic", "mixed-2-3"])
+def test_profile_slice_level_is_exact(tmp_path, name):
+    # P(b') = P(q') / (1 - q_n^2) for the slice image b of each term q,
+    # correctly rounded from the terms' exact shadows
+    spec = _domain_spec(tmp_path, name)
+    out = tmp_path / "profile"
+    assert run_cli(["profile", "--out", str(out), "--domain", spec, "--samples", "256"]) == 0
+    lines = (out / "profile.csv").read_text().strip().split("\n")
+    column = lines[0].split(",").index("P_b_prime")
+    written = [float(line.split(",")[column]) for line in lines[1:]]
+    terms = generate(cli._load_domain(spec), "tangential", indices=_DEFAULTS["indices"]).terms
+    assert written == [float(t.p_exact / (1 - t.zn_exact ** 2)) for t in terms]
 
 
 def test_wbscan_ball(tmp_path):

@@ -7,7 +7,7 @@ import helpers
 from ellsqueeze import squeeze
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid
-from ellsqueeze.errors import BoundedSearchError, ToleranceError
+from ellsqueeze.errors import ToleranceError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
                                 analytic_floor, chain_family, chain_norms_at,
@@ -194,19 +194,27 @@ def test_profile_tangential_tail_trend(E):
 # -- floors ------------------------------------------------------------------------------------
 
 
-def test_subdomain_grid_members(E):
-    sp = SubdomainParams(0.5, 0.5)
-    grid = subdomain_grid(E, sp, 100, seed=0)
-    assert len(grid) == 100
-    assert np.all(contains_sub(E, sp, grid))
+FLOOR_DOMAINS = {
+    "quartic": GeneralEllipsoid.quartic_disc,
+    "ball-3": lambda: GeneralEllipsoid.unit_ball(3),
+    "E-2-3": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
+    "mixed-2-3": lambda: GeneralEllipsoid(helpers.mixed_weight_polynomial()),
+}
 
 
-def test_subdomain_grid_failure_is_typed(E, monkeypatch):
-    # a membership test that rejects everything exhausts the block cap
-    monkeypatch.setattr(squeeze, "contains_sub", lambda D, sp, z: np.zeros(len(z), bool))
-    with pytest.raises(BoundedSearchError) as info:
-        subdomain_grid(E, SubdomainParams(0.5, 0.5), 10, seed=0)
-    assert info.value.cap == squeeze.MAX_GRID_BLOCKS
+@pytest.mark.parametrize("s, r", [(0.5, 0.5), (0.1, 0.1), (1.0, 0.001), (0.001, 0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("name", FLOOR_DOMAINS)
+def test_subdomain_grid_members(name, s, r):
+    # the closed-form grid fills every admissible (s, r), and is prefix-stable
+    D = FLOOR_DOMAINS[name]()
+    sp = SubdomainParams(s, r)
+    grid = subdomain_grid(D, sp, 200, seed=0)
+    assert grid.shape == (200, D.n)
+    assert np.all(contains_sub(D, sp, grid))
+    assert np.all(D.contains(grid))
+    head = subdomain_grid(D, sp, 64, seed=0)
+    assert head.tobytes() == grid[:64].tobytes()
 
 
 def test_gamma_floor_positive(E):
@@ -258,13 +266,6 @@ def test_analytic_floor_matches_pairwise_minimum(E, r):
     assert abs(squeeze.analytic_floor(E, r) - pairwise) <= 2 * np.spacing(pairwise)
 
 
-FLOOR_DOMAINS = {
-    "quartic": GeneralEllipsoid.quartic_disc,
-    "ball-3": lambda: GeneralEllipsoid.unit_ball(3),
-    "E-2-3": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
-        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
-    "mixed-2-3": lambda: GeneralEllipsoid(helpers.mixed_weight_polynomial()),
-}
 FLOOR_RADII = [0.1, 0.25, 0.5, 0.75, 0.9]
 
 
