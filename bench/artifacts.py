@@ -3,15 +3,19 @@
     python bench/artifacts.py OUT
 
 runs the seven experiments of `ellsqueeze.cli` at their default
-configuration, `classify` also with `--kind cone` and `--kind normal`, and
-`floor` also on the thin subdomain s = r = 0.1 (`floor-small`), on three
+configuration, `classify` also with `--kind cone` and `--kind normal`,
+`floor` also on the thin subdomain s = r = 0.1 (`floor-small`), and
+`profile`, `floor`, `convergence` and `wbscan` also at sample counts that
+span several 2^14-row blocks of the cloud kernels (`profile-large` at 2^17
+samples, `floor-large` at 2^16 samples over 48 grid points,
+`convergence-large` at 40000 and `wbscan-large` at 50000), on three
 domains: `quartic`, `ball:3` and the m = (2, 3) table with a
 z1^2 conj(z2)^3 cross term of the kernel benchmarks, one member of the
 family `perfbench` draws its mixed-weight tables from (written to
 OUT/mixed-2-3.json).  Each run is a fresh interpreter on the
 package of the checkout holding this script, started in OUT with relative
 paths, so its manifest does not name OUT.  Run `r` of domain `d` (an
-experiment, `classify-cone`, `classify-normal` or `floor-small`) writes its
+experiment or one of the named variants above) writes its
 artifacts to OUT/d/r/ together with `stdout.txt`: its exit status and
 everything it printed.  Two checkouts then compare with one
 
@@ -39,6 +43,14 @@ DOMAINS = {"quartic": "quartic", "ball-3": "ball:3", "mixed-2-3": MIXED}
 RUNS = {experiment: [experiment] for experiment in EXPERIMENTS}
 RUNS.update({f"classify-{kind}": ["classify", "--kind", kind] for kind in ("cone", "normal")})
 RUNS["floor-small"] = ["floor", "--s", "0.1", "--r", "0.1"]
+# and the cloud experiments at sample counts past one util.BLOCK (2^14 rows),
+# where the cloud kernels work in several blocks
+RUNS.update({
+    "profile-large": ["profile", "--samples", "131072"],
+    "floor-large": ["floor", "--samples", "65536", "--grid", "48"],
+    "convergence-large": ["convergence", "--samples", "40000"],
+    "wbscan-large": ["wbscan", "--samples", "50000"],
+})
 
 
 def main(out: Path) -> int:

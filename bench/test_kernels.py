@@ -28,6 +28,11 @@ dilated into the subdomain in closed form) at 2^14 samples on the quartic
 and on that m = (2, 3) domain (where the normalizing automorphism takes
 square and cube roots), and over the four
 `profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
+`gamma_floor` runs whole floors over that 64-point grid at 2^14 samples,
+the size of each `perfbench` floor, on the quartic and on the m = (2, 3)
+domain; each call draws its own cloud and grid, screens the trivial chain
+at every point and the normalizing chain only at the points whose
+trivial-chain bound lies below the least value found.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
 points of the translated m = (2, 3) graph-model table).
@@ -176,3 +181,12 @@ def test_squeeze_estimates(benchmark, domain, points, count):
     D.boundary_cloud(count, 0)
     ests = benchmark(squeeze.squeeze_estimates, D, points(D), count, 0)
     assert all(0.0 < est.value <= 1.0 for est in ests)
+
+
+@pytest.mark.parametrize("domain", [
+    GeneralEllipsoid.quartic_disc, lambda: GeneralEllipsoid(_mixed_weight_polynomial()),
+], ids=["quartic-64-2^14", "mixed-2-3-64-2^14"])
+def test_gamma_floor(benchmark, domain):
+    D = domain()
+    report = benchmark(squeeze.gamma_floor, D, 0.5, 0.5, 64, 1 << 14, 0)
+    assert 0.0 < report.value <= 1.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptySampleError
 from .hermpoly import HermitianPolynomial
-from .util import complex_sphere, write_csv
+from .util import blocks, complex_sphere, write_csv
 from .wpoly import WeightedPolynomial, unit_ball_polynomial, quartic_disc_polynomial
 
 
@@ -101,14 +101,18 @@ class GeneralEllipsoid:
 
         Sphere points come from :func:`complex_sphere`, and each is
         dilated onto the boundary along its Delta-orbit (module docstring),
-        with no root solve.
+        with no root solve, BLOCK rows at a time, so the evaluation of P
+        holds one block's power tables however large the cloud.  Each
+        point depends only on its index, so the blocks change no bit.
         """
         # s from P's own table: rho(u) + 1 would evaluate the whole gauge
         # and round through -1 + 1
         u = complex_sphere(count, self.n, seed)
-        s = 1.0 / (self.P.eval(u[:, :-1]) + (u[:, -1] * np.conj(u[:, -1])).real)
-        u[:, :-1] = self.P.weights.dilate(s, u[:, :-1])
-        u[:, -1] *= np.sqrt(s)
+        for rows in blocks(count):
+            v = u[rows]
+            s = 1.0 / (self.P.eval(v[:, :-1]) + (v[:, -1] * np.conj(v[:, -1])).real)
+            v[:, :-1] = self.P.weights.dilate(s, v[:, :-1])
+            v[:, -1] *= np.sqrt(s)
         return u
 
     def bounding_radius(self, margin: float = 0.01) -> float:
@@ -234,7 +238,9 @@ def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
     for j in range(points.shape[1]):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     header += ["residual", "levi_min"]
-    # the text fmt gives a float, without its per-cell type checks
+    # "%.17g" writes a float as fmt does; one format string per row skips
+    # fmt's per-cell type checks
+    row_format = ",".join(["%.17g"] * len(header))
     parts = np.stack([points.real, points.imag], axis=-1).reshape(len(points), 2 * points.shape[1])
     rows = np.column_stack([parts, residual, levi]).tolist()
-    write_csv(path, header, ([f"{x:.17g}" for x in row] for row in rows))
+    write_csv(path, header, ([row_format % tuple(row)] for row in rows))

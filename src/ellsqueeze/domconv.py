@@ -17,7 +17,7 @@ import numpy as np
 
 from .automorphisms import EllipsoidAutomorphism, pullback_coeffs
 from .domain import GeneralEllipsoid
-from .util import philox, write_csv
+from .util import blocks, philox, write_csv
 
 
 def _tail_start(flags: Sequence[bool]) -> Optional[int]:
@@ -72,9 +72,9 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
     tested for membership in psi_a^{-1}(U) with U the ball of radius
     u_radius at (0', 1).  psi_a maps the closed domain onto itself (rho o
     psi_a is a positive factor times rho), so the images need no closure
-    test.  The report records the first grid index
-    where the inclusion holds, together with the pullback coefficient
-    triple (c1, c2, c3) drifting to (0, 1, 1).
+    test; psi_a maps the cloud BLOCK points at a time.  The report records
+    the first grid index where the inclusion holds, together with the
+    pullback coefficient triple (c1, c2, c3) drifting to (0, 1, 1).
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
@@ -88,8 +88,10 @@ def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
     b = 1.0 - s
     for a in a_grid:
         psi = EllipsoidAutomorphism(a=float(a), theta=0.0, sign=+1)
-        img = psi.apply(weights, cloud)
-        ok = np.linalg.norm(img - north, axis=1) <= u_radius
+        ok = np.empty(len(cloud), dtype=bool)
+        for rows in blocks(len(cloud)):
+            img = psi.apply(weights, cloud[rows])
+            ok[rows] = np.linalg.norm(img - north, axis=1) <= u_radius
         fractions.append(float(np.mean(ok)))
         swallowed.append(bool(ok.all()))
         coeffs.append(pullback_coeffs(b, float(a)) if 0.0 < a < 1.0 else (np.nan,) * 3)

@@ -30,16 +30,23 @@ shared cloud.  Every chain ends in phi_c, and
 
     |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2
 
-screens all samples for a basepoint's whole family at once.  Only the
-samples near each screened minimum go through the whole chain's explicit
-maps, and those explicit norms are the reported values.
+screens all samples for a basepoint's whole family at once, BLOCK
+(`util.BLOCK`) samples at a time, so a chain's temporaries stay one block
+long however large the cloud.  Only the samples near each screened minimum
+go through the whole chain's explicit maps, and those explicit norms are
+the reported values.
 
 `gamma_floor` minimizes those estimates over a grid of D^{s,r} in closed
 form (`subdomain_grid`): D^{s,r} is the image of D under
 w -> (delta_{rs}(w'), 1 - s + s w_n), so the estimation cloud's first
 sphere points, each moved to a level t of D with P(t <= x) = x^Q,
 Q = 1 + sum_k 1/m_k, the level law of a uniform sample, land in D^{s,r}
-for every admissible s and r.
+for every admissible s and r.  It finds the minimum by bound: a grid value
+is the largest of its chains' minima, so the trivial chain's minimum,
+which needs no domain automorphism, bounds it from below, and the
+normalizing chain is screened only at points whose bound lies below the
+least value found so far.  Value and argmin equal the least of
+`squeeze_estimates` over the grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import numpy as np
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams
 from .errors import ToleranceError
-from .util import complex_sphere, philox
+from .util import blocks, complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
 # sphere directions sampling the slice level sets of `analytic_floor`
@@ -203,21 +210,24 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarr
 
     one row per chain, so chains of different shapes share one call.  A
     chain with no steps before the pair has w = cloud, whose |w|^2 is
-    `cloud_w2`, computed once for all basepoints.
+    `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
+    samples at a time, so the lead steps' temporaries stay one block long;
+    every value is elementwise, so the blocks change no bit.
     """
     weights = D.P.weights
     out = np.empty((len(chains), len(cloud)))
     for row, chain in zip(out, chains):
         *lead, rescale, ball = chain.steps
-        w, w2 = cloud, cloud_w2
-        if lead:
-            for step in lead:
-                w = step.apply(weights, w)
-            w2 = _squared_norms(w)
         R, c = rescale.R, ball.c
-        gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
         c2 = float((c * np.conj(c)).real.sum())
-        row[:] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
+        for rows in blocks(len(cloud)):
+            w, w2 = cloud[rows], cloud_w2[rows]
+            if lead:
+                for step in lead:
+                    w = step.apply(weights, w)
+                w2 = _squared_norms(w)
+            gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
+            row[rows] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
     return out
 
 
@@ -248,6 +258,22 @@ def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarra
     return out
 
 
+def _checked_families(D: GeneralEllipsoid, points: np.ndarray, count: int, seed: int):
+    """Each basepoint's strategy family, every chain's centering checked,
+    and the screen (`_screened_minima`) of chains over the shared cloud
+    `D.boundary_cloud(count, seed)`."""
+    cloud = D.boundary_cloud(count, seed)
+    cloud_w2 = _squared_norms(cloud)
+    half = max(1, len(cloud) // 2)
+    families = []
+    for p in points:
+        family = chain_family(D, p)
+        for chain in family:
+            chain.check_basepoint()
+        families.append(family)
+    return families, lambda chains: _screened_minima(D, cloud, cloud_w2, half, chains)
+
+
 def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
                       seed: int = 0) -> List[SqueezeEstimate]:
     """Best inscribed-radius estimate over the strategy family at each point.
@@ -269,22 +295,17 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     wins.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
-    cloud = D.boundary_cloud(count, seed)
-    cloud_w2 = _squared_norms(cloud)
-    half = max(1, len(cloud) // 2)
+    families, screen = _checked_families(D, points, count, seed)
     estimates = []
-    for p in points:
-        family = chain_family(D, p)
-        for chain in family:
-            chain.check_basepoint()
-        pairs = _screened_minima(D, cloud, cloud_w2, half, family)
+    for p, family in zip(points, families):
+        pairs = screen(family)
         best = max(range(len(family)), key=lambda j: pairs[j][0])
         value, value_half = pairs[best]
         estimates.append(SqueezeEstimate(
             point=p.copy(),
             value=min(value, 1.0),
             chain=family[best],
-            samples=int(len(cloud)),
+            samples=int(count),
             band=max(value_half - value, 0.0),
         ))
     return estimates
@@ -307,7 +328,10 @@ class FloorReport:
     P(t <= x) = x^Q, Q = 1 + sum_k 1/m_k.  Each grid value is a sampled
     upper estimate of a chain's inscribed radius at its own point (see
     :class:`SqueezeEstimate`); the minimum is a heuristic stand-in for the
-    uniform subdomain floor, not a certified constant.
+    uniform subdomain floor, not a certified constant.  `value` and
+    `argmin` are the least `squeeze_estimates` value over the grid and its
+    first point, found by bound (see :func:`gamma_floor`): grid points whose
+    trivial-chain minimum already reaches the floor are never normalized.
     """
 
     s: float
@@ -352,16 +376,33 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                 count: int = 1 << 14, seed: int = 0) -> FloorReport:
     """Minimum squeezing estimate over a seeded grid of subdomain points
     (`subdomain_grid`); the first grid point with the least value is the
-    argmin.
+    argmin.  Value and argmin are those of the least `squeeze_estimates`
+    value over the grid, bit for bit.
 
     The estimates use the cloud whose first sphere points the grid dilates.
     That reuse is deliberate: each value is still an upper estimate of its
     chain's inscribed radius, a lower bound for the squeezing function, and
     a grid drawn from other sphere points read higher floors.
+
+    A grid value is the largest of its chains' minima, capped at 1, so the
+    first chain's capped minimum, low_g, bounds it from below.  The trivial
+    chain needs no domain automorphism, so low_g is cheap; every point gets
+    it, and every chain of every point is checked for centering.  Points
+    are then visited in ascending (low_g, g) order, their other chains
+    screened, until a point's (low_g, g) exceeds the least (value, index)
+    found: neither it nor any later point can hold the minimum.
     """
     grid = subdomain_grid(D, SubdomainParams(s, r), grid_count, seed)
-    best = min(squeeze_estimates(D, grid, count, seed), key=lambda est: est.value)
-    return FloorReport(s=s, r=r, value=float(best.value), argmin=best.point,
+    families, screen = _checked_families(D, grid, count, seed)
+    low = [min(screen(family[:1])[0][0], 1.0) for family in families]
+    best = (np.inf, 0)
+    for g in sorted(range(len(grid)), key=lambda g: (low[g], g)):
+        if (low[g], g) > best:
+            break
+        rest = [full for full, _ in screen(families[g][1:])]
+        best = min(best, (min(max([low[g]] + rest), 1.0), g))
+    value, g = best
+    return FloorReport(s=s, r=r, value=float(value), argmin=grid[g].copy(),
                        grid_count=grid_count, samples=count, seed=seed)
 
 

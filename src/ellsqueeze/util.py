@@ -15,6 +15,16 @@ import json
 
 import numpy as np
 
+# rows per block of the cloud kernels: a block's temporaries stay a few MB
+# however large the cloud
+BLOCK = 1 << 14
+
+
+def blocks(count: int):
+    """Consecutive row slices of at most BLOCK rows covering range(count)."""
+    for lo in range(0, count, BLOCK):
+        yield slice(lo, min(lo + BLOCK, count))
+
 
 def philox(seed: int) -> np.random.Generator:
     """Counter-based generator; streams are reproducible and splittable."""
@@ -28,7 +38,9 @@ def complex_sphere(count: int, cdim: int, seed: int) -> np.ndarray:
     phi^-k for the root phi of x^(2 cdim + 1) = x + 1 and the shift s drawn
     from ``philox(seed)``.  Its first cdim coordinates give the moduli of a
     standard complex Gaussian, |g_k|^2 = -ln(1 - x_k), and its last cdim
-    the phases; normalizing g keeps the sphere's measure exactly.
+    the phases; normalizing g keeps the sphere's measure exactly.  The
+    output is filled BLOCK rows at a time; each point depends only on its
+    index, so the blocks change no bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -37,15 +49,23 @@ def complex_sphere(count: int, cdim: int, seed: int) -> np.ndarray:
     for _ in range(64):  # fixed-point iteration, a contraction onto the root
         phi = (1.0 + phi) ** (1.0 / (d + 1))
     alpha = phi ** -np.arange(1.0, d + 1)
-    x = philox(seed).random(d) + np.arange(count)[:, None] * alpha
-    x -= np.floor(x)
-    r = -np.log1p(-x[:, :cdim])
-    r /= r.sum(axis=1, keepdims=True)
-    np.sqrt(r, out=r)
-    angle = 2.0 * np.pi * x[:, cdim:]
-    u = np.empty((count, cdim), dtype=complex)
-    np.multiply(r, np.cos(angle), out=u.real)
-    np.multiply(r, np.sin(angle), out=u.imag)
+    shift = philox(seed).random(d)
+    u = None
+    for rows in blocks(count):
+        x = shift + np.arange(rows.start, rows.stop)[:, None] * alpha
+        x -= np.floor(x)
+        r = -np.log1p(-x[:, :cdim])
+        r /= r.sum(axis=1, keepdims=True)
+        np.sqrt(r, out=r)
+        angle = 2.0 * np.pi * x[:, cdim:]
+        if u is None:
+            # allocated above the first block's temporaries: the malloc heap
+            # then keeps their space for the caller's next temporaries, where
+            # an output allocated first lets it trim and fault them in again
+            u = np.empty((count, cdim), dtype=complex)
+        block = u[rows]
+        np.multiply(r, np.cos(angle), out=block.real)
+        np.multiply(r, np.sin(angle), out=block.imag)
     return u
 
 

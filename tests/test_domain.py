@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellsqueeze import cli, domain, hermpoly
+from ellsqueeze import cli, domain, hermpoly, util
 from ellsqueeze.domain import (GeneralEllipsoid, SubdomainParams, contains_sub,
                                samples_to_csv)
 from ellsqueeze.errors import EllsqueezeError, EmptySampleError, PositivityError
@@ -154,6 +154,16 @@ def test_boundary_prefix_stability(name):
         assert np.array_equal(sphere[:count], complex_sphere(count, D.n - 1, seed=3))
     # another seed moves every coordinate of every point
     assert (D.boundary_cloud(5000, seed=4) != big).all()
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_boundary_cloud_blocks_are_prefix_stable(name):
+    # clouds are drawn util.BLOCK rows at a time; counts on either side of
+    # a block boundary are still prefixes of a larger draw, bit for bit
+    D = DOMAINS[name]()
+    big = D.boundary_cloud(2 * util.BLOCK + 3, seed=3)
+    for count in (util.BLOCK - 1, util.BLOCK, util.BLOCK + 1, 2 * util.BLOCK + 1):
+        assert big[:count].tobytes() == D.boundary_cloud(count, seed=3).tobytes()
 
 
 def test_boundary_cloud_edited_in_place_leaves_next_draw_on_boundary():

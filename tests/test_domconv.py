@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ellsqueeze import util
 from ellsqueeze.automorphisms import EllipsoidAutomorphism, pullback_coeffs
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from ellsqueeze.domconv import exhaustion_check, exhaustion_cloud, exhaustion_report_to_csv
@@ -11,6 +12,18 @@ from ellsqueeze.domconv import exhaustion_check, exhaustion_cloud, exhaustion_re
 @pytest.fixture(scope="module")
 def E():
     return GeneralEllipsoid.quartic_disc()
+
+
+def test_exhaustion_ignores_blocks(E, monkeypatch):
+    # psi_a maps the cloud util.BLOCK points at a time; one block over the
+    # whole cloud gives the same verdicts
+    kwargs = dict(s=0.5, a_grid=[0.9, 0.99, 0.999, 0.9999], count=util.BLOCK, seed=4)
+    blocked = exhaustion_check(E, **kwargs)
+    assert blocked.cloud_size > util.BLOCK
+    monkeypatch.setattr(util, "BLOCK", 1 << 30)
+    whole = exhaustion_check(E, **kwargs)
+    assert blocked.fractions_inside.tobytes() == whole.fractions_inside.tobytes()
+    assert blocked.first_ok_index == whole.first_ok_index
 
 
 def test_empty_sequence_never_contains(E):

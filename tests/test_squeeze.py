@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from ellsqueeze import squeeze
+from ellsqueeze import squeeze, util
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import ToleranceError
@@ -217,6 +217,44 @@ def test_subdomain_grid_members(name, s, r):
     assert head.tobytes() == grid[:64].tobytes()
 
 
+@pytest.mark.parametrize("s, r, seed", [(0.5, 0.5, 0), (0.5, 0.25, 1), (0.5, 0.75, 2),
+                                         (0.1, 0.1, 3), (1.0, 1.0, 0), (0.25, 0.9, 5)])
+@pytest.mark.parametrize("name", FLOOR_DOMAINS)
+def test_gamma_floor_is_least_estimate(name, s, r, seed):
+    # the bound skips normalizing chains, never the minimum: value and
+    # argmin are the least estimate over the grid and its first point, bit
+    # for bit, ball:3's near-ties included
+    D = FLOOR_DOMAINS[name]()
+    rep = gamma_floor(D, s, r, grid_count=40, count=2048, seed=seed)
+    grid = subdomain_grid(D, SubdomainParams(s, r), 40, seed)
+    least = min(squeeze_estimates(D, grid, count=2048, seed=seed), key=lambda est: est.value)
+    assert rep.value == least.value
+    assert rep.argmin.tobytes() == least.point.tobytes()
+
+
+def test_gamma_floor_checks_every_chain_and_screens_few(E, monkeypatch):
+    # every chain of every grid point is checked for centering, while the
+    # quartic's trivial-chain bounds spare most normalizing chains
+    checked, screened = [], []
+    check, screen = EmbeddingChain.check_basepoint, squeeze._screened_minima
+
+    def counting_check(chain):
+        checked.append(chain.label)
+        return check(chain)
+
+    def counting_screen(D, cloud, cloud_w2, half, chains):
+        screened.extend(chain.label for chain in chains)
+        return screen(D, cloud, cloud_w2, half, chains)
+
+    monkeypatch.setattr(EmbeddingChain, "check_basepoint", counting_check)
+    monkeypatch.setattr(squeeze, "_screened_minima", counting_screen)
+    gamma_floor(E, 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
+    assert len(checked) == 2 * 64
+    assert checked.count("trivial") == checked.count("normalize") == 64
+    assert screened.count("trivial") == 64
+    assert 0 < screened.count("normalize") < 64
+
+
 def test_gamma_floor_positive(E):
     rep = gamma_floor(E, 0.5, 0.5, grid_count=30, count=4096, seed=0)
     assert rep.value > 0.0
@@ -420,3 +458,16 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
 def test_estimates_of_no_points(E):
     assert squeeze_estimates(E, [], count=1 << 10, seed=0) == []
     assert squeeze_estimates(E, np.empty((0, 2), dtype=complex), count=1 << 10, seed=0) == []
+
+
+def test_estimates_ignore_blocks(monkeypatch):
+    # the screen runs util.BLOCK samples at a time; one block over the
+    # whole cloud gives the same bits
+    D = _mixed_weight_domain()
+    points = _estimate_inputs(D, 8)
+    count = 2 * util.BLOCK + 5
+    blocked = squeeze_estimates(D, points, count=count, seed=0)
+    monkeypatch.setattr(util, "BLOCK", 1 << 30)
+    whole = squeeze_estimates(D, points, count=count, seed=0)
+    for a, b in zip(blocked, whole, strict=True):
+        assert (a.value, a.band, a.chain.label) == (b.value, b.band, b.chain.label)
