@@ -22,17 +22,19 @@ m = (2, 3) domain, as each CLI run and benchmark set-up probe does.  The
 cold `floor` is a fresh interpreter that runs the `floor` experiment on
 the quartic over an 8-point grid at 2^10 samples, so it times imports and
 the analytic floor more than the grid.  Neither loads scipy.
-`squeeze_estimates` runs on warm clouds: over the 64-point floor grid
-of D^{0.5,0.5} (`subdomain_grid`, the cloud's first 64 sphere points
-dilated into the subdomain in closed form) at 2^14 samples on the quartic
-and on that m = (2, 3) domain (where the normalizing automorphism takes
-square and cube roots), and over the four
-`profile` terms (j = 10, 100, 1000, 10^4) at 2^17 samples on the quartic.
-`gamma_floor` runs whole floors over that 64-point grid at 2^14 samples,
-the size of each `perfbench` floor, on the quartic and on the m = (2, 3)
-domain; each call draws its own cloud and grid, screens the trivial chain
-at every point and the normalizing chain only at the points whose
-trivial-chain bound lies below the least value found.
+`squeeze_estimates` runs over the 64-point floor grid of D^{0.5,0.5}
+(`subdomain_grid`, the cloud's first 64 sphere points dilated into the
+subdomain in closed form): sampled on the m = (2, 3) domain (where the
+normalizing automorphism takes square and cube roots) over a warm 2^14
+cloud, and exact on the quartic, where each of the three chains' radii is
+a one-parameter minimum in closed form and no cloud is drawn.  The exact
+profile runs it over the four `profile` terms (j = 10, 100, 1000, 10^4) on
+the quartic.  `gamma_floor` runs one exact slice floor on the quartic
+(r = 0.5) and one sampled floor over that 64-point grid at 2^14 samples,
+the size of each `perfbench` floor, on the m = (2, 3) domain; the sampled
+call draws its own cloud and grid, screens the trivial chain at every
+point and the normalizing chain only at the points whose trivial-chain
+bound lies below the least value found.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
 points of the translated m = (2, 3) graph-model table).
@@ -170,23 +172,32 @@ def _floor_grid(D):
 
 
 @pytest.mark.parametrize("domain, points, count", [
-    (GeneralEllipsoid.quartic_disc, _floor_grid, 1 << 14),
     (lambda: GeneralEllipsoid(_mixed_weight_polynomial()), _floor_grid, 1 << 14),
-    (GeneralEllipsoid.quartic_disc,
-     lambda D: [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms],
-     1 << 17),
-], ids=["floor-grid-64-2^14", "mixed-2-3-floor-grid-64-2^14", "profile-4-2^17"])
+    (GeneralEllipsoid.quartic_disc, _floor_grid, 0),
+], ids=["mixed-2-3-floor-grid-64-2^14", "quartic-floor-grid-64-exact"])
 def test_squeeze_estimates(benchmark, domain, points, count):
     D = domain()
-    D.boundary_cloud(count, 0)
+    if count:
+        D.boundary_cloud(count, 0)
     ests = benchmark(squeeze.squeeze_estimates, D, points(D), count, 0)
     assert all(0.0 < est.value <= 1.0 for est in ests)
 
 
-@pytest.mark.parametrize("domain", [
-    GeneralEllipsoid.quartic_disc, lambda: GeneralEllipsoid(_mixed_weight_polynomial()),
-], ids=["quartic-64-2^14", "mixed-2-3-64-2^14"])
-def test_gamma_floor(benchmark, domain):
-    D = domain()
+def test_exact_profile(benchmark):
+    D = GeneralEllipsoid.quartic_disc()
+    terms = [t.z for t in generate(D, "tangential", indices=[10, 100, 1000, 10000]).terms]
+    ests = benchmark(squeeze.squeeze_estimates, D, terms)
+    assert [est.kind for est in ests] == ["exact"] * 4
+    assert ests[-1].value > 0.9999
+
+
+def test_slice_floor(benchmark):
+    report = benchmark(squeeze.gamma_floor, GeneralEllipsoid.quartic_disc(), 0.5, 0.5)
+    assert report.kind == "exact"
+    assert abs(report.value - 0.69111) <= 1e-5
+
+
+def test_sampled_floor(benchmark):
+    D = GeneralEllipsoid(_mixed_weight_polynomial())
     report = benchmark(squeeze.gamma_floor, D, 0.5, 0.5, 64, 1 << 14, 0)
     assert 0.0 < report.value <= 1.0

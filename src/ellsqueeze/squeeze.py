@@ -1,43 +1,79 @@
-"""Sampled estimates of the inscribed radii of explicit embedding chains.
+"""Inscribed radii of explicit embedding chains: exact on n = 2, sampled above.
 
 For an embedding f of the domain into the unit ball with f(p) = 0, the
 largest ball around the origin inside f(D) is a lower bound for the
 squeezing function at p.  Chains are built from three step types: a
-domain automorphism, a uniform rescale z -> z/R, and the standard
-involutive ball automorphism phi_c (phi_c(c) = 0).  The inscribed radius
-of a chain is estimated by the minimum norm of the images of boundary
-samples; all step maps extend continuously to the closed domain, so the
-estimate converges to the true inscribed radius from above as the
-sample count grows.
+domain automorphism, an affine contraction z -> (L z - centre) / R
+(`Rescale`, L a diagonal of coordinate scales), and the standard
+involutive ball automorphism phi_c (phi_c(c) = 0).  Every chain ends in
+the contraction and phi_c, and
 
-The default strategy family contains two chains:
+    |phi_c(u)|^2 = 1 - (1 - |c|^2)(1 - |u|^2) / |1 - <u, c>|^2.
+
+The strategy family (`chain_family`):
 
   trivial    rescale by the bounding radius padded by 1%, then center
              the image of p;
   normalize  move p to the slice {z_n = 0} with the explicit
-             automorphism, rescale by the proved bound for the sup norm
+             automorphism psi, rescale by the proved bound for the sup norm
              of the domain (`GeneralEllipsoid.bounding_radius` with no
-             margin), then center the image.
+             margin), then center the image b = psi(p);
+  tangent    n = 2 only: psi, then z -> (L z - (1 - m) q) / m with
+             L z_1 = a^{1/(2m)} z_1 and q = (b_1 / |b_1|, 0) (q = (1, 0) when
+             b_1 = 0), then center.  In the coordinates L z the domain is
+             {|z_2|^2 + |z_1|^{2m} < 1}, which lies in the ball of radius m
+             around (1 - m) q: with r = |z_1|, |z - (1 - m) q|^2 is at most
+             (r + m - 1)^2 + 1 - r^{2m} <= m^2.  That ball touches the
+             boundary at q with the boundary's own complex-tangential
+             curvature, so the radius tends to 1 as b tends to q.
 
-Both rescales are at least sup |z| over D, so each chain maps D into the
-unit ball and its inscribed radius is a lower bound for the squeezing
-function.  The reported values are sampled estimates of those radii
-(upper estimates of them), exact only for the sampled clouds; the
-supremum over all embeddings is not computable.
+Each affine step maps D into the unit ball, so each chain's inscribed
+radius is a lower bound for the squeezing function.
 
+On n = 2 the radii are exact.  Every n = 2 table is a |z_1|^{2m} (the
+weight rule leaves no other term), so D is invariant under the torus
+z_k -> e^{i theta_k} z_k, and psi maps the boundary bD onto itself: a
+chain's radius is the minimum over bD of the closed form above, with the
+leading psi dropped.  That minimum lies on one real segment:
+
+  - trivial and normalize: the worst phases align w with c, which leaves
+    a minimum over the boundary modulus r_1 in [0, a^{-1/(2m)}], with z_1
+    along c_1 and z_2 along c_2;
+  - tangent: c = (gamma, 0) points along q.  For a fixed |z_1| the closed
+    form is linear-fractional in the component of z_1 along q, so its
+    minimum lies on the real segment through q, z_1 in [-1, 1] in the
+    coordinates L z.
+
+`_squares` takes both as a minimum over that segment, in floats, by
+`_least` (a grid, then zooms around its best local minima), vectorized
+over basepoints: exact chain radii up to rounding, reported with kind
+"exact", not certified.  Its numerator is written by Lagrange's identity,
+|u - c|^2 - |u_1 c_2 - u_2 c_1|^2, so a radius near 0 is not lost to the
+cancellation in 1 - (...), and the tangent chain's radius next to 1 is not
+lost to the cancellation in 1 - |c|^2: that form reads u_1 - c_1 and
+1 - u_1 c_1 through 1 - |c_1| and 1 - u_1.
+
+`gamma_floor` on n = 2 is the slice floor.  psi carries a point p of
+D^{s,r} to b with b_2 = 0 and P(b_1) = P(p_1) / (1 - |p_2|^2) < r, and
+every such b is reached; the squeezing function is psi-invariant.  So the
+least best radius over {b : b_2 = 0, P(b_1) < r}, a minimum over
+t in [0, (r/a)^{1/(2m)}] of the best radius at b = (t, 0), bounds the
+squeezing function on D^{s,r} from below (up to its float minima).  It
+does not depend on s, the grid size, the sample count or the seed.
+
+On n >= 3 every value is a sampled estimate (kind "sampled"): the
+minimum image norm over a boundary cloud, an upper estimate of a chain's
+inscribed radius that converges to it from above as the sample count
+grows (all step maps extend continuously to the closed domain).
 `squeeze_estimates` evaluates the family for many basepoints over one
-shared cloud.  Every chain ends in phi_c, and
+shared cloud; the closed form above screens all samples for a
+basepoint's whole family at once, BLOCK (`util.BLOCK`) samples at a time,
+so a chain's temporaries stay one block long however large the cloud.
+Only the samples near each screened minimum go through the whole chain's
+explicit maps, and those explicit norms are the reported values.
 
-    |phi_c(w)|^2 = 1 - (1 - |c|^2)(1 - |w|^2) / |1 - <w, c>|^2
-
-screens all samples for a basepoint's whole family at once, BLOCK
-(`util.BLOCK`) samples at a time, so a chain's temporaries stay one block
-long however large the cloud.  Only the samples near each screened minimum
-go through the whole chain's explicit maps, and those explicit norms are
-the reported values.
-
-`gamma_floor` minimizes those estimates over a grid of D^{s,r} in closed
-form (`subdomain_grid`): D^{s,r} is the image of D under
+`gamma_floor` on n >= 3 minimizes those estimates over a grid of D^{s,r}
+in closed form (`subdomain_grid`): D^{s,r} is the image of D under
 w -> (delta_{rs}(w'), 1 - s + s w_n), so the estimation cloud's first
 sphere points, each moved to a level t of D with P(t <= x) = x^Q,
 Q = 1 + sum_k 1/m_k, the level law of a uniform sample, land in D^{s,r}
@@ -53,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,20 +112,42 @@ GAP_CHUNK = 128
 # are evaluated again through the explicit maps; the closed form and the
 # explicit maps differ by about 1e-15 / (1 - |c|)
 SCREEN_SLACK = 1e-12
+# `_least`: a grid of LEAST_GRID points, then zooms of LEAST_ZOOM points
+# around each of its two best local minima; a zoom narrows its bracket
+# (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 12 take a grid step of
+# 1/16 below 1e-12.  The slice floor's search takes each chain's minimum
+# with SEARCH_ROUNDS zooms, to about 1e-6 in the parameter, and so to about
+# 1e-12 in the value, and then its minimizer's value with LEAST_ROUNDS.
+LEAST_GRID = 33
+LEAST_ZOOM = 17
+LEAST_ROUNDS = 12
+SEARCH_ROUNDS = 5
 
 
 @dataclass(frozen=True)
 class Rescale:
-    """Uniform contraction z -> z / R."""
+    """Affine contraction z -> (L z - centre) / R, with L a diagonal of
+    positive coordinate scales; with neither L nor centre it is z -> z / R,
+    bit for bit."""
 
     R: float
+    centre: Optional[np.ndarray] = None
+    L: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError("rescale radius must be positive")
 
+    def shift(self, z: np.ndarray) -> np.ndarray:
+        """L z - centre: the step before its division by R."""
+        if self.L is not None:
+            z = z * self.L
+        if self.centre is not None:
+            z = z - self.centre
+        return z
+
     def apply(self, weights, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.complex128) / self.R
+        return self.shift(np.asarray(z, dtype=np.complex128)) / self.R
 
 
 @dataclass(frozen=True)
@@ -145,11 +203,15 @@ class EmbeddingChain:
 
 @dataclass(frozen=True)
 class SqueezeEstimate:
-    """A sampled squeezing estimate at one point.
+    """The best chain radius of the strategy family at one point.
 
-    `value` is the minimum image norm of `chain` over a boundary cloud: an
-    upper estimate of the chain's inscribed radius, which in turn is a lower
-    bound for the squeezing function.  It is not certified.
+    `kind` says what `value` is.  "exact" (n = 2): the inscribed radius of
+    `chain`, a float minimum of its closed form (module docstring), not
+    certified; `samples` and `band` read 0.  "sampled" (n >= 3): the
+    minimum image norm of `chain` over a boundary cloud of `samples`
+    points, an upper estimate of the chain's inscribed radius, with `band`
+    its drop from the half-cloud minimum.  Either way the chain's radius is
+    a lower bound for the squeezing function.
     """
 
     point: np.ndarray
@@ -157,6 +219,7 @@ class SqueezeEstimate:
     chain: EmbeddingChain
     samples: int
     band: float
+    kind: str
 
 
 def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
@@ -171,7 +234,8 @@ def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
 
 
 def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
-    """The estimator's strategy family at an interior point."""
+    """The estimator's strategy family at an interior point: trivial,
+    normalize and, on n = 2, tangent (module docstring)."""
     p = np.asarray(p, dtype=np.complex128).reshape(D.n)
     if not bool(D.contains(p)):
         raise ValueError("basepoint is not inside the domain")
@@ -190,7 +254,108 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
         (norm.automorphism, Rescale(R_tight), BallAutomorphism(image)),
         p,
         label="normalize"))
+
+    if D.n == 2:
+        m, ell = _slice_scale(D)
+        b1 = norm.b[0]
+        q = np.array([b1 / abs(b1) if b1 != 0 else 1.0, 0.0], dtype=np.complex128)
+        ball = Rescale(float(m), centre=(1 - m) * q, L=np.array([ell, 1.0]))
+        chains.append(EmbeddingChain(
+            D,
+            (norm.automorphism, ball, BallAutomorphism(ball.apply(None, norm.b))),
+            p,
+            label="tangent"))
     return chains
+
+
+def _slice_scale(D: GeneralEllipsoid) -> Tuple[int, float]:
+    """(m, a^{1/(2m)}) of an n = 2 domain, whose P is a |z_1|^{2m}."""
+    (m,) = D.P.weights.m
+    a = D.P.table.canonical[((m,), (m,))].real
+    return m, a ** (1.0 / (2 * m))
+
+
+def _least(f, grid: np.ndarray, n: int,
+           rounds: int = LEAST_ROUNDS) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row i < n, the least value of f(., i) over [grid[0], grid[-1]]
+    and a point where it is taken.
+
+    `f(x, rows)` evaluates row rows[k]'s function at the points x[k, :].
+    Each row's two best local minima on the increasing `grid` are refined
+    by `rounds` zooms: LEAST_ZOOM points spread over the bracket of the
+    best point's two neighbours, whose best point centres the next
+    bracket.  Brackets keep their end points, so a minimum at an end of
+    the grid is found exactly.
+    """
+    values = f(np.broadcast_to(grid, (n, grid.size)), np.arange(n))
+    padded = np.pad(values, ((0, 0), (1, 1)), constant_values=np.inf)
+    local = np.where((values <= padded[:, :-2]) & (values <= padded[:, 2:]), values, np.inf)
+    j = np.argsort(local, axis=1, kind="stable")[:, :2].ravel()
+    rows = np.arange(j.size) // 2
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
+    t = np.linspace(0.0, 1.0, LEAST_ZOOM)
+    for _ in range(rounds):
+        x = np.minimum(lo[:, None] + (hi - lo)[:, None] * t, hi[:, None])
+        values = f(x, rows)
+        k = values.argmin(axis=1)[:, None]
+        lo = np.take_along_axis(x, np.maximum(k - 1, 0), axis=1)[:, 0]
+        hi = np.take_along_axis(x, np.minimum(k + 1, LEAST_ZOOM - 1), axis=1)[:, 0]
+    values, x = values.reshape(-1, 2 * LEAST_ZOOM), x.reshape(-1, 2 * LEAST_ZOOM)
+    k = values.argmin(axis=1)[:, None]
+    return np.take_along_axis(values, k, axis=1)[:, 0], np.take_along_axis(x, k, axis=1)[:, 0]
+
+
+def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2,
+             rounds: int = LEAST_ROUNDS) -> np.ndarray:
+    """Squared inscribed radius of n = 2 chains ending in Rescale and
+    phi_c, one per row of (scale, shift, R, 1 - |c_1|, |c_2|).
+
+    The minimum lies on the real segment x in [-1, 1] of the coordinates
+    L z along c_1's direction, with z_2 along c_2 (module docstring).  There
+    |z_2| = sqrt(1 - x^{2m}), and the chain's affine image u has
+    u_1 = 1 - w along c_1, w = (shift - scale x) / R, and |u_2| = |z_2| / R
+    along c_2.  With k = (|c_1|, |c_2|), d = 1 - k_1, A = u_1 - k_1 = d - w
+    and B = u_2 - k_2,
+
+        |phi_c(u)|^2 = (A^2 (1 - k_2^2) + B^2 d (2 - d) + 2 A B k_1 k_2)
+                       / (d + w k_1 - u_2 k_2)^2.
+
+    The numerator is Lagrange's identity for |u - k|^2 - |u_1 k_2 - u_2 k_1|^2,
+    so a radius near 0 keeps its accuracy, and writing u_1 - k_1,
+    1 - k_1^2 and 1 - u_1 k_1 through d and w keeps it where c nears the
+    sphere.
+    """
+    (m,) = D.P.weights.m
+
+    def f(x, rows):
+        w = (shift[rows, None] - scale[rows, None] * x) / R[rows, None]
+        # (x^2)^m: numpy's power is many times slower on negative bases
+        u2 = np.sqrt(1.0 - (x * x) ** m) / R[rows, None]
+        d1, a2 = d[rows, None], k2[rows, None]
+        A, B = d1 - w, u2 - a2
+        return ((A * A * (1.0 - a2 * a2) + B * B * d1 * (2.0 - d1) + 2.0 * A * B * (1.0 - d1) * a2)
+                / (d1 + w * (1.0 - d1) - u2 * a2) ** 2)
+
+    return _least(f, np.linspace(-1.0, 1.0, LEAST_GRID), len(R), rounds)[0]
+
+
+def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.ndarray:
+    """Squared inscribed radius of each chain of n = 2 families (`_squares`).
+
+    Trivial and normalize scale z_1 by 1, so w = 1 - x / (a^{1/(2m)} R).
+    The tangent chain's sphere passes through q, where x = 1, so
+    w = (1 - x) / m, computed from 1 - x without rounding near q.
+    """
+    _, ell = _slice_scale(D)
+    rows = []
+    for chain in chains:
+        rescale, ball = chain.steps[-2:]
+        c1, c2 = np.abs(ball.c)
+        if rescale.centre is None:
+            rows.append((1.0 / ell, rescale.R, rescale.R, 1.0 - c1, c2))
+        else:
+            rows.append((1.0, 1.0, rescale.R, 1.0 - c1, c2))
+    return _squares(D, *np.array(rows).reshape(-1, 5).T)
 
 
 def _squared_norms(w: np.ndarray) -> np.ndarray:
@@ -204,13 +369,14 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarr
     """Closed-form squared image norms of a cloud under each chain.
 
     Every chain ends in Rescale(R) then phi_c; its steps before that pair
-    run through their own maps, giving w, and
+    run through their own maps, and the contraction's shift (L z - centre)
+    after them, giving w, and
 
         |phi_c(w / R)|^2 = 1 - (1 - |c|^2)(1 - |w|^2 / R^2) / |1 - <w, c> / R|^2,
 
     one row per chain, so chains of different shapes share one call.  A
-    chain with no steps before the pair has w = cloud, whose |w|^2 is
-    `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
+    chain with no steps before the pair and no shift has w = cloud, whose
+    |w|^2 is `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
     samples at a time, so the lead steps' temporaries stay one block long;
     every value is elementwise, so the blocks change no bit.
     """
@@ -220,11 +386,13 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarr
         *lead, rescale, ball = chain.steps
         R, c = rescale.R, ball.c
         c2 = float((c * np.conj(c)).real.sum())
+        plain = not lead and rescale.centre is None and rescale.L is None
         for rows in blocks(len(cloud)):
             w, w2 = cloud[rows], cloud_w2[rows]
-            if lead:
+            if not plain:
                 for step in lead:
                     w = step.apply(weights, w)
+                w = rescale.shift(w)
                 w2 = _squared_norms(w)
             gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
             row[rows] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
@@ -258,55 +426,70 @@ def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarra
     return out
 
 
+def _checked_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
+    """The strategy family at p, every chain's centering checked."""
+    family = chain_family(D, p)
+    for chain in family:
+        chain.check_basepoint()
+    return family
+
+
 def _checked_families(D: GeneralEllipsoid, points: np.ndarray, count: int, seed: int):
-    """Each basepoint's strategy family, every chain's centering checked,
-    and the screen (`_screened_minima`) of chains over the shared cloud
+    """Each basepoint's checked strategy family, and the screen
+    (`_screened_minima`) of chains over the shared cloud
     `D.boundary_cloud(count, seed)`."""
     cloud = D.boundary_cloud(count, seed)
     cloud_w2 = _squared_norms(cloud)
     half = max(1, len(cloud) // 2)
-    families = []
-    for p in points:
-        family = chain_family(D, p)
-        for chain in family:
-            chain.check_basepoint()
-        families.append(family)
+    families = [_checked_family(D, p) for p in points]
     return families, lambda chains: _screened_minima(D, cloud, cloud_w2, half, chains)
 
 
 def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
                       seed: int = 0) -> List[SqueezeEstimate]:
-    """Best inscribed-radius estimate over the strategy family at each point.
+    """Best inscribed radius over the strategy family at each point.
 
-    Each value never exceeds one and, up to the rounding of the explicit
-    chain maps, can only decrease when the sample count grows (the cloud
-    is prefix-stable and the rescale radii are count-independent).  That
-    rounding is a few ulps and grows like 1e-16 / (1 - |c|) next to the
-    sphere: a sample's explicit value may differ by that much inside a
-    larger cloud.  The sampling band reports the drop from the
-    half-count estimate to the full-count estimate.
+    `points` holds the basepoints, shape (G, n) or a sequence of n-vectors.
+    Every chain of every family is checked for centering, and the first
+    chain of the family with the largest radius wins.  Each value never
+    exceeds one.
 
-    `points` holds the basepoints, shape (G, n) or a sequence of n-vectors;
-    all of them share one boundary cloud.  Each basepoint's family is
+    On n = 2 each radius is exact (`_exact_squares`, kind "exact"), and
+    `count` and `seed` are unused.  On n >= 3 each is sampled (kind
+    "sampled"): all basepoints share one boundary cloud, each family is
     screened in one pass with the closed form for |phi_c|, and every
     reported minimum is an explicit chain evaluation at the few samples the
     screen keeps (`_screened_minima`), which include the minimizer over the
-    whole cloud.  The first chain of the family with the largest minimum
-    wins.
+    whole cloud.  Up to the rounding of the explicit chain maps, a sampled
+    value can only decrease when the sample count grows (the cloud is
+    prefix-stable and the rescale radii are count-independent).  That
+    rounding is a few ulps and grows like 1e-16 / (1 - |c|) next to the
+    sphere: a sample's explicit value may differ by that much inside a
+    larger cloud.  The sampling band reports the drop from the half-count
+    estimate to the full-count estimate.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
-    families, screen = _checked_families(D, points, count, seed)
+    if D.n == 2:
+        families = [_checked_family(D, p) for p in points]
+        radii = iter(np.sqrt(np.maximum(
+            _exact_squares(D, [chain for family in families for chain in family]), 0.0)))
+        minima = [[(float(r), float(r)) for _, r in zip(family, radii)] for family in families]
+        samples, kind = 0, "exact"
+    else:
+        families, screen = _checked_families(D, points, count, seed)
+        minima = [screen(family) for family in families]
+        samples, kind = int(count), "sampled"
     estimates = []
-    for p, family in zip(points, families):
-        pairs = screen(family)
+    for p, family, pairs in zip(points, families, minima):
         best = max(range(len(family)), key=lambda j: pairs[j][0])
         value, value_half = pairs[best]
         estimates.append(SqueezeEstimate(
             point=p.copy(),
             value=min(value, 1.0),
             chain=family[best],
-            samples=int(count),
+            samples=samples,
             band=max(value_half - value, 0.0),
+            kind=kind,
         ))
     return estimates
 
@@ -320,18 +503,27 @@ def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16
 
 @dataclass(frozen=True)
 class FloorReport:
-    """Empirical squeezing floor over a subdomain grid.
+    """Squeezing floor over the subdomain D^{s,r}; `kind` says what it is.
 
-    The grid (`subdomain_grid`) is the image under
-    w -> (delta_{rs}(w'), 1 - s + s w_n) of the estimation cloud's first
-    `grid_count` sphere points, each dilated to a level t of D with
-    P(t <= x) = x^Q, Q = 1 + sum_k 1/m_k.  Each grid value is a sampled
-    upper estimate of a chain's inscribed radius at its own point (see
-    :class:`SqueezeEstimate`); the minimum is a heuristic stand-in for the
-    uniform subdomain floor, not a certified constant.  `value` and
-    `argmin` are the least `squeeze_estimates` value over the grid and its
-    first point, found by bound (see :func:`gamma_floor`): grid points whose
-    trivial-chain minimum already reaches the floor are never normalized.
+    "exact" (n = 2): the slice floor (`gamma_floor`), the least best chain
+    radius over the slice set {b : b_2 = 0, P(b_1) < r}, onto which psi
+    carries D^{s,r}.  It bounds the squeezing function on D^{s,r} from
+    below up to its float minima, and is not certified.  `argmin` is the
+    minimizing slice point (t*, 0), which is not a point of D^{s,r};
+    `grid_count` and `samples` read 0, and neither s nor the seed moves the
+    value.
+
+    "sampled" (n >= 3): the least estimate over a subdomain grid.  The grid
+    (`subdomain_grid`) is the image under w -> (delta_{rs}(w'), 1 - s + s w_n)
+    of the estimation cloud's first `grid_count` sphere points, each
+    dilated to a level t of D with P(t <= x) = x^Q, Q = 1 + sum_k 1/m_k.
+    Each grid value is a sampled upper estimate of a chain's inscribed
+    radius at its own point (see :class:`SqueezeEstimate`); the minimum is
+    a heuristic stand-in for the uniform subdomain floor, not a certified
+    constant.  `value` and `argmin` are the least `squeeze_estimates` value
+    over the grid and its first point, found by bound (see
+    :func:`gamma_floor`): grid points whose trivial-chain minimum already
+    reaches the floor are never normalized.
     """
 
     s: float
@@ -341,6 +533,7 @@ class FloorReport:
     grid_count: int
     samples: int
     seed: int
+    kind: str
 
 
 def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
@@ -374,10 +567,16 @@ def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
 
 def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                 count: int = 1 << 14, seed: int = 0) -> FloorReport:
-    """Minimum squeezing estimate over a seeded grid of subdomain points
-    (`subdomain_grid`); the first grid point with the least value is the
-    argmin.  Value and argmin are those of the least `squeeze_estimates`
-    value over the grid, bit for bit.
+    """Squeezing floor over D^{s,r} (:class:`FloorReport`).
+
+    On n = 2 it is the slice floor: the least best radius of the three
+    chains at b = (t, 0) over t in [0, (r/a)^{1/(2m)}] (`_slice_floor`).
+    s, `grid_count`, `count` and `seed` do not enter it.
+
+    On n >= 3 it is the minimum squeezing estimate over a seeded grid of
+    subdomain points (`subdomain_grid`); the first grid point with the
+    least value is the argmin.  Value and argmin are those of the least
+    `squeeze_estimates` value over the grid, bit for bit.
 
     The estimates use the cloud whose first sphere points the grid dilates.
     That reuse is deliberate: each value is still an upper estimate of its
@@ -392,6 +591,8 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
     screened, until a point's (low_g, g) exceeds the least (value, index)
     found: neither it nor any later point can hold the minimum.
     """
+    if D.n == 2:
+        return _slice_floor(D, s, r, seed)
     grid = subdomain_grid(D, SubdomainParams(s, r), grid_count, seed)
     families, screen = _checked_families(D, grid, count, seed)
     low = [min(screen(family[:1])[0][0], 1.0) for family in families]
@@ -403,7 +604,48 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
         best = min(best, (min(max([low[g]] + rest), 1.0), g))
     value, g = best
     return FloorReport(s=s, r=r, value=float(value), argmin=grid[g].copy(),
-                       grid_count=grid_count, samples=count, seed=seed)
+                       grid_count=grid_count, samples=count, seed=seed, kind="sampled")
+
+
+def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorReport:
+    """The n = 2 floor: the least best chain radius at b = (t, 0),
+    t in [0, (r/a)^{1/(2m)}].
+
+    In the coordinates L z, tau = a^{1/(2m)} t runs over [0, r^{1/(2m)}].
+    The chains of `chain_family` at b have closed-form parameters there
+    (`_squares`): psi is the identity on the slice, so trivial and
+    normalize have c = (t / R, 0), R padded or not, and tangent has
+    1 - |c_1| = (1 - tau) / m and R = m.  `_least`
+    minimizes their largest squared radius over the grid of [0, 1] cut at
+    r^{1/(2m)}, which joins the grid: floors whose minimizer lies inside
+    the cut take the same steps and agree bit for bit.  During that search
+    each chain's minimum takes SEARCH_ROUNDS zooms; the floor is the
+    minimizer's value with LEAST_ROUNDS.  At r = 1 the cut is the boundary
+    point, where the tangent chain's c reaches the sphere, so the grid
+    stops short of it.  The three chains at the minimizer are checked for
+    centering.
+    """
+    m, ell = _slice_scale(D)
+    R_pad, R_tight = D.bounding_radius(), D.bounding_radius(margin=0.0)
+    chains = np.array([[1.0 / ell, R_pad, R_pad], [1.0 / ell, R_tight, R_tight], [1.0, 1.0, m]])
+    top = r ** (1.0 / (2 * m))
+    grid = np.linspace(0.0, 1.0, LEAST_GRID)
+    grid = np.append(grid[grid < top], top)
+    grid = grid[grid < 1.0]
+
+    def largest(tau, rows, rounds=SEARCH_ROUNDS):
+        t = tau.ravel()
+        d = np.concatenate([1.0 - t / (ell * R_pad), 1.0 - t / (ell * R_tight), (1.0 - t) / m])
+        scale, shift, R = np.repeat(chains, t.size, axis=0).T
+        squares = _squares(D, scale, shift, R, d, np.zeros_like(d), rounds)
+        return squares.reshape(3, -1).max(axis=0).reshape(tau.shape)
+
+    tau = _least(largest, grid, 1)[1]
+    square = float(largest(tau, None, LEAST_ROUNDS)[0])
+    b = np.array([tau[0] / ell, 0.0], dtype=np.complex128)
+    _checked_family(D, b)
+    return FloorReport(s=s, r=r, value=min(float(np.sqrt(max(square, 0.0))), 1.0), argmin=b,
+                       grid_count=0, samples=0, seed=seed, kind="exact")
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -361,6 +361,32 @@ def test_basepoint_centering_violation_exit_code(tmp_path, monkeypatch):
     assert not (out / "profile.csv").exists()
 
 
+def test_slice_floor_centering_violation_exit_code(tmp_path, monkeypatch):
+    # the exact floor checks the three chains at its minimizer (t*, 0)
+    monkeypatch.setattr(squeeze, "BASEPOINT_TOL", -1.0)
+    out = tmp_path / "f"
+    assert run_cli(["floor", "--out", str(out)]) == 3
+    assert not (out / "floor.json").exists()
+
+
+@pytest.mark.parametrize("name", ["quartic", "ball:3"])
+def test_floor_json_says_what_the_floor_is(tmp_path, name):
+    # an n = 2 floor is exact, found on the slice with no grid or cloud; an
+    # n >= 3 floor.json keeps its keys, and lacking "kind" reads sampled
+    out = tmp_path / "floor"
+    assert run_cli(["floor", "--out", str(out), "--domain", name, "--grid", "10",
+                    "--samples", "1024"]) == 0
+    payload = json.loads((out / "floor.json").read_text())
+    if name == "quartic":
+        assert payload["kind"] == "exact"
+        assert (payload["grid_count"], payload["samples"]) == (0, 0)
+        assert payload["argmin"][1] == [0.0, 0.0]
+        assert abs(payload["argmin"][0][0] - 0.5953) < 1e-4
+    else:
+        assert "kind" not in payload
+        assert (payload["grid_count"], payload["samples"]) == (10, 1024)
+
+
 def test_domain_file_round_trip(tmp_path):
     from ellsqueeze.wpoly import quartic_disc_polynomial
     poly = tmp_path / "poly.json"

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from ellsqueeze import squeeze, util
-from ellsqueeze.automorphisms import EllipsoidAutomorphism
+from ellsqueeze.automorphisms import EllipsoidAutomorphism, normalize_point
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import ToleranceError
 from ellsqueeze.sequences import generate
@@ -119,9 +119,19 @@ def test_ball_calibration_sample(B):
 
 
 def test_estimate_fields(E):
+    # n = 2 values are exact, with no cloud behind them; n >= 3 values are
+    # sampled from `count` points
     p = np.array([0.2, 0.4j], dtype=complex)
     est = squeeze_lower_bound(E, p, count=4096, seed=0)
     assert 0.0 < est.value <= 1.0
+    assert est.kind == "exact"
+    assert est.samples == 0
+    assert est.band == 0.0
+    assert est.chain.label in ("trivial", "normalize", "tangent")
+    est = squeeze_lower_bound(FLOOR_DOMAINS["E-2-3"](), np.array([0.2, 0.1, 0.4j]),
+                              count=4096, seed=0)
+    assert 0.0 < est.value <= 1.0
+    assert est.kind == "sampled"
     assert est.samples == 4096
     assert est.band >= 0.0
     assert est.chain.label in ("trivial", "normalize")
@@ -223,18 +233,23 @@ def test_subdomain_grid_members(name, s, r):
 def test_gamma_floor_is_least_estimate(name, s, r, seed):
     # the bound skips normalizing chains, never the minimum: value and
     # argmin are the least estimate over the grid and its first point, bit
-    # for bit, ball:3's near-ties included
+    # for bit, ball:3's near-ties included.  n = 2 floors are exact over a
+    # slice set the grid need not meet (see test_slice_floor): their argmin
+    # joins the grid ahead of it and must still hold the least estimate
     D = FLOOR_DOMAINS[name]()
     rep = gamma_floor(D, s, r, grid_count=40, count=2048, seed=seed)
     grid = subdomain_grid(D, SubdomainParams(s, r), 40, seed)
+    if D.n == 2:
+        grid = np.concatenate([rep.argmin[None], grid])
     least = min(squeeze_estimates(D, grid, count=2048, seed=seed), key=lambda est: est.value)
+    assert rep.kind == ("exact" if D.n == 2 else "sampled")
     assert rep.value == least.value
     assert rep.argmin.tobytes() == least.point.tobytes()
 
 
-def test_gamma_floor_checks_every_chain_and_screens_few(E, monkeypatch):
+def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
     # every chain of every grid point is checked for centering, while the
-    # quartic's trivial-chain bounds spare most normalizing chains
+    # trivial-chain bounds on E(2, 3) spare most normalizing chains
     checked, screened = [], []
     check, screen = EmbeddingChain.check_basepoint, squeeze._screened_minima
 
@@ -248,7 +263,7 @@ def test_gamma_floor_checks_every_chain_and_screens_few(E, monkeypatch):
 
     monkeypatch.setattr(EmbeddingChain, "check_basepoint", counting_check)
     monkeypatch.setattr(squeeze, "_screened_minima", counting_screen)
-    gamma_floor(E, 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
+    gamma_floor(FLOOR_DOMAINS["E-2-3"](), 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
     assert len(checked) == 2 * 64
     assert checked.count("trivial") == checked.count("normalize") == 64
     assert screened.count("trivial") == 64
@@ -256,9 +271,11 @@ def test_gamma_floor_checks_every_chain_and_screens_few(E, monkeypatch):
 
 
 def test_gamma_floor_positive(E):
+    # the n = 2 floor is exact: no grid and no cloud enter it
     rep = gamma_floor(E, 0.5, 0.5, grid_count=30, count=4096, seed=0)
     assert rep.value > 0.0
-    assert rep.grid_count == 30
+    assert rep.kind == "exact"
+    assert rep.grid_count == 0
 
 
 def test_gamma_floor_monotone_in_r(E):
@@ -275,15 +292,19 @@ def test_normal_profile_dominates_floor(E):
 
 
 def test_gamma_floor_small_r_limits_to_axis_values(E):
-    # as r -> 0 the subdomain collapses onto the slice-free disk {z' = 0},
-    # where the estimator is flat; the floor climbs to the center value at
-    # the quartic-root rate r^{1/4}
+    # as r -> 0 the slice set {|b_1| < r^{1/4}} shrinks onto the axis point
+    # b = 0, where the estimator is flat; below r = 0.5953^4 the floor sits
+    # on the slice edge, and it climbs to the center value at the
+    # quartic-root rate r^{1/4}
     center = squeeze_lower_bound(E, np.array([0.0, 0.5], dtype=complex),
                                  count=4096, seed=0).value
-    floors = [gamma_floor(E, 0.5, r, grid_count=40, count=4096, seed=0).value
-              for r in (0.05, 1e-3, 1e-5)]
+    radii = (0.05, 1e-3, 1e-5)
+    floors = [gamma_floor(E, 0.5, r, grid_count=40, count=4096, seed=0).value for r in radii]
     assert all(b > a for a, b in zip(floors, floors[1:]))
-    assert abs(floors[-1] - center) < 0.01
+    for r, floor in zip(radii, floors):
+        edge = squeeze_lower_bound(E, np.array([r ** 0.25, 0.0], dtype=complex)).value
+        assert abs(floor - edge) <= 1e-12
+    assert abs(gamma_floor(E, 0.5, 1e-8).value - center) < 0.01
 
 
 def test_analytic_floor_flagged(E):
@@ -371,10 +392,9 @@ def _assert_match_pointwise(D, points, ests, count):
 
 
 @pytest.mark.parametrize("domain, count", [
-    (GeneralEllipsoid.quartic_disc, 1 << 12),
     (_mixed_weight_domain, 1 << 12),
     (lambda: GeneralEllipsoid.unit_ball(3), 1 << 14),
-], ids=["quartic", "mixed-2-3", "ball-3"])
+], ids=["mixed-2-3", "ball-3"])
 def test_estimates_match_pointwise_loop(domain, count):
     # both minima are explicit chain evaluations at the same sample, but the
     # loop maps the whole cloud while the estimator maps only the samples
@@ -411,7 +431,7 @@ def test_screen_mixes_chain_shapes(domain):
     D = domain()
     cloud = D.boundary_cloud(1 << 12, seed=0)
     p = _estimate_inputs(D, 2)[0]
-    trivial, normalize = chain_family(D, p)
+    trivial, normalize = chain_family(D, p)[:2]
     psi = EllipsoidAutomorphism(a=0.3 + 0.2j, theta=0.4, sign=1)
     lead = (normalize.steps[0], psi)
     image = p.reshape(1, -1)
@@ -471,3 +491,192 @@ def test_estimates_ignore_blocks(monkeypatch):
     whole = squeeze_estimates(D, points, count=count, seed=0)
     for a, b in zip(blocked, whole, strict=True):
         assert (a.value, a.band, a.chain.label) == (b.value, b.band, b.chain.label)
+
+
+# -- exact radii on n = 2 ---------------------------------------------------------------------
+
+
+EXACT_DOMAINS = {
+    "quartic": GeneralEllipsoid.quartic_disc,
+    "ball-2": lambda: GeneralEllipsoid.unit_ball(2),
+    "3z6": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((3,)), {((3,), (3,)): 3.0})),
+}
+PROFILE_TERMS = [10, 100, 1000, 10000, 100000]
+
+
+def _exact_inputs(D):
+    """The profile terms j = 10 ... 10^5, then 16 points of D^{0.5,0.5}."""
+    terms = [t.z for t in generate(D, "tangential", indices=PROFILE_TERMS).terms]
+    return np.concatenate([terms, subdomain_grid(D, SubdomainParams(0.5, 0.5), 16, seed=0)])
+
+
+def _exact_radii(D, p):
+    family = chain_family(D, p)
+    return family, np.sqrt(np.maximum(squeeze._exact_squares(D, family), 0.0))
+
+
+def _worst_boundary_norms(D, chain, rho, theta):
+    """The chain's image norm at the boundary points with a^{1/(2m)} z1 =
+    rho e^{i theta}, with the phase of z2 that takes each norm lowest.
+
+    The chain's leading automorphism maps the boundary onto itself, so the
+    steps after it see every boundary point.  u is the affine step's image
+    of w = (z1, |z2|); the closed form |phi_c(u)|^2 = (|u - c|^2 -
+    |u_1 c_2 - u_2 c_1|^2) / |1 - <u, c>|^2 (Lagrange's identity) keeps its
+    relative accuracy where the norm is small, and depends on the phase of
+    u_2 only through |1 - <u, c>|, which is least when u_2 conj c_2 points
+    along 1 - u_1 conj c_1.
+    """
+    m, ell = squeeze._slice_scale(D)
+    rescale, ball = chain.steps[-2:]
+    w = np.stack([rho * np.exp(1j * theta) / ell, np.sqrt(1.0 - rho ** (2 * m)) + 0j], axis=-1)
+    u = rescale.apply(None, w)
+    c1, c2 = ball.c
+    gap = 1.0 - u[..., 0] * np.conj(c1)
+    u1, u2 = u[..., 0], np.abs(u[..., 1]) * np.exp(1j * (np.angle(gap) + np.angle(c2)))
+    gap = gap - u2 * np.conj(c2)
+    num = np.abs(u1 - c1) ** 2 + np.abs(u2 - c2) ** 2 - np.abs(u1 * c2 - u2 * c1) ** 2
+    return np.sqrt(np.maximum(num, 0.0)) / np.abs(gap)
+
+
+def _dense_radius(D, chain):
+    """Least image norm over a polar grid of the closed disc of z1 in the
+    coordinates L z, refined by zooming a 21 x 21 box around the best point
+    14 times."""
+    rho, theta = np.linspace(0.0, 1.0, 201), np.linspace(-np.pi, np.pi, 361)
+    d_rho, d_theta = rho[1], theta[1] - theta[0]
+    grid_rho, grid_theta = np.meshgrid(rho, theta, indexing="ij")
+    norms = _worst_boundary_norms(D, chain, grid_rho, grid_theta)
+    k = np.unravel_index(norms.argmin(), norms.shape)
+    best, at = norms[k], (grid_rho[k], grid_theta[k])
+    for _ in range(14):
+        grid_rho, grid_theta = np.meshgrid(
+            np.clip(at[0] + d_rho * np.linspace(-1, 1, 21), 0.0, 1.0),
+            at[1] + d_theta * np.linspace(-1, 1, 21), indexing="ij")
+        norms = _worst_boundary_norms(D, chain, grid_rho, grid_theta)
+        k = np.unravel_index(norms.argmin(), norms.shape)
+        if norms[k] < best:
+            best, at = norms[k], (grid_rho[k], grid_theta[k])
+        d_rho, d_theta = d_rho / 5, d_theta / 5
+    return float(best)
+
+
+@pytest.mark.parametrize("name", EXACT_DOMAINS)
+def test_exact_radii_match_dense_search(name):
+    # every chain's closed-form minimum against a dense 2-D search over the
+    # boundary, at the profile terms j = 10 ... 10^5 and at grid points of
+    # D^{0.5,0.5}
+    D = EXACT_DOMAINS[name]()
+    for p in _exact_inputs(D):
+        family, radii = _exact_radii(D, p)
+        for chain, radius in zip(family, radii, strict=True):
+            assert abs(radius - _dense_radius(D, chain)) <= 1e-10, (p, chain.label)
+
+
+def test_tangent_radius_at_last_term_matches_40_digits(E):
+    # at j = 10^5, 1 - |c| is 6e-7 and a form written in 1 - gamma^2 r^2
+    # loses six digits; the chain's own gamma, in 40 digits, against the
+    # minimum of |phi_c(u)|^2 = 1 - (1 - gamma^2)(1 - |u|^2) / (1 - gamma u_1)^2
+    # over the real segment of the coordinates L z, u = ((x + m - 1)/m, sqrt(1 - x^4)/m)
+    mpmath = pytest.importorskip("mpmath")
+    p = generate(E, "tangential", indices=[100000]).terms[0].z
+    family, radii = _exact_radii(E, p)
+    assert family[2].label == "tangent"
+    c1 = family[2].steps[-1].c[0]
+    with mpmath.workdps(40):
+        gamma = mpmath.sqrt(mpmath.mpf(c1.real) ** 2 + mpmath.mpf(c1.imag) ** 2)
+
+        def square(x):
+            u1, u2 = (x + 1) / 2, (1 - x ** 4) / 4
+            return 1 - (1 - gamma ** 2) * (1 - u1 ** 2 - u2) / (1 - gamma * u1) ** 2
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        xs = [lo + (hi - lo) * k / 1000 for k in range(1001)]
+        k = min(range(1001), key=lambda i: square(xs[i]))
+        lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, 1000)]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(200):
+            a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            lo, hi = (lo, b) if square(a) < square(b) else (a, hi)
+        exact = mpmath.sqrt(square((lo + hi) / 2))
+    assert abs(radii[2] - float(exact)) <= 1e-13
+    assert abs(float(exact) - 0.99999688) <= 1e-8
+
+
+@pytest.mark.parametrize("name", EXACT_DOMAINS)
+def test_exact_radii_sit_below_explicit_norms(name):
+    # each exact radius is at most the chain's explicit minimum over a cloud,
+    # and at most its image norm at psi^{-1}(q), the boundary point in front
+    # of the slice image b; the winner is the reported value.  At that point
+    # the explicit maps round like 1e-16 / (1 - |c|) (the screen's slack),
+    # 9e-11 for the ball's chains at j = 10^5, where 1 - |c| = 2.5e-6
+    D = EXACT_DOMAINS[name]()
+    cloud = D.boundary_cloud(1 << 16, seed=0)
+    m, ell = squeeze._slice_scale(D)
+    for p in _exact_inputs(D):
+        family, radii = _exact_radii(D, p)
+        norm = normalize_point(D, p)
+        b1 = norm.b[0]
+        q = np.array([[(b1 / abs(b1) if b1 != 0 else 1.0) / ell, 0.0]], dtype=complex)
+        front = norm.automorphism.inverse().apply(D.P.weights, q)
+        est = squeeze_lower_bound(D, p)
+        assert est.value == min(radii.max(), 1.0)
+        for chain, radius in zip(family, radii, strict=True):
+            slack = squeeze.SCREEN_SLACK / (1.0 - np.linalg.norm(chain.steps[-1].c))
+            assert radius <= chain_norms_at(chain, cloud).min() + 1e-12
+            assert radius <= chain_norms_at(chain, front)[0] + slack
+            if chain.label == est.chain.label:
+                assert est.value <= chain_norms_at(chain, front)[0] + slack
+
+
+@pytest.mark.parametrize("name", EXACT_DOMAINS)
+def test_tangent_chain_maps_into_the_ball(name):
+    # the ball of radius m around (1 - m) q contains D in the coordinates L z
+    D = EXACT_DOMAINS[name]()
+    cloud = D.boundary_cloud(1 << 16, seed=0)
+    for p in _exact_inputs(D):
+        tangent = chain_family(D, p)[2]
+        assert tangent.label == "tangent"
+        assert chain_norms_at(tangent, cloud).max() <= 1.0 + 1e-12
+
+
+def _best_radius_on_slice(D, t):
+    return np.array([est.value for est in squeeze_estimates(
+        D, np.stack([t, np.zeros_like(t)], axis=-1))])
+
+
+@pytest.mark.parametrize("name", EXACT_DOMAINS)
+def test_slice_floor(name):
+    # the n = 2 floor is the least best radius over the slice set
+    # {b : b_2 = 0, P(b_1) < r}: s, the grid, the samples and the seed do
+    # not enter it, it cannot rise with r, it matches a dense search over
+    # the slice, and every estimate on D^{s,r} lies above it
+    D = EXACT_DOMAINS[name]()
+    rep = gamma_floor(D, 0.5, 0.5, grid_count=200, count=1 << 14, seed=0)
+    assert rep.kind == "exact"
+    assert (rep.grid_count, rep.samples) == (0, 0)
+    for s, grid_count, count, seed in [(0.1, 10, 256, 3), (1.0, 400, 1 << 16, 7)]:
+        other = gamma_floor(D, s, 0.5, grid_count=grid_count, count=count, seed=seed)
+        assert other.value == rep.value
+        assert other.argmin.tobytes() == rep.argmin.tobytes()
+    # (every floor of the ball is 1 up to a few ulps of rounding)
+    floors = [gamma_floor(D, 0.5, r).value for r in (1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0)]
+    assert all(b <= a + 1e-15 for a, b in zip(floors, floors[1:])), floors
+    # a dense search over |b_1| in [0, (r/a)^{1/(2m)}], then zooms around its best point
+    m, ell = squeeze._slice_scale(D)
+    top = 0.5 ** (1.0 / (2 * m)) / ell
+    t = np.linspace(0.0, top, 1001)
+    values = _best_radius_on_slice(D, t)
+    k = int(values.argmin())
+    best, at, step = values[k], t[k], t[1]
+    for _ in range(8):
+        t = np.clip(at + step * np.linspace(-1, 1, 21), 0.0, top)
+        values = _best_radius_on_slice(D, t)
+        if values.min() < best:
+            best, at = values.min(), t[values.argmin()]
+        step /= 10
+    assert abs(rep.value - best) <= 1e-9
+    assert rep.value <= _best_radius_on_slice(D, rep.argmin[:1].real)[0] + 1e-15
+    grid = subdomain_grid(D, SubdomainParams(0.5, 0.5), 200, seed=0)
+    least = min(est.value for est in squeeze_estimates(D, grid))
+    assert rep.value <= least + 1e-15
