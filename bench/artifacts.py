@@ -8,11 +8,13 @@ configuration, `classify` also with `--kind cone` and `--kind normal`,
 `profile`, `floor`, `convergence` and `wbscan` also at sample counts that
 span several 2^14-row blocks of the cloud kernels (`profile-large` at 2^17
 samples, `floor-large` at 2^16 samples over 48 grid points,
-`convergence-large` at 40000 and `wbscan-large` at 50000), on three
-domains: `quartic`, `ball:3` and the m = (2, 3) table with a
+`convergence-large` at 40000 and `wbscan-large` at 50000), on four
+domains: `quartic`, `ball:2`, `ball:3` and the m = (2, 3) table with a
 z1^2 conj(z2)^3 cross term of the kernel benchmarks, one member of the
 family `perfbench` draws its mixed-weight tables from (written to
-OUT/mixed-2-3.json).  Each run is a fresh interpreter on the
+OUT/mixed-2-3.json).  `ball:2` is the m = 1 table of the exact n = 2 path;
+each of its floors ties with 1 up to rounding, so the `argmin` its ties
+pick moves with any bit of that path.  Each run is a fresh interpreter on the
 package of the checkout holding this script, started in OUT with relative
 paths, so its manifest does not name OUT.  Run `r` of domain `d` (an
 experiment or one of the named variants above) writes its
@@ -36,7 +38,7 @@ from ellsqueeze.cli import EXPERIMENTS  # noqa: E402
 from test_kernels import _mixed_weight_polynomial  # noqa: E402
 
 MIXED = "mixed-2-3.json"
-DOMAINS = {"quartic": "quartic", "ball-3": "ball:3", "mixed-2-3": MIXED}
+DOMAINS = {"quartic": "quartic", "ball-2": "ball:2", "ball-3": "ball:3", "mixed-2-3": MIXED}
 # run name -> CLI arguments after the domain: every experiment at its
 # defaults, then `classify` on the two sequence kinds it does not default to
 # and `floor` on a subdomain far thinner than the domain's bounding box

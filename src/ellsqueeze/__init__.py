@@ -3,9 +3,10 @@
 Modules by theme: weighted Hermitian polynomials (`wpoly`), ellipsoid
 domains and Levi scans (`domain`), the explicit automorphism family
 (`automorphisms`), generated approach sequences and their classification
-(`sequences`), sampled squeezing estimates from embedding chains
-(`squeeze`), the boundary scaling method (`scaling`), and the pullback
-exhaustion check (`domconv`).
+(`sequences`), squeezing lower bounds from embedding chains, exact on
+two-dimensional domains and sampled in more variables (`squeeze`), the
+boundary scaling method (`scaling`), and the pullback exhaustion check
+(`domconv`).
 """
 
 __version__ = "0.1.0"

@@ -209,10 +209,8 @@ def run(experiment: str, cfg: dict) -> int:
             "grid_count": report.grid_count, "samples": report.samples,
             "seed": report.seed,
             "argmin": [[c.real, c.imag] for c in report.argmin],
+            "kind": report.kind,
         }
-        # n >= 3 floor.json keeps its keys: a floor without "kind" is sampled
-        if report.kind == "exact":
-            payload["kind"] = report.kind
         write_json(outdir / "floor.json", payload)
         print(f"floor(s={report.s:g}, r={report.r:g}) = {fmt(report.value)}")
 

@@ -15,6 +15,9 @@ Every term carries exact rational shadows of its real z_n >= 0 and of
 P(z'): the textbook identities (rho = -1/j^2, gap = 1/j, ratio = 1) and
 the classifier's memberships in D^{s,r} are then decided in exact
 arithmetic, so no rounding of the floating points can contradict them.
+`generate` refuses a term whose floating point misses its exact rho by more
+than half: the measurements made at that point would belong to another
+level.
 """
 
 from __future__ import annotations
@@ -121,11 +124,21 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
 
 
 def _validate(seq: ApproachSequence) -> None:
+    """Refuse terms that double precision cannot place, and sequences that
+    do not approach (0', 1).
+
+    A term's float point is usable when its rho differs from the term's
+    exact rho, which is negative, by at most half of |exact rho|.  A point
+    that rounds onto or outside the boundary differs by more, so every
+    usable term lies inside D.
+    """
     pts = seq.points()
-    inside = seq.domain.contains(pts)
-    if not inside.all():
-        bad = seq.indices()[~inside]
-        raise ConfigError(f"sequence terms {bad.tolist()} are not inside the domain")
+    exact = np.array([float(t.rho_exact()) for t in seq.terms])
+    placed = np.abs(seq.domain.rho(pts) - exact) <= np.abs(exact) / 2
+    if not placed.all():
+        bad = seq.indices()[~placed]
+        raise ConfigError(f"sequence terms {bad.tolist()} lie too close to the boundary for "
+                          "double precision: their float rho is off the exact rho by over half")
     target = np.zeros(seq.domain.n)
     target[-1] = 1.0
     gaps = np.linalg.norm(pts - target, axis=1)

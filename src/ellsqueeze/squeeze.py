@@ -59,7 +59,12 @@ every such b is reached; the squeezing function is psi-invariant.  So the
 least best radius over {b : b_2 = 0, P(b_1) < r}, a minimum over
 t in [0, (r/a)^{1/(2m)}] of the best radius at b = (t, 0), bounds the
 squeezing function on D^{s,r} from below (up to its float minima).  It
-does not depend on s, the grid size, the sample count or the seed.
+does not depend on s, the grid size, the sample count or the seed.  Only
+the normalizing and tangent chains enter it.  On the slice psi is the
+identity, and D lies in B(0, R_tight), inside the trivial chain's
+B(0, R_pad): by Schwarz-Pick that inclusion can only shrink
+pseudo-hyperbolic distances, so at a slice point the trivial chain's
+radius never exceeds the normalizing chain's.
 
 On n >= 3 every value is a sampled estimate (kind "sampled"): the
 minimum image norm over a boundary cloud, an upper estimate of a chain's
@@ -68,7 +73,10 @@ grows (all step maps extend continuously to the closed domain).
 `squeeze_estimates` evaluates the family for many basepoints over one
 shared cloud; the closed form above screens all samples for a
 basepoint's whole family at once, BLOCK (`util.BLOCK`) samples at a time,
-so a chain's temporaries stay one block long however large the cloud.
+so a chain's temporaries stay one block long however large the cloud.  The
+screen takes each contraction to be z -> z / R: the tangent chain, the one
+chain with a centre and scales, is built on n = 2 only, where nothing is
+screened.
 Only the samples near each screened minimum go through the whole chain's
 explicit maps, and those explicit norms are the reported values.
 
@@ -138,16 +146,13 @@ class Rescale:
         if self.R <= 0:
             raise ValueError("rescale radius must be positive")
 
-    def shift(self, z: np.ndarray) -> np.ndarray:
-        """L z - centre: the step before its division by R."""
+    def apply(self, weights, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=np.complex128)
         if self.L is not None:
             z = z * self.L
         if self.centre is not None:
             z = z - self.centre
-        return z
-
-    def apply(self, weights, z: np.ndarray) -> np.ndarray:
-        return self.shift(np.asarray(z, dtype=np.complex128)) / self.R
+        return z / self.R
 
 
 @dataclass(frozen=True)
@@ -368,15 +373,17 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarr
                       chains: Sequence[EmbeddingChain]) -> np.ndarray:
     """Closed-form squared image norms of a cloud under each chain.
 
-    Every chain ends in Rescale(R) then phi_c; its steps before that pair
-    run through their own maps, and the contraction's shift (L z - centre)
-    after them, giving w, and
+    Every chain must end in the plain contraction z -> z / R, Rescale(R)
+    with neither centre nor scales, then phi_c: the trivial and
+    normalizing chains do, and the tangent chain is built on n = 2 only,
+    which is never screened.  The steps before that pair run through their
+    own maps, giving w, and
 
         |phi_c(w / R)|^2 = 1 - (1 - |c|^2)(1 - |w|^2 / R^2) / |1 - <w, c> / R|^2,
 
     one row per chain, so chains of different shapes share one call.  A
-    chain with no steps before the pair and no shift has w = cloud, whose
-    |w|^2 is `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
+    chain with no steps before the pair has w = cloud, whose |w|^2 is
+    `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
     samples at a time, so the lead steps' temporaries stay one block long;
     every value is elementwise, so the blocks change no bit.
     """
@@ -386,13 +393,11 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarr
         *lead, rescale, ball = chain.steps
         R, c = rescale.R, ball.c
         c2 = float((c * np.conj(c)).real.sum())
-        plain = not lead and rescale.centre is None and rescale.L is None
         for rows in blocks(len(cloud)):
             w, w2 = cloud[rows], cloud_w2[rows]
-            if not plain:
+            if lead:
                 for step in lead:
                     w = step.apply(weights, w)
-                w = rescale.shift(w)
                 w2 = _squared_norms(w)
             gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
             row[rows] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
@@ -505,9 +510,11 @@ def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16
 class FloorReport:
     """Squeezing floor over the subdomain D^{s,r}; `kind` says what it is.
 
-    "exact" (n = 2): the slice floor (`gamma_floor`), the least best chain
-    radius over the slice set {b : b_2 = 0, P(b_1) < r}, onto which psi
-    carries D^{s,r}.  It bounds the squeezing function on D^{s,r} from
+    "exact" (n = 2): the slice floor (`gamma_floor`), the least over the
+    slice set {b : b_2 = 0, P(b_1) < r}, onto which psi carries D^{s,r},
+    of the larger of the normalizing and tangent radii at b; the trivial
+    chain's radius lies below the normalizing one there, by Schwarz-Pick
+    (module docstring).  It bounds the squeezing function on D^{s,r} from
     below up to its float minima, and is not certified.  `argmin` is the
     minimizing slice point (t*, 0), which is not a point of D^{s,r};
     `grid_count` and `samples` read 0, and neither s nor the seed moves the
@@ -569,8 +576,10 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                 count: int = 1 << 14, seed: int = 0) -> FloorReport:
     """Squeezing floor over D^{s,r} (:class:`FloorReport`).
 
-    On n = 2 it is the slice floor: the least best radius of the three
-    chains at b = (t, 0) over t in [0, (r/a)^{1/(2m)}] (`_slice_floor`).
+    On n = 2 it is the slice floor: the least over t in
+    [0, (r/a)^{1/(2m)}] of the larger of the normalizing and tangent radii
+    at b = (t, 0) (`_slice_floor`); by Schwarz-Pick the trivial chain's
+    radius stays below the normalizing chain's there (module docstring).
     s, `grid_count`, `count` and `seed` do not enter it.
 
     On n >= 3 it is the minimum squeezing estimate over a seeded grid of
@@ -608,26 +617,29 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
 
 
 def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorReport:
-    """The n = 2 floor: the least best chain radius at b = (t, 0),
-    t in [0, (r/a)^{1/(2m)}].
+    """The n = 2 floor: the least over t in [0, (r/a)^{1/(2m)}] of the
+    larger of the normalizing and tangent radii at b = (t, 0).
 
     In the coordinates L z, tau = a^{1/(2m)} t runs over [0, r^{1/(2m)}].
     The chains of `chain_family` at b have closed-form parameters there
-    (`_squares`): psi is the identity on the slice, so trivial and
-    normalize have c = (t / R, 0), R padded or not, and tangent has
-    1 - |c_1| = (1 - tau) / m and R = m.  `_least`
-    minimizes their largest squared radius over the grid of [0, 1] cut at
+    (`_squares`): psi is the identity on the slice, so normalize has
+    c = (t / R_tight, 0), and tangent has 1 - |c_1| = (1 - tau) / m and
+    R = m.  The trivial chain, c = (t / R_pad, 0), is left out: it embeds D
+    through the larger ball B(0, R_pad), and by Schwarz-Pick that inclusion
+    only shrinks pseudo-hyperbolic distances, so its radius at b never
+    exceeds the normalizing chain's and the maximum is the same.  `_least`
+    minimizes the larger squared radius over the grid of [0, 1] cut at
     r^{1/(2m)}, which joins the grid: floors whose minimizer lies inside
     the cut take the same steps and agree bit for bit.  During that search
     each chain's minimum takes SEARCH_ROUNDS zooms; the floor is the
     minimizer's value with LEAST_ROUNDS.  At r = 1 the cut is the boundary
     point, where the tangent chain's c reaches the sphere, so the grid
-    stops short of it.  The three chains at the minimizer are checked for
-    centering.
+    stops short of it.  All three chains at the minimizer, the trivial one
+    too, are checked for centering.
     """
     m, ell = _slice_scale(D)
-    R_pad, R_tight = D.bounding_radius(), D.bounding_radius(margin=0.0)
-    chains = np.array([[1.0 / ell, R_pad, R_pad], [1.0 / ell, R_tight, R_tight], [1.0, 1.0, m]])
+    R_tight = D.bounding_radius(margin=0.0)
+    chains = np.array([[1.0 / ell, R_tight, R_tight], [1.0, 1.0, m]])
     top = r ** (1.0 / (2 * m))
     grid = np.linspace(0.0, 1.0, LEAST_GRID)
     grid = np.append(grid[grid < top], top)
@@ -635,10 +647,10 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
 
     def largest(tau, rows, rounds=SEARCH_ROUNDS):
         t = tau.ravel()
-        d = np.concatenate([1.0 - t / (ell * R_pad), 1.0 - t / (ell * R_tight), (1.0 - t) / m])
+        d = np.concatenate([1.0 - t / (ell * R_tight), (1.0 - t) / m])
         scale, shift, R = np.repeat(chains, t.size, axis=0).T
         squares = _squares(D, scale, shift, R, d, np.zeros_like(d), rounds)
-        return squares.reshape(3, -1).max(axis=0).reshape(tau.shape)
+        return squares.reshape(2, -1).max(axis=0).reshape(tau.shape)
 
     tau = _least(largest, grid, 1)[1]
     square = float(largest(tau, None, LEAST_ROUNDS)[0])

@@ -280,10 +280,13 @@ def test_invalid_parameter_rejected(tmp_path):
     ["convergence", "--seed", "-1"],
     ["floor", "--seed", str(2 ** 130)],
     ["floor", "--seed", str(2 ** 63)],
-    # sequences that cannot be built: a term rounds onto the boundary, and a
-    # cone term leaves the subdomain scale
+    # sequences that cannot be built: a term rounds onto the boundary, a
+    # cone term leaves the subdomain scale, and terms whose float points
+    # miss their exact rho by more than half
     ["profile", "--indices", "1000000000"],
     ["classify", "--kind", "cone", "--s", "0.001"],
+    ["profile", "--indices", "10,100000000"],
+    ["profile", "--indices", "10,10000000000000000"],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2
@@ -372,7 +375,7 @@ def test_slice_floor_centering_violation_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["quartic", "ball:3"])
 def test_floor_json_says_what_the_floor_is(tmp_path, name):
     # an n = 2 floor is exact, found on the slice with no grid or cloud; an
-    # n >= 3 floor.json keeps its keys, and lacking "kind" reads sampled
+    # n >= 3 floor is sampled
     out = tmp_path / "floor"
     assert run_cli(["floor", "--out", str(out), "--domain", name, "--grid", "10",
                     "--samples", "1024"]) == 0
@@ -383,7 +386,7 @@ def test_floor_json_says_what_the_floor_is(tmp_path, name):
         assert payload["argmin"][1] == [0.0, 0.0]
         assert abs(payload["argmin"][0][0] - 0.5953) < 1e-4
     else:
-        assert "kind" not in payload
+        assert payload["kind"] == "sampled"
         assert (payload["grid_count"], payload["samples"]) == (10, 1024)
 
 

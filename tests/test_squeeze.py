@@ -412,13 +412,14 @@ def test_estimates_match_pointwise_loop(domain, count):
 @pytest.mark.parametrize("domain", [GeneralEllipsoid.quartic_disc, _mixed_weight_domain],
                          ids=["quartic", "mixed-2-3"])
 def test_screen_tracks_explicit_chain_norms(domain):
-    # every sample, every chain of the family, floor grid points and the
+    # every sample, the chains the screen takes (trivial and normalize: the
+    # n = 2 tangent chain is never screened), floor grid points and the
     # profile terms up to j = 10^4
     D = domain()
     cloud = D.boundary_cloud(1 << 14, seed=0)
     w2 = squeeze._squared_norms(cloud)
     for p in _estimate_inputs(D, 8):
-        for chain in chain_family(D, p):
+        for chain in chain_family(D, p)[:2]:
             screened = np.sqrt(squeeze._screened_squares(D, cloud, w2, [chain])[0])
             assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
 
@@ -638,6 +639,21 @@ def test_tangent_chain_maps_into_the_ball(name):
         tangent = chain_family(D, p)[2]
         assert tangent.label == "tangent"
         assert chain_norms_at(tangent, cloud).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("name", EXACT_DOMAINS)
+def test_trivial_chain_loses_on_the_slice(name):
+    # the slice floor leaves the trivial chain out: at b = (t, 0) psi is the
+    # identity and D lies in B(0, R_tight), inside B(0, R_pad), so by
+    # Schwarz-Pick the inclusion shrinks pseudo-hyperbolic distances and the
+    # trivial chain's radius stays below the normalizing chain's
+    D = EXACT_DOMAINS[name]()
+    _, ell = squeeze._slice_scale(D)
+    tau = np.linspace(0.0, 1.0, 200, endpoint=False)
+    chains = [chain for t in tau for chain in chain_family(D, np.array([t / ell, 0.0]))[:2]]
+    assert [chain.label for chain in chains[:2]] == ["trivial", "normalize"]
+    trivial, normalize = squeeze._exact_squares(D, chains).reshape(-1, 2).T
+    assert np.all(trivial < normalize), (normalize - trivial).min()
 
 
 def _best_radius_on_slice(D, t):
