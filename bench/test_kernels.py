@@ -27,12 +27,15 @@ the analytic floor more than the grid.  Neither loads scipy.
 subdomain in closed form): sampled on the m = (2, 3) domain (where the
 normalizing automorphism takes square and cube roots) over a warm 2^14
 cloud, and exact on the quartic, where each of the three chains' radii is
-a one-parameter minimum in closed form and no cloud is drawn.  The exact
+a one-parameter minimum in closed form and no cloud is drawn: a root solve
+of the stationary polynomial for the normalizing and tangent chains, a
+grid-and-zoom search for the trivial chain off the slice.  The exact
 profile runs it over the four `profile` terms (j = 10, 100, 1000, 10^4) on
 the quartic.  `gamma_floor` runs one exact slice floor on the quartic
-(r = 0.5), which minimizes the larger of the normalizing and tangent radii
-over the slice (the trivial chain's radius lies below the normalizing
-one there), and one sampled floor over that 64-point grid at 2^14 samples,
+(r = 0.5), a grid-and-zoom search over the slice for the least of the
+larger of the normalizing and tangent radii (the trivial chain's radius
+lies below the normalizing one there), each point's two radii by one
+batched root solve, and one sampled floor over that 64-point grid at 2^14 samples,
 the size of each `perfbench` floor, on the m = (2, 3) domain; the sampled
 call draws its own cloud and grid, screens the trivial chain at every
 point and the normalizing chain only at the points whose trivial-chain

@@ -187,11 +187,13 @@ def run(experiment: str, cfg: dict) -> int:
                  float(term.rho_exact()),
                  tangency_ratio(D, float(cfg["s"]), term),
                  float(term.p_exact / (1 - term.zn_exact ** 2)),
-                 est.value]
+                 est.value,
+                 est.chain.label,
+                 est.kind]
                 for term, est in zip(seq.terms, estimates)]
         write_csv(outdir / "profile.csv",
-                  ["n", "rho", "r_star", "P_b_prime", "sigma_hat"], rows)
-        print(f"profile: {len(rows)} terms, last sigma_hat = {fmt(rows[-1][-1])}")
+                  ["n", "rho", "r_star", "P_b_prime", "sigma_hat", "chain", "kind"], rows)
+        print(f"profile: {len(rows)} terms, last sigma_hat = {fmt(estimates[-1].value)}")
 
     elif experiment == "classify":
         seq = generate(D, str(cfg["kind"]), count=int(cfg["count"]),

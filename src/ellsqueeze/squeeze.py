@@ -44,14 +44,24 @@ leading psi dropped.  That minimum lies on one real segment:
     minimum lies on the real segment through q, z_1 in [-1, 1] in the
     coordinates L z.
 
-`_squares` takes both as a minimum over that segment, in floats, by
-`_least` (a grid, then zooms around its best local minima), vectorized
-over basepoints: exact chain radii up to rounding, reported with kind
-"exact", not certified.  Its numerator is written by Lagrange's identity,
+`_squares` takes both as a minimum over that segment, in floats,
+vectorized over basepoints: exact chain radii up to rounding, reported
+with kind "exact", not certified.  Where c_2 = 0 (the normalizing and
+tangent chains at every basepoint, since psi puts b on the slice, and
+every chain at a slice point) the minimum is the least value of the
+closed form at x = -1, x = 1 and the real roots of its stationary
+polynomial S, of degree 2m, found for all rows by one batched companion
+eigenvalue call (`_flat_squares`); S is the polynomial a Sturm count would
+certify those minima with.  Elsewhere (the trivial chain off the slice)
+the stationary condition keeps sqrt(1 - x^{2m}), and `_least` (a grid,
+then zooms around its best local minima) takes the minimum.  The form's
+numerator is written by Lagrange's identity,
 |u - c|^2 - |u_1 c_2 - u_2 c_1|^2, so a radius near 0 is not lost to the
 cancellation in 1 - (...), and the tangent chain's radius next to 1 is not
 lost to the cancellation in 1 - |c|^2: that form reads u_1 - c_1 and
-1 - u_1 c_1 through 1 - |c_1| and 1 - u_1.
+1 - u_1 c_1 through 1 - |c_1| and 1 - u_1.  A c_2 = 0 value above 1/2 is
+taken from 1 - (1 - |c|^2)(1 - |u|^2) / |1 - <u, c>|^2 instead, which
+keeps it within an ulp next to 1.
 
 `gamma_floor` on n = 2 is the slice floor.  psi carries a point p of
 D^{s,r} to b with b_2 = 0 and P(b_1) = P(p_1) / (1 - |p_2|^2) < r, and
@@ -59,7 +69,8 @@ every such b is reached; the squeezing function is psi-invariant.  So the
 least best radius over {b : b_2 = 0, P(b_1) < r}, a minimum over
 t in [0, (r/a)^{1/(2m)}] of the best radius at b = (t, 0), bounds the
 squeezing function on D^{s,r} from below (up to its float minima).  It
-does not depend on s, the grid size, the sample count or the seed.  Only
+does not depend on s, the grid size, the sample count or the seed.  `_least`
+searches t, and each t costs one root solve of S per chain.  Only
 the normalizing and tangent chains enter it.  On the slice psi is the
 identity, and D lies in B(0, R_tight), inside the trivial chain's
 B(0, R_pad): by Schwarz-Pick that inclusion can only shrink
@@ -123,13 +134,11 @@ SCREEN_SLACK = 1e-12
 # `_least`: a grid of LEAST_GRID points, then zooms of LEAST_ZOOM points
 # around each of its two best local minima; a zoom narrows its bracket
 # (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 12 take a grid step of
-# 1/16 below 1e-12.  The slice floor's search takes each chain's minimum
-# with SEARCH_ROUNDS zooms, to about 1e-6 in the parameter, and so to about
-# 1e-12 in the value, and then its minimizer's value with LEAST_ROUNDS.
+# 1/16 below 1e-12.  It minimizes the trivial chain off the slice and the
+# slice floor over t; every other n = 2 minimum is a root solve.
 LEAST_GRID = 33
 LEAST_ZOOM = 17
 LEAST_ROUNDS = 12
-SEARCH_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -280,14 +289,13 @@ def _slice_scale(D: GeneralEllipsoid) -> Tuple[int, float]:
     return m, a ** (1.0 / (2 * m))
 
 
-def _least(f, grid: np.ndarray, n: int,
-           rounds: int = LEAST_ROUNDS) -> Tuple[np.ndarray, np.ndarray]:
+def _least(f, grid: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per row i < n, the least value of f(., i) over [grid[0], grid[-1]]
     and a point where it is taken.
 
     `f(x, rows)` evaluates row rows[k]'s function at the points x[k, :].
     Each row's two best local minima on the increasing `grid` are refined
-    by `rounds` zooms: LEAST_ZOOM points spread over the bracket of the
+    by LEAST_ROUNDS zooms: LEAST_ZOOM points spread over the bracket of the
     best point's two neighbours, whose best point centres the next
     bracket.  Brackets keep their end points, so a minimum at an end of
     the grid is found exactly.
@@ -299,7 +307,7 @@ def _least(f, grid: np.ndarray, n: int,
     rows = np.arange(j.size) // 2
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
     t = np.linspace(0.0, 1.0, LEAST_ZOOM)
-    for _ in range(rounds):
+    for _ in range(LEAST_ROUNDS):
         x = np.minimum(lo[:, None] + (hi - lo)[:, None] * t, hi[:, None])
         values = f(x, rows)
         k = values.argmin(axis=1)[:, None]
@@ -310,8 +318,56 @@ def _least(f, grid: np.ndarray, n: int,
     return np.take_along_axis(values, k, axis=1)[:, 0], np.take_along_axis(x, k, axis=1)[:, 0]
 
 
-def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2,
-             rounds: int = LEAST_ROUNDS) -> np.ndarray:
+def _flat_squares(m: int, scale, shift, R, d) -> np.ndarray:
+    """Squared radius of the `_squares` rows with k_2 = 0: each row's least
+    value of its form at x = -1, x = 1 and the real parts of the roots of
+    S, clipped to [-1, 1].
+
+    S is solved divided by e > 0, with h = a_1 g_0 - g_1 a_0 written as
+    scale R e, free of that difference's cancellation:
+
+        S / e = (1 - m) g_1 x^{2m} - m g_0 x^{2m-1} + scale^2 x
+                + scale (k_1 (1/R - R) + R - shift).
+
+    Its leading coefficient vanishes for m = 1 and at c = 0, so each row is
+    solved at its true degree, the rows of one degree by one batched
+    companion eigenvalue call.  The form is N / G^2 below 1/2, where a
+    radius near 0 keeps its relative accuracy, and
+    1 - (1 - |c|^2)(1 - |u|^2) / G^2 above, where
+    1 - |u|^2 = w (2 - w) - |u_2|^2 and
+    1 - x^{2m} = (1 - x)(1 + x)(1 + x^2 + ... + x^{2m-2}) keep a radius
+    near 1 within an ulp.
+    """
+    scale, shift, R, d = (v[:, None] for v in (scale, shift, R, d))
+    k1 = 1.0 - d
+    g0, g1 = d + k1 * shift / R, -k1 * scale / R
+    coef = np.zeros((len(R), 2 * m + 1))
+    coef[:, :1] = (1 - m) * g1
+    coef[:, 1:2] -= m * g0
+    coef[:, -2:-1] += scale * scale
+    coef[:, -1:] = scale * (k1 * (1.0 / R - R) + R - shift)
+    nonzero = coef != 0.0
+    degree = np.where(nonzero.any(axis=1), 2 * m - nonzero.argmax(axis=1), 0)
+    x = np.ones((len(R), 2 * m + 2))
+    x[:, 0] = -1.0
+    for k in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == k)
+        tail = coef[rows, 2 * m - k:]
+        companion = np.zeros((rows.size, k, k))
+        companion[:, 0] = -tail[:, 1:] / tail[:, :1]
+        companion[:, 1:, :-1] = np.eye(k - 1)
+        x[rows, 2:k + 2] = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
+    w = (shift - scale * x) / R
+    x2, u2sq = x * x, 1.0
+    for _ in range(m - 1):
+        u2sq = 1.0 + x2 * u2sq
+    u2sq = (1.0 - x) * (1.0 + x) * u2sq / (R * R)
+    c_gap, G2 = d * (2.0 - d), (d + w * k1) ** 2
+    defect = c_gap * (w * (2.0 - w) - u2sq) / G2
+    return np.where(defect < 0.5, 1.0 - defect, ((d - w) ** 2 + c_gap * u2sq) / G2).min(axis=1)
+
+
+def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2) -> np.ndarray:
     """Squared inscribed radius of n = 2 chains ending in Rescale and
     phi_c, one per row of (scale, shift, R, 1 - |c_1|, |c_2|).
 
@@ -329,6 +385,18 @@ def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2,
     so a radius near 0 keeps its accuracy, and writing u_1 - k_1,
     1 - k_1^2 and 1 - u_1 k_1 through d and w keeps it where c nears the
     sphere.
+
+    A row with k_2 = 0 is minimized in closed form (`_flat_squares`).  There
+    A = a_0 + a_1 x and G = d + w k_1 = g_0 + g_1 x, with a_0 = d - shift / R,
+    a_1 = scale / R, g_0 = d + k_1 shift / R and g_1 = -k_1 scale / R.  With
+    e = d (2 - d) / R^2 the form is N / G^2, N = A^2 + e (1 - x^{2m}), so
+    its minimum is taken at x = -1, x = 1 or a root of
+
+        S(x) = (N' G - 2 N G') / 2
+             = h (a_0 + a_1 x) - g_1 e - m e g_0 x^{2m-1} + (1 - m) e g_1 x^{2m},
+
+    h = a_1 g_0 - g_1 a_0.  A row with k_2 > 0 keeps sqrt(1 - x^{2m}) in
+    its stationary condition, and `_least` minimizes it.
     """
     (m,) = D.P.weights.m
 
@@ -341,7 +409,14 @@ def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2,
         return ((A * A * (1.0 - a2 * a2) + B * B * d1 * (2.0 - d1) + 2.0 * A * B * (1.0 - d1) * a2)
                 / (d1 + w * (1.0 - d1) - u2 * a2) ** 2)
 
-    return _least(f, np.linspace(-1.0, 1.0, LEAST_GRID), len(R), rounds)[0]
+    out = np.empty(len(R))
+    flat, rest = np.flatnonzero(k2 == 0.0), np.flatnonzero(k2 != 0.0)
+    if flat.size:
+        out[flat] = _flat_squares(m, scale[flat], shift[flat], R[flat], d[flat])
+    if rest.size:
+        grid = np.linspace(-1.0, 1.0, LEAST_GRID)
+        out[rest] = _least(lambda x, rows: f(x, rest[rows]), grid, rest.size)[0]
+    return out
 
 
 def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.ndarray:
@@ -630,9 +705,10 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
     exceeds the normalizing chain's and the maximum is the same.  `_least`
     minimizes the larger squared radius over the grid of [0, 1] cut at
     r^{1/(2m)}, which joins the grid: floors whose minimizer lies inside
-    the cut take the same steps and agree bit for bit.  During that search
-    each chain's minimum takes SEARCH_ROUNDS zooms; the floor is the
-    minimizer's value with LEAST_ROUNDS.  At r = 1 the cut is the boundary
+    the cut take the same steps and agree bit for bit.  Both chains have
+    c_2 = 0, so each tau is evaluated once, by the root solve of
+    `_flat_squares` that `squeeze_estimates` takes at b too, and the floor
+    is the least value the search met.  At r = 1 the cut is the boundary
     point, where the tangent chain's c reaches the sphere, so the grid
     stops short of it.  All three chains at the minimizer, the trivial one
     too, are checked for centering.
@@ -645,18 +721,17 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
     grid = np.append(grid[grid < top], top)
     grid = grid[grid < 1.0]
 
-    def largest(tau, rows, rounds=SEARCH_ROUNDS):
+    def largest(tau, rows):
         t = tau.ravel()
         d = np.concatenate([1.0 - t / (ell * R_tight), (1.0 - t) / m])
         scale, shift, R = np.repeat(chains, t.size, axis=0).T
-        squares = _squares(D, scale, shift, R, d, np.zeros_like(d), rounds)
+        squares = _squares(D, scale, shift, R, d, np.zeros_like(d))
         return squares.reshape(2, -1).max(axis=0).reshape(tau.shape)
 
-    tau = _least(largest, grid, 1)[1]
-    square = float(largest(tau, None, LEAST_ROUNDS)[0])
+    square, tau = _least(largest, grid, 1)
     b = np.array([tau[0] / ell, 0.0], dtype=np.complex128)
     _checked_family(D, b)
-    return FloorReport(s=s, r=r, value=min(float(np.sqrt(max(square, 0.0))), 1.0), argmin=b,
+    return FloorReport(s=s, r=r, value=min(float(np.sqrt(max(square[0], 0.0))), 1.0), argmin=b,
                        grid_count=0, samples=0, seed=seed, kind="exact")
 
 

@@ -86,9 +86,10 @@ def test_profile_schema(tmp_path):
     assert run_cli(["profile", "--out", str(out), "--samples", "2048",
                     "--indices", "10,100"]) == 0
     lines = (out / "profile.csv").read_text().strip().split("\n")
-    assert lines[0] == "n,rho,r_star,P_b_prime,sigma_hat"
+    assert lines[0] == "n,rho,r_star,P_b_prime,sigma_hat,chain,kind"
     assert len(lines) == 3
     assert lines[1].startswith("10,-0.01,1,")
+    assert lines[1].endswith(",tangent,exact")
 
 
 def _scale_keys(path):
@@ -338,8 +339,9 @@ def test_steep_table_profile(tmp_path):
         "n": 2, "m": [2], "terms": [{"K": [2], "L": [2], "re": 1e12, "im": 0.0}]}))
     out = tmp_path / "p"
     assert run_cli(["profile", "--out", str(out), "--domain", str(poly)]) == 0
-    sigma = [float(line.split(",")[-1])
-             for line in (out / "profile.csv").read_text().strip().split("\n")[1:]]
+    lines = (out / "profile.csv").read_text().strip().split("\n")
+    column = lines[0].split(",").index("sigma_hat")
+    sigma = [float(line.split(",")[column]) for line in lines[1:]]
     assert len(sigma) == 4 and all(0.0 < v <= 1.0 for v in sigma)
 
 
@@ -388,6 +390,22 @@ def test_floor_json_says_what_the_floor_is(tmp_path, name):
     else:
         assert payload["kind"] == "sampled"
         assert (payload["grid_count"], payload["samples"]) == (10, 1024)
+
+
+def test_ball_profile_and_floor_read_one(tmp_path):
+    # on the ball the normalizing and tangent chains are ball automorphisms,
+    # whose exact radius is 1: sigma_hat and the floor lie within one float
+    # step of it
+    below_one = 1.0 - 2.0 ** -53
+    out = tmp_path / "profile"
+    assert run_cli(["profile", "--out", str(out), "--domain", "ball:2"]) == 0
+    lines = (out / "profile.csv").read_text().strip().split("\n")
+    column = lines[0].split(",").index("sigma_hat")
+    assert all(below_one <= float(line.split(",")[column]) <= 1.0 for line in lines[1:])
+    for r in ("0.5", "1"):
+        out = tmp_path / f"floor-{r}"
+        assert run_cli(["floor", "--out", str(out), "--domain", "ball:2", "--r", r]) == 0
+        assert below_one <= json.loads((out / "floor.json").read_text())["floor"] <= 1.0
 
 
 def test_domain_file_round_trip(tmp_path):

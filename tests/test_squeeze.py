@@ -630,6 +630,78 @@ def test_exact_radii_sit_below_explicit_norms(name):
                 assert est.value <= chain_norms_at(chain, front)[0] + slack
 
 
+def _least_square_40_digits(mpmath, m, scale, shift, R, d):
+    """The least value over x in [-1, 1] of the closed form of a row with
+    c_2 = 0, ((d - w)^2 + d (2 - d)(1 - x^{2m}) / R^2) / (d + w (1 - d))^2
+    with w = (shift - scale x) / R, in 40 digits, and the x where it is
+    taken: a grid of 401 points, then a golden-section search in the
+    brackets of its three best local minima.  It does not use the
+    stationary polynomial."""
+    with mpmath.workdps(40):
+        scale, shift, R, d = (mpmath.mpf(v) for v in (scale, shift, R, d))
+
+        def square(x):
+            w = (shift - scale * x) / R
+            return ((d - w) ** 2 + d * (2 - d) * (1 - x ** (2 * m)) / R ** 2) / (d + w * (1 - d)) ** 2
+
+        xs = [mpmath.mpf(k) / 200 - 1 for k in range(401)]
+        values = [square(x) for x in xs]
+        local = [k for k in range(401) if values[k] <= min(values[max(k - 1, 0):k + 2])]
+        best = min((values[k], xs[k]) for k in local)
+        golden = (mpmath.sqrt(5) - 1) / 2
+        for k in sorted(local, key=lambda k: values[k])[:3]:
+            lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, 400)]
+            for _ in range(120):
+                a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+                lo, hi = (lo, b) if square(a) < square(b) else (a, hi)
+            best = min(best, (square((lo + hi) / 2), (lo + hi) / 2))
+        return best
+
+
+def _row(chain, ell):
+    """(scale, shift, R, 1 - |c_1|) of an n = 2 chain, as `_exact_squares`
+    builds them."""
+    rescale, ball = chain.steps[-2:]
+    d = 1.0 - abs(ball.c[0])
+    if rescale.centre is None:
+        return 1.0 / ell, rescale.R, rescale.R, d
+    return 1.0, 1.0, rescale.R, d
+
+
+@pytest.mark.parametrize("m, a", [(1, 2.0), (2, 0.5), (3, 3.0), (4, 0.5)])
+def test_slice_rows_match_40_digits(m, a):
+    # at a slice point every chain has c_2 = 0, so its minimum is the least
+    # value at x = +-1 and the roots of the stationary polynomial S; against
+    # the closed form's minimum in 40 digits with the row's own float
+    # parameters, on a |z_1|^{2m} with a != 1, at c = 0 (t = 0, where S
+    # loses its leading term), and where the minimum sits at an end point
+    mpmath = pytest.importorskip("mpmath")
+    D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((m,)), {((m,), (m,)): a}))
+    _, ell = squeeze._slice_scale(D)
+    chains = [chain for t in (0.0, 0.5, 0.9, 0.999)
+              for chain in chain_family(D, np.array([t / ell, 0.0]))]
+    assert all(chain.steps[-1].c[1] == 0 for chain in chains)
+    ends = 0
+    for chain, square in zip(chains, squeeze._exact_squares(D, chains), strict=True):
+        exact, at = _least_square_40_digits(mpmath, m, *_row(chain, ell))
+        assert abs(square - exact) <= 2 ** -52, (chain.label, square, exact)
+        ends += abs(at) == 1 and exact < 1
+    assert ends >= 4
+
+
+def test_tangent_radius_within_an_ulp(E):
+    # the quartic's tangent radius at the profile terms j = 10 ... 10^5 (at
+    # 10^5, 1 - |c| is 6e-7) within one float step below 1, 2^-53, of its
+    # 40-digit value
+    mpmath = pytest.importorskip("mpmath")
+    for term in generate(E, "tangential", indices=PROFILE_TERMS).terms:
+        family, radii = _exact_radii(E, term.z)
+        assert family[2].label == "tangent"
+        exact, _ = _least_square_40_digits(mpmath, 2, *_row(family[2], 1.0))
+        with mpmath.workdps(40):
+            assert abs(radii[2] - mpmath.sqrt(exact)) <= mpmath.mpf(2) ** -53, term.index
+
+
 @pytest.mark.parametrize("name", EXACT_DOMAINS)
 def test_tangent_chain_maps_into_the_ball(name):
     # the ball of radius m around (1 - m) q contains D in the coordinates L z
