@@ -35,11 +35,14 @@ the quartic.  `gamma_floor` runs one exact slice floor on the quartic
 (r = 0.5), a grid-and-zoom search over the slice for the least of the
 larger of the normalizing and tangent radii (the trivial chain's radius
 lies below the normalizing one there), each point's two radii by one
-batched root solve, and one sampled floor over that 64-point grid at 2^14 samples,
-the size of each `perfbench` floor, on the m = (2, 3) domain; the sampled
-call draws its own cloud and grid, screens the trivial chain at every
-point and the normalizing chain only at the points whose trivial-chain
-bound lies below the least value found.
+batched root solve, and sampled floors over that 64-point grid at 2^14
+samples, the size of each `perfbench` floor, on the m = (2, 3) domain and
+on the ball in C^3; each sampled call draws its own cloud and grid, screens
+the trivial chain at every point and the normalizing chain only at the
+points whose trivial-chain bound lies below the least value found.  On the
+ball every normalizing image norm ties at 1 and every trivial-chain radius
+lies below it, so all 64 normalizing chains are screened over the whole
+cloud: the floor of the most screen work per point.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
 points of the translated m = (2, 3) graph-model table).
@@ -202,7 +205,10 @@ def test_slice_floor(benchmark):
     assert abs(report.value - 0.69111) <= 1e-5
 
 
-def test_sampled_floor(benchmark):
-    D = GeneralEllipsoid(_mixed_weight_polynomial())
-    report = benchmark(squeeze.gamma_floor, D, 0.5, 0.5, 64, 1 << 14, 0)
+@pytest.mark.parametrize("domain", [
+    lambda: GeneralEllipsoid(_mixed_weight_polynomial()), lambda: GeneralEllipsoid.unit_ball(3),
+], ids=["mixed-2-3", "ball-3"])
+def test_sampled_floor(benchmark, domain):
+    report = benchmark(squeeze.gamma_floor, domain(), 0.5, 0.5, 64, 1 << 14, 0)
+    assert report.kind == "sampled"
     assert 0.0 < report.value <= 1.0

@@ -82,14 +82,14 @@ minimum image norm over a boundary cloud, an upper estimate of a chain's
 inscribed radius that converges to it from above as the sample count
 grows (all step maps extend continuously to the closed domain).
 `squeeze_estimates` evaluates the family for many basepoints over one
-shared cloud; the closed form above screens all samples for a
-basepoint's whole family at once, BLOCK (`util.BLOCK`) samples at a time,
-so a chain's temporaries stay one block long however large the cloud.  The
+shared cloud; a closed form of |phi_c| (`_screened_squares`, Lagrange's
+identity as above, within a few ulps of the exact norm at each sample)
+screens all samples for a basepoint's whole family at once, BLOCK
+(`util.BLOCK`) samples at a time, so a chain's temporaries stay one block
+long however large the cloud.  Its minima are the reported values.  The
 screen takes each contraction to be z -> z / R: the tangent chain, the one
 chain with a centre and scales, is built on n = 2 only, where nothing is
 screened.
-Only the samples near each screened minimum go through the whole chain's
-explicit maps, and those explicit norms are the reported values.
 
 `gamma_floor` on n >= 3 minimizes those estimates over a grid of D^{s,r}
 in closed form (`subdomain_grid`): D^{s,r} is the image of D under
@@ -127,18 +127,17 @@ ANALYTIC_FLOOR_SEED = 11
 GAP_BLOCK = 16
 # block pairs measured at once, 256 kB per temporary array
 GAP_CHUNK = 128
-# squared norms within SCREEN_SLACK / (1 - |c|) of a chain's screened minimum
-# are evaluated again through the explicit maps; the closed form and the
-# explicit maps differ by about 1e-15 / (1 - |c|)
-SCREEN_SLACK = 1e-12
 # `_least`: a grid of LEAST_GRID points, then zooms of LEAST_ZOOM points
 # around each of its two best local minima; a zoom narrows its bracket
-# (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 12 take a grid step of
-# 1/16 below 1e-12.  It minimizes the trivial chain off the slice and the
-# slice floor over t; every other n = 2 minimum is a root solve.
+# (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 16 take a grid step of
+# 1/16 down to 2^-52, the float spacing at 1: the slice floor's minimum can
+# sit at a kink, where the two radii cross and the floor has slope about
+# 0.65 on either side, so its value is only as close as the zoom gets.  It
+# minimizes the trivial chain off the slice and the slice floor over t;
+# every other n = 2 minimum is a root solve.
 LEAST_GRID = 33
 LEAST_ZOOM = 17
-LEAST_ROUNDS = 12
+LEAST_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,10 @@ class SqueezeEstimate:
     `chain`, a float minimum of its closed form (module docstring), not
     certified; `samples` and `band` read 0.  "sampled" (n >= 3): the
     minimum image norm of `chain` over a boundary cloud of `samples`
-    points, an upper estimate of the chain's inscribed radius, with `band`
-    its drop from the half-cloud minimum.  Either way the chain's radius is
-    a lower bound for the squeezing function.
+    points, each norm in closed form, an upper estimate of the chain's
+    inscribed radius, with `band` its drop from the half-cloud minimum.
+    Either way the chain's radius is a lower bound for the squeezing
+    function.
     """
 
     point: np.ndarray
@@ -237,12 +237,13 @@ class SqueezeEstimate:
 
 
 def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
-    """Norms of the chain images of an explicit boundary point set.
+    """Norms of the chain images of a point set, through the explicit step maps.
 
+    No estimate reads it: the screen's closed form (`_screened_squares`)
+    gives every reported norm.  It is the explicit reference for that form.
     Chains are pure compositions, so evaluating a family member g on a
     transported cloud psi(Xi) gives bit-identical values to evaluating the
-    precomposed chain g o psi on Xi: the computable invariance of the
-    estimate under domain automorphisms.
+    precomposed chain g o psi on Xi.
     """
     return np.linalg.norm(chain.apply(points), axis=-1)
 
@@ -438,71 +439,52 @@ def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.
     return _squares(D, *np.array(rows).reshape(-1, 5).T)
 
 
-def _squared_norms(w: np.ndarray) -> np.ndarray:
-    """|w|^2 per point, summed over the n coordinates explicitly: a complex
-    matrix product with an inner dimension of n is many times slower."""
-    return sum(wk.real ** 2 + wk.imag ** 2 for wk in w.T)
-
-
-def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarray,
+def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
                       chains: Sequence[EmbeddingChain]) -> np.ndarray:
-    """Closed-form squared image norms of a cloud under each chain.
+    """Squared image norms of a cloud under each chain, in closed form.
 
     Every chain must end in the plain contraction z -> z / R, Rescale(R)
     with neither centre nor scales, then phi_c: the trivial and
     normalizing chains do, and the tangent chain is built on n = 2 only,
     which is never screened.  The steps before that pair run through their
-    own maps, giving w, and
+    own maps, giving w, one row per chain, so chains of different shapes
+    share one call.  With u = w / R, e = u - c and g = 1 - |c|^2, Lagrange's
+    identity (as in `_squares`) gives
 
-        |phi_c(w / R)|^2 = 1 - (1 - |c|^2)(1 - |w|^2 / R^2) / |1 - <w, c> / R|^2,
+        |phi_c(u)|^2 = (g |e|^2 + |<e, c>|^2) / |g - <e, c>|^2.
 
-    one row per chain, so chains of different shapes share one call.  A
-    chain with no steps before the pair has w = cloud, whose |w|^2 is
-    `cloud_w2`, computed once for all basepoints.  Each row is filled BLOCK
-    samples at a time, so the lead steps' temporaries stay one block long;
-    every value is elementwise, so the blocks change no bit.
+    The numerator is a sum of nonnegative terms, and the denominator is
+    |1 - <u, c>|^2, which is small only where e is, so the value keeps a
+    few ulps of relative accuracy near 0 and near 1 alike: the form
+    1 - (1 - |c|^2)(1 - |u|^2) / |1 - <u, c>|^2 loses 1 - |u|^2 to
+    rounding, a loss phi_c magnifies next to the sphere.  It is evaluated
+    on R e = w - R c, with g and R g rounded from their exact values and
+    R c carried as two floats, so R e keeps its relative accuracy where w
+    nears R c.  Each row is filled BLOCK samples at a time, so the lead
+    steps' temporaries stay one block long; after them every value is real
+    arithmetic on its own sample, so neither the blocks nor the cloud's
+    length change a bit.
     """
     weights = D.P.weights
     out = np.empty((len(chains), len(cloud)))
     for row, chain in zip(out, chains):
         *lead, rescale, ball = chain.steps
-        R, c = rescale.R, ball.c
-        c2 = float((c * np.conj(c)).real.sum())
+        R = Fraction(rescale.R)
+        parts = [x for ck in ball.c for x in (ck.real, ck.imag)]
+        turned = [x for ck in ball.c for x in (-ck.imag, ck.real)]
+        gap = 1 - sum(Fraction(x) ** 2 for x in parts)
+        g, Rg = float(gap), float(R * gap)
+        Rc = [R * Fraction(x) for x in parts]
+        shifts = [(float(y), float(y - Fraction(float(y)))) for y in Rc]
         for rows in blocks(len(cloud)):
-            w, w2 = cloud[rows], cloud_w2[rows]
-            if lead:
-                for step in lead:
-                    w = step.apply(weights, w)
-                w2 = _squared_norms(w)
-            gap = 1.0 - sum(wk * np.conj(ck / R) for wk, ck in zip(w.T, c))
-            row[rows] = 1.0 - (1.0 - c2) / R ** 2 * (R ** 2 - w2) / (gap.real ** 2 + gap.imag ** 2)
-    return out
-
-
-def _screened_minima(D: GeneralEllipsoid, cloud: np.ndarray, cloud_w2: np.ndarray, half: int,
-                     chains: Sequence[EmbeddingChain]) -> List[Tuple[float, float]]:
-    """(full, half-prefix) minimum image norm of the cloud under each chain.
-
-    The closed form screens every sample; the samples within the slack of
-    a screened minimum, over the whole cloud or its half prefix, are
-    evaluated again through the chain's explicit maps, and those explicit
-    values are the ones returned.  The closed form loses accuracy like
-    1 / (1 - |c|), so the slack grows by that factor and the explicit
-    minimizers stay among the kept samples.  numpy may round the last bit
-    of an explicit value differently in this short array than inside the
-    whole cloud.
-    """
-    q = _screened_squares(D, cloud, cloud_w2, chains)
-    c = np.array([np.linalg.norm(chain.steps[-1].c) for chain in chains])
-    slack = (SCREEN_SLACK / (1.0 - c))[:, None]
-    keep_full = q <= q.min(axis=1, keepdims=True) + slack
-    keep_half = np.zeros_like(keep_full)
-    keep_half[:, :half] = q[:, :half] <= q[:, :half].min(axis=1, keepdims=True) + slack
-    out = []
-    for chain, full, part in zip(chains, keep_full, keep_half):
-        idx = np.flatnonzero(full | part)
-        norms = chain_norms_at(chain, cloud[idx])
-        out.append((float(norms[full[idx]].min()), float(norms[part[idx]].min())))
+            w = cloud[rows]
+            for step in lead:
+                w = step.apply(weights, w)
+            coords = [x for wk in w.T for x in (wk.real, wk.imag)]
+            e = [(x - hi) - lo for x, (hi, lo) in zip(coords, shifts)]
+            re = sum(x * y for x, y in zip(e, parts))
+            im = sum(x * y for x, y in zip(e, turned))
+            row[rows] = (g * sum(x * x for x in e) + re * re + im * im) / ((Rg - re) ** 2 + im * im)
     return out
 
 
@@ -515,14 +497,20 @@ def _checked_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
 
 
 def _checked_families(D: GeneralEllipsoid, points: np.ndarray, count: int, seed: int):
-    """Each basepoint's checked strategy family, and the screen
-    (`_screened_minima`) of chains over the shared cloud
-    `D.boundary_cloud(count, seed)`."""
+    """Each basepoint's checked strategy family, and the screen of chains
+    over the shared cloud `D.boundary_cloud(count, seed)`: each chain's
+    least image norm (`_screened_squares`) over the whole cloud and over its
+    half prefix."""
     cloud = D.boundary_cloud(count, seed)
-    cloud_w2 = _squared_norms(cloud)
     half = max(1, len(cloud) // 2)
     families = [_checked_family(D, p) for p in points]
-    return families, lambda chains: _screened_minima(D, cloud, cloud_w2, half, chains)
+
+    def screen(chains):
+        q = _screened_squares(D, cloud, chains)
+        norms = np.sqrt([q.min(axis=1), q[:, :half].min(axis=1)])
+        return [(float(full), float(part)) for full, part in norms.T]
+
+    return families, screen
 
 
 def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
@@ -537,16 +525,13 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     On n = 2 each radius is exact (`_exact_squares`, kind "exact"), and
     `count` and `seed` are unused.  On n >= 3 each is sampled (kind
     "sampled"): all basepoints share one boundary cloud, each family is
-    screened in one pass with the closed form for |phi_c|, and every
-    reported minimum is an explicit chain evaluation at the few samples the
-    screen keeps (`_screened_minima`), which include the minimizer over the
-    whole cloud.  Up to the rounding of the explicit chain maps, a sampled
-    value can only decrease when the sample count grows (the cloud is
-    prefix-stable and the rescale radii are count-independent).  That
-    rounding is a few ulps and grows like 1e-16 / (1 - |c|) next to the
-    sphere: a sample's explicit value may differ by that much inside a
-    larger cloud.  The sampling band reports the drop from the half-count
-    estimate to the full-count estimate.
+    screened in one pass with the closed form for |phi_c|
+    (`_screened_squares`), and each chain's value is its least closed-form
+    norm over the cloud.  A sample's norm depends on that sample alone, and
+    the cloud is prefix-stable with count-independent rescale radii, so a
+    sampled value can only decrease when the sample count grows, bit for
+    bit.  The sampling band reports the drop from the half-count estimate
+    to the full-count estimate.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
     if D.n == 2:

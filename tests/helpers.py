@@ -7,6 +7,7 @@ paths under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -162,6 +163,45 @@ def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int):
             best_val, best_label = float(norms.min()), chain.label
             best_half = float(norms[:half].min())
     return min(best_val, 1.0), best_label, max(best_half - best_val, 0.0)
+
+
+# floats enter `least_exact_image_norm` as integer multiples of 2^-EXACT_SHIFT
+EXACT_SHIFT = 200
+
+
+def _exact_ints(x) -> np.ndarray:
+    """x * 2^EXACT_SHIFT as Python ints (an object array), exactly: every
+    nonzero entry must be at least 2^(53 - EXACT_SHIFT) in magnitude."""
+    m, e = np.frexp(np.asarray(x, dtype=np.float64))
+    shift = e + (EXACT_SHIFT - 53)
+    assert np.all((shift >= 0) | (m == 0)), "a float below 2^-147 cannot be scaled exactly"
+    return (m * 2.0 ** 53).astype(np.int64).astype(object) << np.maximum(shift, 0).astype(object)
+
+
+def least_exact_image_norm(w: np.ndarray, R: float, c: np.ndarray):
+    """The least |phi_c(w_k / R)| over the rows w_k of a float array, in 50 digits.
+
+    With u = w_k / R, |phi_c(u)|^2 = 1 - (1 - |c|^2)(1 - |u|^2) / |1 - <u, c>|^2,
+    written over the common denominator |R - <w_k, c>|^2 and evaluated in
+    Python integers on the floats scaled by S = 2^EXACT_SHIFT, so each square
+    is an exact rational.  The least one is found exactly: rounding is
+    monotone, so it lies among the rows whose correctly rounded quotients
+    tie for the least.  Its square root is taken with mpmath at 50 digits.
+    """
+    import mpmath
+
+    S = 1 << EXACT_SHIFT
+    wr, wi = _exact_ints(w.real), _exact_ints(w.imag)
+    cr, ci = _exact_ints(c.real), _exact_ints(c.imag)
+    r = int(_exact_ints([R])[0])
+    gap_re = r * S - (wr * cr + wi * ci).sum(axis=1)
+    gap_im = (wi * cr - wr * ci).sum(axis=1)
+    den = gap_re * gap_re + gap_im * gap_im
+    num = den - (S * S - int((cr * cr + ci * ci).sum())) * (r * r - (wr * wr + wi * wi).sum(axis=1))
+    rounded = (num / den).astype(np.float64)
+    least = min(Fraction(int(num[k]), int(den[k])) for k in np.flatnonzero(rounded == rounded.min()))
+    with mpmath.workdps(50):
+        return mpmath.sqrt(mpmath.mpf(least.numerator) / least.denominator)
 
 
 def analytic_floor_pairwise(D, r: float, samples: int, seed: int) -> float:

@@ -1,5 +1,7 @@
 """Squeezing estimator: chains, sampled inscribed radii, floors, consistency."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -162,10 +164,19 @@ def test_three_dimensional_domains():
 
 
 def test_monotone_in_samples(E):
+    # quartic values are exact and ignore the count; sampled values on
+    # mixed-2-3 and ball:3 never rise as the prefix-stable cloud grows, bit
+    # for bit, since each sample's value depends on that sample alone
     p = np.array([0.3, 0.5], dtype=complex)
     small = squeeze_lower_bound(E, p, count=1 << 12, seed=0)
     big = squeeze_lower_bound(E, p, count=1 << 13, seed=0)
     assert big.value <= small.value + 1e-15
+    for D in (_mixed_weight_domain(), GeneralEllipsoid.unit_ball(3)):
+        points = _estimate_inputs(D, 24)
+        values = [[est.value for est in squeeze_estimates(D, points, count=1 << k, seed=0)]
+                  for k in (12, 13, 14, 15)]
+        for fewer, more in zip(values, values[1:]):
+            assert all(b <= a for a, b in zip(fewer, more)), (fewer, more)
 
 
 def test_estimator_automorphism_consistency(E):
@@ -251,18 +262,18 @@ def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
     # every chain of every grid point is checked for centering, while the
     # trivial-chain bounds on E(2, 3) spare most normalizing chains
     checked, screened = [], []
-    check, screen = EmbeddingChain.check_basepoint, squeeze._screened_minima
+    check, screen = EmbeddingChain.check_basepoint, squeeze._screened_squares
 
     def counting_check(chain):
         checked.append(chain.label)
         return check(chain)
 
-    def counting_screen(D, cloud, cloud_w2, half, chains):
+    def counting_screen(D, cloud, chains):
         screened.extend(chain.label for chain in chains)
-        return screen(D, cloud, cloud_w2, half, chains)
+        return screen(D, cloud, chains)
 
     monkeypatch.setattr(EmbeddingChain, "check_basepoint", counting_check)
-    monkeypatch.setattr(squeeze, "_screened_minima", counting_screen)
+    monkeypatch.setattr(squeeze, "_screened_squares", counting_screen)
     gamma_floor(FLOOR_DOMAINS["E-2-3"](), 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
     assert len(checked) == 2 * 64
     assert checked.count("trivial") == checked.count("normalize") == 64
@@ -396,12 +407,9 @@ def _assert_match_pointwise(D, points, ests, count):
     (lambda: GeneralEllipsoid.unit_ball(3), 1 << 14),
 ], ids=["mixed-2-3", "ball-3"])
 def test_estimates_match_pointwise_loop(domain, count):
-    # both minima are explicit chain evaluations at the same sample, but the
-    # loop maps the whole cloud while the estimator maps only the samples
-    # its screen keeps, and numpy's SIMD loops may round the last bits of an
-    # element differently by its position in a longer array (a 1-row
-    # evaluation differs from the same row inside the cloud); against a
-    # 50-digit evaluation both sit within a few ulps of the exact norm
+    # the loop takes each minimum through the explicit chain maps, the
+    # estimator through the screen's closed form; against a 50-digit
+    # evaluation both sit within a few ulps of the exact norm
     D = domain()
     points = _estimate_inputs(D, 24)
     ests = squeeze_estimates(D, points, count=count, seed=0)
@@ -417,10 +425,9 @@ def test_screen_tracks_explicit_chain_norms(domain):
     # profile terms up to j = 10^4
     D = domain()
     cloud = D.boundary_cloud(1 << 14, seed=0)
-    w2 = squeeze._squared_norms(cloud)
     for p in _estimate_inputs(D, 8):
         for chain in chain_family(D, p)[:2]:
-            screened = np.sqrt(squeeze._screened_squares(D, cloud, w2, [chain])[0])
+            screened = np.sqrt(squeeze._screened_squares(D, cloud, [chain])[0])
             assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
 
 
@@ -442,17 +449,47 @@ def test_screen_mixes_chain_shapes(domain):
     longer = EmbeddingChain(D, lead + (Rescale(R), BallAutomorphism(image[0] / R)), p)
     longer.check_basepoint()
     chains = [trivial, longer, normalize]
-    w2 = squeeze._squared_norms(cloud)
-    screened = np.sqrt(squeeze._screened_squares(D, cloud, w2, chains))
+    screened = np.sqrt(squeeze._screened_squares(D, cloud, chains))
     for row, chain in zip(screened, chains, strict=True):
         assert np.abs(row - chain_norms_at(chain, cloud)).max() <= 1e-13
 
 
-def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
-    # c a hair inside the sphere, a sample right next to it and near-ties
-    # around that sample: the closed form is off by more than SCREEN_SLACK
-    # there, and the slack scaled by 1 / (1 - |c|) still hands the explicit
-    # minimizers (whole cloud and half prefix) to the explicit maps
+@pytest.mark.parametrize("domain", [_mixed_weight_domain, lambda: GeneralEllipsoid.unit_ball(3),
+                                    FLOOR_DOMAINS["E-2-3"]], ids=["mixed-2-3", "ball-3", "E-2-3"])
+def test_sampled_values_match_50_digits(domain):
+    # each chain's least screened norm, over the whole cloud and over its
+    # half prefix, lies within 16 ulps of the exact image norm of its
+    # sample's lead-step image, in 50 digits; the reported value and band
+    # are those minima, at floor grid points and the profile terms
+    pytest.importorskip("mpmath")
+    D = domain()
+    count = 1 << 12
+    cloud = D.boundary_cloud(count, seed=0)
+    points = _estimate_inputs(D, 6)
+    for p, est in zip(points, squeeze_estimates(D, points, count=count, seed=0), strict=True):
+        family = chain_family(D, p)
+        minima = []
+        for chain, squares in zip(family, squeeze._screened_squares(D, cloud, family), strict=True):
+            w = cloud  # through the steps before Rescale and phi_c, as the screen maps it
+            for step in chain.steps[:-2]:
+                w = step.apply(D.P.weights, w)
+            for k in (squares.argmin(), squares[:count // 2].argmin()):
+                exact = helpers.least_exact_image_norm(w[k:k + 1], chain.steps[-2].R,
+                                                       chain.steps[-1].c)
+                assert abs(np.sqrt(squares[k]) - exact) <= 16 * np.spacing(float(exact)), chain.label
+            minima.append((np.sqrt(squares.min()), np.sqrt(squares[:count // 2].min())))
+        full, half = max(minima, key=lambda pair: pair[0])
+        assert est.value == min(full, 1.0)
+        assert est.band == max(half - full, 0.0)
+
+
+def test_screen_minima_next_to_ball_parameter(B):
+    # c a hair inside the sphere, a sample right next to it and 41 near-ties
+    # around that sample: there phi_c magnifies a rounding of 1 - |u|^2
+    # about 2e6-fold (the explicit maps miss by 1.4e6 ulps), yet the least
+    # screened norms over the whole cloud and over its half prefix stay
+    # within 16 ulps of the exact least norms, in 50 digits
+    pytest.importorskip("mpmath")
     base = B.boundary_cloud(1 << 12, seed=0)
     ties = base[7] * np.exp(1j * np.linspace(-1e-12, 1e-12, 41))[:, None]
     cloud = np.concatenate([ties, base])
@@ -460,20 +497,10 @@ def test_screen_keeps_minimizer_next_to_ball_parameter(B, monkeypatch):
     R = B.bounding_radius(margin=0.0)
     c = (1.0 - 1e-6) * base[7] / R
     chain = EmbeddingChain(B, (Rescale(R), BallAutomorphism(c)), c * R)
-    explicit = chain_norms_at(chain, cloud)
-    screened = squeeze._screened_squares(B, cloud, squeeze._squared_norms(cloud), [chain])[0]
-    assert np.abs(screened - explicit ** 2).max() > squeeze.SCREEN_SLACK
-    evaluated = []
-
-    def spy(ch, pts):
-        evaluated.append(pts)
-        return chain_norms_at(ch, pts)
-
-    monkeypatch.setattr(squeeze, "chain_norms_at", spy)
-    squeeze._screened_minima(B, cloud, squeeze._squared_norms(cloud), half, [chain])
-    kept = np.concatenate(evaluated)
-    for minimizer in (cloud[np.argmin(explicit)], cloud[np.argmin(explicit[:half])]):
-        assert (kept == minimizer).all(axis=1).any()
+    screened = np.sqrt(squeeze._screened_squares(B, cloud, [chain])[0])
+    for rows in (slice(None), slice(0, half)):
+        exact = helpers.least_exact_image_norm(cloud[rows], R, c)
+        assert abs(screened[rows].min() - exact) <= 16 * np.spacing(float(exact))
 
 
 def test_estimates_of_no_points(E):
@@ -609,8 +636,9 @@ def test_exact_radii_sit_below_explicit_norms(name):
     # each exact radius is at most the chain's explicit minimum over a cloud,
     # and at most its image norm at psi^{-1}(q), the boundary point in front
     # of the slice image b; the winner is the reported value.  At that point
-    # the explicit maps round like 1e-16 / (1 - |c|) (the screen's slack),
-    # 9e-11 for the ball's chains at j = 10^5, where 1 - |c| = 2.5e-6
+    # the explicit maps round like 1e-16 / (1 - |c|), so 1e-12 / (1 - |c|)
+    # bounds their error: 4e-7 for the ball's chains at j = 10^5, where
+    # 1 - |c| = 2.5e-6
     D = EXACT_DOMAINS[name]()
     cloud = D.boundary_cloud(1 << 16, seed=0)
     m, ell = squeeze._slice_scale(D)
@@ -623,7 +651,7 @@ def test_exact_radii_sit_below_explicit_norms(name):
         est = squeeze_lower_bound(D, p)
         assert est.value == min(radii.max(), 1.0)
         for chain, radius in zip(family, radii, strict=True):
-            slack = squeeze.SCREEN_SLACK / (1.0 - np.linalg.norm(chain.steps[-1].c))
+            slack = 1e-12 / (1.0 - np.linalg.norm(chain.steps[-1].c))
             assert radius <= chain_norms_at(chain, cloud).min() + 1e-12
             assert radius <= chain_norms_at(chain, front)[0] + slack
             if chain.label == est.chain.label:
@@ -726,6 +754,19 @@ def test_trivial_chain_loses_on_the_slice(name):
     assert [chain.label for chain in chains[:2]] == ["trivial", "normalize"]
     trivial, normalize = squeeze._exact_squares(D, chains).reshape(-1, 2).T
     assert np.all(trivial < normalize), (normalize - trivial).min()
+
+
+def test_quartic_slice_floor_at_the_kink(E):
+    # the quartic's slice floor sits where the normalizing and tangent radii
+    # cross, at tau* = 0.59529980966733427686; the zooms reach it within
+    # 2^-53 of the radii's common value there.  That value was computed in
+    # 45-digit mpmath from the chains' own float parameters (R_tight =
+    # bounding_radius(margin=0) = 1.1180339887498953, R = 2 for the tangent
+    # chain): each radius the least of its closed form over x in [-1, 1]
+    # (a 401-point grid, then 200 golden-section steps around its three best
+    # local minima), the crossing a 150-step bisection in tau
+    exact = Fraction("0.6911080441500457898429405981987905861841")
+    assert abs(Fraction(gamma_floor(E, 0.5, 0.5).value) - exact) <= Fraction(1, 2 ** 53)
 
 
 def _best_radius_on_slice(D, t):
