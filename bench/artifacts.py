@@ -8,18 +8,21 @@ configuration, `classify` also with `--kind cone` and `--kind normal`,
 `profile`, `floor`, `convergence` and `wbscan` also at sample counts that
 span several 2^14-row blocks of the cloud kernels (`profile-large` at 2^17
 samples, `floor-large` at 2^16 samples over 48 grid points,
-`convergence-large` at 40000 and `wbscan-large` at 50000), on four
-domains: `quartic`, `ball:2`, `ball:3` and the m = (2, 3) table with a
+`convergence-large` at 40000 and `wbscan-large` at 50000), on five
+domains: `quartic`, `ball:2`, `ball:3`, the m = (2, 3) table with a
 z1^2 conj(z2)^3 cross term of the kernel benchmarks, one member of the
 family `perfbench` draws its mixed-weight tables from (written to
-OUT/mixed-2-3.json).  `ball:2` is the m = 1 table of the exact n = 2 path;
-each of its floors ties with 1 up to rounding, so the `argmin` its ties
-pick moves with any bit of that path.  Each run is a fresh interpreter on the
-package of the checkout holding this script, started in OUT with relative
-paths, so its manifest does not name OUT.  Run `r` of domain `d` (an
-experiment or one of the named variants above) writes its
-artifacts to OUT/d/r/ together with `stdout.txt`: its exit status and
-everything it printed.  Two checkouts then compare with one
+OUT/mixed-2-3.json), and 3|z1|^6 (written to OUT/3z6.json).  `ball:2` is
+the m = 1 table of the exact n = 2 path; each of its floors ties with 1 up
+to rounding, so the `argmin` its ties pick moves with any bit of that
+path.  3|z1|^6 is the one n = 2 table with a != 1, so its chains are the
+only ones that scale z1 by a^{1/(2m)}: in the 1/a^{1/(2m)} of the trivial
+and normalizing rows and in the tangent chain's affine step.  Each run is
+a fresh interpreter on the package of the checkout holding this script,
+started in OUT with relative paths, so its manifest does not name OUT.
+Run `r` of domain `d` (an experiment or one of the named variants above)
+writes its artifacts to OUT/d/r/ together with `stdout.txt`: its exit
+status and everything it printed.  Two checkouts then compare with one
 
     diff -r OUT_A OUT_B
 
@@ -35,10 +38,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from ellsqueeze.cli import EXPERIMENTS  # noqa: E402
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial  # noqa: E402
 from test_kernels import _mixed_weight_polynomial  # noqa: E402
 
-MIXED = "mixed-2-3.json"
-DOMAINS = {"quartic": "quartic", "ball-2": "ball:2", "ball-3": "ball:3", "mixed-2-3": MIXED}
+# domain file name -> its table
+TABLES = {
+    "mixed-2-3.json": _mixed_weight_polynomial(),
+    "3z6.json": WeightedPolynomial(MultiWeight((3,)), {((3,), (3,)): 3.0}),
+}
+DOMAINS = {"quartic": "quartic", "ball-2": "ball:2", "ball-3": "ball:3",
+           "mixed-2-3": "mixed-2-3.json", "3z6": "3z6.json"}
 # run name -> CLI arguments after the domain: every experiment at its
 # defaults, then `classify` on the two sequence kinds it does not default to
 # and `floor` on a subdomain far thinner than the domain's bounding box
@@ -57,8 +66,8 @@ RUNS.update({
 
 def main(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    (out / MIXED).write_text(json.dumps(_mixed_weight_polynomial().to_dict(), indent=1) + "\n",
-                             encoding="utf-8")
+    for name, table in TABLES.items():
+        (out / name).write_text(json.dumps(table.to_dict(), indent=1) + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     failed = 0

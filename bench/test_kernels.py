@@ -13,15 +13,16 @@ and scaled tables of that graph model at delta = 1e-2, 1e-3 and 1e-4.
 `bounding_radius` computes its closed form on a fresh quartic, E(2, 3) and
 m = (2, 3) domain each round, the domain built outside the timed call; it
 times the closed form only, since the Gram solve behind the power floor
-runs at construction.  `analytic_floor` runs at r = 0.5 on the quartic,
-whose level sets have 2 real coordinates, and on the m = (2, 3) domain,
-whose 4 let the bounding boxes of its blocks rule out fewer block pairs;
-the level sets are sampled, and the gap search between them is exact.  The
-cold start is a fresh interpreter that imports the package and builds the
-m = (2, 3) domain, as each CLI run and benchmark set-up probe does.  The
-cold `floor` is a fresh interpreter that runs the `floor` experiment on
-the quartic over an 8-point grid at 2^10 samples, so it times imports and
-the analytic floor more than the grid.  Neither loads scipy.
+runs at construction.  `analytic_floor`, which no experiment calls, runs
+at r = 0.5 on the quartic, whose level sets have 2 real coordinates, and
+on the m = (2, 3) domain, whose 4 let the bounding boxes of its blocks rule
+out fewer block pairs; the level sets are sampled, and the gap search
+between them is exact.  The cold start is a fresh interpreter that imports
+the package and builds the m = (2, 3) domain, as each CLI run and
+benchmark set-up probe does.  The cold `floor` is a fresh interpreter that
+runs the `floor` experiment on the quartic with `--grid 8 --samples 1024`,
+which the exact slice floor does not read, so it times imports and one
+slice floor.  Neither loads scipy.
 `squeeze_estimates` runs over the 64-point floor grid of D^{0.5,0.5}
 (`subdomain_grid`, the cloud's first 64 sphere points dilated into the
 subdomain in closed form): sampled on the m = (2, 3) domain (where the

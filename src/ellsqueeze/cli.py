@@ -35,7 +35,7 @@ from .errors import ConfigError, EllsqueezeError, EmptySampleError, ToleranceErr
 from .scaling import (DefiningFunctionPoly, diagnostics_to_csv, limit_diagnostics,
                       scale_along_normal)
 from .sequences import classify, generate, record_to_csv, tangency_ratio
-from .squeeze import BASEPOINT_TOL, analytic_floor, gamma_floor, squeeze_estimates
+from .squeeze import BASEPOINT_TOL, gamma_floor, squeeze_estimates
 from .domconv import exhaustion_check, exhaustion_report_to_csv
 from .util import fmt, write_csv, write_json
 from .wpoly import WeightedPolynomial
@@ -207,7 +207,6 @@ def run(experiment: str, cfg: dict) -> int:
                              grid_count=int(cfg["grid"]), count=samples, seed=seed)
         payload = {
             "s": report.s, "r": report.r, "floor": report.value,
-            "analytic_floor_interpretation": analytic_floor(D, report.r),
             "grid_count": report.grid_count, "samples": report.samples,
             "seed": report.seed,
             "argmin": [[c.real, c.imag] for c in report.argmin],

@@ -386,15 +386,23 @@ def _smallest_positive_root(q: np.ndarray) -> np.ndarray:
     matrix of the reversed polynomial, whose leading coefficient q_0 must
     be nonzero; the largest near-real eigenvalue gives the smallest root.
     """
-    count, K = q.shape[0], q.shape[1] - 1
-    companion = np.zeros((count, K, K))
-    companion[:, 0, :] = -q[:, 1:] / q[:, :1]
-    companion[:, np.arange(1, K), np.arange(K - 1)] = 1.0
-    s = np.linalg.eigvals(companion)
+    s = companion_roots(q)
     real = (s.real > 0.0) & (np.abs(s.imag) <= NEAR_REAL * np.abs(s))
     s_max = np.where(real, s.real, 0.0).max(axis=1)
     with np.errstate(divide="ignore"):
         return 1.0 / s_max
+
+
+def companion_roots(coef: np.ndarray) -> np.ndarray:
+    """Complex roots of each row's coef_0 x^K + coef_1 x^(K-1) + ... + coef_K,
+    coef_0 nonzero, K >= 1: the eigenvalues of its companion matrix (first
+    row -coef_k / coef_0, ones on the subdiagonal), all rows in one batched
+    `np.linalg.eigvals` call."""
+    count, K = coef.shape[0], coef.shape[1] - 1
+    companion = np.zeros((count, K, K))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, K), np.arange(K - 1)] = 1.0
+    return np.linalg.eigvals(companion)
 
 
 def _newton_polish(a: np.ndarray, t: np.ndarray) -> np.ndarray:

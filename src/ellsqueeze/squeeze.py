@@ -69,13 +69,16 @@ every such b is reached; the squeezing function is psi-invariant.  So the
 least best radius over {b : b_2 = 0, P(b_1) < r}, a minimum over
 t in [0, (r/a)^{1/(2m)}] of the best radius at b = (t, 0), bounds the
 squeezing function on D^{s,r} from below (up to its float minima).  It
-does not depend on s, the grid size, the sample count or the seed.  `_least`
-searches t, and each t costs one root solve of S per chain.  Only
-the normalizing and tangent chains enter it.  On the slice psi is the
-identity, and D lies in B(0, R_tight), inside the trivial chain's
-B(0, R_pad): by Schwarz-Pick that inclusion can only shrink
-pseudo-hyperbolic distances, so at a slice point the trivial chain's
-radius never exceeds the normalizing chain's.
+does not depend on s, the grid size, the sample count or the seed.
+`_least` searches t, and each t costs one root solve of S per chain.  Only
+the normalizing and tangent chains enter it, through the `_squares` rows
+that `_chain_rows` builds for `squeeze_estimates` too, from the affine step
+and the ball parameter c = step(b) that `chain_family` computes at b: the
+floor is the checked chains' best radius at its argmin, bit for bit.  On
+the slice psi is the identity, and D lies in B(0, R_tight), inside the
+trivial chain's B(0, R_pad): by Schwarz-Pick that inclusion can only
+shrink pseudo-hyperbolic distances, so at a slice point the trivial
+chain's radius never exceeds the normalizing chain's.
 
 On n >= 3 every value is a sampled estimate (kind "sampled"): the
 minimum image norm over a boundary cloud, an upper estimate of a chain's
@@ -102,6 +105,10 @@ which needs no domain automorphism, bounds it from below, and the
 normalizing chain is screened only at points whose bound lies below the
 least value found so far.  Value and argmin equal the least of
 `squeeze_estimates` over the grid, bit for bit.
+
+The floor is the one number of the `floor` experiment.  `analytic_floor`,
+the gap between sampled level sets of P, has no proved meaning, and no
+experiment calls it.
 """
 
 from __future__ import annotations
@@ -115,6 +122,7 @@ import numpy as np
 from .automorphisms import EllipsoidAutomorphism, normalize_point
 from .domain import GeneralEllipsoid, SubdomainParams
 from .errors import ToleranceError
+from .hermpoly import companion_roots
 from .util import blocks, complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
@@ -273,14 +281,20 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     if D.n == 2:
         m, ell = _slice_scale(D)
         b1 = norm.b[0]
-        q = np.array([b1 / abs(b1) if b1 != 0 else 1.0, 0.0], dtype=np.complex128)
-        ball = Rescale(float(m), centre=(1 - m) * q, L=np.array([ell, 1.0]))
+        ball = _tangent_step(m, ell, b1 / abs(b1) if b1 != 0 else 1.0)
         chains.append(EmbeddingChain(
             D,
             (norm.automorphism, ball, BallAutomorphism(ball.apply(None, norm.b))),
             p,
             label="tangent"))
     return chains
+
+
+def _tangent_step(m: int, ell: float, q1: complex) -> Rescale:
+    """The tangent chain's affine step z -> (L z - (1 - m) q) / m, with
+    q = (q1, 0), |q1| = 1, and L = diag(ell, 1)."""
+    q = np.array([q1, 0.0], dtype=np.complex128)
+    return Rescale(float(m), centre=(1 - m) * q, L=np.array([ell, 1.0]))
 
 
 def _slice_scale(D: GeneralEllipsoid) -> Tuple[int, float]:
@@ -353,11 +367,7 @@ def _flat_squares(m: int, scale, shift, R, d) -> np.ndarray:
     x[:, 0] = -1.0
     for k in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == k)
-        tail = coef[rows, 2 * m - k:]
-        companion = np.zeros((rows.size, k, k))
-        companion[:, 0] = -tail[:, 1:] / tail[:, :1]
-        companion[:, 1:, :-1] = np.eye(k - 1)
-        x[rows, 2:k + 2] = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
+        x[rows, 2:k + 2] = np.clip(companion_roots(coef[rows, 2 * m - k:]).real, -1.0, 1.0)
     w = (shift - scale * x) / R
     x2, u2sq = x * x, 1.0
     for _ in range(m - 1):
@@ -420,23 +430,27 @@ def _squares(D: GeneralEllipsoid, scale, shift, R, d, k2) -> np.ndarray:
     return out
 
 
-def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.ndarray:
-    """Squared inscribed radius of each chain of n = 2 families (`_squares`).
+def _chain_rows(ell: float, step: Rescale, c: np.ndarray) -> np.ndarray:
+    """`_squares` rows (scale, shift, R, 1 - |c_1|, |c_2|) of n = 2 chains
+    ending in `step` and phi_c, one per row of c, shape (N, 2).
 
     Trivial and normalize scale z_1 by 1, so w = 1 - x / (a^{1/(2m)} R).
-    The tangent chain's sphere passes through q, where x = 1, so
+    The tangent step's sphere passes through q, where x = 1, so
     w = (1 - x) / m, computed from 1 - x without rounding near q.
     """
+    rows = np.empty((len(c), 5))
+    rows[:, :3] = (1.0 / ell, step.R, step.R) if step.centre is None else (1.0, 1.0, step.R)
+    rows[:, 3:] = np.abs(c)
+    rows[:, 3] = 1.0 - rows[:, 3]
+    return rows
+
+
+def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.ndarray:
+    """Squared inscribed radius of each chain of n = 2 families (`_squares`)."""
     _, ell = _slice_scale(D)
-    rows = []
-    for chain in chains:
-        rescale, ball = chain.steps[-2:]
-        c1, c2 = np.abs(ball.c)
-        if rescale.centre is None:
-            rows.append((1.0 / ell, rescale.R, rescale.R, 1.0 - c1, c2))
-        else:
-            rows.append((1.0, 1.0, rescale.R, 1.0 - c1, c2))
-    return _squares(D, *np.array(rows).reshape(-1, 5).T)
+    rows = np.array([_chain_rows(ell, chain.steps[-2], chain.steps[-1].c[None])[0]
+                     for chain in chains])
+    return _squares(D, *rows.reshape(-1, 5).T)
 
 
 def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
@@ -574,11 +588,13 @@ class FloorReport:
     slice set {b : b_2 = 0, P(b_1) < r}, onto which psi carries D^{s,r},
     of the larger of the normalizing and tangent radii at b; the trivial
     chain's radius lies below the normalizing one there, by Schwarz-Pick
-    (module docstring).  It bounds the squeezing function on D^{s,r} from
-    below up to its float minima, and is not certified.  `argmin` is the
-    minimizing slice point (t*, 0), which is not a point of D^{s,r};
-    `grid_count` and `samples` read 0, and neither s nor the seed moves the
-    value.
+    (module docstring).  Both radii come from the rows of the chains that
+    `chain_family` builds at b, so `value` is min(1, the larger of those two
+    exact radii at `argmin`), bit for bit.  It bounds the squeezing function
+    on D^{s,r} from below up to its float minima, and is not certified.
+    `argmin` is the minimizing slice point (t*, 0), which is not a point of
+    D^{s,r}; `grid_count` and `samples` read 0, and neither s nor the seed
+    moves the value.
 
     "sampled" (n >= 3): the least estimate over a subdomain grid.  The grid
     (`subdomain_grid`) is the image under w -> (delta_{rs}(w'), 1 - s + s w_n)
@@ -681,13 +697,15 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
     larger of the normalizing and tangent radii at b = (t, 0).
 
     In the coordinates L z, tau = a^{1/(2m)} t runs over [0, r^{1/(2m)}].
-    The chains of `chain_family` at b have closed-form parameters there
-    (`_squares`): psi is the identity on the slice, so normalize has
-    c = (t / R_tight, 0), and tangent has 1 - |c_1| = (1 - tau) / m and
-    R = m.  The trivial chain, c = (t / R_pad, 0), is left out: it embeds D
-    through the larger ball B(0, R_pad), and by Schwarz-Pick that inclusion
-    only shrinks pseudo-hyperbolic distances, so its radius at b never
-    exceeds the normalizing chain's and the maximum is the same.  `_least`
+    psi is the identity on the slice, so the chains of `chain_family` at
+    b = (tau / a^{1/(2m)}, 0) end in its two affine steps, Rescale(R_tight)
+    and the tangent step at q = (1, 0), and phi_c with c = step(b), the
+    arithmetic `chain_family` uses; `_chain_rows` turns them into the
+    `_squares` rows `squeeze_estimates` evaluates at b.  The trivial chain,
+    c = (t / R_pad, 0), is left out: it embeds D through the larger ball
+    B(0, R_pad), and by Schwarz-Pick that inclusion only shrinks
+    pseudo-hyperbolic distances, so its radius at b never exceeds the
+    normalizing chain's and the maximum is the same.  `_least`
     minimizes the larger squared radius over the grid of [0, 1] cut at
     r^{1/(2m)}, which joins the grid: floors whose minimizer lies inside
     the cut take the same steps and agree bit for bit.  Both chains have
@@ -699,19 +717,17 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
     too, are checked for centering.
     """
     m, ell = _slice_scale(D)
-    R_tight = D.bounding_radius(margin=0.0)
-    chains = np.array([[1.0 / ell, R_tight, R_tight], [1.0, 1.0, m]])
+    steps = (Rescale(D.bounding_radius(margin=0.0)), _tangent_step(m, ell, 1.0))
     top = r ** (1.0 / (2 * m))
     grid = np.linspace(0.0, 1.0, LEAST_GRID)
     grid = np.append(grid[grid < top], top)
     grid = grid[grid < 1.0]
 
     def largest(tau, rows):
-        t = tau.ravel()
-        d = np.concatenate([1.0 - t / (ell * R_tight), (1.0 - t) / m])
-        scale, shift, R = np.repeat(chains, t.size, axis=0).T
-        squares = _squares(D, scale, shift, R, d, np.zeros_like(d))
-        return squares.reshape(2, -1).max(axis=0).reshape(tau.shape)
+        b = np.zeros((tau.size, 2), dtype=np.complex128)
+        b[:, 0] = tau.ravel() / ell
+        table = np.concatenate([_chain_rows(ell, step, step.apply(None, b)) for step in steps])
+        return _squares(D, *table.T).reshape(2, -1).max(axis=0).reshape(tau.shape)
 
     square, tau = _least(largest, grid, 1)
     b = np.array([tau[0] / ell, 0.0], dtype=np.complex128)
@@ -762,11 +778,13 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     A closed-form-style floor candidate: slice images of subdomain points
     stay below the level r while the boundary sits at level 1, and the gap
     between the two level sets measures how far those images are from the
-    boundary.  Its constants are a modeling choice (hence the separate
-    "interpretation" reporting next to the empirical grid floor).  The level
-    sets are sampled, by anisotropic dilation of ANALYTIC_FLOOR_SAMPLES
-    sphere directions; the gap between the two samples is exact, the
-    smallest of all their pair distances (`_closest_pair_squared`).
+    boundary.  Its constants are a modeling choice, and nothing proves that
+    it bounds the squeezing function, so no experiment calls it; it stays
+    only while the benchmark tracer (`perfbench/tracer.py`) wraps it by
+    name.  The level sets are sampled, by anisotropic dilation of
+    ANALYTIC_FLOOR_SAMPLES sphere directions; the gap between the two
+    samples is exact, the smallest of all their pair distances
+    (`_closest_pair_squared`).
     """
     u = complex_sphere(ANALYTIC_FLOOR_SAMPLES, D.n - 1, ANALYTIC_FLOOR_SEED)
     pu = D.P.eval(u)

@@ -147,9 +147,13 @@ def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int):
     """(value, chain label, band) of the chain family at one point.
 
     Every chain of `squeeze.chain_family` maps the whole boundary cloud
-    through its explicit steps and takes the minimum image norm; the best
-    chain wins, the first on ties, and the band is its drop from the
-    half-prefix minimum.
+    through its explicit steps.  Those maps round, so each chain's minimum
+    over the cloud and over its half prefix is taken exactly
+    (`least_exact_image_norm`) among the samples whose explicit norm lies
+    within 1e-12 of the explicit minimum.  The best chain wins, the first
+    on ties, and the band is its drop from the half-prefix minimum.  The
+    chains must end in a plain Rescale(R) and phi_c, as the sampled
+    family does on n >= 3.
     """
     from ellsqueeze.squeeze import chain_family, chain_norms_at
 
@@ -158,10 +162,16 @@ def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int):
     best_val, best_label, best_half = -np.inf, None, None
     for chain in chain_family(D, p):
         chain.check_basepoint()
+        *lead, rescale, ball = chain.steps
+        w = cloud
+        for step in lead:
+            w = step.apply(D.P.weights, w)
         norms = chain_norms_at(chain, cloud)
-        if float(norms.min()) > best_val:
-            best_val, best_label = float(norms.min()), chain.label
-            best_half = float(norms[:half].min())
+        full, part = (float(least_exact_image_norm(w[:k][norms[:k] <= norms[:k].min() + 1e-12],
+                                                   rescale.R, ball.c))
+                      for k in (len(cloud), half))
+        if full > best_val:
+            best_val, best_label, best_half = full, chain.label, part
     return min(best_val, 1.0), best_label, max(best_half - best_val, 0.0)
 
 

@@ -221,6 +221,8 @@ FLOOR_DOMAINS = {
     "E-2-3": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
         ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0})),
     "mixed-2-3": lambda: GeneralEllipsoid(helpers.mixed_weight_polynomial()),
+    # m = 6, where a slice floor off its checked chains' rows misses their radius by ulps
+    "z1-12": lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((6,)), {((6,), (6,)): 1.0})),
 }
 
 
@@ -407,9 +409,10 @@ def _assert_match_pointwise(D, points, ests, count):
     (lambda: GeneralEllipsoid.unit_ball(3), 1 << 14),
 ], ids=["mixed-2-3", "ball-3"])
 def test_estimates_match_pointwise_loop(domain, count):
-    # the loop takes each minimum through the explicit chain maps, the
-    # estimator through the screen's closed form; against a 50-digit
-    # evaluation both sit within a few ulps of the exact norm
+    # the estimator takes each minimum through the screen's closed form, the
+    # loop exactly, over the samples the explicit chain maps put within
+    # 1e-12 of their minimum: the explicit maps alone err by up to 10.5 ulps
+    pytest.importorskip("mpmath")
     D = domain()
     points = _estimate_inputs(D, 24)
     ests = squeeze_estimates(D, points, count=count, seed=0)
@@ -687,13 +690,9 @@ def _least_square_40_digits(mpmath, m, scale, shift, R, d):
 
 
 def _row(chain, ell):
-    """(scale, shift, R, 1 - |c_1|) of an n = 2 chain, as `_exact_squares`
-    builds them."""
-    rescale, ball = chain.steps[-2:]
-    d = 1.0 - abs(ball.c[0])
-    if rescale.centre is None:
-        return 1.0 / ell, rescale.R, rescale.R, d
-    return 1.0, 1.0, rescale.R, d
+    """(scale, shift, R, 1 - |c_1|) of an n = 2 chain, the row
+    `squeeze._chain_rows` builds for `_exact_squares` and the slice floor."""
+    return tuple(squeeze._chain_rows(ell, chain.steps[-2], chain.steps[-1].c[None])[0, :4])
 
 
 @pytest.mark.parametrize("m, a", [(1, 2.0), (2, 0.5), (3, 3.0), (4, 0.5)])
@@ -767,6 +766,22 @@ def test_quartic_slice_floor_at_the_kink(E):
     # local minima), the crossing a 150-step bisection in tau
     exact = Fraction("0.6911080441500457898429405981987905861841")
     assert abs(Fraction(gamma_floor(E, 0.5, 0.5).value) - exact) <= Fraction(1, 2 ** 53)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_slice_floor_is_the_checked_chains_best_radius(m):
+    # the floor is evaluated on the rows of the chains `chain_family` builds
+    # at its argmin, the ones it checks: min(1, the larger of the normalizing
+    # and tangent exact radii there), bit for bit, on a |z_1|^{2m} with
+    # a = 1 and with a != 1, where the tangent step scales z_1
+    for a in (1.0, 3.0):
+        D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((m,)), {((m,), (m,)): a}))
+        for r in (1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+            rep = gamma_floor(D, 0.5, r)
+            family = chain_family(D, rep.argmin)
+            assert [chain.label for chain in family[1:]] == ["normalize", "tangent"]
+            radii = np.sqrt(np.maximum(squeeze._exact_squares(D, family[1:]), 0.0))
+            assert rep.value == min(radii.max(), 1.0), (a, r)
 
 
 def _best_radius_on_slice(D, t):
