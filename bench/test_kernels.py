@@ -50,6 +50,12 @@ points of the translated m = (2, 3) graph-model table).
 `EllipsoidAutomorphism.apply` maps 2^14-point boundary clouds of the
 quartic and of the m = (2, 3) domain, whose weights take the square-root
 and cube-root slice factors.
+`exhaustion_check` runs the `convergence` experiment's check on the
+quartic at 2^15 samples over the CLI's default a-grid: the boundary cloud,
+its shrunk copies, and the closed-form inclusion test at each a.
+`samples_to_csv` writes the `wbscan` experiment's CSV for the 2^12-sample
+scan of the quartic (the points outside the exclusion tube, with their
+residuals and Levi eigenvalues).
 Inputs other than the cloud's sphere draw are built outside the timed calls.
 """
 
@@ -64,7 +70,8 @@ import pytest
 import ellsqueeze
 from ellsqueeze import scaling, squeeze
 from ellsqueeze.automorphisms import EllipsoidAutomorphism
-from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams
+from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, samples_to_csv
+from ellsqueeze.domconv import exhaustion_check
 from ellsqueeze.hermpoly import RAY_CAP, first_crossing
 from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere
@@ -115,6 +122,22 @@ def test_automorphism_apply(benchmark, domain):
     cloud = D.boundary_cloud(1 << 14, 0)
     psi = EllipsoidAutomorphism(a=0.9 * np.exp(0.4j), theta=0.3)
     assert np.isfinite(benchmark(psi.apply, D.P.weights, cloud)).all()
+
+
+def test_exhaustion_check(benchmark):
+    D = GeneralEllipsoid.quartic_disc()
+    report = benchmark(exhaustion_check, D, 0.5, [0.5, 0.9, 0.99, 0.999, 0.9999],
+                       count=1 << 15, seed=0)
+    assert report.passed
+
+
+def test_samples_to_csv(benchmark, tmp_path):
+    D = GeneralEllipsoid.quartic_disc()
+    scan = D.wb_scan(count=1 << 12, seed=0)
+    residual = np.abs(D.rho(scan.points))
+    path = tmp_path / "wbscan.csv"
+    benchmark(samples_to_csv, path, scan.points, residual, scan.levi_values)
+    assert len(path.read_text().splitlines()) == scan.tested + 1
 
 
 def test_first_crossing_frame_line(benchmark):

@@ -238,9 +238,10 @@ def samples_to_csv(path, points: np.ndarray, residual: np.ndarray,
     for j in range(points.shape[1]):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     header += ["residual", "levi_min"]
-    # "%.17g" writes a float as fmt does; one format string per row skips
-    # fmt's per-cell type checks
+    # "%.17g" writes a float as fmt does; one format string for the whole
+    # body skips fmt's per-cell type checks and the per-row formatting
     row_format = ",".join(["%.17g"] * len(header))
     parts = np.stack([points.real, points.imag], axis=-1).reshape(len(points), 2 * points.shape[1])
-    rows = np.column_stack([parts, residual, levi]).tolist()
-    write_csv(path, header, ([row_format % tuple(row)] for row in rows))
+    cells = np.column_stack([parts, residual, levi]).ravel().tolist()
+    body = "\n".join([row_format] * len(points)) % tuple(cells)
+    write_csv(path, header, [[body]] if len(points) else [])

@@ -6,6 +6,18 @@ internal subdomain under the +1-variant automorphisms swallow every
 compact part of the closed domain away from the point (0', -1) once the
 parameter is close enough to one.  The compact part is a finite point
 cloud, so a verdict holds at the tested resolution only.
+
+The check builds no image of the cloud.  For real a with |a| < 1 and
+w = z_n, the +1-variant psi_a scales z_k by lam^{1/(2 m_k)} (1 + a w)^{-1/m_k},
+lam = 1 - a^2, and sends w to M_a(w) = (w + a)/(1 + a w), where
+M_a(w) - 1 = (w - 1)(1 - a)/(1 + a w).  Taking squared moduli, with
+q = |1 + a w|^2 = 1 + 2a Re w + a^2 |w|^2,
+
+    |psi_a(z) - (0', 1)|^2 = sum_k |z_k|^2 (lam/q)^{1/m_k}
+                             + (1 - a)^2 (|w|^2 - 2 Re w + 1) / q,
+
+so a point enters only through |z_k|^2, Re z_n and |z_n|^2, and the
+inclusion test at each a is a few real array operations.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .automorphisms import EllipsoidAutomorphism, pullback_coeffs
+from .automorphisms import pullback_coeffs
 from .domain import GeneralEllipsoid
-from .util import blocks, philox, write_csv
+from .util import philox, write_csv
 
 
 def _tail_start(flags: Sequence[bool]) -> Optional[int]:
@@ -45,59 +57,68 @@ class ExhaustionReport:
         return self.first_ok_index is not None
 
 
-def exhaustion_cloud(D: GeneralEllipsoid, eps: float, count: int = 2000,
-                     seed: int = 4) -> np.ndarray:
-    """Points of the closed domain away from the ball B((0', -1), eps).
-
-    Mixes boundary samples with radially shrunk copies so the cloud meets
-    both the boundary and the interior.
-    """
-    boundary = D.boundary_cloud(count, seed)
-    rng = philox(seed + 1)
-    shrink = rng.uniform(0.0, 1.0, size=count) ** 0.5
-    interior = boundary * shrink[:, None]
-    cloud = np.concatenate([boundary, interior], axis=0)
-    south = np.zeros(D.n, dtype=np.complex128)
-    south[-1] = -1.0
-    keep = np.linalg.norm(cloud - south, axis=1) >= eps
-    return cloud[keep]
-
-
 def exhaustion_check(D: GeneralEllipsoid, s: float, a_grid: Sequence[float],
                      eps: float = 0.4, u_radius: float = 0.5, count: int = 2000,
                      seed: int = 4) -> ExhaustionReport:
     """Sweep the +1-variant parameters and test the closed-domain inclusion.
 
-    For each a the cloud (closed domain minus an eps-ball at (0', -1)) is
-    tested for membership in psi_a^{-1}(U) with U the ball of radius
-    u_radius at (0', 1).  psi_a maps the closed domain onto itself (rho o
-    psi_a is a positive factor times rho), so the images need no closure
-    test; psi_a maps the cloud BLOCK points at a time.  The report records
-    the first grid index where the inclusion holds, together with the
-    pullback coefficient triple (c1, c2, c3) drifting to (0, 1, 1).
+    The cloud is `count` boundary samples and as many radially shrunk
+    copies (z scaled by sqrt of a uniform draw), so it meets both the
+    boundary and the interior; points within eps of (0', -1) leave it.  For
+    each a the cloud is tested for membership in psi_a^{-1}(U), with U the
+    ball of radius u_radius at (0', 1).  psi_a maps the closed domain onto
+    itself (rho o psi_a is a positive factor times rho), so the images need
+    no closure test, and none is built: with w = z_n, q = |1 + a w|^2 and
+    lam = 1 - a^2, psi_a scales z_k by lam^{1/(2 m_k)} (1 + a w)^{-1/m_k}
+    and M_a(w) - 1 = (w - 1)(1 - a)/(1 + a w), so
+
+        |psi_a(z) - (0', 1)|^2 = sum_k |z_k|^2 (lam/q)^{1/m_k}
+                                 + (1 - a)^2 |w - 1|^2 / q,
+
+    which reads the cloud only through the sums of |z_k|^2 over each weight
+    class, Re w and |w|^2.  The report records the first grid index from
+    which the inclusion holds, together with the pullback coefficient
+    triple (c1, c2, c3) drifting to (0, 1, 1).  A parameter with |a| >= 1
+    raises ValueError, as it does in the automorphism family.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    cloud = exhaustion_cloud(D, eps, count, seed)
-    north = np.zeros(D.n, dtype=np.complex128)
-    north[-1] = 1.0
-    weights = D.P.weights
+    for a in a_grid:
+        if abs(a) >= 1.0:
+            raise ValueError(f"Moebius parameter must satisfy |a| < 1, got |a|={abs(a)}")
+    z = D.boundary_cloud(count, seed)
+    shrink = philox(seed + 1).uniform(0.0, 1.0, size=count) ** 0.5
+    # |z_j|^2 and Re z_n of the boundary points, then of their shrunk copies
+    sq = z.real * z.real + z.imag * z.imag
+    sq = np.concatenate([sq, sq * (shrink * shrink)[:, None]])
+    x = np.concatenate([z[:, -1].real, z[:, -1].real * shrink])
+    r2 = sq[:, -1]
+    keep = np.sqrt(sq[:, :-1].sum(axis=1) + (r2 + 2.0 * x + 1.0)) >= eps
+    x, r2 = x[keep], r2[keep]
+    classes = {}
+    for k, mk in enumerate(D.P.weights.m):
+        classes[mk] = classes.get(mk, 0.0) + sq[keep, k]
+    off_north = r2 - 2.0 * x + 1.0  # |z_n - 1|^2
     fractions = []
     swallowed = []
     coeffs = []
     b = 1.0 - s
     for a in a_grid:
-        psi = EllipsoidAutomorphism(a=float(a), theta=0.0, sign=+1)
-        ok = np.empty(len(cloud), dtype=bool)
-        for rows in blocks(len(cloud)):
-            img = psi.apply(weights, cloud[rows])
-            ok[rows] = np.linalg.norm(img - north, axis=1) <= u_radius
+        a = float(a)
+        q = 1.0 + 2.0 * a * x
+        q += a * a * r2
+        t = (1.0 - a * a) / q
+        dist = (1.0 - a) ** 2 * off_north
+        dist /= q
+        for mk, sums in classes.items():
+            dist += sums * (t if mk == 1 else np.sqrt(t) if mk == 2 else t ** (1.0 / mk))
+        ok = dist <= u_radius * u_radius
         fractions.append(float(np.mean(ok)))
         swallowed.append(bool(ok.all()))
-        coeffs.append(pullback_coeffs(b, float(a)) if 0.0 < a < 1.0 else (np.nan,) * 3)
+        coeffs.append(pullback_coeffs(b, a) if 0.0 < a < 1.0 else (np.nan,) * 3)
     return ExhaustionReport(
         a_grid=np.asarray(a_grid, dtype=float), fractions_inside=np.array(fractions),
-        first_ok_index=_tail_start(swallowed), cloud_size=len(cloud), coeffs=coeffs,
+        first_ok_index=_tail_start(swallowed), cloud_size=int(keep.sum()), coeffs=coeffs,
     )
 
 

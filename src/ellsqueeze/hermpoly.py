@@ -13,10 +13,10 @@ drift.  Differentiation and composition with affine maps are exact
 
 Every evaluation goes through one monomial kernel, planned once per
 table (`_Plan`): per variable one power table of z_j and one of conj z_j
-over the exponents 0..top the table uses, and each monomial a product of
+over the exponents the monomials use, and each monomial a product of
 gathers from those tables.  `value`, `gradient`, `hessian` and
-:func:`first_crossing` share it; derivatives gather lowered exponents
-from the same tables.
+:func:`first_crossing` share it; derivatives gather lowered exponents,
+from tables over the lowered exponents.
 
 :func:`first_crossing` finds where a table first reaches a level along
 rays from the origin; it serves the reach radii of `scaling`, at most
@@ -47,55 +47,75 @@ def _as_index(raw, d: int) -> MultiIndex:
     return idx
 
 
+def _gather(index: np.ndarray) -> list:
+    """Per row of `index` (one per variable): its distinct exponents, and
+    each entry's column among them."""
+    out = []
+    for row in index.tolist():
+        exps = sorted(set(row))
+        column = {e: i for i, e in enumerate(exps)}
+        out.append((np.array(exps), np.array([column[e] for e in row])))
+    return out
+
+
+def _lowered(index: np.ndarray) -> list:
+    """Per variable j, the gather of `index` with row j lowered by one, floored at 0."""
+    gather = _gather(index)
+    low = _gather(np.maximum(index - 1, 0))
+    return [gather[:j] + [low[j]] + gather[j + 1:] for j in range(len(gather))]
+
+
 class _Plan:
     """A table's expanded arrays and its monomial kernel, built once per table.
 
-    A, B and C hold every stored pair and its conjugate partner.  exps[j]
-    holds the exponents 0..top_j of variable j, top_j its largest in A or
-    B.  A power table z_j^exps[j] is indexed by the exponent itself, so
-    `holo` (A transposed) and `anti` (B transposed) are the gathers, one
-    row per variable, and a lowered exponent max(A[r, j] - 1, 0) is a
-    gather from the same table.  `radial` maps the monomials to the radial
-    coefficients c_0..c_K of :func:`first_crossing`.
+    A, B and C hold every stored pair and its conjugate partner.  A gather
+    is one (exponents, columns) pair per variable j: the distinct exponents
+    that the monomials take from z_j, and for each monomial the column of
+    its exponent among them.  `holo` gathers the exponents of A, `anti`
+    those of B, and `holo_lowered[j]` and `anti_lowered[j]` the same with
+    variable j's exponent lowered to max(A[r, j] - 1, 0), as derivatives
+    need.  `radial` maps the monomials to the radial coefficients
+    c_0..c_K of :func:`first_crossing`.
     """
 
-    __slots__ = ("A", "B", "C", "exps", "holo", "anti", "radial", "K")
+    __slots__ = ("A", "B", "C", "holo", "anti", "_lowered", "radial", "K")
 
     def __init__(self, A: list, B: list, C: list):
         self.A = np.asarray(A, dtype=np.int64)
         self.B = np.asarray(B, dtype=np.int64)
         self.C = np.asarray(C, dtype=np.complex128)
-        self.exps = [np.arange(max(col) + 1) for col in zip(*A, *B)]
-        self.holo = self.A.T.copy()
-        self.anti = self.B.T.copy()
+        self.holo = _gather(self.A.T)
+        self.anti = _gather(self.B.T)
+        self._lowered = None
         deg = [sum(a) + sum(b) for a, b in zip(A, B)]
         self.K = max(deg)
         self.radial = np.zeros((len(C), self.K + 1), dtype=np.complex128)
         self.radial[np.arange(len(C)), deg] = self.C
 
-    def product(self, z: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """prod_j z_j^index[j] for points z of shape (..., d), shape (..., rows).
-
-        Each variable's power table comes from one `np.power` call, whose
-        small integer powers multiply in their own order (numpy's
-        vectorized z * z rounds some points differently from z ** 2); row
-        r takes entry index[j, r] of table j.  The gathered columns
-        multiply from the first variable to the last in numpy's vectorized
-        complex product, into a C-contiguous array: BLAS sums the products
-        with C in an order that depends on the layout.
-        """
-        out = np.power(z[..., 0, None], self.exps[0]).take(index[0], axis=-1)
-        for j in range(1, len(index)):
-            out *= np.power(z[..., j, None], self.exps[j]).take(index[j], axis=-1)
-        return out
+    def lowered(self) -> tuple:
+        """(holo_lowered, anti_lowered), built on first use."""
+        if self._lowered is None:
+            self._lowered = (_lowered(self.A.T), _lowered(self.B.T))
+        return self._lowered
 
     @staticmethod
-    def lowered(index: np.ndarray):
-        """Per variable j, `index` with row j lowered by one, floored at 0."""
-        for j, row in enumerate(index):
-            low = index.copy()
-            low[j] = np.maximum(row - 1, 0)
-            yield low
+    def product(z: np.ndarray, gather: list) -> np.ndarray:
+        """prod_j z_j^e_j over the monomials of `gather`, for points z of shape (..., d).
+
+        Each variable's power table comes from one `np.power` call over the
+        exponents the gather uses, whose small integer powers multiply in
+        their own order (numpy's vectorized z * z rounds some points
+        differently from z ** 2); each monomial takes its column of table
+        j.  The gathered columns multiply from the first variable to the
+        last in numpy's vectorized complex product, into a C-contiguous
+        array: BLAS sums the products with C in an order that depends on
+        the layout.  The result has shape (..., monomials).
+        """
+        (exps, cols), *rest = gather
+        out = np.power(z[..., 0, None], exps).take(cols, axis=-1)
+        for j, (exps, cols) in enumerate(rest, 1):
+            out *= np.power(z[..., j, None], exps).take(cols, axis=-1)
+        return out
 
 
 class HermitianPolynomial:
@@ -189,8 +209,8 @@ class HermitianPolynomial:
         z = np.asarray(z, dtype=np.complex128)
         anti = plan.product(np.conj(z), plan.anti)
         out = np.empty(z.shape, dtype=np.complex128)
-        for j, index in enumerate(plan.lowered(plan.holo)):
-            holo = plan.product(z, index)
+        for j, gather in enumerate(plan.lowered()[0]):
+            holo = plan.product(z, gather)
             holo *= anti
             out[..., j] = holo @ (plan.C * plan.A[:, j])
         return out
@@ -200,8 +220,9 @@ class HermitianPolynomial:
         plan = self._expand()
         z = np.asarray(z, dtype=np.complex128)
         zc = np.conj(z)
-        holo = [plan.product(z, index) for index in plan.lowered(plan.holo)]
-        anti = [plan.product(zc, index) for index in plan.lowered(plan.anti)]
+        holo_lowered, anti_lowered = plan.lowered()
+        holo = [plan.product(z, gather) for gather in holo_lowered]
+        anti = [plan.product(zc, gather) for gather in anti_lowered]
         H = np.empty(z.shape[:-1] + (self.d, self.d), dtype=np.complex128)
         for j in range(self.d):
             for k in range(self.d):

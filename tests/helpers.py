@@ -231,3 +231,44 @@ def analytic_floor_pairwise(D, r: float, samples: int, seed: int) -> float:
                                    axis=-1).min())
               for lo in range(0, samples, 128))
     return gap / 2.0 / (2.0 * D.bounding_radius(margin=0.0))
+
+
+def exhaustion_cloud(D, eps: float, count: int, seed: int) -> np.ndarray:
+    """The cloud of `domconv.exhaustion_check` as complex points.
+
+    `count` boundary samples, then each scaled by the square root of a
+    uniform draw, less the points within eps of (0', -1).
+    """
+    from ellsqueeze.util import philox
+
+    boundary = D.boundary_cloud(count, seed)
+    shrink = philox(seed + 1).uniform(0.0, 1.0, size=count) ** 0.5
+    cloud = np.concatenate([boundary, boundary * shrink[:, None]], axis=0)
+    south = np.zeros(D.n, dtype=np.complex128)
+    south[-1] = -1.0
+    return cloud[np.linalg.norm(cloud - south, axis=1) >= eps]
+
+
+def exhaustion_fractions_by_images(D, a_grid, eps: float, u_radius: float,
+                                   count: int, seed: int):
+    """(fractions inside, first index of the all-inside tail, cloud size) from images.
+
+    Each a maps the whole `exhaustion_cloud` through the +1-variant
+    `EllipsoidAutomorphism.apply` and measures each image's distance to
+    (0', 1) with `np.linalg.norm`: no closed form.
+    """
+    from ellsqueeze.automorphisms import EllipsoidAutomorphism
+
+    cloud = exhaustion_cloud(D, eps, count, seed)
+    north = np.zeros(D.n, dtype=np.complex128)
+    north[-1] = 1.0
+    fractions, start = [], None
+    for i, a in enumerate(a_grid):
+        img = EllipsoidAutomorphism(a=float(a), theta=0.0, sign=+1).apply(D.P.weights, cloud)
+        ok = np.linalg.norm(img - north, axis=1) <= u_radius
+        fractions.append(float(np.mean(ok)))
+        if not ok.all():
+            start = None
+        elif start is None:
+            start = i + 1
+    return np.array(fractions), start, len(cloud)

@@ -292,6 +292,8 @@ def test_invalid_parameter_rejected(tmp_path):
     ["classify", "--kind", "cone", "--s", "0.001"],
     ["profile", "--indices", "10,100000000"],
     ["profile", "--indices", "10,10000000000000000"],
+    # a Moebius parameter on the unit circle
+    ["convergence", "--agrid", "0.5,1"],
 ])
 def test_out_of_range_parameter_rejected(tmp_path, args):
     assert run_cli(args + ["--out", str(tmp_path / "v")]) == 2

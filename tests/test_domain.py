@@ -470,3 +470,16 @@ def test_samples_csv_text_is_fmt(tmp_path):
     header = [f"{part}_z{j}" for j in (1, 2, 3) for part in ("re", "im")]
     write_csv(tmp_path / "reference.csv", header + ["residual", "levi_min"], rows)
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [0, 5000])
+def test_samples_csv_matches_per_row_text(E, tmp_path, count):
+    # the body formatted in one call holds the bytes of one fmt line per row
+    pts = E.boundary_cloud(max(count, 1), seed=3)[:count]
+    residual, levi = np.abs(E.rho(pts)), E.levi_min_eig(pts)
+    samples_to_csv(tmp_path / "samples.csv", pts, residual, levi)
+    rows = [[fmt(x) for z in p for x in (z.real, z.imag)] + [fmt(r), fmt(v)]
+            for p, r, v in zip(pts, residual, levi)]
+    header = ["re_z1", "im_z1", "re_z2", "im_z2", "residual", "levi_min"]
+    write_csv(tmp_path / "reference.csv", header, rows)
+    assert (tmp_path / "samples.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import helpers
 from ellsqueeze import util
 from ellsqueeze.automorphisms import EllipsoidAutomorphism, pullback_coeffs
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
-from ellsqueeze.domconv import exhaustion_check, exhaustion_cloud, exhaustion_report_to_csv
+from ellsqueeze.domconv import exhaustion_check, exhaustion_report_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +16,8 @@ def E():
 
 
 def test_exhaustion_ignores_blocks(E, monkeypatch):
-    # psi_a maps the cloud util.BLOCK points at a time; one block over the
-    # whole cloud gives the same verdicts
+    # the boundary cloud's sphere points are drawn util.BLOCK at a time; one
+    # block over the whole draw gives the same verdicts
     kwargs = dict(s=0.5, a_grid=[0.9, 0.99, 0.999, 0.9999], count=util.BLOCK, seed=4)
     blocked = exhaustion_check(E, **kwargs)
     assert blocked.cloud_size > util.BLOCK
@@ -24,6 +25,33 @@ def test_exhaustion_ignores_blocks(E, monkeypatch):
     whole = exhaustion_check(E, **kwargs)
     assert blocked.fractions_inside.tobytes() == whole.fractions_inside.tobytes()
     assert blocked.first_ok_index == whole.first_ok_index
+
+
+@pytest.mark.parametrize("domain", [
+    GeneralEllipsoid.quartic_disc,
+    lambda: GeneralEllipsoid.unit_ball(2),
+    lambda: GeneralEllipsoid.unit_ball(3),
+    lambda: GeneralEllipsoid(helpers.mixed_weight_polynomial()),
+], ids=["quartic", "ball-2", "ball-3", "mixed-2-3"])
+@pytest.mark.parametrize("count", [1000, util.BLOCK + 3000])
+def test_closed_form_matches_images(domain, count):
+    # the closed form in |z_k|^2 and z_n gives the verdicts of the explicit
+    # images psi_a(z): m = 1, 2 and 3 (a real power of lam/q), a <= 0 included
+    D = domain()
+    grid = [-0.6, 0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999]
+    for seed in (0, 1, 2):
+        rep = exhaustion_check(D, s=0.5, a_grid=grid, count=count, seed=seed)
+        fractions, first, size = helpers.exhaustion_fractions_by_images(
+            D, grid, eps=0.4, u_radius=0.5, count=count, seed=seed)
+        assert rep.fractions_inside.tobytes() == fractions.tobytes()
+        assert rep.first_ok_index == first
+        assert rep.cloud_size == size
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 1.5])
+def test_parameter_off_the_disc_refused(E, a):
+    with pytest.raises(ValueError, match=r"\|a\| < 1"):
+        exhaustion_check(E, s=0.5, a_grid=[0.5, a], count=50)
 
 
 def test_empty_sequence_never_contains(E):
@@ -43,7 +71,7 @@ def test_containment_lost_at_the_last_member(E):
 
 
 def test_exhaustion_cloud_avoids_south_ball(E):
-    cloud = exhaustion_cloud(E, eps=0.4, count=500, seed=4)
+    cloud = helpers.exhaustion_cloud(E, eps=0.4, count=500, seed=4)
     south = np.array([0.0, -1.0], dtype=complex)
     assert np.linalg.norm(cloud - south, axis=1).min() >= 0.4
     # cloud stays in the closed domain
@@ -88,7 +116,7 @@ def test_pullback_coefficient_limit_binary_grid():
 
 def test_exhaustion_membership_matches_pullback_coeffs(E):
     # psi_a(x) in D^s iff |x_n - c1|^2 + c2 P(x') < c3 on the whole cloud
-    cloud = exhaustion_cloud(E, eps=0.4, count=300, seed=6)
+    cloud = helpers.exhaustion_cloud(E, eps=0.4, count=300, seed=6)
     interior = cloud[np.asarray(E.rho(cloud) < -1e-6)]
     sp = SubdomainParams(0.5)
     for a in (0.7, 0.95):
