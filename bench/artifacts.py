@@ -12,7 +12,9 @@ samples, `floor-large` at 2^16 samples over 48 grid points,
 domains: `quartic`, `ball:2`, `ball:3`, the m = (2, 3) table with a
 z1^2 conj(z2)^3 cross term of the kernel benchmarks, one member of the
 family `perfbench` draws its mixed-weight tables from (written to
-OUT/mixed-2-3.json), and 3|z1|^6 (written to OUT/3z6.json).  `ball:2` is
+OUT/mixed-2-3.json), 3|z1|^6 (written to OUT/3z6.json) and E(2, 3) =
+|z1|^4 + |z2|^6, the diagonal n = 3 table of the ROADMAP's baseline
+(written to OUT/e23.json).  `ball:2` is
 the m = 1 table of the exact n = 2 path; each of its floors ties with 1 up
 to rounding, so the `argmin` its ties pick moves with any bit of that
 path.  3|z1|^6 is the one n = 2 table with a != 1, so its chains are the
@@ -45,9 +47,11 @@ from test_kernels import _mixed_weight_polynomial  # noqa: E402
 TABLES = {
     "mixed-2-3.json": _mixed_weight_polynomial(),
     "3z6.json": WeightedPolynomial(MultiWeight((3,)), {((3,), (3,)): 3.0}),
+    "e23.json": WeightedPolynomial(MultiWeight((2, 3)), {((2, 0), (2, 0)): 1.0,
+                                                        ((0, 3), (0, 3)): 1.0}),
 }
 DOMAINS = {"quartic": "quartic", "ball-2": "ball:2", "ball-3": "ball:3",
-           "mixed-2-3": "mixed-2-3.json", "3z6": "3z6.json"}
+           "mixed-2-3": "mixed-2-3.json", "3z6": "3z6.json", "e23": "e23.json"}
 # run name -> CLI arguments after the domain: every experiment at its
 # defaults, then `classify` on the two sequence kinds it does not default to
 # and `floor` on a subdomain far thinner than the domain's bounding box

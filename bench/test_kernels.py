@@ -25,9 +25,9 @@ which the exact slice floor does not read, so it times imports and one
 slice floor.  Neither loads scipy.
 `squeeze_estimates` runs over the 64-point floor grid of D^{0.5,0.5}
 (`subdomain_grid`, the cloud's first 64 sphere points dilated into the
-subdomain in closed form): sampled on the m = (2, 3) domain (where the
-normalizing automorphism takes square and cube roots) over a warm 2^14
-cloud, and exact on the quartic, where each of the three chains' radii is
+subdomain in closed form): sampled on the m = (2, 3) domain over a warm
+2^14 cloud, which each chain reads unmoved through its closing pair, and
+exact on the quartic, where each of the three chains' radii is
 a one-parameter minimum in closed form and no cloud is drawn: a root solve
 of the stationary polynomial for the normalizing and tangent chains, a
 grid-and-zoom search for the trivial chain off the slice.  The exact

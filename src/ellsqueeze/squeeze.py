@@ -28,13 +28,15 @@ The strategy family (`chain_family`):
              curvature, so the radius tends to 1 as b tends to q.
 
 Each affine step maps D into the unit ball, so each chain's inscribed
-radius is a lower bound for the squeezing function.
+radius is a lower bound for the squeezing function.  psi is an
+automorphism of D and maps the boundary bD onto itself, so on every n a
+chain's radius is the minimum over w in bD of the closed form above at
+u = step(w), its affine step's image: psi drops out.  Each chain keeps
+psi as the witness of its embedding, and `check_basepoint` centres it.
 
 On n = 2 the radii are exact.  Every n = 2 table is a |z_1|^{2m} (the
 weight rule leaves no other term), so D is invariant under the torus
-z_k -> e^{i theta_k} z_k, and psi maps the boundary bD onto itself: a
-chain's radius is the minimum over bD of the closed form above, with the
-leading psi dropped.  That minimum lies on one real segment:
+z_k -> e^{i theta_k} z_k, and the minimum lies on one real segment:
 
   - trivial and normalize: the worst phases align w with c, which leaves
     a minimum over the boundary modulus r_1 in [0, a^{-1/(2m)}], with z_1
@@ -80,19 +82,16 @@ trivial chain's B(0, R_pad): by Schwarz-Pick that inclusion can only
 shrink pseudo-hyperbolic distances, so at a slice point the trivial
 chain's radius never exceeds the normalizing chain's.
 
-On n >= 3 every value is a sampled estimate (kind "sampled"): the
-minimum image norm over a boundary cloud, an upper estimate of a chain's
-inscribed radius that converges to it from above as the sample count
-grows (all step maps extend continuously to the closed domain).
-`squeeze_estimates` evaluates the family for many basepoints over one
-shared cloud; a closed form of |phi_c| (`_screened_squares`, Lagrange's
-identity as above, within a few ulps of the exact norm at each sample)
-screens all samples for a basepoint's whole family at once, BLOCK
-(`util.BLOCK`) samples at a time, so a chain's temporaries stay one block
-long however large the cloud.  Its minima are the reported values.  The
-screen takes each contraction to be z -> z / R: the tangent chain, the one
-chain with a centre and scales, is built on n = 2 only, where nothing is
-screened.
+On n >= 3 every value is a sampled estimate (kind "sampled"): the least
+|phi_c(w / R)| over the points w of a boundary cloud, for the chain's
+closing pair (R, c), an upper estimate of its radius that converges to
+it from above as the sample count grows.  `squeeze_estimates` screens
+every chain over one shared cloud, unmoved, in the closed form of
+`_screened_squares` (Lagrange's identity as above, within a few ulps of
+the exact norm at each sample), BLOCK (`util.BLOCK`) samples at a time;
+its minima are the reported values.  The screen takes each contraction
+to be z -> z / R: the tangent chain, the one chain with a centre and
+scales, is built on n = 2 only, where nothing is screened.
 
 `gamma_floor` on n >= 3 minimizes those estimates over a grid of D^{s,r}
 in closed form (`subdomain_grid`): D^{s,r} is the image of D under
@@ -100,11 +99,10 @@ w -> (delta_{rs}(w'), 1 - s + s w_n), so the estimation cloud's first
 sphere points, each moved to a level t of D with P(t <= x) = x^Q,
 Q = 1 + sum_k 1/m_k, the level law of a uniform sample, land in D^{s,r}
 for every admissible s and r.  It finds the minimum by bound: a grid value
-is the largest of its chains' minima, so the trivial chain's minimum,
-which needs no domain automorphism, bounds it from below, and the
-normalizing chain is screened only at points whose bound lies below the
-least value found so far.  Value and argmin equal the least of
-`squeeze_estimates` over the grid, bit for bit.
+is the largest of its chains' minima, so the trivial chain's minimum
+bounds it from below, and the normalizing chain is screened only at
+points whose bound lies below the least value found so far.  Value and
+argmin equal the least of `squeeze_estimates` over the grid, bit for bit.
 
 The floor is the one number of the `floor` experiment.  `analytic_floor`,
 the gap between sampled level sets of P, has no proved meaning, and no
@@ -228,10 +226,11 @@ class SqueezeEstimate:
 
     `kind` says what `value` is.  "exact" (n = 2): the inscribed radius of
     `chain`, a float minimum of its closed form (module docstring), not
-    certified; `samples` and `band` read 0.  "sampled" (n >= 3): the
-    minimum image norm of `chain` over a boundary cloud of `samples`
-    points, each norm in closed form, an upper estimate of the chain's
-    inscribed radius, with `band` its drop from the half-cloud minimum.
+    certified; `samples` and `band` read 0.  "sampled" (n >= 3): the least
+    |phi_c(w / R)| over a boundary cloud of `samples` points w, for the
+    closing pair (R, c) of `chain`, each in closed form, an upper estimate
+    of the chain's radius (module docstring), with `band` its drop from
+    the half-cloud minimum.
     Either way the chain's radius is a lower bound for the squeezing
     function.
     """
@@ -242,18 +241,6 @@ class SqueezeEstimate:
     samples: int
     band: float
     kind: str
-
-
-def chain_norms_at(chain: EmbeddingChain, points: np.ndarray) -> np.ndarray:
-    """Norms of the chain images of a point set, through the explicit step maps.
-
-    No estimate reads it: the screen's closed form (`_screened_squares`)
-    gives every reported norm.  It is the explicit reference for that form.
-    Chains are pure compositions, so evaluating a family member g on a
-    transported cloud psi(Xi) gives bit-identical values to evaluating the
-    precomposed chain g o psi on Xi.
-    """
-    return np.linalg.norm(chain.apply(points), axis=-1)
 
 
 def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
@@ -269,24 +256,23 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     chains.append(EmbeddingChain(
         D, (Rescale(R_pad), BallAutomorphism(c_triv)), p, label="trivial"))
 
-    norm = normalize_point(D, p)
-    R_tight = D.bounding_radius(margin=0.0)
-    image = norm.b / R_tight
+    psi = normalize_point(D, p).automorphism
+    # the chain's own image of p, not normalize_point's b: next to the sphere
+    # an ulp between the two is a real pseudo-hyperbolic offset.  Its z_n, a
+    # rounding off 0, goes back on the slice: that offset is orthogonal to c,
+    # where phi_c magnifies it only by 1 / sqrt(1 - |c|^2), and c_n = 0 keeps
+    # the exact n = 2 rows on their root solve
+    b = psi.apply(D.P.weights, p[None])[0]
+    b[-1] = 0.0
+    rescale = Rescale(D.bounding_radius(margin=0.0))
     chains.append(EmbeddingChain(
-        D,
-        (norm.automorphism, Rescale(R_tight), BallAutomorphism(image)),
-        p,
-        label="normalize"))
+        D, (psi, rescale, BallAutomorphism(rescale.apply(None, b))), p, label="normalize"))
 
     if D.n == 2:
         m, ell = _slice_scale(D)
-        b1 = norm.b[0]
-        ball = _tangent_step(m, ell, b1 / abs(b1) if b1 != 0 else 1.0)
+        ball = _tangent_step(m, ell, b[0] / abs(b[0]) if b[0] != 0 else 1.0)
         chains.append(EmbeddingChain(
-            D,
-            (norm.automorphism, ball, BallAutomorphism(ball.apply(None, norm.b))),
-            p,
-            label="tangent"))
+            D, (psi, ball, BallAutomorphism(ball.apply(None, b))), p, label="tangent"))
     return chains
 
 
@@ -453,17 +439,12 @@ def _exact_squares(D: GeneralEllipsoid, chains: Sequence[EmbeddingChain]) -> np.
     return _squares(D, *rows.reshape(-1, 5).T)
 
 
-def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
-                      chains: Sequence[EmbeddingChain]) -> np.ndarray:
-    """Squared image norms of a cloud under each chain, in closed form.
+def _screened_squares(cloud: np.ndarray, pairs: Sequence[Tuple[float, np.ndarray]]) -> np.ndarray:
+    """Squared norms |phi_c(w / R)|^2 of the cloud's points w, one row per
+    closing pair (R, c), in closed form.
 
-    Every chain must end in the plain contraction z -> z / R, Rescale(R)
-    with neither centre nor scales, then phi_c: the trivial and
-    normalizing chains do, and the tangent chain is built on n = 2 only,
-    which is never screened.  The steps before that pair run through their
-    own maps, giving w, one row per chain, so chains of different shapes
-    share one call.  With u = w / R, e = u - c and g = 1 - |c|^2, Lagrange's
-    identity (as in `_squares`) gives
+    With u = w / R, e = u - c and g = 1 - |c|^2, Lagrange's identity (as
+    in `_squares`) gives
 
         |phi_c(u)|^2 = (g |e|^2 + |<e, c>|^2) / |g - <e, c>|^2.
 
@@ -474,27 +455,21 @@ def _screened_squares(D: GeneralEllipsoid, cloud: np.ndarray,
     rounding, a loss phi_c magnifies next to the sphere.  It is evaluated
     on R e = w - R c, with g and R g rounded from their exact values and
     R c carried as two floats, so R e keeps its relative accuracy where w
-    nears R c.  Each row is filled BLOCK samples at a time, so the lead
-    steps' temporaries stay one block long; after them every value is real
-    arithmetic on its own sample, so neither the blocks nor the cloud's
-    length change a bit.
+    nears R c.  Each row is filled BLOCK samples at a time, so its
+    temporaries stay one block long; every value is real arithmetic on its
+    own sample, so neither the blocks nor the cloud's length change a bit.
     """
-    weights = D.P.weights
-    out = np.empty((len(chains), len(cloud)))
-    for row, chain in zip(out, chains):
-        *lead, rescale, ball = chain.steps
-        R = Fraction(rescale.R)
-        parts = [x for ck in ball.c for x in (ck.real, ck.imag)]
-        turned = [x for ck in ball.c for x in (-ck.imag, ck.real)]
+    out = np.empty((len(pairs), len(cloud)))
+    for row, (R, c) in zip(out, pairs):
+        R = Fraction(R)
+        parts = [x for ck in c for x in (ck.real, ck.imag)]
+        turned = [x for ck in c for x in (-ck.imag, ck.real)]
         gap = 1 - sum(Fraction(x) ** 2 for x in parts)
         g, Rg = float(gap), float(R * gap)
         Rc = [R * Fraction(x) for x in parts]
         shifts = [(float(y), float(y - Fraction(float(y)))) for y in Rc]
         for rows in blocks(len(cloud)):
-            w = cloud[rows]
-            for step in lead:
-                w = step.apply(weights, w)
-            coords = [x for wk in w.T for x in (wk.real, wk.imag)]
+            coords = [x for wk in cloud[rows].T for x in (wk.real, wk.imag)]
             e = [(x - hi) - lo for x, (hi, lo) in zip(coords, shifts)]
             re = sum(x * y for x, y in zip(e, parts))
             im = sum(x * y for x, y in zip(e, turned))
@@ -513,14 +488,14 @@ def _checked_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
 def _checked_families(D: GeneralEllipsoid, points: np.ndarray, count: int, seed: int):
     """Each basepoint's checked strategy family, and the screen of chains
     over the shared cloud `D.boundary_cloud(count, seed)`: each chain's
-    least image norm (`_screened_squares`) over the whole cloud and over its
-    half prefix."""
+    least image norm over the whole cloud and over its half prefix, from
+    its closing pair (R, c) alone (`_screened_squares`)."""
     cloud = D.boundary_cloud(count, seed)
     half = max(1, len(cloud) // 2)
     families = [_checked_family(D, p) for p in points]
 
     def screen(chains):
-        q = _screened_squares(D, cloud, chains)
+        q = _screened_squares(cloud, [(chain.steps[-2].R, chain.steps[-1].c) for chain in chains])
         norms = np.sqrt([q.min(axis=1), q[:, :half].min(axis=1)])
         return [(float(full), float(part)) for full, part in norms.T]
 
@@ -540,8 +515,8 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
     `count` and `seed` are unused.  On n >= 3 each is sampled (kind
     "sampled"): all basepoints share one boundary cloud, each family is
     screened in one pass with the closed form for |phi_c|
-    (`_screened_squares`), and each chain's value is its least closed-form
-    norm over the cloud.  A sample's norm depends on that sample alone, and
+    (`_screened_squares`), and each chain's value is its closing pair's
+    least closed-form norm over the unmoved cloud.  A sample's norm depends on that sample alone, and
     the cloud is prefix-stable with count-independent rescale radii, so a
     sampled value can only decrease when the sample count grows, bit for
     bit.  The sampling band reports the drop from the half-count estimate
@@ -606,7 +581,7 @@ class FloorReport:
     constant.  `value` and `argmin` are the least `squeeze_estimates` value
     over the grid and its first point, found by bound (see
     :func:`gamma_floor`): grid points whose trivial-chain minimum already
-    reaches the floor are never normalized.
+    reaches the floor skip the normalizing chain's screen.
     """
 
     s: float
@@ -663,18 +638,20 @@ def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
     least value is the argmin.  Value and argmin are those of the least
     `squeeze_estimates` value over the grid, bit for bit.
 
-    The estimates use the cloud whose first sphere points the grid dilates.
-    That reuse is deliberate: each value is still an upper estimate of its
-    chain's inscribed radius, a lower bound for the squeezing function, and
-    a grid drawn from other sphere points read higher floors.
+    The estimates use the cloud whose first sphere points the grid dilates,
+    so no second cloud is drawn.  Each value is still an upper estimate of
+    its chain's radius; grids drawn from other seeds read floors a few
+    percent higher or lower.
 
     A grid value is the largest of its chains' minima, capped at 1, so the
-    first chain's capped minimum, low_g, bounds it from below.  The trivial
-    chain needs no domain automorphism, so low_g is cheap; every point gets
-    it, and every chain of every point is checked for centering.  Points
-    are then visited in ascending (low_g, g) order, their other chains
-    screened, until a point's (low_g, g) exceeds the least (value, index)
-    found: neither it nor any later point can hold the minimum.
+    first chain's capped minimum, low_g, bounds it from below.  Every point
+    gets it, and every chain of every point is checked for centering.
+    Points are then visited in ascending (low_g, g) order, their other
+    chains screened, until a point's (low_g, g) exceeds the least
+    (value, index) found: neither it nor any later point can hold the
+    minimum.  Each chain costs one screen of its closing pair, and on
+    E(2, 3) and the m = (2, 3) tables the bound spares most normalizing
+    screens (all but 5 to 42 of 200 points); on the ball it spares none.
     """
     if D.n == 2:
         return _slice_floor(D, s, r, seed)

@@ -143,31 +143,46 @@ def levi_min_eig_pointwise(P: WeightedPolynomial, z: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (L + L.conj().T))[0])
 
 
+def chain_norms_at(chain, points: np.ndarray) -> np.ndarray:
+    """Norms of the chain images of a point set, through the explicit step maps.
+
+    Chains are pure compositions, so evaluating a family member g on a
+    transported cloud psi(Xi) gives bit-identical values to evaluating the
+    precomposed chain g o psi on Xi.
+    """
+    return np.linalg.norm(chain.apply(points), axis=-1)
+
+
+def closing_pair_norms(chain, points: np.ndarray) -> np.ndarray:
+    """Norms |phi_c(w / R)| at the points w, through the explicit maps of
+    the chain's closing pair Rescale(R), phi_c."""
+    rescale, ball = chain.steps[-2:]
+    return np.linalg.norm(ball.apply(None, rescale.apply(None, points)), axis=-1)
+
+
 def squeeze_lower_bound_pointwise(D, p: np.ndarray, count: int, seed: int):
     """(value, chain label, band) of the chain family at one point.
 
-    Every chain of `squeeze.chain_family` maps the whole boundary cloud
-    through its explicit steps.  Those maps round, so each chain's minimum
-    over the cloud and over its half prefix is taken exactly
-    (`least_exact_image_norm`) among the samples whose explicit norm lies
-    within 1e-12 of the explicit minimum.  The best chain wins, the first
-    on ties, and the band is its drop from the half-prefix minimum.  The
-    chains must end in a plain Rescale(R) and phi_c, as the sampled
-    family does on n >= 3.
+    Every chain of `squeeze.chain_family` ends in a plain Rescale(R) and
+    phi_c, as the sampled family does on n >= 3, and its leading
+    automorphism maps the boundary onto itself, so each chain reads the
+    boundary cloud unmoved, through that closing pair.  Its explicit maps
+    round, so each chain's minimum over the cloud and over its half prefix
+    is taken exactly (`least_exact_image_norm`) among the samples whose
+    explicit norm lies within 1e-12 of the explicit minimum.  The best
+    chain wins, the first on ties, and the band is its drop from the
+    half-prefix minimum.
     """
-    from ellsqueeze.squeeze import chain_family, chain_norms_at
+    from ellsqueeze.squeeze import chain_family
 
     cloud = D.boundary_cloud(count, seed)
     half = max(1, len(cloud) // 2)
     best_val, best_label, best_half = -np.inf, None, None
     for chain in chain_family(D, p):
         chain.check_basepoint()
-        *lead, rescale, ball = chain.steps
-        w = cloud
-        for step in lead:
-            w = step.apply(D.P.weights, w)
-        norms = chain_norms_at(chain, cloud)
-        full, part = (float(least_exact_image_norm(w[:k][norms[:k] <= norms[:k].min() + 1e-12],
+        rescale, ball = chain.steps[-2:]
+        norms = closing_pair_norms(chain, cloud)
+        full, part = (float(least_exact_image_norm(cloud[:k][norms[:k] <= norms[:k].min() + 1e-12],
                                                    rescale.R, ball.c))
                       for k in (len(cloud), half))
         if full > best_val:

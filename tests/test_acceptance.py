@@ -19,12 +19,12 @@ from ellsqueeze.scaling import (DefiningFunctionPoly, build_frame,
                                 scale_along_normal, scaled_function, tau)
 from ellsqueeze.sequences import classify, generate, tangency_ratio
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
-                                chain_norms_at, gamma_floor,
-                                squeeze_lower_bound)
+                                gamma_floor, squeeze_lower_bound)
 from ellsqueeze.util import philox
 from ellsqueeze.wpoly import quartic_disc_polynomial
 
-from helpers import fd_gradient, fd_hessian, random_admissible_polynomial
+from helpers import (chain_norms_at, fd_gradient, fd_hessian,
+                     random_admissible_polynomial)
 
 # log-spaced indices 2 ... 10^6 shared by the sequence criteria
 LOG_INDICES = [2, 3, 5, 10, 32, 100, 316, 1000, 3162, 10000, 100000, 1000000]

@@ -372,6 +372,20 @@ def test_basepoint_centering_violation_exit_code(tmp_path, monkeypatch):
     assert not (out / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["ball:2", "ball:3"])
+def test_profile_centres_basepoints_next_to_the_sphere(tmp_path, name):
+    # at j = 10^7 the ball parameters sit 2.5e-8 inside the sphere, where an
+    # ulp off the chain's own image of p is a real pseudo-hyperbolic
+    # offset; each chain centres that image, so the run passes
+    # basepoint_centering
+    out = tmp_path / "p"
+    assert run_cli(["profile", "--out", str(out), "--domain", name,
+                    "--indices", "10,10000000"]) == 0
+    D = domain.GeneralEllipsoid.unit_ball(int(name[-1]))
+    for term in generate(D, "tangential", indices=[10, 10000000]).terms:
+        assert squeeze.chain_family(D, term.z)[1].check_basepoint() == 0.0
+
+
 def test_slice_floor_centering_violation_exit_code(tmp_path, monkeypatch):
     # the exact floor checks the three chains at its minimizer (t*, 0)
     monkeypatch.setattr(squeeze, "BASEPOINT_TOL", -1.0)

@@ -12,12 +12,13 @@ from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import ToleranceError
 from ellsqueeze.sequences import generate
 from ellsqueeze.squeeze import (BallAutomorphism, EmbeddingChain, Rescale,
-                                analytic_floor, chain_family, chain_norms_at,
-                                gamma_floor, squeeze_estimates,
-                                squeeze_lower_bound, subdomain_grid)
+                                analytic_floor, chain_family, gamma_floor,
+                                squeeze_estimates, squeeze_lower_bound,
+                                subdomain_grid)
 from ellsqueeze.domain import SubdomainParams, contains_sub
 from ellsqueeze.util import complex_sphere, philox
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
+from helpers import chain_norms_at
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +184,6 @@ def test_estimator_automorphism_consistency(E):
     # estimate at psi(p) over a chain g, sampled on the transported cloud,
     # equals the estimate at p over g o psi on the original cloud: the same
     # multiset of values, bit for bit (chains are pure compositions)
-    from ellsqueeze.squeeze import chain_norms_at
-
     psi = EllipsoidAutomorphism(a=0.35, theta=0.9, sign=-1)
     p = np.array([0.25, 0.1 - 0.3j], dtype=complex)
     q = psi.apply(E.P.weights, p[None, :])[0]
@@ -262,7 +261,10 @@ def test_gamma_floor_is_least_estimate(name, s, r, seed):
 
 def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
     # every chain of every grid point is checked for centering, while the
-    # trivial-chain bounds on E(2, 3) spare most normalizing chains
+    # trivial-chain bounds on E(2, 3) spare most normalizing chains; the
+    # screen sees closing pairs only, told apart by their radii R_pad and
+    # R_tight
+    D = FLOOR_DOMAINS["E-2-3"]()
     checked, screened = [], []
     check, screen = EmbeddingChain.check_basepoint, squeeze._screened_squares
 
@@ -270,17 +272,17 @@ def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
         checked.append(chain.label)
         return check(chain)
 
-    def counting_screen(D, cloud, chains):
-        screened.extend(chain.label for chain in chains)
-        return screen(D, cloud, chains)
+    def counting_screen(cloud, pairs):
+        screened.extend(R for R, _ in pairs)
+        return screen(cloud, pairs)
 
     monkeypatch.setattr(EmbeddingChain, "check_basepoint", counting_check)
     monkeypatch.setattr(squeeze, "_screened_squares", counting_screen)
-    gamma_floor(FLOOR_DOMAINS["E-2-3"](), 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
+    gamma_floor(D, 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
     assert len(checked) == 2 * 64
     assert checked.count("trivial") == checked.count("normalize") == 64
-    assert screened.count("trivial") == 64
-    assert 0 < screened.count("normalize") < 64
+    assert screened.count(D.bounding_radius()) == 64
+    assert 0 < screened.count(D.bounding_radius(margin=0.0)) < 64
 
 
 def test_gamma_floor_positive(E):
@@ -410,8 +412,9 @@ def _assert_match_pointwise(D, points, ests, count):
 ], ids=["mixed-2-3", "ball-3"])
 def test_estimates_match_pointwise_loop(domain, count):
     # the estimator takes each minimum through the screen's closed form, the
-    # loop exactly, over the samples the explicit chain maps put within
-    # 1e-12 of their minimum: the explicit maps alone err by up to 10.5 ulps
+    # loop exactly, over the samples of the unmoved cloud that the explicit
+    # maps of each chain's closing pair put within 1e-12 of their minimum:
+    # the explicit maps alone round by several ulps
     pytest.importorskip("mpmath")
     D = domain()
     points = _estimate_inputs(D, 24)
@@ -425,36 +428,15 @@ def test_estimates_match_pointwise_loop(domain, count):
 def test_screen_tracks_explicit_chain_norms(domain):
     # every sample, the chains the screen takes (trivial and normalize: the
     # n = 2 tangent chain is never screened), floor grid points and the
-    # profile terms up to j = 10^4
+    # profile terms up to j = 10^4, against the explicit maps of each
+    # chain's closing pair on the unmoved cloud
     D = domain()
     cloud = D.boundary_cloud(1 << 14, seed=0)
     for p in _estimate_inputs(D, 8):
         for chain in chain_family(D, p)[:2]:
-            screened = np.sqrt(squeeze._screened_squares(D, cloud, [chain])[0])
-            assert np.abs(screened - chain_norms_at(chain, cloud)).max() <= 1e-13
-
-
-@pytest.mark.parametrize("domain", [GeneralEllipsoid.quartic_disc, _mixed_weight_domain],
-                         ids=["quartic", "mixed-2-3"])
-def test_screen_mixes_chain_shapes(domain):
-    # two automorphisms before the closing pair, screened in one call next to
-    # the two-step and three-step chains of the family
-    D = domain()
-    cloud = D.boundary_cloud(1 << 12, seed=0)
-    p = _estimate_inputs(D, 2)[0]
-    trivial, normalize = chain_family(D, p)[:2]
-    psi = EllipsoidAutomorphism(a=0.3 + 0.2j, theta=0.4, sign=1)
-    lead = (normalize.steps[0], psi)
-    image = p.reshape(1, -1)
-    for step in lead:
-        image = step.apply(D.P.weights, image)
-    R = normalize.steps[1].R
-    longer = EmbeddingChain(D, lead + (Rescale(R), BallAutomorphism(image[0] / R)), p)
-    longer.check_basepoint()
-    chains = [trivial, longer, normalize]
-    screened = np.sqrt(squeeze._screened_squares(D, cloud, chains))
-    for row, chain in zip(screened, chains, strict=True):
-        assert np.abs(row - chain_norms_at(chain, cloud)).max() <= 1e-13
+            pair = (chain.steps[-2].R, chain.steps[-1].c)
+            screened = np.sqrt(squeeze._screened_squares(cloud, [pair])[0])
+            assert np.abs(screened - helpers.closing_pair_norms(chain, cloud)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("domain", [_mixed_weight_domain, lambda: GeneralEllipsoid.unit_ball(3),
@@ -462,8 +444,8 @@ def test_screen_mixes_chain_shapes(domain):
 def test_sampled_values_match_50_digits(domain):
     # each chain's least screened norm, over the whole cloud and over its
     # half prefix, lies within 16 ulps of the exact image norm of its
-    # sample's lead-step image, in 50 digits; the reported value and band
-    # are those minima, at floor grid points and the profile terms
+    # sample under the closing pair, in 50 digits; the reported value and
+    # band are those minima, at floor grid points and the profile terms
     pytest.importorskip("mpmath")
     D = domain()
     count = 1 << 12
@@ -472,14 +454,11 @@ def test_sampled_values_match_50_digits(domain):
     for p, est in zip(points, squeeze_estimates(D, points, count=count, seed=0), strict=True):
         family = chain_family(D, p)
         minima = []
-        for chain, squares in zip(family, squeeze._screened_squares(D, cloud, family), strict=True):
-            w = cloud  # through the steps before Rescale and phi_c, as the screen maps it
-            for step in chain.steps[:-2]:
-                w = step.apply(D.P.weights, w)
+        pairs = [(chain.steps[-2].R, chain.steps[-1].c) for chain in family]
+        for (R, c), squares in zip(pairs, squeeze._screened_squares(cloud, pairs), strict=True):
             for k in (squares.argmin(), squares[:count // 2].argmin()):
-                exact = helpers.least_exact_image_norm(w[k:k + 1], chain.steps[-2].R,
-                                                       chain.steps[-1].c)
-                assert abs(np.sqrt(squares[k]) - exact) <= 16 * np.spacing(float(exact)), chain.label
+                exact = helpers.least_exact_image_norm(cloud[k:k + 1], R, c)
+                assert abs(np.sqrt(squares[k]) - exact) <= 16 * np.spacing(float(exact)), R
             minima.append((np.sqrt(squares.min()), np.sqrt(squares[:count // 2].min())))
         full, half = max(minima, key=lambda pair: pair[0])
         assert est.value == min(full, 1.0)
@@ -499,11 +478,28 @@ def test_screen_minima_next_to_ball_parameter(B):
     half = len(cloud) // 2
     R = B.bounding_radius(margin=0.0)
     c = (1.0 - 1e-6) * base[7] / R
-    chain = EmbeddingChain(B, (Rescale(R), BallAutomorphism(c)), c * R)
-    screened = np.sqrt(squeeze._screened_squares(B, cloud, [chain])[0])
+    screened = np.sqrt(squeeze._screened_squares(cloud, [(R, c)])[0])
     for rows in (slice(None), slice(0, half)):
         exact = helpers.least_exact_image_norm(cloud[rows], R, c)
         assert abs(screened[rows].min() - exact) <= 16 * np.spacing(float(exact))
+
+
+def test_sampled_path_maps_no_cloud(monkeypatch):
+    # every chain reads the cloud unmoved: the domain automorphism maps one
+    # point per call (a basepoint, to build or check a chain), never a cloud
+    domains = [_mixed_weight_domain(), FLOOR_DOMAINS["E-2-3"](), GeneralEllipsoid.unit_ball(3)]
+    inputs = [_estimate_inputs(D, 8) for D in domains]
+    sizes, apply = [], EllipsoidAutomorphism.apply
+
+    def counting_apply(self, weights, z):
+        sizes.append(np.size(z) // np.shape(z)[-1])
+        return apply(self, weights, z)
+
+    monkeypatch.setattr(EllipsoidAutomorphism, "apply", counting_apply)
+    for D, points in zip(domains, inputs):
+        squeeze_estimates(D, points, count=1 << 12, seed=0)
+        gamma_floor(D, 0.5, 0.5, grid_count=16, count=1 << 12, seed=0)
+    assert sizes and max(sizes) == 1
 
 
 def test_estimates_of_no_points(E):
@@ -653,12 +649,43 @@ def test_exact_radii_sit_below_explicit_norms(name):
         front = norm.automorphism.inverse().apply(D.P.weights, q)
         est = squeeze_lower_bound(D, p)
         assert est.value == min(radii.max(), 1.0)
+        # psi puts b on the slice, so these rows take the root solve
+        assert all(chain.steps[-1].c[1] == 0 for chain in family[1:])
         for chain, radius in zip(family, radii, strict=True):
             slack = 1e-12 / (1.0 - np.linalg.norm(chain.steps[-1].c))
             assert radius <= chain_norms_at(chain, cloud).min() + 1e-12
             assert radius <= chain_norms_at(chain, front)[0] + slack
             if chain.label == est.chain.label:
                 assert est.value <= chain_norms_at(chain, front)[0] + slack
+
+
+@pytest.mark.parametrize("name", ["quartic", "3z6"])
+def test_screened_minima_sit_above_exact_radii(name):
+    # the screen reads the unmoved cloud through each chain's closing pair,
+    # so on n = 2 every screened trivial and normalizing minimum lies at or
+    # above the chain's exact squared radius, up to 4 ulps of rounding, at
+    # the profile terms and at grid points of D^{0.5,0.5}
+    D = EXACT_DOMAINS[name]()
+    cloud = D.boundary_cloud(1 << 14, seed=0)
+    for p in _exact_inputs(D):
+        chains = chain_family(D, p)[:2]
+        exact = squeeze._exact_squares(D, chains)
+        pairs = [(chain.steps[-2].R, chain.steps[-1].c) for chain in chains]
+        screened = squeeze._screened_squares(cloud, pairs).min(axis=1)
+        assert np.all(screened >= exact - 4 * np.spacing(exact)), (p, screened, exact)
+
+
+def test_screen_nears_the_quartic_normalize_radius(E):
+    # at j = 10^4 the quartic's normalizing chain has exact radius 5.59e-5;
+    # the unmoved 2^16-sample cloud reads 0.0991 for it, where the same
+    # samples pushed through psi read 0.976
+    p = generate(E, "tangential", indices=[10000]).terms[0].z
+    normalize = chain_family(E, p)[1]
+    assert normalize.label == "normalize"
+    pair = (normalize.steps[-2].R, normalize.steps[-1].c)
+    screened = squeeze._screened_squares(E.boundary_cloud(1 << 16, seed=0), [pair])
+    assert abs(np.sqrt(squeeze._exact_squares(E, [normalize])[0]) - 5.59e-5) <= 1e-7
+    assert np.sqrt(screened.min()) < 0.2
 
 
 def _least_square_40_digits(mpmath, m, scale, shift, R, d):
