@@ -38,12 +38,10 @@ larger of the normalizing and tangent radii (the trivial chain's radius
 lies below the normalizing one there), each point's two radii by one
 batched root solve, and sampled floors over that 64-point grid at 2^14
 samples, the size of each `perfbench` floor, on the m = (2, 3) domain and
-on the ball in C^3; each sampled call draws its own cloud and grid, screens
-the trivial chain at every point and the normalizing chain only at the
-points whose trivial-chain bound lies below the least value found.  On the
-ball every normalizing image norm ties at 1 and every trivial-chain radius
-lies below it, so all 64 normalizing chains are screened over the whole
-cloud: the floor of the most screen work per point.
+on the ball in C^3; each sampled call draws its own cloud and grid, moves
+each grid point to its slice image and screens the normalizing chain there
+alone, so both domains do the same screen work: 64 closing pairs over the
+whole cloud.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
 points of the translated m = (2, 3) graph-model table).

@@ -115,9 +115,9 @@ class GeneralEllipsoid:
             v[:, -1] *= np.sqrt(s)
         return u
 
-    def bounding_radius(self, margin: float = 0.01) -> float:
-        """(1 + margin) times a proved bound for sup |z| over D (`_sup_norm`)."""
-        return self._sup_norm * (1.0 + margin)
+    def bounding_radius(self) -> float:
+        """A proved upper bound for sup |z| over D (`_sup_norm`)."""
+        return self._sup_norm
 
     @cached_property
     def _sup_norm(self) -> float:

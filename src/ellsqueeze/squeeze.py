@@ -12,12 +12,12 @@ the contraction and phi_c, and
 
 The strategy family (`chain_family`):
 
-  trivial    rescale by the bounding radius padded by 1%, then center
-             the image of p;
+  trivial    rescale by R_pad, the bounding radius padded by 1%
+             (TRIVIAL_PAD), then center the image of p;
   normalize  move p to the slice {z_n = 0} with the explicit
-             automorphism psi, rescale by the proved bound for the sup norm
-             of the domain (`GeneralEllipsoid.bounding_radius` with no
-             margin), then center the image b = psi(p);
+             automorphism psi, rescale by R_tight, the proved bound for the
+             sup norm of the domain (`GeneralEllipsoid.bounding_radius`),
+             then center the image b = psi(p);
   tangent    n = 2 only: psi, then z -> (L z - (1 - m) q) / m with
              L z_1 = a^{1/(2m)} z_1 and q = (b_1 / |b_1|, 0) (q = (1, 0) when
              b_1 = 0), then center.  In the coordinates L z the domain is
@@ -65,44 +65,51 @@ lost to the cancellation in 1 - |c|^2: that form reads u_1 - c_1 and
 taken from 1 - (1 - |c|^2)(1 - |u|^2) / |1 - <u, c>|^2 instead, which
 keeps it within an ulp next to 1.
 
-`gamma_floor` on n = 2 is the slice floor.  psi carries a point p of
-D^{s,r} to b with b_2 = 0 and P(b_1) = P(p_1) / (1 - |p_2|^2) < r, and
-every such b is reached; the squeezing function is psi-invariant.  So the
-least best radius over {b : b_2 = 0, P(b_1) < r}, a minimum over
-t in [0, (r/a)^{1/(2m)}] of the best radius at b = (t, 0), bounds the
-squeezing function on D^{s,r} from below (up to its float minima).  It
-does not depend on s, the grid size, the sample count or the seed.
-`_least` searches t, and each t costs one root solve of S per chain.  Only
-the normalizing and tangent chains enter it, through the `_squares` rows
-that `_chain_rows` builds for `squeeze_estimates` too, from the affine step
-and the ball parameter c = step(b) that `chain_family` computes at b: the
-floor is the checked chains' best radius at its argmin, bit for bit.  On
-the slice psi is the identity, and D lies in B(0, R_tight), inside the
-trivial chain's B(0, R_pad): by Schwarz-Pick that inclusion can only
-shrink pseudo-hyperbolic distances, so at a slice point the trivial
-chain's radius never exceeds the normalizing chain's.
+`gamma_floor` is the slice floor on every n.  psi carries D^{s,r} onto
+the slice set {b : b_n = 0, P(b') < r}: with p_n = x + iy and b0 = 1 - s,
+s (1 - |p_n|^2) - (s^2 - |p_n - b0|^2) = b0 ((1 - x)^2 + y^2) >= 0, so
+P(p') < r (1 - |p_n|^2), and every such b is reached; the squeezing
+function is psi-invariant.  So the least best radius over the slice set
+bounds the squeezing function on D^{s,r} from below, up to how each
+radius is found, and s enters only through which slice points a search
+reaches.  On the slice psi is the identity, and D lies in B(0, R_tight),
+inside the trivial chain's B(0, R_pad): by Schwarz-Pick that inclusion can
+only shrink pseudo-hyperbolic distances, so at a slice point the trivial
+chain's radius, and its image norm at every boundary point, never exceeds
+the normalizing chain's.  The floor is the checked chains' best radius at
+its argmin, a slice point, bit for bit.
+
+On n = 2 it is a minimum over t in [0, (r/a)^{1/(2m)}] of the best radius
+at b = (t, 0).  It does not depend on s, the grid size, the sample count
+or the seed.  `_least` searches t, and each t costs one root solve of S
+per chain.  Only the normalizing and tangent chains enter it, through the
+`_squares` rows that `_chain_rows` builds for `squeeze_estimates` too,
+from the affine step and the ball parameter c = step(b) that
+`chain_family` computes at b.
 
 On n >= 3 every value is a sampled estimate (kind "sampled"): the least
 |phi_c(w / R)| over the points w of a boundary cloud, for the chain's
-closing pair (R, c), an upper estimate of its radius that converges to
-it from above as the sample count grows.  `squeeze_estimates` screens
-every chain over one shared cloud, unmoved, in the closed form of
-`_screened_squares` (Lagrange's identity as above, within a few ulps of
-the exact norm at each sample), BLOCK (`util.BLOCK`) samples at a time;
-its minima are the reported values.  The screen takes each contraction
+closing pair (R, c), an upper estimate of its radius up to the cloud's
+rounding that converges to it from above as the sample count grows: a
+cloud point lies off bD by rounding, and phi_c magnifies that offset by up
+to (1 + |c|) / (1 - |c|), so on the ball, where every radius is 1, values
+read a few ulps below it.  `squeeze_estimates` screens every chain over
+one shared cloud, unmoved, in the closed form of `_screened_squares`
+(Lagrange's identity as above, within a few ulps of the exact norm at each
+sample), BLOCK (`util.BLOCK`) samples at a time; its minima are the
+reported values.  The screen takes each contraction
 to be z -> z / R: the tangent chain, the one chain with a centre and
 scales, is built on n = 2 only, where nothing is screened.
 
-`gamma_floor` on n >= 3 minimizes those estimates over a grid of D^{s,r}
-in closed form (`subdomain_grid`): D^{s,r} is the image of D under
+On n >= 3 the floor minimizes the normalizing chain's estimate over the
+slice images b = `normalize_point`(p).b of a grid of D^{s,r} in closed
+form (`subdomain_grid`): D^{s,r} is the image of D under
 w -> (delta_{rs}(w'), 1 - s + s w_n), so the estimation cloud's first
 sphere points, each moved to a level t of D with P(t <= x) = x^Q,
 Q = 1 + sum_k 1/m_k, the level law of a uniform sample, land in D^{s,r}
-for every admissible s and r.  It finds the minimum by bound: a grid value
-is the largest of its chains' minima, so the trivial chain's minimum
-bounds it from below, and the normalizing chain is screened only at
-points whose bound lies below the least value found so far.  Value and
-argmin equal the least of `squeeze_estimates` over the grid, bit for bit.
+for every admissible s and r.  Each b costs one screen of its closing pair
+(R_tight, b / R_tight).  Value and argmin equal the least of
+`squeeze_estimates` over those slice images, bit for bit.
 
 The floor is the one number of the `floor` experiment.  `analytic_floor`,
 the gap between sampled level sets of P, has no proved meaning, and no
@@ -124,6 +131,14 @@ from .hermpoly import companion_roots
 from .util import blocks, complex_sphere, philox
 
 BASEPOINT_TOL = 1e-10
+# the trivial chain's R_pad over R_tight.  The pad is load-bearing: it keeps
+# the ball parameter p / R_pad 1% inside the sphere, where phi_c magnifies
+# p's rounding by at most (1 + |c|) / (1 - |c|) < 201.  With R_tight itself,
+# the trivial chain at the j = 10^4 term of `profile` on ball:2 centres p
+# only to 1.1e-8, past BASEPOINT_TOL, and at j = 10^5 its radius reads R's
+# last bits: 1 - 3.8e-6 at R = 1, where it is exactly 1, and 1 - 2.1e-5 at
+# R = 1 + 2 ulps
+TRIVIAL_PAD = 1.01
 # sphere directions sampling the slice level sets of `analytic_floor`
 ANALYTIC_FLOOR_SAMPLES = 2048
 ANALYTIC_FLOOR_SEED = 11
@@ -229,8 +244,9 @@ class SqueezeEstimate:
     certified; `samples` and `band` read 0.  "sampled" (n >= 3): the least
     |phi_c(w / R)| over a boundary cloud of `samples` points w, for the
     closing pair (R, c) of `chain`, each in closed form, an upper estimate
-    of the chain's radius (module docstring), with `band` its drop from
-    the half-cloud minimum.
+    of the chain's radius only up to the cloud's rounding (module
+    docstring: `ball:3` values read a few ulps below their exact 1), with
+    `band` its drop from the half-cloud minimum.
     Either way the chain's radius is a lower bound for the squeezing
     function.
     """
@@ -251,10 +267,10 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
         raise ValueError("basepoint is not inside the domain")
     chains = []
 
-    R_pad = D.bounding_radius()
-    c_triv = p / R_pad
+    R_tight = D.bounding_radius()
+    R_pad = R_tight * TRIVIAL_PAD
     chains.append(EmbeddingChain(
-        D, (Rescale(R_pad), BallAutomorphism(c_triv)), p, label="trivial"))
+        D, (Rescale(R_pad), BallAutomorphism(p / R_pad)), p, label="trivial"))
 
     psi = normalize_point(D, p).automorphism
     # the chain's own image of p, not normalize_point's b: next to the sphere
@@ -264,7 +280,7 @@ def chain_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     # the exact n = 2 rows on their root solve
     b = psi.apply(D.P.weights, p[None])[0]
     b[-1] = 0.0
-    rescale = Rescale(D.bounding_radius(margin=0.0))
+    rescale = Rescale(R_tight)
     chains.append(EmbeddingChain(
         D, (psi, rescale, BallAutomorphism(rescale.apply(None, b))), p, label="normalize"))
 
@@ -485,23 +501,6 @@ def _checked_family(D: GeneralEllipsoid, p: np.ndarray) -> List[EmbeddingChain]:
     return family
 
 
-def _checked_families(D: GeneralEllipsoid, points: np.ndarray, count: int, seed: int):
-    """Each basepoint's checked strategy family, and the screen of chains
-    over the shared cloud `D.boundary_cloud(count, seed)`: each chain's
-    least image norm over the whole cloud and over its half prefix, from
-    its closing pair (R, c) alone (`_screened_squares`)."""
-    cloud = D.boundary_cloud(count, seed)
-    half = max(1, len(cloud) // 2)
-    families = [_checked_family(D, p) for p in points]
-
-    def screen(chains):
-        q = _screened_squares(cloud, [(chain.steps[-2].R, chain.steps[-1].c) for chain in chains])
-        norms = np.sqrt([q.min(axis=1), q[:, :half].min(axis=1)])
-        return [(float(full), float(part)) for full, part in norms.T]
-
-    return families, screen
-
-
 def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 << 16,
                       seed: int = 0) -> List[SqueezeEstimate]:
     """Best inscribed radius over the strategy family at each point.
@@ -513,28 +512,30 @@ def squeeze_estimates(D: GeneralEllipsoid, points: np.ndarray, count: int = 1 <<
 
     On n = 2 each radius is exact (`_exact_squares`, kind "exact"), and
     `count` and `seed` are unused.  On n >= 3 each is sampled (kind
-    "sampled"): all basepoints share one boundary cloud, each family is
-    screened in one pass with the closed form for |phi_c|
-    (`_screened_squares`), and each chain's value is its closing pair's
-    least closed-form norm over the unmoved cloud.  A sample's norm depends on that sample alone, and
-    the cloud is prefix-stable with count-independent rescale radii, so a
-    sampled value can only decrease when the sample count grows, bit for
-    bit.  The sampling band reports the drop from the half-count estimate
-    to the full-count estimate.
+    "sampled"): all basepoints share one boundary cloud, and each chain's
+    value is its closing pair's least closed-form norm over the unmoved
+    cloud (`_screened_squares`).  A sample's norm depends on that sample
+    alone, and the cloud is prefix-stable with count-independent rescale
+    radii, so a sampled value can only decrease when the sample count
+    grows, bit for bit.  The sampling band reports the drop from the
+    half-count estimate to the full-count estimate.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1, D.n)
+    families = [_checked_family(D, p) for p in points]
+    chains = [chain for family in families for chain in family]
     if D.n == 2:
-        families = [_checked_family(D, p) for p in points]
-        radii = iter(np.sqrt(np.maximum(
-            _exact_squares(D, [chain for family in families for chain in family]), 0.0)))
-        minima = [[(float(r), float(r)) for _, r in zip(family, radii)] for family in families]
+        full = half = _exact_squares(D, chains)
         samples, kind = 0, "exact"
     else:
-        families, screen = _checked_families(D, points, count, seed)
-        minima = [screen(family) for family in families]
+        cloud, prefix = D.boundary_cloud(count, seed), max(1, count // 2)
+        rows = (_screened_squares(cloud, [(chain.steps[-2].R, chain.steps[-1].c)])[0]
+                for chain in chains)
+        full, half = np.array([(q.min(), q[:prefix].min()) for q in rows]).reshape(-1, 2).T
         samples, kind = int(count), "sampled"
+    minima = iter(zip(*np.sqrt(np.maximum([full, half], 0.0)).tolist()))
     estimates = []
-    for p, family, pairs in zip(points, families, minima):
+    for p, family in zip(points, families):
+        pairs = [next(minima) for _ in family]
         best = max(range(len(family)), key=lambda j: pairs[j][0])
         value, value_half = pairs[best]
         estimates.append(SqueezeEstimate(
@@ -557,31 +558,28 @@ def squeeze_lower_bound(D: GeneralEllipsoid, p: np.ndarray, count: int = 1 << 16
 
 @dataclass(frozen=True)
 class FloorReport:
-    """Squeezing floor over the subdomain D^{s,r}; `kind` says what it is.
+    """Squeezing floor over the subdomain D^{s,r}: the slice floor on every n.
 
-    "exact" (n = 2): the slice floor (`gamma_floor`), the least over the
-    slice set {b : b_2 = 0, P(b_1) < r}, onto which psi carries D^{s,r},
-    of the larger of the normalizing and tangent radii at b; the trivial
-    chain's radius lies below the normalizing one there, by Schwarz-Pick
-    (module docstring).  Both radii come from the rows of the chains that
-    `chain_family` builds at b, so `value` is min(1, the larger of those two
-    exact radii at `argmin`), bit for bit.  It bounds the squeezing function
-    on D^{s,r} from below up to its float minima, and is not certified.
-    `argmin` is the minimizing slice point (t*, 0), which is not a point of
-    D^{s,r}; `grid_count` and `samples` read 0, and neither s nor the seed
-    moves the value.
+    psi carries D^{s,r} onto the slice set {b : b_n = 0, P(b') < r}, so the
+    floor is the least best chain radius over slice points (module
+    docstring); the trivial chain's radius lies below the normalizing one
+    there, by Schwarz-Pick.  `value` is min(1, the best radius of the
+    chains that `chain_family` builds and checks at `argmin`), bit for bit,
+    and `argmin` is that slice point, not a point of D^{s,r}.  `kind` says
+    how the radii were found:
 
-    "sampled" (n >= 3): the least estimate over a subdomain grid.  The grid
-    (`subdomain_grid`) is the image under w -> (delta_{rs}(w'), 1 - s + s w_n)
-    of the estimation cloud's first `grid_count` sphere points, each
-    dilated to a level t of D with P(t <= x) = x^Q, Q = 1 + sum_k 1/m_k.
-    Each grid value is a sampled upper estimate of a chain's inscribed
-    radius at its own point (see :class:`SqueezeEstimate`); the minimum is
-    a heuristic stand-in for the uniform subdomain floor, not a certified
-    constant.  `value` and `argmin` are the least `squeeze_estimates` value
-    over the grid and its first point, found by bound (see
-    :func:`gamma_floor`): grid points whose trivial-chain minimum already
-    reaches the floor skip the normalizing chain's screen.
+    "exact" (n = 2): the least over the whole slice set of the larger of
+    the normalizing and tangent radii, float minima that are not
+    certified; `grid_count` and `samples` read 0, and neither s nor the
+    seed moves the value.
+
+    "sampled" (n >= 3): the least normalizing estimate over the slice
+    images of a grid of `grid_count` points of D^{s,r} (`subdomain_grid`),
+    each over one boundary cloud of `samples` points.  Each value is an
+    upper estimate of the chain's radius only up to the cloud's rounding
+    (see :class:`SqueezeEstimate`; `ball:3` floors read a few ulps below
+    their exact 1), and the least over finitely many slice points is a
+    heuristic stand-in for the slice floor, not a certified constant.
     """
 
     s: float
@@ -625,76 +623,66 @@ def subdomain_grid(D: GeneralEllipsoid, sp: SubdomainParams, grid_count: int,
 
 def gamma_floor(D: GeneralEllipsoid, s: float, r: float, grid_count: int = 200,
                 count: int = 1 << 14, seed: int = 0) -> FloorReport:
-    """Squeezing floor over D^{s,r} (:class:`FloorReport`).
+    """Squeezing floor over D^{s,r} (:class:`FloorReport`): the least best
+    chain radius over slice points b.
 
-    On n = 2 it is the slice floor: the least over t in
-    [0, (r/a)^{1/(2m)}] of the larger of the normalizing and tangent radii
-    at b = (t, 0) (`_slice_floor`); by Schwarz-Pick the trivial chain's
-    radius stays below the normalizing chain's there (module docstring).
-    s, `grid_count`, `count` and `seed` do not enter it.
+    On n = 2 the search runs over the whole slice set, t in
+    [0, (r/a)^{1/(2m)}] at b = (t, 0) (`_slice_floor`); s, `grid_count`,
+    `count` and `seed` do not enter it.
 
-    On n >= 3 it is the minimum squeezing estimate over a seeded grid of
-    subdomain points (`subdomain_grid`); the first grid point with the
-    least value is the argmin.  Value and argmin are those of the least
-    `squeeze_estimates` value over the grid, bit for bit.
+    On n >= 3 it runs over the slice images b = `normalize_point`(p).b of
+    the points p of `subdomain_grid`, and each b costs one screen of the
+    normalizing chain's closing pair (R_tight, b / R_tight) over
+    `D.boundary_cloud(count, seed)`, whose first sphere points the grid
+    dilates, so no second cloud is drawn.  The first b with the least value
+    is the argmin.  Value and argmin are those of the least
+    `squeeze_estimates` value over the slice images, bit for bit: the
+    trivial chain's image norms lie at or below the normalizing chain's
+    there.
 
-    The estimates use the cloud whose first sphere points the grid dilates,
-    so no second cloud is drawn.  Each value is still an upper estimate of
-    its chain's radius; grids drawn from other seeds read floors a few
-    percent higher or lower.
-
-    A grid value is the largest of its chains' minima, capped at 1, so the
-    first chain's capped minimum, low_g, bounds it from below.  Every point
-    gets it, and every chain of every point is checked for centering.
-    Points are then visited in ascending (low_g, g) order, their other
-    chains screened, until a point's (low_g, g) exceeds the least
-    (value, index) found: neither it nor any later point can hold the
-    minimum.  Each chain costs one screen of its closing pair, and on
-    E(2, 3) and the m = (2, 3) tables the bound spares most normalizing
-    screens (all but 5 to 42 of 200 points); on the ball it spares none.
+    On every n the chains of `chain_family` at the argmin are checked for
+    centering.
     """
     if D.n == 2:
-        return _slice_floor(D, s, r, seed)
-    grid = subdomain_grid(D, SubdomainParams(s, r), grid_count, seed)
-    families, screen = _checked_families(D, grid, count, seed)
-    low = [min(screen(family[:1])[0][0], 1.0) for family in families]
-    best = (np.inf, 0)
-    for g in sorted(range(len(grid)), key=lambda g: (low[g], g)):
-        if (low[g], g) > best:
-            break
-        rest = [full for full, _ in screen(families[g][1:])]
-        best = min(best, (min(max([low[g]] + rest), 1.0), g))
-    value, g = best
-    return FloorReport(s=s, r=r, value=float(value), argmin=grid[g].copy(),
-                       grid_count=grid_count, samples=count, seed=seed, kind="sampled")
+        value, b = _slice_floor(D, r)
+        grid_count = count = 0
+    else:
+        grid = subdomain_grid(D, SubdomainParams(s, r), grid_count, seed)
+        slice_points = np.array([normalize_point(D, p).b for p in grid])
+        cloud, R = D.boundary_cloud(count, seed), D.bounding_radius()
+        squares = [_screened_squares(cloud, [(R, c)])[0].min()
+                   for c in Rescale(R).apply(None, slice_points)]
+        g = int(np.argmin(squares))
+        value, b = float(np.sqrt(squares[g])), slice_points[g]
+    _checked_family(D, b)
+    return FloorReport(s=s, r=r, value=min(value, 1.0), argmin=b, grid_count=grid_count,
+                       samples=count, seed=seed, kind="exact" if D.n == 2 else "sampled")
 
 
-def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorReport:
-    """The n = 2 floor: the least over t in [0, (r/a)^{1/(2m)}] of the
-    larger of the normalizing and tangent radii at b = (t, 0).
+def _slice_floor(D: GeneralEllipsoid, r: float) -> Tuple[float, np.ndarray]:
+    """The n = 2 floor and its argmin: the least over t in
+    [0, (r/a)^{1/(2m)}] of the larger of the normalizing and tangent radii
+    at b = (t, 0).
 
     In the coordinates L z, tau = a^{1/(2m)} t runs over [0, r^{1/(2m)}].
     psi is the identity on the slice, so the chains of `chain_family` at
     b = (tau / a^{1/(2m)}, 0) end in its two affine steps, Rescale(R_tight)
     and the tangent step at q = (1, 0), and phi_c with c = step(b), the
     arithmetic `chain_family` uses; `_chain_rows` turns them into the
-    `_squares` rows `squeeze_estimates` evaluates at b.  The trivial chain,
-    c = (t / R_pad, 0), is left out: it embeds D through the larger ball
-    B(0, R_pad), and by Schwarz-Pick that inclusion only shrinks
-    pseudo-hyperbolic distances, so its radius at b never exceeds the
-    normalizing chain's and the maximum is the same.  `_least`
-    minimizes the larger squared radius over the grid of [0, 1] cut at
-    r^{1/(2m)}, which joins the grid: floors whose minimizer lies inside
-    the cut take the same steps and agree bit for bit.  Both chains have
+    `_squares` rows `squeeze_estimates` evaluates at b.  The trivial chain
+    is left out: by Schwarz-Pick its radius at b never exceeds the
+    normalizing chain's (module docstring).  `_least` minimizes the larger
+    squared radius over the grid of [0, 1] cut at r^{1/(2m)}, which joins
+    the grid: floors whose minimizer lies inside the cut take the same
+    steps and agree bit for bit.  Both chains have
     c_2 = 0, so each tau is evaluated once, by the root solve of
     `_flat_squares` that `squeeze_estimates` takes at b too, and the floor
     is the least value the search met.  At r = 1 the cut is the boundary
     point, where the tangent chain's c reaches the sphere, so the grid
-    stops short of it.  All three chains at the minimizer, the trivial one
-    too, are checked for centering.
+    stops short of it.
     """
     m, ell = _slice_scale(D)
-    steps = (Rescale(D.bounding_radius(margin=0.0)), _tangent_step(m, ell, 1.0))
+    steps = (Rescale(D.bounding_radius()), _tangent_step(m, ell, 1.0))
     top = r ** (1.0 / (2 * m))
     grid = np.linspace(0.0, 1.0, LEAST_GRID)
     grid = np.append(grid[grid < top], top)
@@ -707,10 +695,7 @@ def _slice_floor(D: GeneralEllipsoid, s: float, r: float, seed: int) -> FloorRep
         return _squares(D, *table.T).reshape(2, -1).max(axis=0).reshape(tau.shape)
 
     square, tau = _least(largest, grid, 1)
-    b = np.array([tau[0] / ell, 0.0], dtype=np.complex128)
-    _checked_family(D, b)
-    return FloorReport(s=s, r=r, value=min(float(np.sqrt(max(square[0], 0.0))), 1.0), argmin=b,
-                       grid_count=0, samples=0, seed=seed, kind="exact")
+    return float(np.sqrt(max(square[0], 0.0))), np.array([tau[0] / ell, 0.0], dtype=np.complex128)
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -772,5 +757,5 @@ def analytic_floor(D: GeneralEllipsoid, r: float) -> float:
     # viewed as real (re, im) coordinates
     gap = float(np.sqrt(_closest_pair_squared(inner.view(np.float64), outer.view(np.float64))))
     delta = gap / 2.0
-    diam = 2.0 * D.bounding_radius(margin=0.0)  # upper bound keeps the quotient a floor
+    diam = 2.0 * D.bounding_radius()  # upper bound keeps the quotient a floor
     return delta / diam

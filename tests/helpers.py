@@ -245,7 +245,7 @@ def analytic_floor_pairwise(D, r: float, samples: int, seed: int) -> float:
     gap = min(float(np.linalg.norm(inner[lo:lo + 128, None, :] - outer[None, :, :],
                                    axis=-1).min())
               for lo in range(0, samples, 128))
-    return gap / 2.0 / (2.0 * D.bounding_radius(margin=0.0))
+    return gap / 2.0 / (2.0 * D.bounding_radius())
 
 
 def exhaustion_cloud(D, eps: float, count: int, seed: int) -> np.ndarray:

@@ -397,7 +397,8 @@ def test_slice_floor_centering_violation_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["quartic", "ball:3"])
 def test_floor_json_says_what_the_floor_is(tmp_path, name):
     # an n = 2 floor is exact, found on the slice with no grid or cloud; an
-    # n >= 3 floor is sampled
+    # n >= 3 floor is sampled at the slice images of its grid.  Either way
+    # its argmin is a slice point
     out = tmp_path / "floor"
     assert run_cli(["floor", "--out", str(out), "--domain", name, "--grid", "10",
                     "--samples", "1024"]) == 0
@@ -410,6 +411,7 @@ def test_floor_json_says_what_the_floor_is(tmp_path, name):
     else:
         assert payload["kind"] == "sampled"
         assert (payload["grid_count"], payload["samples"]) == (10, 1024)
+        assert payload["argmin"][-1] == [0.0, 0.0]
 
 
 def test_ball_profile_and_floor_read_one(tmp_path):

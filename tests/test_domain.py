@@ -177,33 +177,15 @@ def test_boundary_cloud_edited_in_place_leaves_next_draw_on_boundary():
 # -- bounding radius --------------------------------------------------------------------
 
 
-def test_bounding_radius_ball(B):
-    assert B.bounding_radius() == pytest.approx(1.01, abs=1e-3)
-
-
-def test_bounding_radius_quartic(E):
-    # maximize t^2 + s^2 on s^2 + t^4 = 1: stationary at t^2 = 1/2, value 5/4
-    assert E.bounding_radius() == pytest.approx(1.01 * np.sqrt(1.25), abs=5e-3)
-
-
-def test_bounding_radius_flat_quartic():
-    # P = |z_1|^4 / 16: boundary curve s^2 + t^4/16 = 1; f(t) = t^2 + 1 - t^4/16
-    # has its stationary point at t^2 = 8 outside the feasible range t <= 2,
-    # so the max norm is at (2, 0): R = 2
-    P = WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): 1.0 / 16.0})
-    D = GeneralEllipsoid(P)
-    assert D.bounding_radius() == pytest.approx(1.01 * 2.0, abs=1e-2)
-
-
 @pytest.mark.parametrize("a", [1e6, 1e12])
 def test_bounding_radius_steep_table(a):
     # P = a |z_1|^4: the true sup |z| is about 1 + 1/(8a), reached off the
     # circle (0', e^{i theta}); the radius must cover that circle and every
     # interior point of the showcase sequence
     D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): a}))
-    assert D.bounding_radius(margin=0.0) >= 1.0
+    assert D.bounding_radius() >= 1.0
     term = generate(D, "tangential", indices=[10 ** 4]).terms[0].z
-    assert np.linalg.norm(term) < D.bounding_radius(margin=0.0)
+    assert np.linalg.norm(term) < D.bounding_radius()
 
 
 def _diagonal(m, coeffs):
@@ -248,7 +230,7 @@ def test_bounding_radius_is_the_proved_sup(domain_, sup_squared):
     # at least the true sup and within 4 ulps of it, on tables whose
     # monomials are all pure powers
     mp = pytest.importorskip("mpmath")
-    R = domain_().bounding_radius(margin=0.0)
+    R = domain_().bounding_radius()
     with mp.workdps(50):
         true = mp.sqrt(sup_squared(mp))
         assert mp.mpf(R) >= true
@@ -279,7 +261,7 @@ def test_bounding_radius_covers_cross_term_tables(a, b, c):
                key=lambda res: -res.fun)
     z = boundary_point(best.x)
     assert abs(float(D.rho(z))) <= 1e-12
-    R = D.bounding_radius(margin=0.0)
+    R = D.bounding_radius()
     assert np.linalg.norm(z) <= R <= (1.0 + 1e-3) * np.linalg.norm(z)
 
 

@@ -85,7 +85,7 @@ def _sampled_radius(chain, count):
 
 
 def test_identity_chain_on_ball(B):
-    chain = EmbeddingChain(B, (Rescale(B.bounding_radius(margin=0.0) * (1 + 1e-9)),),
+    chain = EmbeddingChain(B, (Rescale(B.bounding_radius() * (1 + 1e-9)),),
                            np.zeros(2, dtype=complex))
     assert _sampled_radius(chain, 20000) == pytest.approx(1.0, abs=1e-3)
 
@@ -243,28 +243,30 @@ def test_subdomain_grid_members(name, s, r):
                                          (0.1, 0.1, 3), (1.0, 1.0, 0), (0.25, 0.9, 5)])
 @pytest.mark.parametrize("name", FLOOR_DOMAINS)
 def test_gamma_floor_is_least_estimate(name, s, r, seed):
-    # the bound skips normalizing chains, never the minimum: value and
-    # argmin are the least estimate over the grid and its first point, bit
-    # for bit, ball:3's near-ties included.  n = 2 floors are exact over a
-    # slice set the grid need not meet (see test_slice_floor): their argmin
-    # joins the grid ahead of it and must still hold the least estimate
+    # the floor is the estimate at its argmin, a slice point, bit for bit.
+    # On n >= 3 value and argmin are the least estimate over the grid's
+    # slice images and the first image that holds it, ball:3's near-ties
+    # included: screening only the normalizing chain loses nothing there.
+    # n = 2 floors are exact over a slice set the grid need not meet (see
+    # test_slice_floor): their argmin joins the grid ahead of it and must
+    # still hold the least estimate
     D = FLOOR_DOMAINS[name]()
     rep = gamma_floor(D, s, r, grid_count=40, count=2048, seed=seed)
     grid = subdomain_grid(D, SubdomainParams(s, r), 40, seed)
     if D.n == 2:
-        grid = np.concatenate([rep.argmin[None], grid])
-    least = min(squeeze_estimates(D, grid, count=2048, seed=seed), key=lambda est: est.value)
+        points = np.concatenate([rep.argmin[None], grid])
+    else:
+        points = np.array([normalize_point(D, p).b for p in grid])
+    least = min(squeeze_estimates(D, points, count=2048, seed=seed), key=lambda est: est.value)
     assert rep.kind == ("exact" if D.n == 2 else "sampled")
     assert rep.value == least.value
     assert rep.argmin.tobytes() == least.point.tobytes()
+    assert rep.argmin[-1] == 0.0
+    assert rep.value == squeeze_estimates(D, [rep.argmin], count=2048, seed=seed)[0].value
 
 
-def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
-    # every chain of every grid point is checked for centering, while the
-    # trivial-chain bounds on E(2, 3) spare most normalizing chains; the
-    # screen sees closing pairs only, told apart by their radii R_pad and
-    # R_tight
-    D = FLOOR_DOMAINS["E-2-3"]()
+def _spy_on_floor(monkeypatch, D, grid_count):
+    # (labels of the chains checked, closing pairs screened) by one n >= 3 floor
     checked, screened = [], []
     check, screen = EmbeddingChain.check_basepoint, squeeze._screened_squares
 
@@ -273,16 +275,39 @@ def test_gamma_floor_checks_every_chain_and_screens_few(monkeypatch):
         return check(chain)
 
     def counting_screen(cloud, pairs):
-        screened.extend(R for R, _ in pairs)
+        screened.extend(pairs)
         return screen(cloud, pairs)
 
     monkeypatch.setattr(EmbeddingChain, "check_basepoint", counting_check)
     monkeypatch.setattr(squeeze, "_screened_squares", counting_screen)
-    gamma_floor(D, 0.5, 0.5, grid_count=64, count=1 << 12, seed=0)
-    assert len(checked) == 2 * 64
-    assert checked.count("trivial") == checked.count("normalize") == 64
-    assert screened.count(D.bounding_radius()) == 64
-    assert 0 < screened.count(D.bounding_radius(margin=0.0)) < 64
+    gamma_floor(D, 0.5, 0.5, grid_count=grid_count, count=1 << 12, seed=0)
+    return checked, screened
+
+
+def test_gamma_floor_screens_one_pair_per_point(monkeypatch):
+    # one normalizing pair (R_tight, c) per grid point reaches the screen,
+    # and only the two chains at the argmin are checked for centering
+    D = FLOOR_DOMAINS["E-2-3"]()
+    checked, screened = _spy_on_floor(monkeypatch, D, 64)
+    assert checked == ["trivial", "normalize"]
+    assert len(screened) == 64
+    assert all(R == D.bounding_radius() for R, _ in screened)
+
+
+@pytest.mark.parametrize("name", ["E-2-3", "mixed-2-3", "ball-3"])
+def test_gamma_floor_screens_the_normalizing_pair(monkeypatch, name):
+    # each screened pair is the closing pair of the normalizing chain that
+    # chain_family builds at the grid point's slice image, bit for bit, and
+    # that chain is centred there
+    D = FLOOR_DOMAINS[name]()
+    _, screened = _spy_on_floor(monkeypatch, D, 8)
+    grid = subdomain_grid(D, SubdomainParams(0.5, 0.5), 8, seed=0)
+    for (R, c), p in zip(screened, grid, strict=True):
+        chain = chain_family(D, normalize_point(D, p).b)[1]
+        assert chain.label == "normalize"
+        assert R == chain.steps[-2].R
+        assert c.tobytes() == chain.steps[-1].c.tobytes()
+        assert chain.check_basepoint() <= squeeze.BASEPOINT_TOL
 
 
 def test_gamma_floor_positive(E):
@@ -352,7 +377,7 @@ def _floor_level_sets(D, r):
 
 
 def _floor_from_gap(D, gap):
-    return gap / 2.0 / (2.0 * D.bounding_radius(margin=0.0))
+    return gap / 2.0 / (2.0 * D.bounding_radius())
 
 
 @pytest.mark.parametrize("r", FLOOR_RADII)
@@ -476,7 +501,7 @@ def test_screen_minima_next_to_ball_parameter(B):
     ties = base[7] * np.exp(1j * np.linspace(-1e-12, 1e-12, 41))[:, None]
     cloud = np.concatenate([ties, base])
     half = len(cloud) // 2
-    R = B.bounding_radius(margin=0.0)
+    R = B.bounding_radius()
     c = (1.0 - 1e-6) * base[7] / R
     screened = np.sqrt(squeeze._screened_squares(cloud, [(R, c)])[0])
     for rows in (slice(None), slice(0, half)):
@@ -767,6 +792,25 @@ def test_tangent_chain_maps_into_the_ball(name):
         assert chain_norms_at(tangent, cloud).max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("domain_, sup", [
+    (lambda: GeneralEllipsoid.unit_ball(2), 1.0),
+    # t^2 + s^2 on s^2 + t^4 = 1 is stationary at t^2 = 1/2, value 5/4
+    (GeneralEllipsoid.quartic_disc, np.sqrt(1.25)),
+    # P = |z_1|^4 / 16: t^2 + 1 - t^4 / 16 is stationary at t^2 = 8, outside
+    # t <= 2, so the sup sits at (2, 0)
+    (lambda: GeneralEllipsoid(WeightedPolynomial(MultiWeight((2,)), {((2,), (2,)): 1.0 / 16.0})),
+     2.0),
+], ids=["ball", "quartic", "flat-quartic"])
+def test_trivial_chain_pads_the_bound(domain_, sup):
+    # the trivial chain rescales by the domain's sup |z| padded by 1%, the
+    # normalizing chain by the unpadded bound
+    D = domain_()
+    trivial, normalize = chain_family(D, np.array([0.1, 0.2j]))[:2]
+    assert trivial.steps[0].R == D.bounding_radius() * squeeze.TRIVIAL_PAD
+    assert trivial.steps[0].R == pytest.approx(1.01 * sup, rel=1e-12)
+    assert normalize.steps[-2].R == D.bounding_radius() == pytest.approx(sup, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", EXACT_DOMAINS)
 def test_trivial_chain_loses_on_the_slice(name):
     # the slice floor leaves the trivial chain out: at b = (t, 0) psi is the
@@ -787,7 +831,7 @@ def test_quartic_slice_floor_at_the_kink(E):
     # cross, at tau* = 0.59529980966733427686; the zooms reach it within
     # 2^-53 of the radii's common value there.  That value was computed in
     # 45-digit mpmath from the chains' own float parameters (R_tight =
-    # bounding_radius(margin=0) = 1.1180339887498953, R = 2 for the tangent
+    # bounding_radius() = 1.1180339887498953, R = 2 for the tangent
     # chain): each radius the least of its closed form over x in [-1, 1]
     # (a 401-point grid, then 200 golden-section steps around its three best
     # local minima), the crossing a 150-step bisection in tau
