@@ -33,10 +33,11 @@ of the stationary polynomial for the normalizing and tangent chains, a
 grid-and-zoom search for the trivial chain off the slice.  The exact
 profile runs it over the four `profile` terms (j = 10, 100, 1000, 10^4) on
 the quartic.  `gamma_floor` runs one exact slice floor on the quartic
-(r = 0.5), a grid-and-zoom search over the slice for the least of the
-larger of the normalizing and tangent radii (the trivial chain's radius
-lies below the normalizing one there), each point's two radii by one
-batched root solve, and sampled floors over that 64-point grid at 2^14
+(r = 0.5), the least over the slice of the larger of the normalizing and
+tangent radii (the trivial chain's radius lies below the normalizing one
+there): one batched root solve of both radii over a grid, then one
+two-row root solve per secant step toward their crossing, and sampled
+floors over that 64-point grid at 2^14
 samples, the size of each `perfbench` floor, on the m = (2, 3) domain and
 on the ball in C^3; each sampled call draws its own cloud and grid, moves
 each grid point to its slice image and screens the normalizing chain there
@@ -53,7 +54,10 @@ quartic at 2^15 samples over the CLI's default a-grid: the boundary cloud,
 its shrunk copies, and the closed-form inclusion test at each a.
 `samples_to_csv` writes the `wbscan` experiment's CSV for the 2^12-sample
 scan of the quartic (the points outside the exclusion tube, with their
-residuals and Levi eigenvalues).
+residuals and Levi eigenvalues).  `levi_min_eig` computes the restricted
+Levi eigenvalue over a 2^12-point quartic cloud, as that scan does: the
+gauge's gradient and Hessian, the tangent basis from the closed-form
+Householder reflector, and one batched 1 x 1 eigenvalue call.
 Inputs other than the cloud's sphere draw are built outside the timed calls.
 """
 
@@ -136,6 +140,12 @@ def test_samples_to_csv(benchmark, tmp_path):
     path = tmp_path / "wbscan.csv"
     benchmark(samples_to_csv, path, scan.points, residual, scan.levi_values)
     assert len(path.read_text().splitlines()) == scan.tested + 1
+
+
+def test_levi_min_eig(benchmark):
+    D = GeneralEllipsoid.quartic_disc()
+    cloud = D.boundary_cloud(1 << 12, 0)
+    assert (benchmark(D.levi_min_eig, cloud) >= -1e-12).all()
 
 
 def test_first_crossing_frame_line(benchmark):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,10 @@ def _flag_type(default):
     return type(default)
 
 
+# one parser per process: `parse_args` leaves it as it was, and building
+# its flags costs about 0.4 ms, which a caller running many experiments in
+# one process would pay on every call
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellsqueeze",

@@ -81,8 +81,10 @@ its argmin, a slice point, bit for bit.
 
 On n = 2 it is a minimum over t in [0, (r/a)^{1/(2m)}] of the best radius
 at b = (t, 0).  It does not depend on s, the grid size, the sample count
-or the seed.  `_least` searches t, and each t costs one root solve of S
-per chain.  Only the normalizing and tangent chains enter it, through the
+or the seed.  The search over t evaluates a grid, then solves for the
+crossings of the two radii between its points (`_crossing_least`), where
+the minimum lies on every table measured; each t costs one root solve of
+S per chain.  Only the normalizing and tangent chains enter it, through the
 `_squares` rows that `_chain_rows` builds for `squeeze_estimates` too,
 from the affine step and the ball parameter c = step(b) that
 `chain_family` computes at b.
@@ -150,15 +152,15 @@ GAP_BLOCK = 16
 GAP_CHUNK = 128
 # `_least`: a grid of LEAST_GRID points, then zooms of LEAST_ZOOM points
 # around each of its two best local minima; a zoom narrows its bracket
-# (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 16 take a grid step of
-# 1/16 down to 2^-52, the float spacing at 1: the slice floor's minimum can
-# sit at a kink, where the two radii cross and the floor has slope about
-# 0.65 on either side, so its value is only as close as the zoom gets.  It
-# minimizes the trivial chain off the slice and the slice floor over t;
-# every other n = 2 minimum is a root solve.
+# (LEAST_ZOOM - 1) / 2 = 8-fold, so LEAST_ROUNDS = 12 take a grid step of
+# 1/16 down to 2^-40.  It serves smooth minima only, where a step of 2^-40
+# moves the value by about 2^-80: the trivial chain off the slice, and the
+# slice floor's fallback bracket (`_crossing_least`).  Every other n = 2
+# minimum is a root solve.  The slice floor's own search over t uses the
+# grid too, whose LEAST_GRID points bracket the crossings of its two radii.
 LEAST_GRID = 33
 LEAST_ZOOM = 17
-LEAST_ROUNDS = 16
+LEAST_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -570,8 +572,10 @@ class FloorReport:
 
     "exact" (n = 2): the least over the whole slice set of the larger of
     the normalizing and tangent radii, float minima that are not
-    certified; `grid_count` and `samples` read 0, and neither s nor the
-    seed moves the value.
+    certified, taken over a grid, the ends of the slice set and the
+    crossings of the two radii (`_crossing_least`, which rests on the
+    measured fact that the minimum lies at one of them); `grid_count` and
+    `samples` read 0, and neither s nor the seed moves the value.
 
     "sampled" (n >= 3): the least normalizing estimate over the slice
     images of a grid of `grid_count` points of D^{s,r} (`subdomain_grid`),
@@ -671,15 +675,15 @@ def _slice_floor(D: GeneralEllipsoid, r: float) -> Tuple[float, np.ndarray]:
     arithmetic `chain_family` uses; `_chain_rows` turns them into the
     `_squares` rows `squeeze_estimates` evaluates at b.  The trivial chain
     is left out: by Schwarz-Pick its radius at b never exceeds the
-    normalizing chain's (module docstring).  `_least` minimizes the larger
-    squared radius over the grid of [0, 1] cut at r^{1/(2m)}, which joins
-    the grid: floors whose minimizer lies inside the cut take the same
-    steps and agree bit for bit.  Both chains have
-    c_2 = 0, so each tau is evaluated once, by the root solve of
-    `_flat_squares` that `squeeze_estimates` takes at b too, and the floor
-    is the least value the search met.  At r = 1 the cut is the boundary
-    point, where the tangent chain's c reaches the sphere, so the grid
-    stops short of it.
+    normalizing chain's (module docstring).  Both chains have c_2 = 0, so
+    each tau is evaluated by the root solve of `_flat_squares` that
+    `squeeze_estimates` takes at b too.  `_crossing_least` minimizes the
+    larger squared radius from the grid of [0, 1] cut at r^{1/(2m)}, which
+    joins the grid, and the crossings of the two radii inside it, where the
+    minimum lies by a measured fact, not a proved one; the floor is the
+    least value it met, at the least tau that holds it.  At r = 1
+    the cut is the boundary point, where the tangent chain's c reaches the
+    sphere, so the grid stops short of it.
     """
     m, ell = _slice_scale(D)
     steps = (Rescale(D.bounding_radius()), _tangent_step(m, ell, 1.0))
@@ -688,14 +692,76 @@ def _slice_floor(D: GeneralEllipsoid, r: float) -> Tuple[float, np.ndarray]:
     grid = np.append(grid[grid < top], top)
     grid = grid[grid < 1.0]
 
-    def largest(tau, rows):
+    def squares(tau):
         b = np.zeros((tau.size, 2), dtype=np.complex128)
-        b[:, 0] = tau.ravel() / ell
+        b[:, 0] = tau / ell
         table = np.concatenate([_chain_rows(ell, step, step.apply(None, b)) for step in steps])
-        return _squares(D, *table.T).reshape(2, -1).max(axis=0).reshape(tau.shape)
+        return _squares(D, *table.T).reshape(2, -1)
 
-    square, tau = _least(largest, grid, 1)
-    return float(np.sqrt(max(square[0], 0.0))), np.array([tau[0] / ell, 0.0], dtype=np.complex128)
+    square, tau = _crossing_least(squares, grid)
+    return float(np.sqrt(max(square, 0.0))), np.array([tau / ell, 0.0], dtype=np.complex128)
+
+
+def _crossing_least(pair, grid: np.ndarray) -> Tuple[float, float]:
+    """The least value of F = max(N, T) over [grid[0], grid[-1]] that the
+    search meets, and the least tau where it is met; `pair(tau)` returns
+    (N, T) at the points tau, shape (2, len(tau)).
+
+    The candidates are the increasing `grid`, both ends included, and every
+    tau that a bracketed secant on N - T visits inside each grid interval
+    where N - T changes sign: Illinois steps until no float lies strictly
+    inside the bracket.  Next to the crossing the secant point can round
+    onto an end of the bracket; it then takes the float next to that end
+    (on the tables below a floor then takes at most 12 `pair` calls, and
+    18 when such a step bisects instead).  Each step evaluates N and T at
+    one tau.
+
+    This relies on a measured fact, not a proved one: F's minimum lies at
+    an end or where N and T cross.  On a |z_1|^{2m} with m = 1 ... 6 and
+    a in {0.1, 0.5, 1, 3}, over 20 000 points of tau, T never falls, N
+    never rises (a >= 1) or rises then falls (a < 1; on m = 1 it is flat up
+    to rounding), and N - T changes sign at most once.  Should the grid's
+    least F sit at an interior point with no sign change of N - T next to
+    it (never seen), `_least` searches the bracket of its two neighbours as
+    well.
+    """
+    N, T = pair(grid)
+    taus, values = [grid], [np.maximum(N, T)]
+    gap = N - T
+    change = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)
+    j = int(values[0].argmin())
+    if 0 < j < grid.size - 1 and not np.isin(j, [change, change + 1]).any():
+        square, x = _least(lambda x, rows: pair(x.ravel()).max(axis=0).reshape(x.shape),
+                           grid[j - 1:j + 2], 1)
+        taus.append(x)
+        values.append(square)
+    for i in change:
+        a, b, fa, fb, side = grid[i], grid[i + 1], gap[i], gap[i + 1], 0
+        while True:
+            # every step shrinks the bracket, so the loop ends
+            x = np.clip(b - fb * (b - a) / (fb - fa), np.nextafter(a, b), np.nextafter(b, a))
+            if not a < x < b:
+                break
+            N, T = pair(np.array([x]))
+            taus.append([x])
+            values.append(np.maximum(N, T))
+            fx = N[0] - T[0]
+            # x replaces the end whose sign it shares; an end kept twice in a
+            # row has its value halved (Illinois), so the secant point crosses.
+            # Where N = T at x the bracket closes
+            if np.sign(fx) == np.sign(fb):
+                if side < 0:
+                    fa *= 0.5
+                b, fb, side = x, fx, -1
+            elif np.sign(fx) == np.sign(fa):
+                if side > 0:
+                    fb *= 0.5
+                a, fa, side = x, fx, 1
+            else:
+                break
+    taus, values = np.concatenate(taus), np.concatenate(values)
+    best = values.min()
+    return float(best), float(taus[values == best].min())
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

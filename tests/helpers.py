@@ -248,6 +248,59 @@ def analytic_floor_pairwise(D, r: float, samples: int, seed: int) -> float:
     return gap / 2.0 / (2.0 * D.bounding_radius())
 
 
+def zoom_slice_floors(D, radii):
+    """The n = 2 slice floor (squared value, tau) at each r of `radii`, by a
+    grid and zooms.
+
+    The search over tau in [0, r^{1/(2m)}] that `squeeze._slice_floor` ran
+    before it solved for crossings: the larger of the normalizing and
+    tangent squared radii (the rows `squeeze._chain_rows` builds, by
+    `squeeze._squares`) on the grid of LEAST_GRID points of [0, 1] cut at
+    r^{1/(2m)}, then 16 zooms of 17 points around each of the grid's two
+    best local minima, each zoom over the bracket of the best point's two
+    neighbours.  The result is the least of the last zooms' values and the
+    first point that holds it.  It uses no crossing.  Each round evaluates
+    every r in one call; a row's value does not depend on the others.
+    """
+    from ellsqueeze import squeeze
+
+    m, ell = squeeze._slice_scale(D)
+    steps = (squeeze.Rescale(D.bounding_radius()), squeeze._tangent_step(m, ell, 1.0))
+
+    def largest(tau):
+        b = np.zeros((tau.size, 2), dtype=np.complex128)
+        b[:, 0] = tau.ravel() / ell
+        table = np.concatenate([squeeze._chain_rows(ell, step, step.apply(None, b))
+                                for step in steps])
+        return squeeze._squares(D, *table.T).reshape(2, -1).max(axis=0).reshape(tau.shape)
+
+    grids = []
+    for r in radii:
+        top = r ** (1.0 / (2 * m))
+        grid = np.linspace(0.0, 1.0, squeeze.LEAST_GRID)
+        grid = np.append(grid[grid < top], top)
+        grids.append(grid[grid < 1.0])
+    values = np.split(largest(np.concatenate(grids)), np.cumsum([g.size for g in grids])[:-1])
+    lo, hi = [], []
+    for grid, v in zip(grids, values):
+        padded = np.pad(v, 1, constant_values=np.inf)
+        local = np.where((v <= padded[:-2]) & (v <= padded[2:]), v, np.inf)
+        j = np.argsort(local, kind="stable")[:2]
+        lo.append(grid[np.maximum(j - 1, 0)])
+        hi.append(grid[np.minimum(j + 1, grid.size - 1)])
+    lo, hi = np.array(lo), np.array(hi)
+    t = np.linspace(0.0, 1.0, 17)
+    for _ in range(16):
+        x = np.minimum(lo[..., None] + (hi - lo)[..., None] * t, hi[..., None])
+        values = largest(x)
+        k = values.argmin(axis=-1)[..., None]
+        lo = np.take_along_axis(x, np.maximum(k - 1, 0), axis=-1)[..., 0]
+        hi = np.take_along_axis(x, np.minimum(k + 1, 16), axis=-1)[..., 0]
+    values, x = values.reshape(len(radii), -1), x.reshape(len(radii), -1)
+    k = values.argmin(axis=1)
+    return [(float(v[i]), float(p[i])) for v, p, i in zip(values, x, k)]
+
+
 def exhaustion_cloud(D, eps: float, count: int, seed: int) -> np.ndarray:
     """The cloud of `domconv.exhaustion_check` as complex points.
 

@@ -855,6 +855,81 @@ def test_slice_floor_is_the_checked_chains_best_radius(m):
             assert rep.value == min(radii.max(), 1.0), (a, r)
 
 
+def test_slice_floor_matches_the_zoom():
+    # on 960 floors (|z_1|^{2m}, m = 1 ... 6, a in {0.1, 0.5, 1, 3}, 40
+    # values of r) the crossing search is never more than 1 ulp above the
+    # grid-and-zoom search it replaced.  Where N rises from tau = 0 (a < 1,
+    # m >= 2) the floor is the normalizing radius 1 / R_tight at tau = 0;
+    # the zooms read it 0.66 to 1.17 ulps low, a few ulps right of 0, from
+    # rounding, while the crossing search takes tau = 0 itself
+    at_zero = 0
+    for m in range(1, 7):
+        for a in (0.1, 0.5, 1.0, 3.0):
+            D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((m,)), {((m,), (m,)): a}))
+            exact = 1 / Fraction(D.bounding_radius())
+            radii = np.linspace(0.025, 1.0, 40).tolist()
+            for r, (square, _) in zip(radii, helpers.zoom_slice_floors(D, radii), strict=True):
+                value, b = squeeze._slice_floor(D, r)
+                zoom = float(np.sqrt(max(square, 0.0)))
+                assert value <= zoom + np.spacing(zoom), (m, a, r)
+                if m >= 2 and abs(Fraction(value) - exact) <= 2 * np.spacing(value):
+                    at_zero += 1
+                    assert b[0] == 0.0, (m, a, r)
+                    assert abs(Fraction(value) - exact) <= np.spacing(value) / 2, (m, a, r)
+    assert at_zero >= 90
+
+
+def test_slice_floor_solves_one_point_per_step(E, monkeypatch):
+    # the grid is one `_squares` call; each secant step after it evaluates
+    # the normalizing and tangent rows at one tau
+    rows = []
+    squares = squeeze._squares
+
+    def counting_squares(D, *table):
+        rows.append(len(table[0]))
+        return squares(D, *table)
+
+    monkeypatch.setattr(squeeze, "_squares", counting_squares)
+    gamma_floor(E, 0.5, 0.5)
+    assert len(rows) <= 16, rows
+    assert rows[0] > 2 and all(k <= 2 for k in rows[1:]), rows
+
+
+def _crossing_least(N, T, grid):
+    # `squeeze._crossing_least` on synthetic radii, and the sizes of its calls
+    sizes = []
+
+    def pair(tau):
+        sizes.append(tau.size)
+        return np.array([N(tau), T(tau)])
+
+    return squeeze._crossing_least(pair, grid) + (sizes,)
+
+
+def test_crossing_least_branches():
+    grid = np.linspace(0.0, 1.0, squeeze.LEAST_GRID)
+    grid = np.append(grid[grid < 0.7], 0.7)
+    # one crossing between grid points: the secant meets it
+    value, tau, sizes = _crossing_least(lambda t: 0.9 - t, lambda t: t, grid)
+    assert abs(tau - 0.45) <= 2 * np.spacing(0.45) and abs(value - 0.45) <= 2 * np.spacing(0.45)
+    assert sizes[0] == grid.size and set(sizes[1:]) == {1}
+    # no crossing, F least at either end: the grid's ends, exactly
+    assert _crossing_least(lambda t: 1.0 + t, lambda t: t, grid)[:2] == (1.0, 0.0)
+    value, tau, sizes = _crossing_least(lambda t: 2.0 - t, lambda t: 0.5 * t, grid)
+    assert (value, tau, len(sizes)) == (2.0 - 0.7, 0.7, 1)
+    # two crossings, F flat between them: the secant searches both brackets,
+    # and the argmin is the least tau holding the least value
+    value, tau, sizes = _crossing_least(lambda t: (t - 0.35) ** 2 + 0.2,
+                                        lambda t: np.full_like(t, 0.3), grid)
+    assert value == 0.3 and abs(tau - (0.35 - np.sqrt(0.1))) <= 1e-15
+    assert set(sizes[1:]) == {1}
+    # an interior minimum with no crossing next to it (never seen on a
+    # slice floor): `_least` searches the bracket around the grid's best point.
+    # F rounds to 0.1 within 3e-9 of 0.3, and the least such tau is taken
+    value, tau, _ = _crossing_least(lambda t: (t - 0.3) ** 2 + 0.1, lambda t: np.zeros_like(t), grid)
+    assert value == 0.1 and abs(tau - 0.3) <= 1e-8
+
+
 def _best_radius_on_slice(D, t):
     return np.array([est.value for est in squeeze_estimates(
         D, np.stack([t, np.zeros_like(t)], axis=-1))])
