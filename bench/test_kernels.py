@@ -52,12 +52,16 @@ and cube-root slice factors.
 `exhaustion_check` runs the `convergence` experiment's check on the
 quartic at 2^15 samples over the CLI's default a-grid: the boundary cloud,
 its shrunk copies, and the closed-form inclusion test at each a.
-`samples_to_csv` writes the `wbscan` experiment's CSV for the 2^12-sample
-scan of the quartic (the points outside the exclusion tube, with their
-residuals and Levi eigenvalues).  `levi_min_eig` computes the restricted
-Levi eigenvalue over a 2^12-point quartic cloud, as that scan does: the
-gauge's gradient and Hessian, the tangent basis from the closed-form
-Householder reflector, and one batched 1 x 1 eigenvalue call.
+`samples_to_csv` writes the text of a `wbscan`-style CSV for a 2^12-point
+quartic cloud: the points outside the exclusion tube |z_1| < 1e-2, with
+their residuals and Levi eigenvalues, all computed outside the timed call.
+(The quartic's own `wbscan` writes two rows, the ends of one segment.)
+`levi_min_eig` computes the restricted Levi eigenvalue over a 2^12-point
+quartic cloud: the gauge's gradient and Hessian, the tangent basis from
+the closed-form Householder reflector, and one batched 1 x 1 eigenvalue
+call.  `wb_scan` runs the sampled scan on E(2, 3) at 2^12 samples, the
+path every n >= 3 table takes: the cloud, the tube filter, the Levi
+eigenvalues of the kept points and their minimum.
 Inputs other than the cloud's sphere draw are built outside the timed calls.
 """
 
@@ -135,11 +139,19 @@ def test_exhaustion_check(benchmark):
 
 def test_samples_to_csv(benchmark, tmp_path):
     D = GeneralEllipsoid.quartic_disc()
-    scan = D.wb_scan(count=1 << 12, seed=0)
-    residual = np.abs(D.rho(scan.points))
+    cloud = D.boundary_cloud(1 << 12, 0)
+    points = cloud[np.abs(cloud[:, 0]) >= 1e-2]
+    residual, levi = np.abs(D.rho(points)), D.levi_min_eig(points)
     path = tmp_path / "wbscan.csv"
-    benchmark(samples_to_csv, path, scan.points, residual, scan.levi_values)
-    assert len(path.read_text().splitlines()) == scan.tested + 1
+    benchmark(samples_to_csv, path, points, residual, levi)
+    assert len(path.read_text().splitlines()) == len(points) + 1
+
+
+def test_wb_scan(benchmark):
+    D = GeneralEllipsoid(WeightedPolynomial(MultiWeight((2, 3)), {
+        ((2, 0), (2, 0)): 1.0, ((0, 3), (0, 3)): 1.0}))
+    scan = benchmark(D.wb_scan, 1 << 12, 0)
+    assert scan.kind == "sampled" and scan.passed
 
 
 def test_levi_min_eig(benchmark):

@@ -248,7 +248,7 @@ def run(experiment: str, cfg: dict) -> int:
         summary = {
             "min_levi": report.min_levi, "tested": report.tested,
             "excluded": report.excluded, "exclusion": report.exclusion,
-            "passed": report.passed,
+            "passed": report.passed, "kind": report.kind,
         }
         write_json(outdir / "wbscan.json", summary)
         print(f"wbscan: min restricted Levi eigenvalue = {fmt(report.min_levi)} "

@@ -17,6 +17,15 @@ Delta_s(z) = (delta_s(z'), s^(1/2) z_n), so for u != 0 the point
 Delta_s(u) with s = 1 / (|u_n|^2 + P(u')) lies on the boundary, and each
 Delta-orbit meets the boundary exactly once.  No root is solved, and
 drawing a cloud cannot fail.
+
+On n = 2 the least restricted Levi eigenvalue outside a tube |z_1| < eps
+needs no cloud.  Every n = 2 table is P = a |z_1|^{2m} (the weight rule
+leaves no other term), so along the boundary the eigenvalue depends on
+r = |z_1| alone: with y = a r^{2m}, c = m^2 a^{1/m} and alpha = 1 - 1/m it
+is c y^alpha / (1 - y + c y^{1 + alpha}).  Its reciprocal
+(y^{-alpha} - y^{1 - alpha}) / c + y is convex in y, and y grows with r, so
+the minimum over r in [eps, a^{-1/(2m)}] lies at one of the two ends:
+r = eps, or the circle z_2 = 0, where the value is 1.
 """
 
 from __future__ import annotations
@@ -195,32 +204,63 @@ class GeneralEllipsoid:
 
     def wb_scan(self, count: int = 400, seed: int = 0,
                 exclusion: float = 1e-2) -> "WBScanReport":
-        """Minimum restricted Levi eigenvalue over boundary samples.
+        """Minimum restricted Levi eigenvalue on the boundary outside the
+        tube |z'| < exclusion.
 
-        Points with |z'| below the exclusion radius are skipped: the scan
-        probes strong pseudoconvexity away from the distinguished circle
-        {(0', e^{i theta})} where the Levi form of a weighted domain may
-        degenerate.
+        The tube is skipped: the scan probes strong pseudoconvexity away from
+        the distinguished circle {(0', e^{i theta})}, where the Levi form of a
+        weighted domain may degenerate.
+
+        On n = 2 the minimum is exact (kind "exact"): by the module
+        docstring's lemma it lies at one of the two ends of the real segment
+        z_1 = r in [exclusion, a^{-1/(2m)}], z_2 = sqrt(1 - P(r)) >= 0, so
+        `levi_min_eig` is read at those two points only; `count` and `seed`
+        do not enter, and `tested` and `excluded` read 0.  On n >= 3 it is the
+        least value over `boundary_cloud(count, seed)` outside the tube (kind
+        "sampled"), an upper estimate of the minimum.  Raises
+        :class:`EmptySampleError` when the tube holds the whole boundary.
         """
-        pts = self.boundary_cloud(count, seed)
-        keep = np.linalg.norm(pts[:, :-1], axis=1) >= exclusion
-        kept = pts[keep]
-        if len(kept) == 0:
-            raise EmptySampleError("exclusion tube swallowed every sample; lower `exclusion`")
-        eigs = self.levi_min_eig(kept)
+        if self.n == 2:
+            # the end z_2 = 0 is e_1 dilated onto the boundary along its
+            # Delta-orbit, (a^{-1/(2m)}, 0)
+            e_1 = np.ones(1, dtype=np.complex128)
+            outer = self.P.weights.dilate(1.0 / float(self.P.eval(e_1)), e_1)
+            if exclusion > outer[0].real:
+                raise EmptySampleError("exclusion tube holds the whole boundary; lower `exclusion`")
+            inner = np.array([exclusion], dtype=np.complex128)
+            z_2 = math.sqrt(max(1.0 - float(self.P.eval(inner)), 0.0))
+            points = np.array([[inner[0], z_2], [outer[0], 0.0]])
+            tested = excluded = 0
+            kind = "exact"
+        else:
+            cloud = self.boundary_cloud(count, seed)
+            points = cloud[np.linalg.norm(cloud[:, :-1], axis=1) >= exclusion]
+            if len(points) == 0:
+                raise EmptySampleError("exclusion tube swallowed every sample; lower `exclusion`")
+            tested, excluded = int(len(points)), int(count - len(points))
+            kind = "sampled"
+        eigs = self.levi_min_eig(points)
         return WBScanReport(
             min_levi=float(eigs.min()),
-            tested=int(len(kept)),
-            excluded=int(count - len(kept)),
+            tested=tested,
+            excluded=excluded,
             exclusion=exclusion,
             levi_values=eigs,
-            points=kept,
+            points=points,
+            kind=kind,
         )
 
 
 @dataclass
 class WBScanReport:
-    """Result of a strong-pseudoconvexity boundary scan."""
+    """Result of a strong-pseudoconvexity boundary scan.
+
+    `points` are the boundary points read and `levi_values` their restricted
+    Levi eigenvalues.  `kind` is "exact" on n = 2, where `points` are the two
+    ends of the segment that holds the minimum and `tested` and `excluded`
+    read 0, and "sampled" on n >= 3, where `points` are the cloud's samples
+    outside the tube (`tested` of them, `excluded` inside it).
+    """
 
     min_levi: float
     tested: int
@@ -228,6 +268,7 @@ class WBScanReport:
     exclusion: float
     levi_values: np.ndarray
     points: np.ndarray
+    kind: str
 
     @property
     def passed(self) -> bool:

@@ -69,11 +69,11 @@ class ApproachSequence:
         return np.array([t.index for t in self.terms])
 
 
-def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, target: float) -> np.ndarray:
-    """delta_t(u) with P(delta_t u) = target, using P(delta_t u) = t P(u)."""
+def _place_on_level(D: GeneralEllipsoid, u: np.ndarray, p_u: float, target: float) -> np.ndarray:
+    """delta_t(u) with P(delta_t u) = target, using P(delta_t u) = t P(u), p_u = P(u)."""
     if target == 0.0:
         return np.zeros_like(u)
-    return D.P.weights.dilate(target / float(D.P.eval(u)), u)
+    return D.P.weights.dilate(target / p_u, u)
 
 
 def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
@@ -102,6 +102,7 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
         raise ConfigError("cone ratio must lie in (0, 1)")
     u = np.zeros(D.n - 1, dtype=np.complex128)
     u[0] = 1.0  # the fixed slice direction e_1
+    p_u = float(D.P.eval(u))
     terms: List[SequenceTerm] = []
     for j in indices:
         zn = Fraction(j - 1, j)
@@ -115,7 +116,7 @@ def generate(D: GeneralEllipsoid, kind: str, count: int = 50,
             if gap <= 0:
                 raise ConfigError(f"index {j} leaves the subdomain scale s={s}")
             p_target = Fraction(ratio) * gap / s_f
-        z = np.concatenate([_place_on_level(D, u, float(p_target)), [float(zn)]])
+        z = np.concatenate([_place_on_level(D, u, p_u, float(p_target)), [float(zn)]])
         terms.append(SequenceTerm(j, z, zn_exact=zn, p_exact=p_target))
 
     seq = ApproachSequence(domain=D, terms=terms)
@@ -160,14 +161,18 @@ def _exact_ratio(s: float, term: SequenceTerm) -> Optional[Fraction]:
     return s_f * term.p_exact / denom
 
 
+def _check_scale(s: float) -> None:
+    if not (0.0 < s <= 1.0):
+        raise ValueError(f"s must lie in (0, 1], got {s}")
+
+
 def tangency_ratio(D: GeneralEllipsoid, s: float, term) -> float:
     """Smallest r with term in D^{s,r}; +inf when the term misses D^s entirely.
 
     A :class:`SequenceTerm` is evaluated from its exact shadows in rational
     arithmetic; a raw point uses floating arithmetic.
     """
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
+    _check_scale(s)
     if isinstance(term, SequenceTerm):
         exact = _exact_ratio(s, term)
         return float("inf") if exact is None else float(exact)
@@ -211,8 +216,9 @@ def classify(D: GeneralEllipsoid, s: float, seq: ApproachSequence) -> Classifica
     abs_rho = np.array([abs(float(t.rho_exact())) for t in terms])
     gap = np.array([abs(float(t.zn_exact - 1)) for t in terms])
     p_prime = np.array([float(t.p_exact) for t in terms])
-    r_star = np.array([tangency_ratio(D, s, t) for t in terms])
+    _check_scale(s)
     exact = [_exact_ratio(s, t) for t in terms]
+    r_star = np.array([float("inf") if x is None else float(x) for x in exact])
     grid = [Fraction(r) for r in MEMBERSHIP_R_GRID]
     membership = np.array([[x is not None and r > x for r in grid] for x in exact], dtype=bool)
 

@@ -208,6 +208,33 @@ def test_wbscan_ball(tmp_path):
     assert abs(payload["min_levi"] - 1.0) < 1e-6
 
 
+def test_wbscan_two_variables_is_exact(tmp_path):
+    # the quartic at its defaults: the minimum 4 eps^2 / (1 - eps^4 + 4 eps^6)
+    # at eps = 1e-2, read at the two ends of one segment; ball:2 reads 1
+    out = tmp_path / "wb"
+    assert run_cli(["wbscan", "--out", str(out)]) == 0
+    payload = json.loads((out / "wbscan.json").read_text())
+    eps = _DEFAULTS["exclusion"]
+    exact = 4 * eps ** 2 / (1 - eps ** 4 + 4 * eps ** 6)
+    assert payload["kind"] == "exact" and payload["passed"] is True
+    assert payload["tested"] == payload["excluded"] == 0
+    assert payload["min_levi"] == pytest.approx(exact, rel=1e-15)
+    assert len((out / "wbscan.csv").read_text().splitlines()) == 3
+    assert run_cli(["wbscan", "--out", str(out), "--domain", "ball:2"]) == 0
+    payload = json.loads((out / "wbscan.json").read_text())
+    assert payload["kind"] == "exact" and payload["min_levi"] == 1.0
+
+
+def test_wbscan_three_variables_is_sampled(tmp_path):
+    out = tmp_path / "wb"
+    assert run_cli(["wbscan", "--out", str(out), "--domain", "ball:3",
+                    "--samples", "100"]) == 0
+    payload = json.loads((out / "wbscan.json").read_text())
+    assert payload["kind"] == "sampled"
+    assert payload["tested"] + payload["excluded"] == 100
+    assert len((out / "wbscan.csv").read_text().splitlines()) == payload["tested"] + 1
+
+
 def test_convergence_artifacts(tmp_path):
     out = tmp_path / "conv"
     assert run_cli(["convergence", "--out", str(out), "--samples", "300",
@@ -354,12 +381,23 @@ def test_steep_table_profile(tmp_path):
 def test_boundary_residual_violation_exit_code(tmp_path, monkeypatch):
     # scanned points pushed off the boundary: their |rho| exceeds the
     # manifest's boundary_residual tolerance, so the run fails with status 3
-    # before writing the scan
+    # before writing the scan; on three variables the scan reads a cloud
     cloud = domain.GeneralEllipsoid.boundary_cloud
     monkeypatch.setattr(domain.GeneralEllipsoid, "boundary_cloud",
                         lambda self, count, seed=0: 1.001 * cloud(self, count, seed))
     out = tmp_path / "w"
-    assert run_cli(["wbscan", "--out", str(out), "--samples", "100"]) == 3
+    assert run_cli(["wbscan", "--out", str(out), "--samples", "100",
+                    "--domain", "ball:3"]) == 3
+    assert not (out / "wbscan.csv").exists()
+
+
+def test_boundary_residual_violation_exit_code_two_variables(tmp_path, monkeypatch):
+    # the two segment ends the n = 2 scan reads pass through the same gate:
+    # a gauge read 1e-9 too high puts them off the boundary, so status 3
+    rho = domain.GeneralEllipsoid.rho
+    monkeypatch.setattr(domain.GeneralEllipsoid, "rho", lambda self, z: rho(self, z) + 1e-9)
+    out = tmp_path / "w"
+    assert run_cli(["wbscan", "--out", str(out)]) == 3
     assert not (out / "wbscan.csv").exists()
 
 

@@ -422,6 +422,79 @@ def test_wb_scan_empty_tube_is_typed(E):
     assert isinstance(info.value, ValueError)
 
 
+# every n = 2 table is a |z_1|^{2m}: (a, m) of the quartic, ball:2, |z_1|^6,
+# 3|z_1|^6, 0.5|z_1|^2 and |z_1|^8
+SEGMENT_TABLES = [(1.0, 2), (1.0, 1), (1.0, 3), (3.0, 3), (0.5, 1), (1.0, 4)]
+
+
+def _disc_table(a, m):
+    return GeneralEllipsoid(WeightedPolynomial(MultiWeight((m,)), {((m,), (m,)): a}))
+
+
+def _ulps(x):
+    return 4 * np.spacing(abs(x))
+
+
+@pytest.mark.parametrize("exclusion", [1e-3, 1e-2, 0.1, 0.5])
+@pytest.mark.parametrize("a, m", SEGMENT_TABLES)
+def test_n2_wb_scan_is_the_segment_minimum(a, m, exclusion):
+    # the least Levi eigenvalue over a dense grid of the real segment
+    # z_1 = r in [eps, a^{-1/(2m)}], z_2 = sqrt(1 - a r^{2m}), both ends
+    # included, is the scan's minimum read at the two ends alone
+    D = _disc_table(a, m)
+    rep = D.wb_scan(exclusion=exclusion)
+    assert rep.kind == "exact" and rep.tested == rep.excluded == 0
+    assert len(rep.points) == len(rep.levi_values) == 2
+    r = np.linspace(exclusion, a ** (-1.0 / (2 * m)), 20001)
+    segment = np.column_stack([r, np.sqrt(np.maximum(1.0 - a * r ** (2 * m), 0.0))])
+    least = float(D.levi_min_eig(segment.astype(np.complex128)).min())
+    assert abs(rep.min_levi - least) <= _ulps(least)
+    # and no boundary sample outside the tube lies below it
+    cloud = D.boundary_cloud(1 << 12, seed=7)
+    outside = cloud[np.abs(cloud[:, 0]) >= exclusion]
+    assert len(outside) > 0
+    assert D.levi_min_eig(outside).min() >= rep.min_levi - _ulps(rep.min_levi)
+
+
+@pytest.mark.parametrize("exclusion", [1e-3, 1e-2, 0.1, 0.5])
+@pytest.mark.parametrize("a, m", SEGMENT_TABLES)
+def test_n2_wb_scan_ends_match_closed_form(a, m, exclusion):
+    # at r = eps the eigenvalue is c y^alpha / (1 - y + c y^{1 + alpha}), with
+    # y = a eps^{2m}, c = m^2 a^{1/m} and alpha = 1 - 1/m, here at 50 digits;
+    # at z_2 = 0 it is 1
+    mp = pytest.importorskip("mpmath")
+    rep = _disc_table(a, m).wb_scan(exclusion=exclusion)
+    with mp.workdps(50):
+        y = mp.mpf(a) * mp.mpf(exclusion) ** (2 * m)
+        c, alpha = m * m * mp.mpf(a) ** (mp.mpf(1) / m), 1 - mp.mpf(1) / m
+        inner = float(c * y ** alpha / (1 - y + c * y ** (1 + alpha)))
+    assert rep.points[1, 1] == 0.0 and rep.levi_values[1] == 1.0
+    assert abs(rep.levi_values[0] - inner) <= _ulps(inner)
+    assert rep.min_levi == min(rep.levi_values)
+
+
+@pytest.mark.parametrize("a, m", SEGMENT_TABLES)
+def test_n2_wb_scan_tube_past_the_boundary_is_typed(a, m):
+    with pytest.raises(EmptySampleError):
+        _disc_table(a, m).wb_scan(exclusion=1.001 * a ** (-1.0 / (2 * m)))
+
+
+@pytest.mark.parametrize("a, m", [(a, m) for a, m in SEGMENT_TABLES if m >= 2])
+def test_n2_wb_scan_without_tube_sees_the_weak_circle(a, m):
+    # with no tube the segment reaches the weakly pseudoconvex circle z_1 = 0,
+    # where the Levi form degenerates; the sampled scan never drew it
+    rep = _disc_table(a, m).wb_scan(exclusion=0.0)
+    assert rep.min_levi == 0.0 and not rep.passed
+
+
+def test_wb_scan_sampled_on_three_variables():
+    D = DOMAINS["e23"]()
+    rep = D.wb_scan(count=500, seed=0)
+    assert rep.kind == "sampled"
+    assert rep.tested + rep.excluded == 500 and len(rep.points) == rep.tested
+    assert np.array_equal(rep.levi_values, D.levi_min_eig(rep.points))
+
+
 def test_degenerate_polynomial_blocks_domain():
     P = WeightedPolynomial(MultiWeight((2, 2)), {((1, 1), (1, 1)): 1.0})
     with pytest.raises(PositivityError):
