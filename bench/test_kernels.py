@@ -46,9 +46,10 @@ whole cloud.
 `HermitianPolynomial.value` runs at cloud scale (the quartic gauge at
 2^17 points, the m = (2, 3) gauge at 2^13) and at frame scale (1 and 32
 points of the translated m = (2, 3) graph-model table).
-`EllipsoidAutomorphism.apply` maps 2^14-point boundary clouds of the
-quartic and of the m = (2, 3) domain, whose weights take the square-root
-and cube-root slice factors.
+`EllipsoidAutomorphism.apply` maps one boundary point of the quartic and
+of the m = (2, 3) domain, whose weights take the square-root and
+cube-root slice factors: the traffic `chain_family` and
+`EmbeddingChain.check_basepoint` make, one point per call.
 `exhaustion_check` runs the `convergence` experiment's check on the
 quartic at 2^15 samples over the CLI's default a-grid: the boundary cloud,
 its shrunk copies, and the closed-form inclusion test at each a.
@@ -122,12 +123,12 @@ def test_value(benchmark, table, points):
 
 @pytest.mark.parametrize("domain", [
     GeneralEllipsoid.quartic_disc, lambda: GeneralEllipsoid(_mixed_weight_polynomial()),
-], ids=["quartic-2^14", "mixed-2-3-2^14"])
+], ids=["quartic-1pt", "mixed-2-3-1pt"])
 def test_automorphism_apply(benchmark, domain):
     D = domain()
-    cloud = D.boundary_cloud(1 << 14, 0)
+    point = D.boundary_cloud(1, 0)
     psi = EllipsoidAutomorphism(a=0.9 * np.exp(0.4j), theta=0.3)
-    assert np.isfinite(benchmark(psi.apply, D.P.weights, cloud)).all()
+    assert np.isfinite(benchmark(psi.apply, D.P.weights, point)).all()
 
 
 def test_exhaustion_check(benchmark):

@@ -12,15 +12,13 @@ up the same conformal factor, so rho transforms by a positive multiplier
 and the domain is preserved exactly.  Re(1 + sign*conj(a) w) >= 1 - |a| > 0
 whenever |z_n| <= 1, in particular on the closed domain, so principal
 fractional powers are single-valued; this is the one branch choice in the
-construction and it is used everywhere.  The slice factor of a weight
-m_k = 2 takes its square root in real arithmetic (:func:`principal_sqrt`):
-the principal root wherever Re den > 0, so for every |z_n| <= 1, and as
-accurate as numpy's complex root there; an array with some Re den <= 0
-takes numpy's complex root.  Weights m_k >= 3 take complex powers.
+construction and it is used everywhere.  A weight m_k = 2 takes numpy's
+complex square root, m_k >= 3 complex powers.
 
-`sign=+1` is the variant that pushes the disk toward +1 (used by the
-exhaustion of the subdomains), `sign=-1` (default) is the variant that
-sends a chosen interior point onto the slice {z_n = 0}.
+`sign=-1` (default) is the variant that sends a chosen interior point onto
+the slice {z_n = 0}; `sign=+1` is its inverse inside the family
+(`inverse`), and the map whose pullbacks `pullback_coeffs` states in
+closed form.
 """
 
 from __future__ import annotations
@@ -32,36 +30,6 @@ import numpy as np
 
 from .domain import GeneralEllipsoid
 from .wpoly import MultiWeight
-
-
-def principal_sqrt(den: np.ndarray) -> np.ndarray:
-    """Principal square root of each entry of a complex array.
-
-    When every entry has Re den > 0, as for every point with |z_n| <= 1,
-    the root is r + i Im(den) / (2 r) with r = sqrt((|den| + Re den) / 2)
-    and |den| = sqrt(Re^2 + Im^2): real arithmetic without cancellation,
-    several times faster than numpy's complex square root and as accurate.
-    Otherwise |den| + Re den may cancel, and numpy's complex root serves
-    the whole array.
-    """
-    shape = np.shape(den)
-    den = np.reshape(den, -1)
-    x, y = den.real, den.imag
-    if not x.min(initial=np.inf) > 0.0:
-        return np.sqrt(den).reshape(shape)
-    # the root's own parts hold every intermediate, so the only new array is the root
-    root = np.empty_like(den)
-    r, im = root.real, root.imag
-    np.multiply(x, x, out=r)
-    np.multiply(y, y, out=im)
-    r += im
-    np.sqrt(r, out=r)
-    r += x
-    r *= 0.5
-    np.sqrt(r, out=r)
-    np.divide(y, r, out=im)
-    im *= 0.5
-    return root.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -93,7 +61,7 @@ class EllipsoidAutomorphism:
             if mk == 1:
                 out[..., k] = z[..., k] * (np.sqrt(lam) / den)
             elif mk == 2:
-                out[..., k] = z[..., k] * (lam ** 0.25 / principal_sqrt(den))
+                out[..., k] = z[..., k] * (lam ** 0.25 / np.sqrt(den))
             else:
                 out[..., k] = z[..., k] * (lam ** (1.0 / (2 * mk)) / den ** (1.0 / mk))
         out[..., -1] = (w + self.sign * self.a) / den

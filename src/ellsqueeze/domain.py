@@ -175,29 +175,14 @@ class GeneralEllipsoid:
         `z` has shape (..., n) and the result shape (...).  The complex
         Hessian H of the gauge is restricted to the complex tangent space
         {v : sum v_j d rho/dz_j = 0}, the orthogonal complement of the unit
-        normal nu = conj(grad rho) / |grad rho|.  The Householder reflector
-
-            Q = I - w w^H / (1 + |nu_n|),   w = nu + e^{i arg nu_n} e_n,
-
-        Hermitian and unitary, sends nu to -e^{i arg nu_n} e_n (arg 0 := 0),
-        so its first n - 1 columns B are an orthonormal basis of that space,
-        in closed form, and the restricted form is B^H H B, a 1 x 1 form on
-        n = 2.  Adding |nu_n| to 1 cancels nothing.  A positive value means
-        strong pseudoconvexity at the point.  Raises ValueError if the
-        gradient vanishes at any point.
+        normal, through the closed-form Householder basis B of
+        :meth:`HermitianPolynomial.tangent_frame`, the one `scaling`'s frames
+        use; the restricted form is B^H H B, a 1 x 1 form on n = 2.  A
+        positive value means strong pseudoconvexity at the point.  Raises
+        ValueError if the gradient vanishes at any point.
         """
         z = np.asarray(z, dtype=np.complex128)
-        g = self.gauge.gradient(z)
-        norm = np.linalg.norm(g, axis=-1)
-        if np.any(norm < 1e-12):
-            raise ValueError("vanishing gradient: complex tangent space is undefined here")
-        # w starts as nu; its last entry nu_n + e^{i arg nu_n} is
-        # e^{i arg nu_n} (1 + |nu_n|), and the others stay nu's
-        w = np.conj(g) / norm[..., None]
-        lift = 1.0 + np.abs(w[..., -1])
-        w[..., -1] = np.exp(1j * np.angle(w[..., -1])) * lift
-        B = np.eye(self.n, self.n - 1) - w[..., :, None] * (np.conj(w[..., None, :-1])
-                                                             / lift[..., None, None])
+        _, B = self.gauge.tangent_frame(z)
         L = np.conj(np.swapaxes(B, -1, -2)) @ self.gauge.hessian(z) @ B
         L = 0.5 * (L + np.conj(np.swapaxes(L, -1, -2)))
         return np.linalg.eigvalsh(L)[..., 0]

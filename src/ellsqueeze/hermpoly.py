@@ -215,6 +215,36 @@ class HermitianPolynomial:
             out[..., j] = holo @ (plan.C * plan.A[:, j])
         return out
 
+    def tangent_frame(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Unit normal and complex tangent basis at points z of shape (..., d).
+
+        The normal is nu = conj(grad f) / |grad f|, shape (..., d).  The
+        Householder reflector
+
+            Q = I - w w^H / (1 + |nu_d|),   w = nu + e^{i arg nu_d} e_d,
+
+        Hermitian and unitary, sends nu to -e^{i arg nu_d} e_d (arg 0 := 0),
+        so its first d - 1 columns B, shape (..., d, d - 1), are an
+        orthonormal basis of {v : sum v_j df/dz_j = 0}, in closed form; where
+        nu is a unimodular multiple of e_d they are e_1, ..., e_{d-1} in order.  Adding |nu_d| to 1
+        cancels nothing.  Raises ValueError if |grad f| falls below 1e-12
+        times the largest of 1 and the table's |coefficients| at any point.
+        """
+        g = self.gradient(z)
+        norm = np.linalg.norm(g, axis=-1)
+        scale = max([1.0, *map(abs, self._table.values())])
+        if not np.all(norm >= 1e-12 * scale):
+            raise ValueError("gradient vanishes: the complex tangent space is undefined here")
+        nu = np.conj(g) / norm[..., None]
+        # w's last entry nu_d + e^{i arg nu_d} is e^{i arg nu_d} (1 + |nu_d|),
+        # and the others are nu's
+        w = nu.copy()
+        lift = 1.0 + np.abs(w[..., -1])
+        w[..., -1] = np.exp(1j * np.angle(w[..., -1])) * lift
+        B = np.eye(self.d, self.d - 1) - w[..., :, None] * (np.conj(w[..., None, :-1])
+                                                            / lift[..., None, None])
+        return nu, B
+
     def hessian(self, z: np.ndarray) -> np.ndarray:
         """Complex Hessian d^2 f / dz_j dconj(z)_k; exactly Hermitian."""
         plan = self._expand()

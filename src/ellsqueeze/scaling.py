@@ -11,9 +11,10 @@ eps.  All reaches at one base point read the same translated table
 q(w) = rho(eta + w) - rho(eta), built once by exact composition: along
 the ray t e^{i phi} v it is a real polynomial in t, and the reach is the
 smallest over phases of its first crossing of eps.  A frame is the
-complex gradient direction and an orthonormal basis of its complement;
-on the weighted model Re z_n + P(z') these are the coordinate axes, in
-which Catlin's multitype is read.  Dilating by the reach along each
+complex gradient direction and the closed-form orthonormal basis of its
+complement that the Levi form uses too; on the weighted model
+Re z_n + P(z') these are the coordinate axes in order, in which Catlin's
+multitype is read.  Dilating by the reach along each
 frame vector and dividing by eps turns rho into the scaled table
 
     rho~(w) = (1/eps) rho(eta + U diag(tau) w),
@@ -141,24 +142,15 @@ class ScalingFrame:
         return len(self.eta)
 
 
-def _normal_direction(rho: HermitianPolynomial, eta: np.ndarray) -> np.ndarray:
-    """Normalized complex gradient conj(d rho/dz_k) at eta."""
-    g = np.conj(rho.gradient(eta))
-    gn = np.linalg.norm(g)
-    scale = max((abs(c) for c in rho.canonical.values()), default=1.0)
-    if not gn >= 1e-12 * max(scale, 1.0):
-        raise ValueError("gradient vanishes at the base point; no frame exists")
-    return g / gn
-
-
 def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> ScalingFrame:
     """Orthonormal frame and reach radii at (eta, eps).
 
     The last column is the normalized complex gradient conj(d rho/dz_k),
-    the others the SVD basis of its complement, not re-phased; tau_k is
-    the reach along column k on one translated table.  At (0', -delta) on
-    the graph model Re z_n + P(z') with eps = delta, the columns are the
-    coordinate axes up to sign and order, tau_k = (delta/a_k)^(1/(2 m_k))
+    the others the closed-form Householder basis of its complement
+    (:meth:`HermitianPolynomial.tangent_frame`); tau_k is the reach along
+    column k on one translated table.  At (0', -delta) on the graph model
+    Re z_n + P(z') with eps = delta, the columns are the coordinate axes
+    in order, tau_k = (delta/a_k)^(1/(2 m_k))
     for the |z_k|^(2 m_k) coefficient a_k, and every scaled table is
     -1 + Re w_n + P(c w') with one c for all delta.  Elsewhere the
     complement is a fixed orthonormal basis, not a maximizer of tau.
@@ -166,9 +158,8 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> Scalin
     if not eps > 0:
         raise ValueError("eps must be positive")
     eta = np.asarray(eta, dtype=np.complex128)
-    normal = _normal_direction(rho, eta)
-    _, _, vh = np.linalg.svd(np.conj(normal)[None, :])
-    unitary = np.column_stack([vh[1:].conj().T, normal])
+    normal, basis = rho.tangent_frame(eta)
+    unitary = np.column_stack([basis, normal])
     q = _translated(rho, eta)
     taus = np.array([_tau_line(q, column, eps, RAY_CAP) for column in unitary.T])
     return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus)
@@ -239,7 +230,8 @@ def check_tau_normal(rho: HermitianPolynomial, etas: Sequence[np.ndarray],
     ratios = []
     for eta, eps in zip(etas, epss):
         eta = np.asarray(eta, dtype=np.complex128)
-        ratios.append(tau(rho, eta, _normal_direction(rho, eta), eps) / eps)
+        normal, _ = rho.tangent_frame(eta)
+        ratios.append(tau(rho, eta, normal, eps) / eps)
     ratios = np.array(ratios)
     band = (float(ratios.min()), float(ratios.max()))
     return TauNormalReport(ratios=ratios, band=band,

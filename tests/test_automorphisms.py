@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ellsqueeze.automorphisms import (EllipsoidAutomorphism, normalize_point,
-                                      principal_sqrt, pullback_coeffs)
+from ellsqueeze.automorphisms import EllipsoidAutomorphism, normalize_point, pullback_coeffs
 from ellsqueeze.domain import GeneralEllipsoid, SubdomainParams, contains_sub
 from ellsqueeze.hermpoly import first_crossing
 from ellsqueeze.util import complex_sphere, philox
@@ -87,10 +86,8 @@ def test_square_root_factor_matches_50_digits(E, a):
     # the weight-2 slice factor lam^{1/4} / sqrt(den) over 2^12 points of the
     # closed quartic domain (where 2^11 sphere rays first cross the boundary,
     # and one point inside on each ray), with z_1 = 1 so that the image's
-    # first coordinate is the factor itself: the real-arithmetic root stays
-    # within 1.1 eps of the exact root of den (numpy's complex root reaches
-    # 0.85 eps here), and the factor, whose division adds rounding, is no
-    # less accurate than the same factor with numpy's complex root
+    # first coordinate is the factor itself: its worst relative error against
+    # a 50-digit evaluation measures 1.37 to 1.49 eps over these a
     mpmath = pytest.importorskip("mpmath")
     u = complex_sphere(1 << 11, 2, seed=0)
     cloud = first_crossing(E.gauge, u, 0.0, 1e6)[:, None] * u
@@ -99,28 +96,12 @@ def test_square_root_factor_matches_50_digits(E, a):
     psi = EllipsoidAutomorphism(a=a, theta=0.7)
     factor = psi.apply(E.P.weights, z)[:, 0]
     den = 1.0 + psi.sign * np.conj(psi.a) * (z[:, -1] * np.exp(1j * psi.theta))
-    complex_factor = psi.lam ** 0.25 / np.sqrt(den)
     with mpmath.workdps(50):
-        roots = [mpmath.sqrt(mpmath.mpc(complex(d))) for d in den]
         c = mpmath.mpf(psi.lam ** 0.25)
-
-        def worst(values, exact):
-            return max(float(abs(mpmath.mpc(complex(v)) - e) / abs(e))
-                       for v, e in zip(values, exact))
-
-        eps = np.finfo(float).eps
-        assert worst(principal_sqrt(den), roots) <= 1.1 * eps
-        exact = [c / r for r in roots]
-        assert worst(factor, exact) <= worst(complex_factor, exact)
-
-
-def test_principal_sqrt_off_the_right_half_plane():
-    # |z_n| > 1 can put Re den <= 0, where |den| + Re den cancels; the whole
-    # array then takes numpy's complex root, still the principal one
-    den = np.array([4.0 + 1e-3j, -4.0 + 1e-300j, -4.0 - 0.0j, -1.0 + 2.0j, 0.0j, 2.0 - 0.5j])
-    assert np.array_equal(principal_sqrt(den), np.sqrt(den))
-    assert principal_sqrt(np.complex128(0.25 - 0.0j)) == 0.5
-    assert principal_sqrt(np.empty(0, dtype=complex)).shape == (0,)
+        exact = [c / mpmath.sqrt(mpmath.mpc(complex(d))) for d in den]
+        worst = max(float(abs(mpmath.mpc(complex(v)) - e) / abs(e))
+                    for v, e in zip(factor, exact))
+    assert worst <= 1.5 * np.finfo(float).eps
 
 
 # -- inversion --------------------------------------------------------------------------

@@ -375,11 +375,11 @@ def test_levi_positive_at_strong_point_matches_fd(E):
 
 
 def test_levi_rejects_vanishing_gradient(E):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gradient vanishes"):
         E.levi_min_eig(np.zeros(2, dtype=complex))
     # one vanishing gradient in a batch rejects the whole batch
     batch = np.array([[0.5, 0.5], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gradient vanishes"):
         E.levi_min_eig(batch)
 
 

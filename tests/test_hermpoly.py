@@ -130,6 +130,37 @@ def test_min_levi_eigenvalue_quadratic():
     assert float(f.min_levi_eigenvalue(z)[0]) == pytest.approx(2 - np.sqrt(3), rel=1e-12)
 
 
+def test_tangent_frame_is_unitary_and_batched():
+    # at each point of a batch, [B, nu] is unitary, nu is
+    # conj(grad f) / |grad f|, and B spans the kernel of grad f
+    f = GeneralEllipsoid(mixed_weight_polynomial()).gauge
+    z = complex_sphere(16, 3, 4)
+    z[0] = [0.0, 0.0, -0.5j]
+    nu, B = f.tangent_frame(z)
+    assert nu.shape == (16, 3) and B.shape == (16, 3, 2)
+    g = f.gradient(z)
+    for k in range(len(z)):
+        U = np.column_stack([B[k], nu[k]])
+        assert np.abs(U.conj().T @ U - np.eye(3)).max() <= 1e-15
+        assert np.abs(nu[k] - np.conj(g[k]) / np.linalg.norm(g[k])).max() <= 1e-15
+        assert np.abs(g[k] @ B[k]).max() <= 1e-15 * np.linalg.norm(g[k])
+    # on the z_3 axis the normal is e^{i arg} e_3 and B is e_1, e_2 in order
+    assert np.abs(B[0] - np.eye(3, 2)).max() == 0.0
+
+
+def test_tangent_frame_vanishing_gradient_is_scale_relative():
+    # |z_1|^2 + |z_2|^2 at 1e-9 e_1 has |grad| = 1e-9, which passes; 1e4 times
+    # it at 1e-13 e_1 has the same |grad|, above 1e-12 but below 1e-12 times
+    # its largest coefficient, and raises
+    f = HermitianPolynomial(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
+    f.tangent_frame(np.array([1e-9, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="gradient vanishes"):
+        (f * 1e4).tangent_frame(np.array([1e-13, 0.0], dtype=complex))
+    # one vanishing gradient in a batch rejects the whole batch
+    with pytest.raises(ValueError, match="gradient vanishes"):
+        f.tangent_frame(np.array([[0.5, 0.5], [0.0, 0.0]], dtype=complex))
+
+
 # -- radial first crossings ----------------------------------------------------------
 
 

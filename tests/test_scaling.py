@@ -188,15 +188,11 @@ def test_frame_mixed_weight_model_is_the_weighted_frame(monkeypatch):
     m, a = (2, 3), (1.1, 0.9)
     for sf, delta in zip(run, deltas):
         frame = sf.frame
-        mod = np.abs(frame.unitary)
-        perm = np.round(mod)
-        assert np.abs(mod - perm).max() <= 1e-15
-        assert (perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()
-        assert perm[2, 2] == 1.0
+        # the Householder basis of the normal e_3 is e_1, e_2, in order
+        assert np.array_equal(frame.unitary, np.eye(3))
         for k in range(2):
-            axis = int(np.argmax(mod[:, k]))
-            ratio = frame.taus[k] / delta ** (1.0 / (2 * m[axis]))
-            assert ratio == pytest.approx((1.0 / a[axis]) ** (1.0 / (2 * m[axis])), rel=1e-12)
+            ratio = frame.taus[k] / delta ** (1.0 / (2 * m[k]))
+            assert ratio == pytest.approx((1.0 / a[k]) ** (1.0 / (2 * m[k])), rel=1e-12)
         assert frame.taus[2] == pytest.approx(delta, rel=1e-12)
         table, ref = sf.table.canonical, run[0].table.canonical
         assert table.keys() == ref.keys() and len(table) == 5
@@ -224,8 +220,18 @@ def test_frame_unitary_random():
     assert np.abs(frame.unitary @ frame.unitary.conj().T - np.eye(3)).max() <= 1e-10
 
 
+def test_frame_is_the_tangent_frame():
+    # off the normal line, the frame's columns are the one tangent basis and
+    # normal, bit for bit
+    eta = np.array([0.3, 0.2 - 0.1j, 0.6j])
+    frame = build_frame(MIXED_GAUGE, eta, 1e-3)
+    normal, basis = MIXED_GAUGE.tangent_frame(eta)
+    assert np.array_equal(frame.unitary[:, :-1], basis)
+    assert np.array_equal(frame.unitary[:, -1], normal)
+
+
 def test_frame_rejects_vanishing_gradient(BALL):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gradient vanishes"):
         build_frame(BALL, np.zeros(2, dtype=complex), 1e-2)
 
 
