@@ -8,7 +8,10 @@ quartic, E(2, 3), the ball in C^3 and the m = (2, 3) domain with a
 z1^2 conj(z2)^3 cross term.  `first_crossing`, which serves reach radii
 only, solves the `scaling.PHASE_GRID` phases of one line on the translated
 m = (2, 3) graph-model table at eta = (0, 0, -1e-3), as `scaling` does for
-each reach before refining the worst phase.  `scale_along_normal` builds the frames
+each reach before refining the worst phase.  `build_frame` builds one
+frame at (0', -1e-3) with eps = 1e-3 on the quartic and the m = (2, 3)
+graph models: the translated table and the n reach lines, searched
+together.  `scale_along_normal` builds the frames
 and scaled tables of that graph model at delta = 1e-2, 1e-3 and 1e-4.
 `bounding_radius` computes its closed form on a fresh quartic, E(2, 3) and
 m = (2, 3) domain each round, the domain built outside the timed call; it
@@ -82,7 +85,7 @@ from ellsqueeze.domconv import exhaustion_check
 from ellsqueeze.hermpoly import RAY_CAP, first_crossing
 from ellsqueeze.sequences import generate
 from ellsqueeze.util import complex_sphere
-from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial
+from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
 
 def _mixed_weight_polynomial():
@@ -168,6 +171,16 @@ def test_first_crossing_frame_line(benchmark):
     u = np.exp(1j * phases)[:, None] * complex_sphere(1, q.d, 0)
     t = benchmark(first_crossing, q, u, eps, RAY_CAP)
     assert np.isfinite(t).all()
+
+
+@pytest.mark.parametrize("P", [quartic_disc_polynomial, _mixed_weight_polynomial],
+                         ids=["quartic", "mixed-2-3"])
+def test_build_frame(benchmark, P):
+    rho = scaling.DefiningFunctionPoly.graph_model(P())
+    eta = np.zeros(rho.d, dtype=complex)
+    eta[-1] = -1e-3
+    frame = benchmark(scaling.build_frame, rho, eta, 1e-3)
+    assert frame.taus[-1] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_scale_along_normal(benchmark):

@@ -214,7 +214,7 @@ def run(experiment: str, cfg: dict) -> int:
             "kind": report.kind,
         }
         write_json(outdir / "floor.json", payload)
-        print(f"floor(s={report.s:g}, r={report.r:g}) = {fmt(report.value)}")
+        print(f"floor(s={report.s!r}, r={report.r!r}) = {fmt(report.value)}")
 
     elif experiment == "scale":
         gauge = DefiningFunctionPoly.graph_model(D.P)
@@ -236,7 +236,7 @@ def run(experiment: str, cfg: dict) -> int:
         rows = [[a, *pullback_coeffs(b, float(a))] for a in cfg["agrid"]]
         write_csv(outdir / "limits.csv", ["a", "c1", "c2", "c3"], rows)
         c1, c2, c3 = rows[-1][1:]
-        print(f"limits: at a={rows[-1][0]:g} coefficients -> ({fmt(c1)}, {fmt(c2)}, {fmt(c3)})")
+        print(f"limits: at a={float(rows[-1][0])!r} coefficients -> ({fmt(c1)}, {fmt(c2)}, {fmt(c3)})")
 
     elif experiment == "wbscan":
         report = D.wb_scan(count=samples, seed=seed, exclusion=float(cfg["exclusion"]))

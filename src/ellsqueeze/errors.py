@@ -33,4 +33,4 @@ class ToleranceError(EllsqueezeError, RuntimeError):
     """A measured quantity exceeded the tolerance the run manifest advertises."""
 
     def __init__(self, name: str, value: float, bound: float):
-        super().__init__(f"{name} = {value:g} violates its tolerance {bound:g}")
+        super().__init__(f"{name} = {float(value)!r} violates its tolerance {float(bound)!r}")

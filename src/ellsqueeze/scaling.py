@@ -72,37 +72,49 @@ def _translated(rho: HermitianPolynomial, eta: np.ndarray) -> HermitianPolynomia
     return HermitianPolynomial(len(eta), shifted)
 
 
-def _tau_line(q: HermitianPolynomial, v: np.ndarray, eps: float, cap: float) -> float:
-    """`tau` along direction v of a translated table q."""
+def _tau_lines(q: HermitianPolynomial, columns: np.ndarray, eps: float,
+               cap: float) -> np.ndarray:
+    """`tau` along each row of `columns` on a translated table q.
 
-    def reach(phases):
-        return first_crossing(q, np.exp(1j * np.asarray(phases))[:, None] * v, eps, cap)
-
+    The rows are searched together: one `first_crossing` call solves every
+    row's PHASE_GRID grid phases, one both golden-section start probes of
+    every row, then each step one probe per row still refining.  Each row
+    follows its own bracket and stop test, as a search of that row alone
+    would.
+    """
+    lines = np.arange(len(columns))
     phases = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
-    radii = reach(phases)
-    if not np.isfinite(radii).any():
+
+    def reach(rows, angles):
+        return first_crossing(q, np.exp(1j * angles)[:, None] * columns[rows], eps, cap)
+
+    radii = reach(np.repeat(lines, PHASE_GRID), np.tile(phases, len(lines)))
+    radii = radii.reshape(len(lines), PHASE_GRID)
+    if not np.isfinite(radii).any(axis=1).all():
         raise BoundedSearchError("gauge never rises by eps along this line", cap)
-    k = int(np.argmin(radii))
+    k = np.argmin(radii, axis=1)
     a = phases[(k - 1) % PHASE_GRID]
     b = phases[(k + 1) % PHASE_GRID]
-    if b < a:
-        b += 2.0 * np.pi
+    b = np.where(b < a, b + 2.0 * np.pi, b)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = reach([x1, x2])
+    f1, f2 = reach(np.tile(lines, 2), np.concatenate([x1, x2])).reshape(2, len(lines))
+    rows = lines
     for _ in range(40):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = reach([x1])[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = reach([x2])[0]
-        if b - a < 1e-10 or abs(f1 - f2) <= 1e-14 * max(f1, f2):
+        left = f1[rows] <= f2[rows]
+        lo, hi = rows[left], rows[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        probes = reach(rows, np.where(left, x1[rows], x2[rows]))
+        f1[lo], f2[hi] = probes[left], probes[~left]
+        width, gap = b[rows] - a[rows], np.abs(f1[rows] - f2[rows])
+        rows = rows[(width >= 1e-10) & ~(gap <= 1e-14 * np.maximum(f1[rows], f2[rows]))]
+        if not len(rows):
             break
-    return float(min(radii[k], f1, f2))
+    return np.minimum(np.minimum(radii[lines, k], f1), f2)
 
 
 def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
@@ -115,14 +127,16 @@ def tau(rho: HermitianPolynomial, eta: np.ndarray, v: np.ndarray, eps: float,
     worst one.  Each crossing is the smallest positive root of the radial
     polynomial t -> q(t e^{i phase} v) - eps, found by
     :func:`~ellsqueeze.hermpoly.first_crossing`; a touching root counts.
-    Raises :class:`BoundedSearchError` when no crossing exists below the cap.
+    The search is the one `build_frame` runs on the n lines of a frame
+    together, here on one line.  Raises :class:`BoundedSearchError` when
+    no crossing exists below the cap.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     v = np.asarray(v, dtype=np.complex128)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
         raise ValueError("direction must be a unit vector")
-    return _tau_line(_translated(rho, eta), v, eps, cap)
+    return float(_tau_lines(_translated(rho, eta), v[None, :], eps, cap)[0])
 
 
 # -- scaling frames --------------------------------------------------------------------
@@ -148,7 +162,9 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> Scalin
     The last column is the normalized complex gradient conj(d rho/dz_k),
     the others the closed-form Householder basis of its complement
     (:meth:`HermitianPolynomial.tangent_frame`); tau_k is the reach along
-    column k on one translated table.  At (0', -delta) on the graph model
+    column k on one translated table, and the n lines of a frame are
+    searched together (`tau`'s search, one `first_crossing` call per
+    stage for all lines).  At (0', -delta) on the graph model
     Re z_n + P(z') with eps = delta, the columns are the coordinate axes
     in order, tau_k = (delta/a_k)^(1/(2 m_k))
     for the |z_k|^(2 m_k) coefficient a_k, and every scaled table is
@@ -160,8 +176,7 @@ def build_frame(rho: HermitianPolynomial, eta: np.ndarray, eps: float) -> Scalin
     eta = np.asarray(eta, dtype=np.complex128)
     normal, basis = rho.tangent_frame(eta)
     unitary = np.column_stack([basis, normal])
-    q = _translated(rho, eta)
-    taus = np.array([_tau_line(q, column, eps, RAY_CAP) for column in unitary.T])
+    taus = _tau_lines(_translated(rho, eta), unitary.T, eps, RAY_CAP)
     return ScalingFrame(eta=eta, eps=float(eps), unitary=unitary, taus=taus)
 
 

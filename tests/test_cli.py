@@ -11,6 +11,7 @@ import pytest
 import ellsqueeze
 from ellsqueeze import cli, domain, squeeze
 from ellsqueeze.cli import _DEFAULTS, EXPERIMENTS, _build_parser, main
+from ellsqueeze.errors import ToleranceError
 from ellsqueeze.sequences import generate
 from ellsqueeze.wpoly import MultiWeight, WeightedPolynomial, quartic_disc_polynomial
 
@@ -159,6 +160,29 @@ def test_scale_tolerance_violation_exit_code(tmp_path, monkeypatch):
             out = tmp_path / name
             assert run_cli(["scale", "--out", str(out)]) == 3
             assert not (out / "scale.csv").exists()
+
+
+def test_tolerance_message_tells_value_from_bound():
+    # a value just past its bound prints distinct from it
+    assert str(ToleranceError("tau_relative", 1.0000004e-12, 1e-12)) == \
+        "tau_relative = 1.0000004e-12 violates its tolerance 1e-12"
+    assert str(ToleranceError("levi_psd", -1.0000002e-08, -1e-08)) == \
+        "levi_psd = -1.0000002e-08 violates its tolerance -1e-08"
+
+
+def test_summary_lines_print_parameters_in_full(tmp_path, capsys):
+    # the defaults print as before; a parameter near 1 is not rounded to 1
+    assert run_cli(["limits", "--out", str(tmp_path / "limits")]) == 0
+    assert capsys.readouterr().out.startswith("limits: at a=0.9999 coefficients")
+    assert run_cli(["limits", "--out", str(tmp_path / "near"),
+                    "--agrid", "0.5,0.99999999999"]) == 0
+    assert capsys.readouterr().out.startswith("limits: at a=0.99999999999 coefficients")
+    assert run_cli(["floor", "--out", str(tmp_path / "floor"), "--grid", "10",
+                    "--samples", "2048"]) == 0
+    assert capsys.readouterr().out.startswith("floor(s=0.5, r=0.5) = ")
+    assert run_cli(["floor", "--out", str(tmp_path / "thin"), "--grid", "10",
+                    "--samples", "2048", "--s", "0.1234567", "--r", "0.99999999"]) == 0
+    assert capsys.readouterr().out.startswith("floor(s=0.1234567, r=0.99999999) = ")
 
 
 def test_floor_artifacts(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from ellsqueeze import scaling
 from ellsqueeze.domain import GeneralEllipsoid
 from ellsqueeze.errors import BoundedSearchError
-from ellsqueeze.hermpoly import HermitianPolynomial, first_crossing
+from ellsqueeze.hermpoly import RAY_CAP, HermitianPolynomial, first_crossing
 from ellsqueeze.scaling import (DefiningFunctionPoly, _translated, build_frame,
                                 check_tau_normal, limit_diagnostics,
                                 scale_along_normal, scaled_function, tau)
@@ -173,18 +173,19 @@ def test_frame_mixed_weight_model_is_the_weighted_frame(monkeypatch):
     # on Re z_3 + P(z') with m = (2, 3) the frame is the coordinate axes and
     # each reach is (delta/a_k)^(1/(2 m_k)), so weighted homogeneity makes
     # the scaled tables equal at every level, one reach per frame vector
-    lines = []
-    original = scaling._tau_line
+    searches = []
+    original = scaling._tau_lines
 
-    def counting(q, v, eps, cap):
-        lines.append(eps)
-        return original(q, v, eps, cap)
+    def counting(q, columns, eps, cap):
+        searches.append((len(columns), eps))
+        return original(q, columns, eps, cap)
 
-    monkeypatch.setattr(scaling, "_tau_line", counting)
+    monkeypatch.setattr(scaling, "_tau_lines", counting)
     deltas = (1e-2, 1e-3, 1e-4)
     run = scale_along_normal(MIXED_GRAPH, [np.array([0.0, 0.0, -d], dtype=complex)
                                            for d in deltas])
-    assert lines == pytest.approx([d for d in deltas for _ in range(3)], rel=1e-15)
+    assert [rows for rows, _ in searches] == [3, 3, 3]
+    assert [eps for _, eps in searches] == pytest.approx(deltas, rel=1e-15)
     m, a = (2, 3), (1.1, 0.9)
     for sf, delta in zip(run, deltas):
         frame = sf.frame
@@ -228,6 +229,57 @@ def test_frame_is_the_tangent_frame():
     normal, basis = MIXED_GAUGE.tangent_frame(eta)
     assert np.array_equal(frame.unitary[:, :-1], basis)
     assert np.array_equal(frame.unitary[:, -1], normal)
+
+
+def _one_row_taus(rho, eta, eps):
+    frame = build_frame(rho, eta, eps)
+    q = _translated(rho, eta)
+    one = [scaling._tau_lines(q, column[None, :], eps, RAY_CAP)[0] for column in frame.unitary.T]
+    return frame.taus, np.array(one)
+
+
+@pytest.mark.parametrize("P", [quartic_disc_polynomial, lambda: GeneralEllipsoid.unit_ball(3).P,
+                               mixed_weight_polynomial], ids=["quartic", "ball-3", "mixed-2-3"])
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_frame_lines_searched_together_match_one_at_a_time(P, delta):
+    # on graph-model tables a frame's n rows, searched together, give the
+    # reaches of n one-row searches bit for bit
+    rho = DefiningFunctionPoly.graph_model(P())
+    eta = np.zeros(rho.d, dtype=complex)
+    eta[-1] = -delta
+    together, alone = _one_row_taus(rho, eta, delta)
+    assert np.array_equal(together, alone)
+
+
+def test_frame_lines_searched_together_off_axis():
+    # on the 38-term ellipsoid gauge a one-ray crossing may take another
+    # BLAS path than a batched one (see `first_crossing`): within 2 ulps
+    together, alone = _one_row_taus(MIXED_GAUGE, np.array([0.3, 0.2 - 0.1j, 0.6j]), 1e-3)
+    assert (np.abs(together - alone) <= 2 * np.spacing(alone)).all()
+
+
+def test_frame_grid_is_one_crossing_call(monkeypatch):
+    sizes = []
+
+    def counting(table, directions, level, cap):
+        sizes.append(len(directions))
+        return first_crossing(table, directions, level, cap)
+
+    monkeypatch.setattr(scaling, "first_crossing", counting)
+    build_frame(MIXED_GRAPH, np.array([0.0, 0.0, -1e-3], dtype=complex), 1e-3)
+    assert sizes[0] == 3 * scaling.PHASE_GRID
+    assert sizes[1] == 2 * 3
+    assert all(size <= 3 for size in sizes[2:])
+
+
+def test_frame_raises_when_one_line_never_rises():
+    # |z_2|^2 at (0, 0.5): the normal row e_2 rises, the tangential row e_1
+    # sees the constant table
+    flat = DefiningFunctionPoly(2, {((0, 1), (0, 1)): 1.0})
+    eta = np.array([0.0, 0.5], dtype=complex)
+    assert tau(flat, eta, E2, 0.1) > 0.0
+    with pytest.raises(BoundedSearchError, match="never rises"):
+        build_frame(flat, eta, 0.1)
 
 
 def test_frame_rejects_vanishing_gradient(BALL):
